@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
+
 PARAM_DEFAULTS = {
     "d_bar": 0.056,
     "w_min": -0.017,
@@ -138,12 +140,14 @@ def cmd_train(args) -> int:
 
     window_steps = args.window * 1000 // rec.step_ms
     if freeze_at is None:
-        fires, rows = train_on_record(rec, detector)
+        fires, rows = train_on_record(rec, detector, window_steps=REPORT_WINDOW_STEPS)
     else:
         def hook(boundary_step, det):
             if boundary_step >= freeze_at:
                 det.frozen = True
-        fires, rows = train_on_record(rec, detector, on_window=hook)
+        fires, rows = train_on_record(
+            rec, detector, window_steps=REPORT_WINDOW_STEPS, on_window=hook
+        )
         detector.frozen = True
 
     eval_window = (max(rec.n_steps - window_steps, 0), rec.n_steps)
@@ -160,8 +164,9 @@ def cmd_train(args) -> int:
         with open(args.report, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["window_start_s", "firing_hz", "stability", "abs_weight_change"])
+            window_ms = REPORT_WINDOW_STEPS * rec.step_ms
             for row in rows:
-                start_s = row.window * 10
+                start_s = row.window * window_ms // 1000
                 writer.writerow(
                     [start_s, f"{row.fire_rate_hz:.6g}", f"{row.stability:.6g}",
                      f"{row.abs_weight_change:.6g}"]
@@ -205,15 +210,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# GaConfig's fields as config-file keys; max_generations None is written 0.
 GA_DEFAULTS = {
-    "population_size": 300,
-    "elitism_fraction": 0.1,
-    "mutation_prob": 0.5,
-    "stagnation_generations": 3,
-    "eval_window_s": 600,
-    "T_P": 100,
-    "seed": 0,
-    "max_generations": 0,  # 0 = unlimited
+    f.name: 0 if f.default is None else f.default
+    for f in dataclass_fields(GaConfig)
+    if f.name != "ranges"
 }
 
 
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record")
     p.add_argument("--params", help="plasticity parameter file (key = value)")
     p.add_argument("--out", help="snapshot output (.npz)")
-    p.add_argument("--report", help="per-10s time-series CSV")
+    p.add_argument("--report", help="time-series CSV, one row per 10,000 steps")
     p.add_argument("--resources", help="per-synapse resource CSV")
     p.add_argument("--window", type=int, default=600, help="R window, seconds")
     p.add_argument("--freeze-after", type=float, default=None,

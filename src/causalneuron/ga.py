@@ -3,7 +3,9 @@
 Fitness is the R score of a detector trained by replaying a fixed
 pre-recorded episode, measured over the trailing evaluation window.
 Evaluation is a pure function of (genome, record), so results do not
-depend on evaluation order.
+depend on evaluation order: a generation is scored in one lockstep pass
+over the record (:mod:`causalneuron.population`), and a genome already
+scored in the same run is not replayed again.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .metrics import score_run
-from .neuron import Detector
 from .plasticity import PlasticityConfig
+from .population import Event, record_events, replay_population
 from .records import EpisodeRecord
-from .runner import replay
+from .runner import replay  # noqa: F401  kept: perfbench/tracing.py patches ga.replay
 
 # Search ranges (log-uniform sampling).
 GENE_RANGES: dict[str, tuple[float, float]] = {
@@ -83,18 +85,34 @@ def sample_genome(rng: np.random.Generator, ranges: dict = GENE_RANGES) -> Genom
     return Genome(**{name: _log_uniform(rng, *ranges[name]) for name in GENE_NAMES})
 
 
-def evaluate(genome: Genome, record: EpisodeRecord, ga_cfg: GaConfig = GaConfig()) -> float:
-    """Train a fresh zero-weight detector on the record, score the tail window."""
+def evaluate_population(
+    genomes: Sequence[Genome],
+    record: EpisodeRecord,
+    ga_cfg: GaConfig = GaConfig(),
+    *,
+    events: Optional[list[Event]] = None,
+) -> list[float]:
+    """Train a fresh zero-weight detector per genome on the record and
+    score each one's tail window.
+
+    ``events``, if given, must be ``record_events(record)``; a caller
+    that evaluates many populations on one record converts it once.
+    """
     window_steps = ga_cfg.eval_window_s * 1000 // record.step_ms
     if record.n_steps < window_steps:
         raise ValueError(
             f"record ({record.n_steps} steps) shorter than the "
             f"evaluation window ({window_steps} steps)"
         )
-    detector = Detector(record.n_channels, genome.to_config(ga_cfg.T_P))
-    fires = replay(detector, record)
+    runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record, events)
+    rewards = record.reward_steps.tolist()
     window = (record.n_steps - window_steps, record.n_steps)
-    return score_run(fires, record.reward_steps.tolist(), ga_cfg.T_P, window)
+    return [score_run(run.fires, rewards, ga_cfg.T_P, window) for run in runs]
+
+
+def evaluate(genome: Genome, record: EpisodeRecord, ga_cfg: GaConfig = GaConfig()) -> float:
+    """Train a fresh zero-weight detector on the record, score the tail window."""
+    return evaluate_population([genome], record, ga_cfg)[0]
 
 
 def _tournament(
@@ -152,13 +170,17 @@ def run_ga(
     genome and the per-generation history."""
     rng = np.random.default_rng(cfg.seed)
     population = [sample_genome(rng, cfg.ranges) for _ in range(cfg.population_size)]
+    events = record_events(record)
+    scores: dict[Genome, float] = {}  # every genome scored so far this run
     history: list[GenerationStats] = []
     best_genome: Optional[Genome] = None
     best_fitness = -math.inf
     stall = 0
     generation = 0
     while True:
-        fitnesses = [evaluate(g, record, cfg) for g in population]
+        unseen = list(dict.fromkeys(g for g in population if g not in scores))
+        scores.update(zip(unseen, evaluate_population(unseen, record, cfg, events=events)))
+        fitnesses = [scores[g] for g in population]
         gen_best = max(range(len(population)), key=lambda i: (fitnesses[i], -i))
         history.append(
             GenerationStats(

@@ -141,32 +141,58 @@ class EpisodeRecord:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EpisodeRecord":
+        """Decode a record; any malformed input raises ``ValueError``."""
+        if len(raw) < _HEADER.size:
+            raise ValueError(f"truncated record: {len(raw)}-byte file has no full header")
         magic, version, step_ms, n_channels, seed, n_steps = _HEADER.unpack_from(raw, 0)
         if magic != MAGIC:
             raise ValueError("not an episode record (bad magic)")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported record version {version}")
+        if step_ms == 0:
+            raise ValueError("bad record header: step_ms is 0")
         pos = _HEADER.size
         steps = []
         indptr = [0]
         chans: list[int] = []
-        for step in range(n_steps):
-            count, pos = _read_varint(raw, pos)
-            if count:
-                steps.append(step)
-                for _ in range(count):
-                    c, pos = _read_varint(raw, pos)
-                    chans.append(c)
-                indptr.append(len(chans))
-        (n_events,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
         rewards = []
         punishments = []
-        for _ in range(n_events):
-            kind = raw[pos]
-            pos += 1
-            step, pos = _read_varint(raw, pos)
-            (rewards if kind == _KIND_REWARD else punishments).append(step)
+        # Reading past the end of raw is the only way decoding can fail.
+        section = "spike frames"
+        try:
+            for step in range(n_steps):
+                count, pos = _read_varint(raw, pos)
+                if count:
+                    steps.append(step)
+                    for _ in range(count):
+                        c, pos = _read_varint(raw, pos)
+                        chans.append(c)
+                    indptr.append(len(chans))
+            section = "event table"
+            (n_events,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            for _ in range(n_events):
+                kind = raw[pos]
+                pos += 1
+                step, pos = _read_varint(raw, pos)
+                (rewards if kind == _KIND_REWARD else punishments).append(step)
+        except (IndexError, struct.error):
+            raise ValueError(f"truncated record: {section} ends at byte {len(raw)}") from None
+        try:
+            channels = np.asarray(chans, dtype=np.int64)
+            reward_steps = np.asarray(sorted(rewards), dtype=np.int64)
+            punishment_steps = np.asarray(sorted(punishments), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("bad record: a value does not fit in 64 bits") from None
+        if channels.size and int(channels.max()) >= n_channels:
+            raise ValueError(
+                f"bad record: channel index {int(channels.max())} >= n_channels {n_channels}"
+            )
+        for events in (reward_steps, punishment_steps):
+            if events.size and int(events[-1]) >= n_steps:
+                raise ValueError(
+                    f"bad record: event at step {int(events[-1])} >= n_steps {n_steps}"
+                )
         return cls(
             step_ms=step_ms,
             n_channels=n_channels,
@@ -174,9 +200,9 @@ class EpisodeRecord:
             n_steps=n_steps,
             spike_steps=np.asarray(steps, dtype=np.int64),
             indptr=np.asarray(indptr, dtype=np.int64),
-            channels=np.asarray(chans, dtype=np.int64),
-            reward_steps=np.asarray(sorted(rewards), dtype=np.int64),
-            punishment_steps=np.asarray(sorted(punishments), dtype=np.int64),
+            channels=channels,
+            reward_steps=reward_steps,
+            punishment_steps=punishment_steps,
         )
 
     def save(self, path) -> None:

@@ -163,6 +163,50 @@ class TestTrainEval:
         assert code == EXIT_CONFIG
 
 
+class TestMalformedRecords:
+    def write_record(self, path, n_channels, frames):
+        EpisodeRecord.build(
+            step_ms=1, n_channels=n_channels, seed=0, n_steps=1000,
+            frames=frames, reward_steps=[500],
+        ).save(path)
+
+    def assert_one_line_config_error(self, argv, capsys, match):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert match in err
+
+    def test_truncated_record(self, tmp_path, capsys):
+        path = tmp_path / "cut.spkc"
+        self.write_record(path, 4, [(10, [1, 2])])
+        path.write_bytes(path.read_bytes()[:-3])
+        for argv in (["train", "--record", str(path)],
+                     ["export", "--record", str(path), "--out", str(tmp_path / "x.csv")]):
+            self.assert_one_line_config_error(argv, capsys, "truncated record")
+
+    def test_channel_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "bad.spkc"
+        self.write_record(path, 4, [(10, [1, 7])])
+        self.assert_one_line_config_error(
+            ["ga", "--record", str(path)], capsys, "channel index 7 >= n_channels 4")
+
+
+class TestTrainReport:
+    def test_window_start_follows_step_ms(self, tmp_path):
+        record = tmp_path / "slow.spkc"
+        EpisodeRecord.build(
+            step_ms=2, n_channels=3, seed=0, n_steps=30_000,
+            frames=[(t, [0, 1]) for t in range(100, 30_000, 700)],
+            reward_steps=list(range(150, 30_000, 700)),
+        ).save(record)
+        report = tmp_path / "report.csv"
+        assert main(["train", "--record", str(record), "--report", str(report)]) == EXIT_OK
+        with open(report) as fh:
+            rows = list(csv.DictReader(fh))
+        # 10,000-step windows of 2 ms steps are 20 s long
+        assert [r["window_start_s"] for r in rows] == ["0", "20", "40"]
+
+
 class TestGaCommand:
     def test_small_ga_writes_history(self, tmp_path, syn_record):
         cfg = tmp_path / "ga.txt"

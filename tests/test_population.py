@@ -1,0 +1,235 @@
+"""Lockstep population replay against the scalar Detector, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import causalneuron.ga as ga_module
+from causalneuron.ga import (
+    GENE_NAMES,
+    GENE_RANGES,
+    GaConfig,
+    Genome,
+    evaluate,
+    evolve,
+    run_ga,
+    sample_genome,
+)
+from causalneuron.metrics import score_run
+from causalneuron.neuron import Detector
+from causalneuron.plasticity import PlasticityConfig
+from causalneuron.population import record_events, replay_population
+from causalneuron.records import EpisodeRecord
+from causalneuron.recording import record_pong_episode
+from causalneuron.runner import replay
+from causalneuron.synthetic import SyntheticConfig, generate
+
+CORNERS = [
+    Genome(**{name: GENE_RANGES[name][k] for name in GENE_NAMES})
+    for k in (0, 1)
+] + [
+    Genome(d_H_bar=1.0, neg_w_min=0.003, w_max=1.0, d_s=0.003),
+    Genome(d_H_bar=1.0, neg_w_min=1.0, w_max=1.0, d_s=3.0),
+    Genome(d_H_bar=0.03, neg_w_min=0.003, w_max=1.0, d_s=0.003),
+]
+
+
+def assert_matches_scalar(cfgs, record):
+    """Every config's lockstep result equals its own scalar replay."""
+    runs = replay_population(cfgs, record)
+    assert len(runs) == len(cfgs)
+    for cfg, run in zip(cfgs, runs):
+        det = Detector(record.n_channels, cfg)
+        fires = replay(det, record)
+        assert run.fires == fires
+        assert run.resources.tobytes() == det.resource_array().tobytes()
+        assert run.stability.hex() == det.stability.hex()
+        assert run.fire_count == det.fire_count
+        assert run.tss_count == det.tss_count
+    return runs
+
+
+def random_genomes(seed, n):
+    rng = np.random.default_rng(seed)
+    return [sample_genome(rng) for _ in range(n)]
+
+
+# -- hypothesis: small random records ----------------------------------------
+
+gene = {
+    name: st.one_of(st.sampled_from(GENE_RANGES[name]), st.floats(*GENE_RANGES[name]))
+    for name in GENE_NAMES
+}
+genomes = st.builds(Genome, **gene)
+
+
+@st.composite
+def small_records(draw):
+    n_channels = draw(st.integers(1, 12))
+    n_steps = draw(st.integers(1, 600))
+    steps = draw(st.lists(st.integers(0, n_steps - 1), max_size=200, unique=True))
+    frames = [
+        (t, draw(st.lists(st.integers(0, n_channels - 1), min_size=1, max_size=8)))
+        for t in sorted(steps)
+    ]
+    # rewards land on spike steps as well as on steps of their own
+    pool = st.one_of(st.sampled_from(sorted(steps)), st.integers(0, n_steps - 1)) \
+        if steps else st.integers(0, n_steps - 1)
+    rewards = draw(st.lists(pool, max_size=40, unique=True))
+    return EpisodeRecord.build(
+        step_ms=1, n_channels=n_channels, seed=0, n_steps=n_steps,
+        frames=frames, reward_steps=rewards,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    record=small_records(),
+    population=st.lists(genomes, min_size=1, max_size=6),
+    T_P=st.integers(1, 40),
+    H=st.sampled_from([1.0, 0.25, 0.0, -0.25]),
+)
+def test_random_records_match_scalar(record, population, T_P, H):
+    cfgs = [
+        PlasticityConfig(d_bar=g.d_H_bar, w_min=-g.neg_w_min, w_max=g.w_max,
+                         d_s=g.d_s, T_P=T_P, H=H)
+        for g in population
+    ]
+    assert_matches_scalar(cfgs, record)
+
+
+# -- fixed records ------------------------------------------------------------
+
+def test_ga_search_shaped_record_matches_scalar():
+    rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
+                                   n_steps=60_000, seed=42))
+    cfgs = [g.to_config() for g in CORNERS + random_genomes(0, 10)]
+    runs = assert_matches_scalar(cfgs, rec)
+    assert sum(run.fire_count for run in runs) > 0
+    assert any(run.tss_count > 1 for run in runs)
+
+
+@pytest.mark.parametrize("clock", ["shared", "bernoulli"])
+def test_pong_record_matches_scalar(clock):
+    rec = record_pong_episode(30, 3, clock_mode=clock)
+    cfgs = [g.to_config() for g in CORNERS + random_genomes(1, 5)]
+    runs = assert_matches_scalar(cfgs, rec)
+    assert sum(run.fire_count for run in runs) > 0
+
+
+def test_empty_population():
+    rec = generate(SyntheticConfig(n_steps=5_000, seed=0))
+    assert replay_population([], rec) == []
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2, T_P=50),
+        PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2, H=0.5),
+    ],
+)
+def test_mixed_T_P_or_H_rejected(other):
+    rec = generate(SyntheticConfig(n_steps=5_000, seed=0))
+    base = PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2)
+    with pytest.raises(ValueError, match="T_P and H"):
+        replay_population([base, other], rec)
+
+
+def test_events_merge_spikes_and_rewards():
+    rec = EpisodeRecord.build(
+        step_ms=1, n_channels=3, seed=0, n_steps=20,
+        frames=[(2, [0, 2]), (5, [1])], reward_steps=[5, 9],
+    )
+    assert record_events(rec) == [(2, [0, 2], False), (5, [1], True), (9, [], True)]
+
+
+@pytest.mark.parametrize("rewards", [[4, 4], [20]])
+def test_events_out_of_order_or_past_the_end_rejected(rewards):
+    rec = EpisodeRecord.build(
+        step_ms=1, n_channels=3, seed=0, n_steps=20,
+        frames=[(2, [0])], reward_steps=rewards,
+    )
+    with pytest.raises(ValueError, match="out of order or past the end"):
+        replay_population([CORNERS[0].to_config()], rec)
+
+
+# -- the genetic search through a scalar reference ----------------------------
+
+def scalar_evaluate(genome, record, cfg):
+    window_steps = cfg.eval_window_s * 1000 // record.step_ms
+    det = Detector(record.n_channels, genome.to_config(cfg.T_P))
+    fires = replay(det, record)
+    window = (record.n_steps - window_steps, record.n_steps)
+    return score_run(fires, record.reward_steps.tolist(), cfg.T_P, window)
+
+
+def reference_run_ga(cfg, record):
+    """run_ga's loop with one scalar replay per genome and no caching."""
+    rng = np.random.default_rng(cfg.seed)
+    population = [sample_genome(rng, cfg.ranges) for _ in range(cfg.population_size)]
+    history = []
+    best_fitness, best_genome, stall = -math.inf, None, 0
+    while True:
+        fitnesses = [scalar_evaluate(g, record, cfg) for g in population]
+        gen_best = max(range(len(population)), key=lambda i: (fitnesses[i], -i))
+        history.append((len(history), fitnesses[gen_best],
+                        float(np.mean(fitnesses)), population[gen_best]))
+        if fitnesses[gen_best] > best_fitness:
+            best_fitness, best_genome, stall = fitnesses[gen_best], population[gen_best], 0
+        else:
+            stall += 1
+        if stall >= cfg.stagnation_generations:
+            break
+        if cfg.max_generations is not None and len(history) >= cfg.max_generations:
+            break
+        population = evolve(population, fitnesses, rng, cfg)
+    return best_genome, history
+
+
+@pytest.fixture(scope="module")
+def ga_record():
+    return generate(SyntheticConfig(n_channels=16, noise_rate=0.01,
+                                    n_steps=20_000, seed=3))
+
+
+def test_run_ga_matches_scalar_reference(ga_record):
+    cfg = GaConfig(population_size=10, eval_window_s=10, seed=7,
+                   max_generations=4, stagnation_generations=4)
+    best, history = run_ga(cfg, ga_record)
+    ref_best, ref_history = reference_run_ga(cfg, ga_record)
+    assert best == ref_best
+    assert [(s.generation, s.best_fitness, s.mean_fitness, s.best_genome)
+            for s in history] == ref_history
+
+
+def test_run_ga_scores_each_distinct_genome_once(ga_record, monkeypatch):
+    scored = []
+
+    def counting_score_run(fires, *args):
+        scored.append(1)
+        return score_run(fires, *args)
+
+    monkeypatch.setattr(ga_module, "score_run", counting_score_run)
+    seen = set()
+    real_evolve = ga_module.evolve
+
+    def recording_evolve(population, *args):
+        seen.update(population)
+        nxt = real_evolve(population, *args)
+        seen.update(nxt)
+        return nxt
+
+    monkeypatch.setattr(ga_module, "evolve", recording_evolve)
+    cfg = GaConfig(population_size=10, eval_window_s=10, seed=7,
+                   max_generations=4, stagnation_generations=4)
+    run_ga(cfg, ga_record)
+    assert len(scored) == len(seen) < 10 * 4
+
+
+def test_evaluate_is_a_population_of_one(ga_record):
+    cfg = GaConfig(eval_window_s=10)
+    for genome in CORNERS:
+        assert evaluate(genome, ga_record, cfg) == scalar_evaluate(genome, ga_record, cfg)

@@ -130,3 +130,87 @@ class TestErrors:
         b = random_record(rng)
         assert a != b
         assert a == EpisodeRecord.from_bytes(a.to_bytes())
+
+
+def decodes_or_value_error(raw):
+    """from_bytes either returns a record or raises ValueError."""
+    try:
+        rec = EpisodeRecord.from_bytes(raw)
+    except ValueError:
+        return None
+    assert isinstance(rec, EpisodeRecord)
+    return rec
+
+
+class TestMalformed:
+    def small_record_bytes(self):
+        return EpisodeRecord.build(
+            step_ms=1, n_channels=300, seed=0, n_steps=12,
+            frames=[(1, [0, 299]), (5, [130])], reward_steps=[3, 11],
+            punishment_steps=[7],
+        ).to_bytes()
+
+    def test_every_strict_prefix_is_truncated(self):
+        raw = self.small_record_bytes()
+        assert EpisodeRecord.from_bytes(raw).n_steps == 12
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError, match="truncated record"):
+                EpisodeRecord.from_bytes(raw[:cut])
+
+    def test_channel_index_out_of_range(self):
+        rec = EpisodeRecord.build(
+            step_ms=1, n_channels=4, seed=0, n_steps=10,
+            frames=[(2, [1, 4])], reward_steps=[],
+        )
+        with pytest.raises(ValueError, match="channel index 4 >= n_channels 4"):
+            EpisodeRecord.from_bytes(rec.to_bytes())
+
+    @pytest.mark.parametrize("kind", ["reward_steps", "punishment_steps"])
+    def test_event_past_the_end(self, kind):
+        events = {"reward_steps": [], "punishment_steps": [], kind: [2, 10]}
+        rec = EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10,
+                                  frames=[], **events)
+        with pytest.raises(ValueError, match="event at step 10 >= n_steps 10"):
+            EpisodeRecord.from_bytes(rec.to_bytes())
+
+    def test_zero_step_ms(self):
+        rec = EpisodeRecord.build(
+            step_ms=0, n_channels=4, seed=0, n_steps=10, frames=[], reward_steps=[],
+        )
+        with pytest.raises(ValueError, match="step_ms"):
+            EpisodeRecord.from_bytes(rec.to_bytes())
+
+    def test_value_beyond_64_bits(self):
+        raw = bytearray(
+            EpisodeRecord.build(
+                step_ms=1, n_channels=4, seed=0, n_steps=1, frames=[], reward_steps=[],
+            ).to_bytes()
+        )
+        raw[-4:] = (1).to_bytes(4, "little")  # one event ...
+        raw.append(0)                         # ... a reward ...
+        _write_varint(raw, 2**70)             # ... at an impossible step
+        with pytest.raises(ValueError, match="64 bits"):
+            EpisodeRecord.from_bytes(bytes(raw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_fuzz_arbitrary_bytes(self, raw):
+        decodes_or_value_error(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        step_ms=st.integers(0, 2**16 - 1),
+        n_channels=st.integers(0, 2**16 - 1),
+        n_steps=st.integers(0, 2**64 - 1),
+        body=st.binary(max_size=300),
+    )
+    def test_fuzz_valid_header_arbitrary_body(self, step_ms, n_channels, n_steps, body):
+        header = b"SPKC" + (1).to_bytes(2, "little") + step_ms.to_bytes(2, "little") \
+            + n_channels.to_bytes(2, "little") + bytes(8) + n_steps.to_bytes(8, "little")
+        decodes_or_value_error(header + body)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), cut=st.integers(0, 10**6), tail=st.binary(max_size=20))
+    def test_fuzz_truncated_records(self, seed, cut, tail):
+        raw = random_record(np.random.default_rng(seed), n_steps=60).to_bytes()
+        decodes_or_value_error(raw[:cut % (len(raw) + 1)] + tail)
