@@ -22,7 +22,8 @@ from .neuron import Detector
 from .plasticity import PlasticityConfig
 from .records import EpisodeRecord
 from .recording import record_pong_episode
-from .runner import replay, train_on_record
+# replay is not called here; kept because perfbench/tracing.py patches cli.replay
+from .runner import frozen_fires, replay, train_on_record  # noqa: F401
 from .synthetic import SyntheticConfig, generate
 
 EXIT_OK = 0
@@ -85,7 +86,8 @@ def _coerce(text: str, default):
     return text
 
 
-def dump_config(defaults: dict, fh=sys.stdout) -> None:
+def dump_config(defaults: dict, fh=None) -> None:
+    fh = sys.stdout if fh is None else fh  # looked up per call, so redirection applies
     for key, value in defaults.items():
         if isinstance(value, tuple):
             value = " ".join(str(v) for v in value)
@@ -201,8 +203,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"snapshot has {trained.n} synapses but record has {rec.n_channels} channels"
         )
-    detector = trained.frozen_clone()
-    fires = replay(detector, rec)
+    fires = frozen_fires(rec, trained.weight_array(), cfg.H)
     window_steps = args.window * 1000 // rec.step_ms
     eval_window = (max(rec.n_steps - window_steps, 0), rec.n_steps)
     r_value = score_run(fires, rec.reward_steps.tolist(), cfg.T_P, eval_window)
@@ -255,16 +256,7 @@ def cmd_ga(args) -> int:
     return EXIT_OK
 
 
-SYNTHETIC_DEFAULTS = {
-    "n_channels": 20,
-    "cause_channels": (2, 7, 13),
-    "lag": 100,
-    "n_steps": 300_000,
-    "noise_rate": 0.001,
-    "min_gap": 300,
-    "max_gap": 1200,
-    "seed": 0,
-}
+SYNTHETIC_DEFAULTS = {f.name: f.default for f in dataclass_fields(SyntheticConfig)}
 
 
 def cmd_synthetic(args) -> int:
@@ -332,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resources", help="per-synapse resource CSV")
     p.add_argument("--window", type=int, default=600, help="R window, seconds")
     p.add_argument("--freeze-after", type=float, default=None,
-                   help="freeze plasticity after this many seconds")
+                   help="freeze plasticity after this many seconds; takes effect "
+                   "at the next 10,000-step report-window boundary")
     p.add_argument("--dump-config", action="store_true")
     p.set_defaults(func=cmd_train)
 

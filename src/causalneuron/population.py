@@ -63,6 +63,7 @@ def record_events(record: EpisodeRecord) -> list[Event]:
     Steps with neither are left out; replay skips them, since the only
     state change over silence is TSS closure.
     """
+    record.check_event_order()
     spike_steps = record.spike_steps.tolist()
     indptr = record.indptr.tolist()
     chans = record.channels.tolist()
@@ -70,15 +71,10 @@ def record_events(record: EpisodeRecord) -> list[Event]:
     events: list[Event] = []
     i = j = 0
     n_spk, n_rew = len(spike_steps), len(rewards)
-    prev = -1
     while i < n_spk or j < n_rew:
         t_spk = spike_steps[i] if i < n_spk else record.n_steps
         t_rew = rewards[j] if j < n_rew else record.n_steps
         t = t_spk if t_spk <= t_rew else t_rew
-        # the scalar replay cannot step back or past the end either
-        if not prev < t < record.n_steps:
-            raise ValueError(f"record event at step {t} is out of order or past the end")
-        prev = t
         if t_spk == t:
             active = chans[indptr[i]:indptr[i + 1]]
             i += 1

@@ -5,11 +5,18 @@ channel-count per step followed by that many varint channel indices,
 then a trailing event table (reward / punishment steps). Sparse frames
 keep a 2,000,000-step episode with ~6 spikes per active step around a
 few megabytes.
+
+The codec works on numpy arrays a block at a time, so its temporaries
+stay a fixed size whatever the record's length. ``_write_varint`` and
+``_read_varint`` are the one-value reference that ``tests/test_records.py``
+checks the encoder and decoder against.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +28,10 @@ _HEADER = struct.Struct("<4sHHHQQ")
 
 _KIND_REWARD = 0
 _KIND_PUNISHMENT = 1
+
+_BLOCK_BYTES = 1 << 14   # body bytes from_bytes decodes per pass
+_BLOCK_FRAMES = 1 << 12  # spike frames to_bytes encodes per pass
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _write_varint(buf: bytearray, value: int) -> None:
@@ -44,6 +55,112 @@ def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
+
+
+def _varint_lengths(values: np.ndarray) -> np.ndarray:
+    """The number of bytes each non-negative value takes as a varint."""
+    lengths = np.ones(values.shape, np.int64)
+    top = int(values.max()) if values.size else 0
+    shift = 7
+    while top >> shift:
+        lengths += (values >> shift) != 0
+        shift += 7
+    return lengths
+
+
+def _put_varints(out: np.ndarray, pos: np.ndarray, values: np.ndarray) -> None:
+    """Write the varint of each non-negative ``values[i]`` into out from ``pos[i]`` on."""
+    while values.size:
+        more = values > 0x7F
+        out[pos] = (values & 0x7F) | more * 0x80
+        pos = pos[more] + 1
+        values = values[more] >> 7
+
+
+def _read_varints(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode every complete varint at the start of a uint8 buffer.
+
+    Returns the values, the index of each one's last byte, and whether
+    each lies beyond int64 (such a value reads as the int64 maximum).
+    """
+    ends = np.flatnonzero(buf < 0x80)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    values = (buf[starts] & 0x7F).astype(np.int64)
+    wide = np.zeros(len(ends), dtype=bool)
+    longer = np.flatnonzero(ends > starts)
+    for k in range(1, 9):  # bytes 1 to 8 carry bits 7 to 62
+        if not longer.size:
+            break
+        at = starts[longer] + k
+        values[longer] |= (buf[at] & 0x7F).astype(np.int64) << (7 * k)
+        longer = longer[ends[longer] > at]
+    if longer.size:
+        # a 1 anywhere in byte 9 onward sets bit 63 or above
+        ones = np.cumsum((buf & 0x7F) != 0)
+        wide[longer] = ones[ends[longer]] > ones[starts[longer] + 8]
+        values[wide] = _INT64_MAX
+    return values, ends, wide
+
+
+def _scan_frames(values: np.ndarray, steps_left: int) -> tuple[np.ndarray, int]:
+    """Find the spike frames in the varints of the steps still to read.
+
+    ``values[0]`` is the channel count of the next step, and each count is
+    followed by that many channel indices. Returns the positions of the
+    nonzero counts whose frames lie wholly in ``values``, among the next
+    ``steps_left`` steps, and how many values those steps take up. Where
+    a frame does not fit in ``values``, the steps read end before it.
+    """
+    m = len(values)
+    steps_left = min(steps_left, m + 1)  # keeps the comparisons in int64
+    # next_count[p]: the first nonzero value at or after p (m: none)
+    next_count = np.append(np.where(values != 0, np.arange(m), m), m)
+    next_count = np.minimum.accumulate(next_count[::-1])[::-1]
+    # after[q]: where the step after a frame counted at q starts (> m: none)
+    after = np.append(np.arange(1, m + 1) + np.minimum(values, m), m + 1)
+    hop = after[next_count]
+    hop[hop > m] = -1
+    # Each count's position follows from the one before, so this walk is
+    # sequential, but it takes one hop per frame, not one per step. Read
+    # through a memoryview into an array, it makes no Python int per value.
+    hops = memoryview(hop)
+    at = array("q", [0])
+    p = hops[0]
+    while p >= 0:
+        at.append(p)
+        p = hops[p]
+    found = next_count[np.frombuffer(at, dtype=np.int64)]  # the last one: no whole frame
+    frames = found[:-1]
+    channels_before = np.cumsum(values[frames]) - values[frames]
+    keep = int(np.count_nonzero(frames - channels_before < steps_left))
+    channels = int(values[frames[:keep]].sum())
+    end = int(found[keep])
+    if end - channels >= steps_left:
+        end = steps_left + channels
+    return frames[:keep], end
+
+
+def _mapped_int64(n: int) -> np.ndarray:
+    """A zeroed int64 array in its own private anonymous memory map.
+
+    Pages never written take no memory, so the array may be sized by an
+    upper bound, and the map goes back to the system when the array is
+    freed instead of staying in the allocator's heap.
+    """
+    if not n:
+        return np.zeros(0, dtype=np.int64)
+    return np.frombuffer(mmap.mmap(-1, 8 * n, access=mmap.ACCESS_COPY), dtype=np.int64)
+
+
+def _check_steps(steps: np.ndarray, n_steps: int) -> None:
+    """Raise ``ValueError`` unless steps rise strictly from >= 0 to < n_steps."""
+    bad = np.flatnonzero((np.diff(steps, prepend=-1) <= 0) | (steps >= n_steps))
+    if bad.size:
+        raise ValueError(
+            f"record event at step {int(steps[bad[0]])} is out of order or past the end"
+        )
 
 
 @dataclass
@@ -103,6 +220,15 @@ class EpisodeRecord:
             punishment_steps=np.asarray(sorted(punishment_steps), dtype=np.int64),
         )
 
+    def check_event_order(self) -> None:
+        """Raise ``ValueError`` unless the spike and reward steps can be replayed.
+
+        Replay walks both in one pass, so each must rise strictly and stay
+        below ``n_steps``.
+        """
+        _check_steps(self.spike_steps, self.n_steps)
+        _check_steps(self.reward_steps, self.n_steps)
+
     def frames(self) -> Iterator[tuple[int, list[int]]]:
         """Yield (step, channel indices) for every step that has spikes."""
         steps = self.spike_steps.tolist()
@@ -112,32 +238,49 @@ class EpisodeRecord:
             yield step, chans[indptr[k]:indptr[k + 1]]
 
     def to_bytes(self) -> bytes:
-        buf = bytearray()
-        buf += _HEADER.pack(
-            MAGIC, FORMAT_VERSION, self.step_ms, self.n_channels,
-            self.seed, self.n_steps,
-        )
-        steps = self.spike_steps.tolist()
-        indptr = self.indptr.tolist()
-        chans = self.channels.tolist()
-        prev = 0
-        for k, step in enumerate(steps):
-            buf += b"\x00" * (step - prev)
-            frame = chans[indptr[k]:indptr[k + 1]]
-            _write_varint(buf, len(frame))
-            for c in frame:
-                _write_varint(buf, c)
-            prev = step + 1
-        buf += b"\x00" * (self.n_steps - prev)
+        """Encode the record; spike steps must rise strictly below ``n_steps``."""
+        _check_steps(self.spike_steps, self.n_steps)
+        if self.channels.size and int(self.channels.min()) < 0:
+            raise ValueError(f"bad record: channel index {int(self.channels.min())} < 0")
         events = sorted(
             [(int(s), _KIND_REWARD) for s in self.reward_steps]
             + [(int(s), _KIND_PUNISHMENT) for s in self.punishment_steps]
         )
-        buf += struct.pack("<I", len(events))
+        table = bytearray(struct.pack("<I", len(events)))
         for step, kind in events:
-            buf.append(kind)
-            _write_varint(buf, step)
-        return bytes(buf)
+            table.append(kind)
+            _write_varint(table, step)
+        # The output goes to an anonymous memory map sized as if every count
+        # and index took the widest varint; an empty step is one of its zero
+        # bytes, and the pages past the end are never touched.
+        n_values = len(self.spike_steps) + len(self.channels)
+        top = max(n_values, int(self.channels.max()) if self.channels.size else 0)
+        widest = int(_varint_lengths(np.array([top]))[0])
+        size = _HEADER.size + self.n_steps + widest * n_values + len(table)
+        buf = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+        buf[:_HEADER.size] = _HEADER.pack(
+            MAGIC, FORMAT_VERSION, self.step_ms, self.n_channels,
+            self.seed, self.n_steps,
+        )
+        out = np.frombuffer(buf, dtype=np.uint8)
+        at = _HEADER.size  # where the first step not yet written goes
+        prev = 0           # that step
+        for k0 in range(0, len(self.spike_steps), _BLOCK_FRAMES):
+            steps = self.spike_steps[k0:k0 + _BLOCK_FRAMES]
+            ptr = self.indptr[k0:k0 + len(steps) + 1]
+            counts = np.diff(ptr)
+            # each frame's count followed by its channel indices
+            values = np.insert(self.channels[ptr[0]:ptr[-1]], ptr[:-1] - ptr[0], counts)
+            lengths = _varint_lengths(values)
+            # an empty step is a single zero byte ahead of the next frame
+            empty_before = steps - prev - np.arange(len(steps))
+            pos = at + np.cumsum(lengths) - lengths + np.repeat(empty_before, counts + 1)
+            _put_varints(out, pos, values)
+            at = int(pos[-1] + lengths[-1])
+            prev = int(steps[-1]) + 1
+        at += self.n_steps - prev
+        buf[at:at + len(table)] = table
+        return buf[:at + len(table)]
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EpisodeRecord":
@@ -151,24 +294,49 @@ class EpisodeRecord:
             raise ValueError(f"unsupported record version {version}")
         if step_ms == 0:
             raise ValueError("bad record header: step_ms is 0")
+        body = np.frombuffer(raw, dtype=np.uint8)
+        # Every step and every channel index takes at least one byte, which
+        # bounds the arrays; they are filled in place and cut to size once.
+        room = len(raw) - _HEADER.size
+        spike_steps = _mapped_int64(min(n_steps, room))
+        indptr = _mapped_int64(len(spike_steps) + 1)
+        channels = _mapped_int64(room)
+        n_frames = n_chans = 0
+        wide_channel = False
         pos = _HEADER.size
-        steps = []
-        indptr = [0]
-        chans: list[int] = []
+        step = 0
+        size = _BLOCK_BYTES
+        while step < n_steps:
+            chunk = body[pos:pos + size]
+            at_end = pos + size >= len(raw)
+            values, ends, wide = _read_varints(chunk)
+            frames, used = _scan_frames(values, n_steps - step)
+            if used:
+                counts = values[frames]
+                ptr = np.cumsum(counts)
+                spike_steps[n_frames:n_frames + len(frames)] = step + frames - (ptr - counts)
+                indptr[n_frames + 1:n_frames + len(frames) + 1] = n_chans + ptr
+                n_frames += len(frames)
+                in_frame = np.zeros(used + 1, dtype=np.int8)
+                in_frame[frames + 1] = 1
+                in_frame[frames + 1 + counts] = -1
+                in_frame = np.cumsum(in_frame[:used]) > 0
+                found = values[:used][in_frame]
+                channels[n_chans:n_chans + len(found)] = found
+                n_chans += len(found)
+                wide_channel = wide_channel or bool(wide[:used][in_frame].any())
+                step += used - len(found)
+                pos += int(ends[used - 1]) + 1
+            if step < n_steps and at_end:
+                raise ValueError(f"truncated record: spike frames ends at byte {len(raw)}")
+            # a frame longer than the chunk needs a longer chunk
+            size = _BLOCK_BYTES if used else 2 * size
+        spike_steps = spike_steps[:n_frames]
+        indptr = indptr[:n_frames + 1]
+        channels = channels[:n_chans]
         rewards = []
         punishments = []
-        # Reading past the end of raw is the only way decoding can fail.
-        section = "spike frames"
         try:
-            for step in range(n_steps):
-                count, pos = _read_varint(raw, pos)
-                if count:
-                    steps.append(step)
-                    for _ in range(count):
-                        c, pos = _read_varint(raw, pos)
-                        chans.append(c)
-                    indptr.append(len(chans))
-            section = "event table"
             (n_events,) = struct.unpack_from("<I", raw, pos)
             pos += 4
             for _ in range(n_events):
@@ -177,9 +345,10 @@ class EpisodeRecord:
                 step, pos = _read_varint(raw, pos)
                 (rewards if kind == _KIND_REWARD else punishments).append(step)
         except (IndexError, struct.error):
-            raise ValueError(f"truncated record: {section} ends at byte {len(raw)}") from None
+            raise ValueError(f"truncated record: event table ends at byte {len(raw)}") from None
+        if wide_channel:
+            raise ValueError("bad record: a value does not fit in 64 bits")
         try:
-            channels = np.asarray(chans, dtype=np.int64)
             reward_steps = np.asarray(sorted(rewards), dtype=np.int64)
             punishment_steps = np.asarray(sorted(punishments), dtype=np.int64)
         except OverflowError:
@@ -198,8 +367,8 @@ class EpisodeRecord:
             n_channels=n_channels,
             seed=seed,
             n_steps=n_steps,
-            spike_steps=np.asarray(steps, dtype=np.int64),
-            indptr=np.asarray(indptr, dtype=np.int64),
+            spike_steps=spike_steps,
+            indptr=indptr,
             channels=channels,
             reward_steps=reward_steps,
             punishment_steps=punishment_steps,

@@ -3,6 +3,10 @@
 Replay is event-driven: steps without spikes or dopamine are skipped via
 Detector.advance_to, which is exactly equivalent to ticking empty frames
 but turns a 2,000,000-step episode into a few hundred thousand ticks.
+
+With plasticity frozen, firing carries no state from one step to the
+next, so :func:`frozen_fires` evaluates every step at once. The scalar
+:func:`replay` is its reference, which ``tests/test_runner.py`` checks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ def replay(
         raise ValueError(
             f"record has {record.n_channels} channels, detector has {detector.n}"
         )
+    record.check_event_order()
     start = detector.step
     if start > record.n_steps:
         raise ValueError("detector is already past the end of the record")
@@ -84,6 +89,39 @@ def replay(
         boundary += window_steps
     detector.advance_to(record.n_steps)
     return fires
+
+
+def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[int]:
+    """The steps at which a frozen detector with these weights fires.
+
+    Equal to ``replay(det.frozen_clone(), record)`` for a detector ``det``
+    with these weights and threshold ``H``. A frozen detector fires at an
+    event step exactly when the weights of that step's channels, added in
+    the record's channel order, exceed H. The sums are built one frame
+    position at a time over all frames, never with a reduction, whose
+    summation order numpy does not fix. A reward-only step is an empty
+    frame, which fires when H < 0.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(weights) != record.n_channels:
+        raise ValueError(
+            f"record has {record.n_channels} channels, detector has {len(weights)}"
+        )
+    record.check_event_order()
+    starts = record.indptr[:-1]
+    counts = np.diff(record.indptr)
+    total = np.zeros(len(starts))
+    rows = np.flatnonzero(counts)
+    k = 0
+    while rows.size:  # the k-th channel of every frame that has one
+        total[rows] += weights[record.channels[starts[rows] + k]]
+        k += 1
+        rows = rows[counts[rows] > k]
+    fired = record.spike_steps[total > H]
+    if 0.0 > H:
+        reward_only = record.reward_steps[~np.isin(record.reward_steps, record.spike_steps)]
+        fired = np.union1d(fired, reward_only)
+    return fired.tolist()
 
 
 @dataclass

@@ -15,7 +15,12 @@ from causalneuron.cli import (
     load_config,
     main,
 )
+from causalneuron.metrics import score_run
+from causalneuron.neuron import Detector
+from causalneuron.plasticity import PlasticityConfig
 from causalneuron.records import EpisodeRecord
+from causalneuron.runner import replay
+from causalneuron.synthetic import SyntheticConfig
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +49,14 @@ class TestConfigFiles:
             path = tmp_path / f"{sub}.txt"
             path.write_text(text)
             assert load_config(path, defaults) == defaults
+
+    def test_synthetic_defaults_come_from_the_config_class(self, capsys):
+        assert main(["synthetic", "--dump-config"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "n_channels = 20\ncause_channels = 2 7 13\nlag = 100\nn_steps = 300000\n"
+            "noise_rate = 0.001\nmin_gap = 300\nmax_gap = 1200\nseed = 0\n"
+        )
+        assert SYNTHETIC_DEFAULTS == vars(SyntheticConfig())
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -147,6 +160,22 @@ class TestTrainEval:
         eval_out = capsys.readouterr().out
         eval_r = float(eval_out.strip().split("= ")[1])
         assert eval_r == pytest.approx(train_r, abs=1e-9)
+
+    def test_eval_prints_what_frozen_scalar_replay_scores(self, tmp_path, syn_record,
+                                                          params_file, capsys):
+        snap, heldout = tmp_path / "snap.npz", tmp_path / "heldout.spkc"
+        main(["train", "--record", str(syn_record), "--params", str(params_file),
+              "--out", str(snap)])
+        main(["synthetic", "--seed", "1", "--out", str(heldout)])
+        capsys.readouterr()
+        assert main(["eval", "--record", str(heldout), "--snapshot", str(snap),
+                     "--params", str(params_file), "--window", "100"]) == EXIT_OK
+        cfg = PlasticityConfig(**load_config(params_file, PARAM_DEFAULTS))
+        rec = EpisodeRecord.load(heldout)
+        fires = replay(Detector.load_snapshot(snap, cfg).frozen_clone(), rec)
+        assert fires
+        r_value = score_run(fires, rec.reward_steps.tolist(), cfg.T_P, (200_000, 300_000))
+        assert capsys.readouterr().out == f"R(100s window) = {r_value:.4f}\n"
 
     def test_eval_channel_mismatch(self, tmp_path, syn_record, params_file):
         snap = tmp_path / "snap.npz"

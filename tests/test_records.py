@@ -1,9 +1,13 @@
 """Episode record format: round trips, varints, error handling."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalneuron import records
+from causalneuron.recording import record_pong_episode
 from causalneuron.records import (
     EpisodeRecord,
     _read_varint,
@@ -214,3 +218,194 @@ class TestMalformed:
     def test_fuzz_truncated_records(self, seed, cut, tail):
         raw = random_record(np.random.default_rng(seed), n_steps=60).to_bytes()
         decodes_or_value_error(raw[:cut % (len(raw) + 1)] + tail)
+
+
+# -- the array codec against the one-value reference --------------------------
+
+def reference_bytes(rec):
+    """The .spkc encoding, written one varint at a time."""
+    buf = bytearray(struct.pack("<4sHHHQQ", b"SPKC", 1, rec.step_ms, rec.n_channels,
+                                rec.seed, rec.n_steps))
+    frames = dict(rec.frames())
+    for t in range(rec.n_steps):
+        chans = frames.get(t, [])
+        _write_varint(buf, len(chans))
+        for c in chans:
+            _write_varint(buf, c)
+    events = sorted([(t, 0) for t in rec.reward_steps.tolist()]
+                    + [(t, 1) for t in rec.punishment_steps.tolist()])
+    buf += struct.pack("<I", len(events))
+    for t, kind in events:
+        buf.append(kind)
+        _write_varint(buf, t)
+    return bytes(buf)
+
+
+def reference_decode(raw):
+    """The .spkc decoding, read one varint at a time, with its error messages."""
+    if len(raw) < 26:
+        raise ValueError(f"truncated record: {len(raw)}-byte file has no full header")
+    magic, version, step_ms, n_channels, seed, n_steps = struct.unpack_from("<4sHHHQQ", raw)
+    if magic != b"SPKC":
+        raise ValueError("not an episode record (bad magic)")
+    if version != 1:
+        raise ValueError(f"unsupported record version {version}")
+    if step_ms == 0:
+        raise ValueError("bad record header: step_ms is 0")
+    pos, frames, events = 26, [], ([], [])
+    section = "spike frames"
+    try:
+        for step in range(n_steps):
+            count, pos = _read_varint(raw, pos)
+            chans = []
+            for _ in range(count):
+                c, pos = _read_varint(raw, pos)
+                chans.append(c)
+            frames.append((step, chans))
+        section = "event table"
+        (n_events,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        for _ in range(n_events):
+            kind = raw[pos]
+            step, pos = _read_varint(raw, pos + 1)
+            events[kind != 0].append(step)
+    except (IndexError, struct.error):
+        raise ValueError(f"truncated record: {section} ends at byte {len(raw)}") from None
+    values = [c for _, chans in frames for c in chans] + events[0] + events[1]
+    if any(v >= 2**63 for v in values):
+        raise ValueError("bad record: a value does not fit in 64 bits")
+    top = max((c for _, chans in frames for c in chans), default=-1)
+    if top >= n_channels:
+        raise ValueError(f"bad record: channel index {top} >= n_channels {n_channels}")
+    for steps in events:
+        if steps and max(steps) >= n_steps:
+            raise ValueError(f"bad record: event at step {max(steps)} >= n_steps {n_steps}")
+    return EpisodeRecord.build(
+        step_ms=step_ms, n_channels=n_channels, seed=seed, n_steps=n_steps,
+        frames=frames, reward_steps=events[0], punishment_steps=events[1],
+    )
+
+
+def outcome(decode, raw):
+    try:
+        return decode(raw)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def episode_records(draw):
+    n_channels = draw(st.sampled_from([1, 7, 133, 300, 2**14 + 5, 2**16 - 1]))
+    n_steps = draw(st.integers(0, 300))
+    step = st.integers(0, max(n_steps - 1, 0))
+    steps = sorted(draw(st.lists(step, unique=True, max_size=60))) if n_steps else []
+    channel = st.integers(0, n_channels - 1)
+    frames = [
+        (t, draw(st.lists(channel, min_size=1, max_size=draw(st.sampled_from([3, 8, 140])))))
+        for t in steps
+    ]
+    events = st.lists(step, max_size=8) if n_steps else st.just([])
+    return EpisodeRecord.build(
+        step_ms=draw(st.integers(1, 3)), n_channels=n_channels,
+        seed=draw(st.integers(0, 2**64 - 1)), n_steps=n_steps, frames=frames,
+        reward_steps=draw(events), punishment_steps=draw(events),
+    )
+
+
+class TestArrayCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(episode_records())
+    def test_matches_one_value_reference(self, rec):
+        raw = rec.to_bytes()
+        assert raw == reference_bytes(rec)
+        assert EpisodeRecord.from_bytes(raw) == rec == reference_decode(raw)
+
+    @pytest.mark.parametrize("frames, n_channels, n_steps", [
+        ([(0, [127, 128]), (3, [16383, 16384, 65534])], 65535, 4),   # 1-, 2- and 3-byte indices
+        ([(2, list(range(128))), (5, list(range(300)))], 300, 9),     # a two-byte count
+        ([], 5, 0),                                                    # no steps at all
+        ([(1, [2])], 5, 1000),                                         # trailing empty steps
+        ([(0, [0, 0, 4]), (999, [4])], 5, 1000),                       # first and last step
+    ])
+    def test_edge_records(self, frames, n_channels, n_steps):
+        rec = EpisodeRecord.build(step_ms=1, n_channels=n_channels, seed=9, n_steps=n_steps,
+                                  frames=frames, reward_steps=[], punishment_steps=[])
+        raw = rec.to_bytes()
+        assert raw == reference_bytes(rec)
+        assert EpisodeRecord.from_bytes(raw) == rec
+        assert list(EpisodeRecord.from_bytes(raw).frames()) == frames
+
+    def test_frame_longer_than_a_decode_block(self):
+        big = [2**14 + k % 1000 for k in range(records._BLOCK_BYTES)]  # 3 bytes each
+        rec = EpisodeRecord.build(step_ms=1, n_channels=2**16 - 1, seed=0, n_steps=50,
+                                  frames=[(3, [1]), (4, big), (40, [2])], reward_steps=[49])
+        raw = rec.to_bytes()
+        assert raw == reference_bytes(rec)
+        assert EpisodeRecord.from_bytes(raw) == rec
+        with pytest.raises(ValueError, match="truncated record: spike frames"):
+            EpisodeRecord.from_bytes(raw[:26 + 5 + 2 * records._BLOCK_BYTES])
+
+    @pytest.mark.parametrize("clock", ["shared", "bernoulli"])
+    def test_pong_record_spans_many_blocks(self, clock):
+        rec = record_pong_episode(30, 4, clock_mode=clock)
+        assert len(rec.spike_steps) > records._BLOCK_FRAMES
+        raw = rec.to_bytes()
+        assert len(raw) > 3 * records._BLOCK_BYTES
+        assert raw == reference_bytes(rec)
+        assert EpisodeRecord.from_bytes(raw) == rec
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rec=episode_records(),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+        cut=st.integers(0, 10**6),
+        tail=st.binary(max_size=12),
+    )
+    def test_damaged_bytes_decode_like_the_reference(self, rec, edits, cut, tail):
+        raw = bytearray(rec.to_bytes())
+        for at, byte in edits:
+            raw[at % len(raw)] = byte
+        raw = bytes(raw[:cut % (len(raw) + 1)]) + tail
+        assert outcome(EpisodeRecord.from_bytes, raw) == outcome(reference_decode, raw)
+
+    @pytest.mark.parametrize("values", [
+        [1, 2**56 + 3],   # a nine-byte channel index
+        [1, 2**63 - 1],   # the largest that fits
+        [1, 2**63],       # ten bytes, bit 63 set
+        [2**63],          # a count beyond int64
+        [2, 0, 2**70],
+    ])
+    def test_wide_varints_decode_like_the_reference(self, values):
+        body = bytearray()
+        for v in values:
+            _write_varint(body, v)
+        raw = struct.pack("<4sHHHQQ", b"SPKC", 1, 1, 4, 0, 1) + bytes(body) + bytes(4)
+        assert outcome(EpisodeRecord.from_bytes, raw) == outcome(reference_decode, raw)
+
+    @pytest.mark.parametrize("body", [
+        bytes([1, 0x83] + [0x80] * 12 + [0]),  # a padded 3
+        bytes([0x80] * 20 + [0]),              # a padded zero count
+        bytes([1] + [0x80] * 9 + [1]),         # zero padding up to bit 63
+    ])
+    def test_padded_varints_decode_like_the_reference(self, body):
+        raw = struct.pack("<4sHHHQQ", b"SPKC", 1, 1, 4, 0, 1) + body + bytes(4)
+        assert outcome(EpisodeRecord.from_bytes, raw) == outcome(reference_decode, raw)
+
+    @pytest.mark.parametrize("steps", [[5, 3], [2, 2], [-1], [10]])
+    def test_encoder_rejects_unordered_spike_steps(self, steps):
+        rec = EpisodeRecord(
+            step_ms=1, n_channels=3, seed=0, n_steps=10,
+            spike_steps=np.array(steps, dtype=np.int64),
+            indptr=np.arange(len(steps) + 1, dtype=np.int64),
+            channels=np.zeros(len(steps), dtype=np.int64),
+            reward_steps=np.zeros(0, dtype=np.int64),
+            punishment_steps=np.zeros(0, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="out of order or past the end"):
+            rec.to_bytes()
+
+    def test_encoder_rejects_negative_channel(self):
+        rec = EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=10,
+                                  frames=[(2, [1, -1])], reward_steps=[])
+        with pytest.raises(ValueError, match="channel index -1 < 0"):
+            rec.to_bytes()

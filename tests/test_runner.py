@@ -1,12 +1,17 @@
-"""Event-driven replay: equivalence with dense stepping, window statistics."""
+"""Event-driven replay: equivalence with dense stepping, window statistics,
+and the frozen-evaluation kernel against frozen scalar replay."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
+from causalneuron.population import record_events
 from causalneuron.records import EpisodeRecord
-from causalneuron.runner import replay, train_on_record
+from causalneuron.recording import record_pong_episode
+from causalneuron.runner import frozen_fires, replay, train_on_record
+from causalneuron.synthetic import SyntheticConfig, generate
 
 CFG = PlasticityConfig(d_bar=0.08, w_min=-0.02, w_max=0.6, d_s=0.3, T_P=100)
 
@@ -110,3 +115,122 @@ class TestWindows:
         det = Detector(rec.n_channels, CFG)
         with pytest.raises(ValueError):
             replay(det, rec, window_steps=0, on_window=lambda i, d: None)
+
+
+# -- the frozen-evaluation kernel against frozen scalar replay ----------------
+
+THRESHOLDS = [1.0, 0.25, 0.0, -0.25]
+
+
+def paper_cfg(H):
+    return PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23, T_P=100, H=H)
+
+
+def assert_frozen_matches(det, record):
+    """frozen_fires gives the fires of the detector's frozen clone."""
+    expected = replay(det.frozen_clone(), record)
+    assert frozen_fires(record, det.weight_array(), det.cfg.H) == expected
+    return expected
+
+
+def random_weights(det, seed):
+    rng = np.random.default_rng(seed)
+    det.weights = rng.uniform(det.cfg.w_min, det.cfg.w_max, det.n).tolist()
+    return det
+
+
+@st.composite
+def event_records(draw):
+    n_channels = draw(st.integers(1, 12))
+    n_steps = draw(st.integers(1, 600))
+    steps = draw(st.lists(st.integers(0, n_steps - 1), max_size=200, unique=True))
+    frames = [
+        (t, draw(st.lists(st.integers(0, n_channels - 1), min_size=1, max_size=8)))
+        for t in sorted(steps)
+    ]
+    # rewards land on spike steps as well as on steps of their own
+    pool = st.one_of(st.sampled_from(sorted(steps)), st.integers(0, n_steps - 1)) \
+        if steps else st.integers(0, n_steps - 1)
+    return EpisodeRecord.build(
+        step_ms=1, n_channels=n_channels, seed=0, n_steps=n_steps, frames=frames,
+        reward_steps=draw(st.lists(pool, max_size=40, unique=True)),
+    )
+
+
+class TestFrozenFires:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        record=event_records(),
+        weights=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+        H=st.sampled_from(THRESHOLDS),
+    )
+    def test_random_records(self, record, weights, H):
+        det = Detector(record.n_channels, paper_cfg(H))
+        det.weights = weights[:record.n_channels]
+        assert_frozen_matches(det, record)
+
+    @pytest.mark.parametrize("clock", ["shared", "bernoulli"])
+    @pytest.mark.parametrize("H", THRESHOLDS)
+    def test_pong_records(self, clock, H):
+        trained = Detector(133, paper_cfg(H))
+        replay(trained, record_pong_episode(30, 11, clock_mode=clock))
+        heldout = record_pong_episode(30, 12, clock_mode=clock)
+        assert_frozen_matches(trained, heldout)
+        assert len(assert_frozen_matches(random_weights(Detector(133, paper_cfg(H)), 5),
+                                         heldout)) > 0
+
+    @pytest.mark.parametrize("H", THRESHOLDS)
+    def test_ga_search_shaped_record(self, H):
+        rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
+                                       n_steps=60_000, seed=42))
+        trained = Detector(30, paper_cfg(H))
+        replay(trained, rec)
+        assert_frozen_matches(trained, rec)
+        assert len(assert_frozen_matches(random_weights(Detector(30, paper_cfg(H)), 6), rec)) > 0
+
+    def test_reward_only_steps_fire_below_zero_threshold(self):
+        rec = EpisodeRecord.build(step_ms=1, n_channels=2, seed=0, n_steps=10,
+                                  frames=[(2, [0]), (5, [1])], reward_steps=[5, 7])
+        det = Detector(2, paper_cfg(-0.25))
+        det.weights = [0.5, -0.5]
+        assert assert_frozen_matches(det, rec) == [2, 7]
+
+    def test_channel_count_mismatch(self):
+        with pytest.raises(ValueError, match="detector has 3"):
+            frozen_fires(busy_record(0), np.zeros(3), 1.0)
+
+
+# -- one event-order check for every replay entry point ------------------------
+
+def unordered_record(kind):
+    rec = EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=10,
+                              frames=[(2, [0]), (6, [1, 2])], reward_steps=[4])
+    if kind == "reward at n_steps":
+        rec.reward_steps = np.array([4, 10])
+    elif kind == "repeated reward":
+        rec.reward_steps = np.array([4, 4])
+    elif kind == "spikes out of order":
+        rec.spike_steps = np.array([6, 2])
+    elif kind == "negative step":
+        rec.spike_steps = np.array([-1, 6])
+    return rec
+
+
+ENTRY_POINTS = {
+    "replay": lambda rec: replay(Detector(rec.n_channels, CFG), rec),
+    "record_events": record_events,
+    "frozen_fires": lambda rec: frozen_fires(rec, np.ones(rec.n_channels), CFG.H),
+}
+
+
+@pytest.mark.parametrize("kind", ["reward at n_steps", "repeated reward",
+                                  "spikes out of order", "negative step"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_unreplayable_event_order_rejected(entry, kind):
+    with pytest.raises(ValueError, match="out of order or past the end"):
+        ENTRY_POINTS[entry](unordered_record(kind))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_ordered_record_accepted(entry):
+    ENTRY_POINTS[entry](unordered_record("ordered"))
