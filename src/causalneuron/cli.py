@@ -1,9 +1,10 @@
 """Command-line front end: record, train, eval, ga, synthetic, export.
 
 Exit codes: 0 on success, 2 on configuration errors (bad flags, bad
-config files, inconsistent inputs), 3 on I/O errors. Config files are
-flat ``key = value`` text; every subcommand that takes one accepts
-``--dump-config`` to print its defaults in the same format.
+config files, malformed records or snapshots, inconsistent inputs), 3
+on I/O errors. Config files are flat ``key = value`` text; every
+subcommand that takes one accepts ``--dump-config`` to print its
+defaults in the same format.
 """
 
 from __future__ import annotations
@@ -32,17 +33,14 @@ EXIT_IO = 3
 
 REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
 
+# PlasticityConfig's fields as config-file keys; the threshold H is not one.
 PARAM_DEFAULTS = {
-    "d_bar": 0.056,
-    "w_min": -0.017,
-    "w_max": 0.48,
-    "d_s": 0.23,
-    "T_P": 100,
+    f.name: f.default for f in dataclass_fields(PlasticityConfig) if f.name != "H"
 }
 
 
-class ConfigError(Exception):
-    """Bad flag value or malformed config file (exit code 2)."""
+class ConfigError(ValueError):
+    """Bad flag value or malformed config file (exit code 2, like any ValueError)."""
 
 
 def load_config(path, defaults: dict) -> dict:
@@ -95,17 +93,7 @@ def dump_config(defaults: dict, fh=None) -> None:
 
 
 def _params_from_file(path) -> PlasticityConfig:
-    values = load_config(path, PARAM_DEFAULTS) if path else dict(PARAM_DEFAULTS)
-    try:
-        return PlasticityConfig(
-            d_bar=values["d_bar"],
-            w_min=values["w_min"],
-            w_max=values["w_max"],
-            d_s=values["d_s"],
-            T_P=values["T_P"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return PlasticityConfig(**(load_config(path, PARAM_DEFAULTS) if path else PARAM_DEFAULTS))
 
 
 def _load_record(path) -> EpisodeRecord:
@@ -191,22 +179,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.dump_config:
-        dump_config(PARAM_DEFAULTS)
-        return EXIT_OK
     if not args.record or not args.snapshot:
         raise ConfigError("--record and --snapshot are required")
-    cfg = _params_from_file(args.params)
     rec = _load_record(args.record)
-    trained = Detector.load_snapshot(args.snapshot, cfg)
-    if trained.n != rec.n_channels:
-        raise ConfigError(
-            f"snapshot has {trained.n} synapses but record has {rec.n_channels} channels"
-        )
-    fires = frozen_fires(rec, trained.weight_array(), cfg.H)
+    trained = Detector.load_snapshot(args.snapshot)
+    fires = frozen_fires(rec, trained.weight_array(), trained.cfg.H)
     window_steps = args.window * 1000 // rec.step_ms
     eval_window = (max(rec.n_steps - window_steps, 0), rec.n_steps)
-    r_value = score_run(fires, rec.reward_steps.tolist(), cfg.T_P, eval_window)
+    r_value = score_run(fires, rec.reward_steps.tolist(), trained.cfg.T_P, eval_window)
     print(f"R({args.window}s window) = {r_value:.4f}")
     return EXIT_OK
 
@@ -229,15 +209,9 @@ def cmd_ga(args) -> int:
     if args.seed is not None:
         values["seed"] = args.seed
     max_gen = values.pop("max_generations")
-    try:
-        cfg = GaConfig(max_generations=max_gen if max_gen > 0 else None, **values)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    cfg = GaConfig(max_generations=max_gen if max_gen > 0 else None, **values)
     rec = _load_record(args.record)
-    try:
-        best, history = run_ga(cfg, rec)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    best, history = run_ga(cfg, rec)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -268,11 +242,7 @@ def cmd_synthetic(args) -> int:
     values = load_config(args.config, SYNTHETIC_DEFAULTS) if args.config else dict(SYNTHETIC_DEFAULTS)
     if args.seed is not None:
         values["seed"] = args.seed
-    try:
-        cfg = SyntheticConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    rec = generate(cfg)
+    rec = generate(SyntheticConfig(**values))
     rec.save(args.out)
     print(f"wrote {args.out}: {rec.n_steps} steps, {len(rec.reward_steps)} rewards")
     return EXIT_OK
@@ -329,12 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-config", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="frozen-plasticity evaluation of a snapshot")
+    p = sub.add_parser("eval", help="frozen-plasticity evaluation of a snapshot; "
+                       "the plasticity parameters come from the snapshot")
     p.add_argument("--record")
     p.add_argument("--snapshot")
-    p.add_argument("--params")
     p.add_argument("--window", type=int, default=600)
-    p.add_argument("--dump-config", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ga", help="genetic parameter search on a record")
@@ -365,9 +334,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

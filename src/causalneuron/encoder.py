@@ -1,6 +1,6 @@
 """133-channel spike encoding of the pong world state.
 
-Channel map (offsets fixed, see SECTION_OFFSETS):
+Channel map (SECTION_OFFSETS is the running sum of SECTION_SIZES):
     [0,   30)  ball x, 30 equal-width bins over [-5, 5]
     [30,  60)  ball y, 30 equal-width bins
     [60,  69)  ball vx, 9 equal-probability bins (calibrated boundaries)
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,24 +32,17 @@ from .pong import ARENA_HALF, WorldState
 N_COORD_BINS = 30
 N_VEL_BINS = 9
 N_ZONE_SIDE = 5
-N_CHANNELS = 133
 
-SECTION_OFFSETS = {
-    "ball_x": 0,
-    "ball_y": 30,
-    "ball_vx": 60,
-    "ball_vy": 69,
-    "racket_y": 78,
-    "close_zone": 108,
-}
 SECTION_SIZES = {
-    "ball_x": 30,
-    "ball_y": 30,
-    "ball_vx": 9,
-    "ball_vy": 9,
-    "racket_y": 30,
-    "close_zone": 25,
+    "ball_x": N_COORD_BINS,
+    "ball_y": N_COORD_BINS,
+    "ball_vx": N_VEL_BINS,
+    "ball_vy": N_VEL_BINS,
+    "racket_y": N_COORD_BINS,
+    "close_zone": N_ZONE_SIDE * N_ZONE_SIDE,
 }
+SECTION_OFFSETS = dict(zip(SECTION_SIZES, accumulate(SECTION_SIZES.values(), initial=0)))
+N_CHANNELS = sum(SECTION_SIZES.values())  # 133
 
 SPIKE_RATE_HZ = 300
 STEP_RATE_HZ = 1000

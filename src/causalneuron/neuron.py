@@ -19,14 +19,14 @@ with the offline segmentation in :func:`tss_segments`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .plasticity import PlasticityConfig, effective_rates, resource_for_weight, weight_of
 
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -193,9 +193,12 @@ class Detector:
     def advance_to(self, step: int) -> None:
         """Skip over steps that carry no spikes and no dopamine.
 
-        Equivalent to ticking empty frames: the only possible state
-        change over silence is TSS closure, which has no time-stamped
-        side effects and can be applied lazily.
+        Replay is event-driven: a step with no spike and no dopamine is
+        not a neuron step, so it can neither fire nor change a weight.
+        The only state change over such steps is TSS closure, which has
+        no time-stamped side effects and is applied lazily here. For
+        H >= 0 this equals ticking empty frames, which cannot fire; for
+        H < 0 an empty frame would fire, and skipping it does not.
         """
         if step < self.step:
             raise ValueError(f"cannot rewind from {self.step} to {step}")
@@ -284,11 +287,16 @@ class Detector:
         return np.asarray(self.weights, dtype=np.float64)
 
     def save_snapshot(self, path) -> None:
-        """Write a bit-exact checkpoint (resources kept as raw float64)."""
+        """Write a bit-exact checkpoint (resources kept as raw float64).
+
+        Format v2 also stores the plasticity config, one ``cfg_<field>``
+        entry per field, and the completed TSS as (onset, last_post) pairs.
+        """
         tss = self.tss
         np.savez(
             path,
             format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
+            **{f"cfg_{k}": v for k, v in asdict(self.cfg).items()},
             resources=self.resource_array(),
             stability=np.float64(self.stability),
             step=np.int64(self.step),
@@ -304,30 +312,50 @@ class Detector:
                 ],
                 dtype=np.int64,
             ),
+            tss_completed=np.asarray(tss.completed, dtype=np.int64).reshape(-1, 2),
             fire_count=np.int64(self.fire_count),
             total_abs_dw=np.float64(self.total_abs_dw),
         )
 
     @classmethod
-    def load_snapshot(cls, path, cfg: PlasticityConfig) -> "Detector":
-        with np.load(path) as data:
-            version = int(data["format_version"])
-            if version != SNAPSHOT_FORMAT_VERSION:
-                raise ValueError(f"unsupported snapshot version {version}")
-            resources = data["resources"]
-            det = cls(len(resources), cfg)
-            det.resources = [float(r) for r in resources]
-            det.weights = [weight_of(r, cfg) for r in det.resources]
-            det.stability = float(data["stability"])
-            det.step = int(data["step"])
-            det.last_presyn = [int(v) for v in data["last_presyn"]]
-            det._depressed = set(int(v) for v in data["depressed"])
-            det._pending_spikers = set(int(v) for v in data["pending"])
-            st = data["tss_state"]
-            det.tss.active = bool(st[0])
-            det.tss.onset = None if st[1] < 0 else int(st[1])
-            det.tss.last_post = None if st[2] < 0 else int(st[2])
-            det.tss.last_onset = None if st[3] < 0 else int(st[3])
-            det.fire_count = int(data["fire_count"])
-            det.total_abs_dw = float(data["total_abs_dw"])
+    def load_snapshot(cls, path) -> "Detector":
+        """Rebuild a detector, its plasticity config included, from a snapshot.
+
+        A file that cannot be opened raises ``OSError``. Any failure after
+        that (numpy and zipfile raise a dozen exception types for damaged
+        archives, bare ``.npy`` files and missing or misshapen entries)
+        means the file is not a v2 snapshot: one ``ValueError`` names it.
+        """
+        with open(path, "rb") as fh:
+            try:
+                with np.load(fh) as data:
+                    version = int(data["format_version"])
+                    if version != SNAPSHOT_FORMAT_VERSION:
+                        raise ValueError(f"unsupported snapshot version {version}")
+                    cfg = PlasticityConfig(**{
+                        f.name: type(f.default)(data[f"cfg_{f.name}"])
+                        for f in fields(PlasticityConfig)
+                    })
+                    resources = data["resources"]
+                    det = cls(len(resources), cfg)
+                    det.resources = [float(r) for r in resources]
+                    det.weights = [weight_of(r, cfg) for r in det.resources]
+                    det.stability = float(data["stability"])
+                    det.step = int(data["step"])
+                    det.last_presyn = [int(v) for v in data["last_presyn"]]
+                    if len(det.last_presyn) != det.n:
+                        raise ValueError(f"{len(det.last_presyn)} presynaptic times "
+                                         f"for {det.n} synapses")
+                    det._depressed = set(int(v) for v in data["depressed"])
+                    det._pending_spikers = set(int(v) for v in data["pending"])
+                    st = data["tss_state"]
+                    det.tss.active = bool(st[0])
+                    det.tss.onset = None if st[1] < 0 else int(st[1])
+                    det.tss.last_post = None if st[2] < 0 else int(st[2])
+                    det.tss.last_onset = None if st[3] < 0 else int(st[3])
+                    det.tss.completed = [(a, b) for a, b in data["tss_completed"].tolist()]
+                    det.fire_count = int(data["fire_count"])
+                    det.total_abs_dw = float(data["total_abs_dw"])
+            except Exception as exc:
+                raise ValueError(f"bad snapshot {path}: {exc}") from None
         return det

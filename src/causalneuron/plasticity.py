@@ -19,13 +19,14 @@ class PlasticityConfig:
     The anti-Hebbian and dopamine maximum increments are deliberately a
     single shared value (``d_bar``): their balance is what keeps a
     correctly firing neuron's weights fixed. ``d_H_bar`` and ``d_D_bar``
-    are exposed as read-only aliases.
+    are exposed as read-only aliases. The defaults are the paper's
+    values; ``train --dump-config`` prints them.
     """
 
-    d_bar: float          # max resource change per plasticity event
-    w_min: float          # weight lower bound, negative
-    w_max: float          # weight upper bound (open), positive
-    d_s: float            # stability change speed
+    d_bar: float = 0.056  # max resource change per plasticity event
+    w_min: float = -0.017 # weight lower bound, negative
+    w_max: float = 0.48   # weight upper bound (open), positive
+    d_s: float = 0.23     # stability change speed
     T_P: int = 100        # causal window length in steps; also ISI_max
     H: float = 1.0        # firing threshold (strict)
 

@@ -1,8 +1,11 @@
 """Replay of episode records through a detector, with windowed reporting.
 
-Replay is event-driven: steps without spikes or dopamine are skipped via
-Detector.advance_to, which is exactly equivalent to ticking empty frames
-but turns a 2,000,000-step episode into a few hundred thousand ticks.
+Replay is event-driven: a step with no spike and no dopamine is not a
+neuron step. Detector.advance_to skips such steps, which turns a
+2,000,000-step episode into a few hundred thousand ticks. For H >= 0
+this equals ticking an empty frame at every skipped step, because an
+empty frame cannot fire; for H < 0 it would fire, and replay does not
+see it (``tests/test_runner.py`` checks both).
 
 With plasticity frozen, firing carries no state from one step to the
 next, so :func:`frozen_fires` evaluates every step at once. The scalar

@@ -30,7 +30,7 @@ from causalneuron.synthetic import SyntheticConfig, generate
 
 from test_metrics import brute_force_score
 
-PAPER_PARAMS = PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23, T_P=100)
+PAPER_PARAMS = PlasticityConfig()
 
 
 # -- criterion 1: resource-to-weight squash property suite -------------------

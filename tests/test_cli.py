@@ -58,6 +58,12 @@ class TestConfigFiles:
         )
         assert SYNTHETIC_DEFAULTS == vars(SyntheticConfig())
 
+    def test_train_defaults_are_the_paper_values(self, capsys):
+        assert main(["train", "--dump-config"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "d_bar = 0.056\nw_min = -0.017\nw_max = 0.48\nd_s = 0.23\nT_P = 100\n"
+        )
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("no_such_knob = 3\n")
@@ -154,7 +160,7 @@ class TestTrainEval:
         train_r = float(train_out.split("= ")[1].split("\n")[0])
         code = main([
             "eval", "--record", str(syn_record), "--snapshot", str(snap),
-            "--params", str(params_file), "--window", "100",
+            "--window", "100",
         ])
         assert code == EXIT_OK
         eval_out = capsys.readouterr().out
@@ -169,13 +175,31 @@ class TestTrainEval:
         main(["synthetic", "--seed", "1", "--out", str(heldout)])
         capsys.readouterr()
         assert main(["eval", "--record", str(heldout), "--snapshot", str(snap),
-                     "--params", str(params_file), "--window", "100"]) == EXIT_OK
+                     "--window", "100"]) == EXIT_OK
         cfg = PlasticityConfig(**load_config(params_file, PARAM_DEFAULTS))
         rec = EpisodeRecord.load(heldout)
-        fires = replay(Detector.load_snapshot(snap, cfg).frozen_clone(), rec)
+        fires = replay(Detector.load_snapshot(snap).frozen_clone(), rec)
         assert fires
         r_value = score_run(fires, rec.reward_steps.tolist(), cfg.T_P, (200_000, 300_000))
         assert capsys.readouterr().out == f"R(100s window) = {r_value:.4f}\n"
+
+    def test_eval_reads_the_parameters_from_the_snapshot(self, tmp_path, syn_record,
+                                                         capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("d_bar = 0.2\nd_s = 0.5\nw_min = -0.05\nw_max = 0.9\n")
+        snap = tmp_path / "snap.npz"
+        assert main(["train", "--record", str(syn_record), "--params", str(params),
+                     "--out", str(snap), "--window", "100", "--freeze-after", "0"]) == EXIT_OK
+        train_r = capsys.readouterr().out.split("R(100s window) = ")[1].split()[0]
+        assert main(["eval", "--record", str(syn_record), "--snapshot", str(snap),
+                     "--window", "100"]) == EXIT_OK
+        assert capsys.readouterr().out == f"R(100s window) = {train_r}\n"
+
+    def test_eval_help_has_no_parameter_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        out = capsys.readouterr().out
+        assert "--params" not in out and "--dump-config" not in out
 
     def test_eval_channel_mismatch(self, tmp_path, syn_record, params_file):
         snap = tmp_path / "snap.npz"
@@ -187,7 +211,6 @@ class TestTrainEval:
         main(["record", "--seed", "1", "--duration", "5", "--out", str(pong_rec)])
         code = main([
             "eval", "--record", str(pong_rec), "--snapshot", str(snap),
-            "--params", str(params_file),
         ])
         assert code == EXIT_CONFIG
 
@@ -218,6 +241,73 @@ class TestMalformedRecords:
         self.write_record(path, 4, [(10, [1, 7])])
         self.assert_one_line_config_error(
             ["ga", "--record", str(path)], capsys, "channel index 7 >= n_channels 4")
+
+
+class TestMalformedSnapshots:
+    @pytest.fixture
+    def snapshot(self, tmp_path):
+        path = tmp_path / "snap.npz"
+        Detector(4, PlasticityConfig()).save_snapshot(path)
+        return path
+
+    @pytest.fixture
+    def record(self, tmp_path):
+        path = tmp_path / "rec.spkc"
+        EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=100,
+                            frames=[(10, [1, 2])], reward_steps=[50]).save(path)
+        return path
+
+    def rewrite(self, path, **changes):
+        data = dict(np.load(path))
+        data.update(changes)
+        np.savez(path, **{k: v for k, v in data.items() if v is not None})
+
+    def assert_eval_fails(self, record, snapshot, capsys, match):
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert match in err
+
+    def test_good_snapshot_evaluates(self, record, snapshot):
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) == EXIT_OK
+
+    def test_empty_file(self, record, snapshot, capsys):
+        snapshot.write_bytes(b"")
+        self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
+
+    def test_half_truncated(self, record, snapshot, capsys):
+        raw = snapshot.read_bytes()
+        snapshot.write_bytes(raw[:len(raw) // 2])
+        self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
+
+    def test_npy_file(self, record, tmp_path, capsys):
+        path = tmp_path / "weights.npy"
+        np.save(path, np.zeros(4))
+        self.assert_eval_fails(record, path, capsys, "bad snapshot")
+
+    def test_missing_resources(self, record, snapshot, capsys):
+        self.rewrite(snapshot, resources=None)
+        self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
+
+    def test_short_tss_state(self, record, snapshot, capsys):
+        self.rewrite(snapshot, tss_state=np.array([0], dtype=np.int64))
+        self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
+
+    def test_version_1(self, record, snapshot, capsys):
+        data = dict(np.load(snapshot))
+        v1 = {k: v for k, v in data.items()
+              if not k.startswith("cfg_") and k != "tss_completed"}
+        np.savez(snapshot, **{**v1, "format_version": np.int64(1)})
+        self.assert_eval_fails(record, snapshot, capsys, "unsupported snapshot version 1")
+
+    def test_stored_config_is_validated(self, record, snapshot, capsys):
+        self.rewrite(snapshot, cfg_w_min=np.float64(0.5))
+        self.assert_eval_fails(record, snapshot, capsys, "require w_min < 0 < w_max")
+
+    def test_missing_file_is_io_error(self, record, tmp_path):
+        assert main(["eval", "--record", str(record),
+                     "--snapshot", str(tmp_path / "nope.npz")]) == EXIT_IO
 
 
 class TestTrainReport:

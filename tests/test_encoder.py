@@ -2,11 +2,12 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
-from causalneuron import pong
+from causalneuron import encoder, pong
 from causalneuron.encoder import (
     N_CHANNELS,
     SECTION_OFFSETS,
@@ -37,6 +38,13 @@ class TestLayoutGeometry:
         for name in SECTION_OFFSETS:
             assert SECTION_OFFSETS[name] == running
             running += SECTION_SIZES[name]
+
+    def test_offsets_match_the_documented_channel_map(self):
+        documented = [(int(lo), int(hi)) for lo, hi in
+                      re.findall(r"^\s+\[(\d+),\s*(\d+)\)", encoder.__doc__, re.M)]
+        assert documented == [(SECTION_OFFSETS[name], SECTION_OFFSETS[name] + size)
+                              for name, size in SECTION_SIZES.items()]
+        assert documented[-1][1] == N_CHANNELS
 
     def test_one_channel_per_section(self, layout):
         state = pong.WorldState(1.0, -2.0, 15.0, -12.0, 3.0, step=0)

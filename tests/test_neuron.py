@@ -11,7 +11,7 @@ from causalneuron.plasticity import (
     weight_of,
 )
 
-CFG = PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23, T_P=100)
+CFG = PlasticityConfig()
 # Wider weight ceiling: lets a single synapse (or a pair) cross threshold,
 # which keeps firing scripts short in the unit tests below.
 STRONG_CFG = PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=2.0, d_s=0.23, T_P=100)
@@ -280,7 +280,7 @@ class TestDeterminismAndSnapshots:
         self.random_run(a, 11)
         path = tmp_path / "snap.npz"
         a.save_snapshot(path)
-        b = Detector.load_snapshot(path, CFG)
+        b = Detector.load_snapshot(path)
         assert b.resources == a.resources
         assert b.step == a.step
         assert b.stability == a.stability
@@ -300,7 +300,21 @@ class TestDeterminismAndSnapshots:
         data["format_version"] = np.int64(99)
         np.savez(path, **data)
         with pytest.raises(ValueError):
-            Detector.load_snapshot(path, CFG)
+            Detector.load_snapshot(path)
+
+    def test_snapshot_keeps_tss_history_and_config(self, tmp_path):
+        cfg = PlasticityConfig(d_bar=0.2, w_min=-0.05, w_max=0.9, d_s=0.5, T_P=40, H=0.75)
+        a = make_detector(n=6, weight=0.2, cfg=cfg)
+        self.random_run(a, 11)
+        assert a.tss_count > 0
+        path = tmp_path / "snap.npz"
+        a.save_snapshot(path)
+        b = Detector.load_snapshot(path)
+        assert b.cfg == a.cfg
+        assert b.weights == a.weights
+        assert b.tss.completed == a.tss.completed
+        assert b.tss_count == a.tss_count
+        assert b.fire_count == a.fire_count
 
     def test_frozen_clone_keeps_weights_fixed(self):
         a = make_detector(n=6, weight=0.2)

@@ -14,7 +14,7 @@ from causalneuron.plasticity import (
     weight_of,
 )
 
-CFG = PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23)
+CFG = PlasticityConfig()
 
 
 def squash_vec(resources: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
@@ -114,6 +114,10 @@ class TestEffectiveRates:
 
 
 class TestConfigValidation:
+    def test_defaults_are_the_paper_values(self):
+        assert PlasticityConfig() == PlasticityConfig(
+            d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23, T_P=100, H=1.0)
+
     def test_aliases(self):
         assert CFG.d_H_bar == CFG.d_bar
         assert CFG.d_D_bar == CFG.d_bar

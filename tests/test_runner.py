@@ -123,7 +123,7 @@ THRESHOLDS = [1.0, 0.25, 0.0, -0.25]
 
 
 def paper_cfg(H):
-    return PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23, T_P=100, H=H)
+    return PlasticityConfig(H=H)
 
 
 def assert_frozen_matches(det, record):
@@ -198,6 +198,29 @@ class TestFrozenFires:
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError, match="detector has 3"):
             frozen_fires(busy_record(0), np.zeros(3), 1.0)
+
+
+# -- the event-driven rule: a step with no spike and no dopamine is no step ---
+
+class TestEventDrivenRule:
+    @settings(max_examples=150, deadline=None)
+    @given(record=event_records(), H=st.sampled_from([0.0, 0.25, 1.0]),
+           weight=st.sampled_from([0.0, 0.2, 0.4]))
+    def test_dense_stepping_equals_replay_for_nonnegative_H(self, record, H, weight):
+        a = Detector(record.n_channels, paper_cfg(H), initial_weight=weight)
+        b = Detector(record.n_channels, paper_cfg(H), initial_weight=weight)
+        assert replay(a, record) == dense_replay(record, b)
+        assert a.resources == b.resources
+        assert a.stability == b.stability
+        assert a.fire_count == b.fire_count
+        assert a.tss.completed == b.tss.completed
+
+    def test_negative_H_fires_only_at_event_steps(self):
+        rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=30,
+                                  frames=[(3, [0])], reward_steps=[10])
+        assert replay(Detector(1, paper_cfg(-0.25)), rec) == [3, 10]
+        # an empty frame fires below a zero threshold, so dense stepping differs
+        assert dense_replay(rec, Detector(1, paper_cfg(-0.25))) == list(range(30))
 
 
 # -- one event-order check for every replay entry point ------------------------
