@@ -20,6 +20,7 @@ robustness experiments.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from itertools import accumulate
@@ -43,6 +44,7 @@ SECTION_SIZES = {
 }
 SECTION_OFFSETS = dict(zip(SECTION_SIZES, accumulate(SECTION_SIZES.values(), initial=0)))
 N_CHANNELS = sum(SECTION_SIZES.values())  # 133
+_BALL_X0, _BALL_Y0, _BALL_VX0, _BALL_VY0, _RACKET_Y0, _ZONE0 = SECTION_OFFSETS.values()
 
 SPIKE_RATE_HZ = 300
 STEP_RATE_HZ = 1000
@@ -51,6 +53,10 @@ _TICKS_PER_STEP = SPIKE_RATE_HZ / STEP_RATE_HZ  # 0.3
 CLOSE_FIELD_DEPTH = 3.0   # cm, extends from x=-5 to x=-2
 CLOSE_FIELD_HALF = 1.5    # cm, vertical half-extent around the racket center
 ZONE_SIZE = 0.6           # cm
+_CLOSE_X_MAX = -ARENA_HALF + CLOSE_FIELD_DEPTH
+_CLOSE_DY_MAX = 2 * CLOSE_FIELD_HALF
+_ARENA_LO, _ARENA_WIDTH = -ARENA_HALF, ARENA_HALF - -ARENA_HALF
+_BERNOULLI_BLOCK = 4096   # uniforms a Bernoulli clock draws per refill
 
 BINS_FILE_VERSION = 1
 DEFAULT_BINS_RESOURCE = "velocity_bins.txt"
@@ -108,30 +114,57 @@ class EncoderLayout:
         One channel per coordinate/velocity section, plus at most one
         close-zone channel when the ball is inside the racket's 3x3 cm
         field. The field may extend virtually past the top/bottom walls;
-        zones out there simply never contain the ball.
+        zones out there simply never contain the ball. A non-finite
+        position or velocity raises ``ValueError``.
         """
+        # Runs once per recorded step, so bin_index is inlined with its exact
+        # expression and clamps, and a velocity bin is found by bisection,
+        # which counts the bounds <= v as a linear scan does.
+        x = state.ball_x
+        y = state.ball_y
+        vx = state.ball_vx
+        vy = state.ball_vy
+        ry = state.racket_y
+        try:
+            kx = int(N_COORD_BINS * (x - _ARENA_LO) / _ARENA_WIDTH)
+            ky = int(N_COORD_BINS * (y - _ARENA_LO) / _ARENA_WIDTH)
+            kr = int(N_COORD_BINS * (ry - _ARENA_LO) / _ARENA_WIDTH)
+            if vx - vx or vy - vy:  # NaN (truthy) only for a non-finite velocity
+                raise ValueError
+        except (ValueError, OverflowError):
+            for value in (x, y, vx, vy, ry):
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite value {value}") from None
+            raise
+        if kx < 0:
+            kx = 0
+        elif kx >= N_COORD_BINS:
+            kx = N_COORD_BINS - 1
+        if ky < 0:
+            ky = 0
+        elif ky >= N_COORD_BINS:
+            ky = N_COORD_BINS - 1
+        if kr < 0:
+            kr = 0
+        elif kr >= N_COORD_BINS:
+            kr = N_COORD_BINS - 1
         out = [
-            SECTION_OFFSETS["ball_x"] + bin_index(state.ball_x, N_COORD_BINS, -ARENA_HALF, ARENA_HALF),
-            SECTION_OFFSETS["ball_y"] + bin_index(state.ball_y, N_COORD_BINS, -ARENA_HALF, ARENA_HALF),
-            SECTION_OFFSETS["ball_vx"] + _bounded_bin(state.ball_vx, self.vx_bounds),
-            SECTION_OFFSETS["ball_vy"] + _bounded_bin(state.ball_vy, self.vy_bounds),
-            SECTION_OFFSETS["racket_y"] + bin_index(state.racket_y, N_COORD_BINS, -ARENA_HALF, ARENA_HALF),
+            _BALL_X0 + kx,
+            _BALL_Y0 + ky,
+            _BALL_VX0 + bisect_right(self.vx_bounds, vx),
+            _BALL_VY0 + bisect_right(self.vy_bounds, vy),
+            _RACKET_Y0 + kr,
         ]
-        dy = state.ball_y - (state.racket_y - CLOSE_FIELD_HALF)
-        if state.ball_x <= -ARENA_HALF + CLOSE_FIELD_DEPTH and 0.0 <= dy <= 2 * CLOSE_FIELD_HALF:
-            row = min(int(dy / ZONE_SIZE), N_ZONE_SIDE - 1)
-            col = min(int((state.ball_x + ARENA_HALF) / ZONE_SIZE), N_ZONE_SIDE - 1)
-            out.append(SECTION_OFFSETS["close_zone"] + row * N_ZONE_SIDE + col)
+        dy = y - (ry - CLOSE_FIELD_HALF)
+        if x <= _CLOSE_X_MAX and 0.0 <= dy <= _CLOSE_DY_MAX:
+            row = int(dy / ZONE_SIZE)
+            if row >= N_ZONE_SIDE:
+                row = N_ZONE_SIDE - 1
+            col = int((x + ARENA_HALF) / ZONE_SIZE)
+            if col >= N_ZONE_SIDE:
+                col = N_ZONE_SIDE - 1
+            out.append(_ZONE0 + row * N_ZONE_SIDE + col)
         return out
-
-
-def _bounded_bin(value: float, bounds: tuple[float, ...]) -> int:
-    k = 0
-    for b in bounds:
-        if value < b:
-            break
-        k += 1
-    return k
 
 
 class SpikeClock:
@@ -140,6 +173,13 @@ class SpikeClock:
     Shared mode: a spike on every step where floor((t+1) * 0.3) exceeds
     floor(t * 0.3), i.e. 3 spikes per 10 steps in a fixed 3-3-4 gap
     pattern, identical for every channel.
+
+    Bernoulli mode: each active channel spikes when its own uniform draw
+    is below 0.3. The clock owns its generator and draws uniforms ahead
+    in blocks, taking them in order, one per active channel and step; the
+    gates equal one ``rng.random(len(active))`` call per step because a
+    generator's float stream does not depend on how the draws are split.
+    The generator must not be shared with anything else.
     """
 
     def __init__(self, mode: str = "shared", rng: Optional[np.random.Generator] = None):
@@ -149,6 +189,8 @@ class SpikeClock:
             raise ValueError("bernoulli clock needs an rng")
         self.mode = mode
         self._rng = rng
+        self._uniforms: list[float] = []  # drawn ahead; the next one is at _next
+        self._next = 0
 
     def ticks(self, step: int) -> bool:
         """Shared-mode tick test for one step (pure)."""
@@ -157,9 +199,18 @@ class SpikeClock:
     def gate(self, step: int, active: Sequence[int]) -> list[int]:
         """Channels among `active` that actually emit a spike this step."""
         if self.mode == "shared":
-            return list(active) if self.ticks(step) else []
-        keep = self._rng.random(len(active)) < _TICKS_PER_STEP
-        return [c for c, k in zip(active, keep) if k]
+            # the ticks() expression, inlined: gate runs once per recorded step
+            if math.floor((step + 1) * _TICKS_PER_STEP) > math.floor(step * _TICKS_PER_STEP):
+                return list(active)
+            return []
+        start = self._next
+        end = start + len(active)
+        if end > len(self._uniforms):
+            self._uniforms = self._uniforms[start:] + self._rng.random(
+                max(_BERNOULLI_BLOCK, len(active))).tolist()
+            start, end = 0, len(active)
+        self._next = end
+        return [c for c, u in zip(active, self._uniforms[start:end]) if u < _TICKS_PER_STEP]
 
 
 def encode(state: WorldState, layout: EncoderLayout, clock: SpikeClock) -> list[int]:

@@ -203,7 +203,9 @@ class Detector:
         if step < self.step:
             raise ValueError(f"cannot rewind from {self.step} to {step}")
         tss = self.tss
-        if tss.active and step - tss.last_post > self.cfg.isi_max:
+        # Step `step` itself is not processed yet: the last skipped step,
+        # step - 1, is the latest one whose tick would have closed the TSS.
+        if tss.active and step - 1 - tss.last_post > self.cfg.isi_max:
             self._close_tss()
         self.step = step
 

@@ -9,6 +9,7 @@ stops changing its weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -31,6 +32,10 @@ class PlasticityConfig:
     H: float = 1.0        # firing threshold (strict)
 
     def __post_init__(self) -> None:
+        for name in ("d_bar", "w_min", "w_max", "d_s", "H"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.w_min < 0.0 < self.w_max):
             raise ValueError(f"require w_min < 0 < w_max, got [{self.w_min}, {self.w_max}]")
         if self.d_bar <= 0.0:

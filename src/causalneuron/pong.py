@@ -32,6 +32,11 @@ class Action(enum.Enum):
     DOWN = -1
     HOLD = 0
 
+    def __init__(self, direction: int):
+        # racket move per step, cm; a plain attribute, so env_step does not
+        # pay for the Enum ``value`` property on every step
+        self.racket_dy = direction * RACKET_SPEED * DT
+
 
 class EventKind(enum.Enum):
     REWARD = 0
@@ -85,7 +90,7 @@ def env_step(
     so no sub-step collision handling is needed). Corner ties resolve as
     racket contact first.
     """
-    ry = state.racket_y + action.value * RACKET_SPEED * DT
+    ry = state.racket_y + action.racket_dy
     if ry > RACKET_Y_MAX:
         ry = RACKET_Y_MAX
     elif ry < -RACKET_Y_MAX:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -24,11 +25,15 @@ def record_pong_episode(
     derives independent streams for the ball physics, the racket policy
     and (if selected) the Bernoulli spike clock.
     """
+    if not math.isfinite(duration_s):
+        raise ValueError(f"duration must be finite, got {duration_s}")
     if duration_s <= 0:
         raise ValueError("duration must be positive")
+    n_steps = round(duration_s * 1000)
+    if n_steps == 0:
+        raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")
     if layout is None:
         layout = EncoderLayout.default()
-    n_steps = round(duration_s * 1000)
     seeds = np.random.SeedSequence(seed).spawn(3)
     env_rng = np.random.default_rng(seeds[0])
     policy = pong.ChaoticPolicy(np.random.default_rng(seeds[1]))
@@ -41,13 +46,17 @@ def record_pong_episode(
     frames = []
     rewards = []
     punishments = []
+    # Bound per call, not at import, so that a tracer patching the module
+    # attribute still sees every step: one env_step and one encode per step.
+    env_step = pong.env_step
+    reward = pong.EventKind.REWARD
     for t in range(n_steps):
         spiking = encode(state, layout, clock)
         if spiking:
             frames.append((t, spiking))
-        state, event = pong.env_step(state, policy(t), env_rng)
+        state, event = env_step(state, policy(t), env_rng)
         if event is not None:
-            if event.kind is pong.EventKind.REWARD:
+            if event.kind is reward:
                 rewards.append(event.step)
             else:
                 punishments.append(event.step)

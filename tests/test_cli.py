@@ -93,6 +93,14 @@ class TestExitCodes:
             ["train", "--record", str(syn_record), "--params", str(bad)]
         ) == EXIT_CONFIG
 
+    def test_non_finite_param_is_config_error(self, tmp_path, syn_record, capsys):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("d_bar = nan\n")
+        assert main(
+            ["train", "--record", str(syn_record), "--params", str(bad)]
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: d_bar must be finite, got nan\n"
+
     def test_unknown_config_key_is_config_error(self, tmp_path, syn_record):
         bad = tmp_path / "bad.txt"
         bad.write_text("bogus = 1\n")
@@ -103,6 +111,20 @@ class TestExitCodes:
     def test_negative_duration_rejected(self, tmp_path):
         out = tmp_path / "r.spkc"
         assert main(["record", "--duration", "-5", "--out", str(out)]) == EXIT_CONFIG
+
+    def test_infinite_duration_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.spkc"
+        assert main(["record", "--duration", "inf", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: duration must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_duration_below_one_step_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.spkc"
+        assert main(["record", "--duration", "0.0004", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "shorter than one 1 ms step" in err
+        assert not out.exists()
 
 
 class TestRecordCommand:
@@ -304,6 +326,10 @@ class TestMalformedSnapshots:
     def test_stored_config_is_validated(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_w_min=np.float64(0.5))
         self.assert_eval_fails(record, snapshot, capsys, "require w_min < 0 < w_max")
+
+    def test_stored_non_finite_config_is_rejected(self, record, snapshot, capsys):
+        self.rewrite(snapshot, cfg_d_bar=np.float64(np.nan))
+        self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
 
     def test_missing_file_is_io_error(self, record, tmp_path):
         assert main(["eval", "--record", str(record),

@@ -1,11 +1,13 @@
 """Spike encoder: channel layout, binning, clock statistics, artifact I/O."""
 
+import hashlib
 import io
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from causalneuron import encoder, pong
 from causalneuron.encoder import (
@@ -20,6 +22,7 @@ from causalneuron.encoder import (
     load_layout,
     velocity_bins,
 )
+from causalneuron.recording import record_pong_episode
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +201,119 @@ class TestLayoutIO:
         assert len(layout.vx_bounds) == 8
         assert len(layout.vy_bounds) == 8
         assert all(b < c for b, c in zip(layout.vx_bounds, layout.vx_bounds[1:]))
+
+
+# -- oracles for the inlined per-step encoder ---------------------------------
+
+LAYOUT = EncoderLayout.default()
+
+
+def linear_scan_bin(value, bounds):
+    k = 0
+    for b in bounds:
+        if value < b:
+            break
+        k += 1
+    return k
+
+
+def reference_channels(layout, state):
+    """active_channels written from bin_index and a linear-scan velocity bin."""
+    for v in (state.ball_vx, state.ball_vy):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
+    out = [
+        SECTION_OFFSETS["ball_x"] + bin_index(state.ball_x, 30, -5.0, 5.0),
+        SECTION_OFFSETS["ball_y"] + bin_index(state.ball_y, 30, -5.0, 5.0),
+        SECTION_OFFSETS["ball_vx"] + linear_scan_bin(state.ball_vx, layout.vx_bounds),
+        SECTION_OFFSETS["ball_vy"] + linear_scan_bin(state.ball_vy, layout.vy_bounds),
+        SECTION_OFFSETS["racket_y"] + bin_index(state.racket_y, 30, -5.0, 5.0),
+    ]
+    dy = state.ball_y - (state.racket_y - 1.5)
+    if state.ball_x <= -2.0 and 0.0 <= dy <= 3.0:
+        row = min(int(dy / 0.6), 4)
+        col = min(int((state.ball_x + 5.0) / 0.6), 4)
+        out.append(SECTION_OFFSETS["close_zone"] + row * 5 + col)
+    return out
+
+
+def with_neighbours(values):
+    return sorted({w for v in values
+                   for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))})
+
+
+# the 31 edges of the equal-width bins, the close-zone edges and +-5
+POSITION_EDGES = with_neighbours([-5.0 + 10.0 * k / 30 for k in range(31)]
+                                 + [-5.0 + 0.6 * k for k in range(6)] + [-2.0, 0.0, 5.0])
+VELOCITY_EDGES = with_neighbours(LAYOUT.vx_bounds + LAYOUT.vy_bounds + (0.0,))
+positions = st.one_of(st.sampled_from(POSITION_EDGES), st.floats(-6.0, 6.0))
+velocities = st.one_of(st.sampled_from(VELOCITY_EDGES), st.floats(-40.0, 40.0))
+
+
+class TestActiveChannelsOracle:
+    @given(x=positions, y=positions, vx=velocities, vy=velocities, ry=positions)
+    def test_matches_bin_index_and_linear_scan(self, x, y, vx, vy, ry):
+        state = pong.WorldState(x, y, vx, vy, ry, step=0)
+        assert LAYOUT.active_channels(state) == reference_channels(LAYOUT, state)
+
+    def test_every_velocity_edge_and_its_neighbours(self):
+        for v in VELOCITY_EDGES:
+            state = pong.WorldState(0.0, 0.0, v, v, 0.0, step=0)
+            assert LAYOUT.active_channels(state) == reference_channels(LAYOUT, state)
+
+    def test_close_zone_seams(self):
+        # the ball on and next to the zone rows and columns around the racket
+        for ry in (-4.1, -0.3, 0.0, 2.7):
+            for x in POSITION_EDGES:
+                for y in with_neighbours([ry - 1.5 + 0.6 * k for k in range(6)]):
+                    state = pong.WorldState(x, y, 12.0, -3.0, ry, step=0)
+                    assert LAYOUT.active_channels(state) == reference_channels(LAYOUT, state)
+
+    @pytest.mark.parametrize("field", ["ball_x", "ball_y", "ball_vx", "ball_vy", "racket_y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        fields = dict(ball_x=0.0, ball_y=0.0, ball_vx=12.0, ball_vy=-3.0, racket_y=0.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^non-finite value {value}$"):
+            LAYOUT.active_channels(pong.WorldState(**fields, step=0))
+
+
+class TestClockOracle:
+    def test_shared_gate_follows_ticks(self):
+        clock = SpikeClock("shared")
+        active = [4, 40, 64, 72, 90]
+        for t in range(1000):
+            assert clock.gate(t, active) == (active if clock.ticks(t) else [])
+
+    def test_bernoulli_equals_one_draw_per_step(self):
+        clock = SpikeClock("bernoulli", rng=np.random.default_rng(17))
+        ref_rng = np.random.default_rng(17)
+        frames = [[], [3, 33, 63, 72, 81], [3, 33, 63, 72, 81, 110]]
+        drawn = t = 0
+        while drawn < 3 * encoder._BERNOULLI_BLOCK + 50:  # over three refills
+            active = frames[t % 3]
+            keep = ref_rng.random(len(active)) < 0.3
+            assert clock.gate(t, active) == [c for c, k in zip(active, keep) if k]
+            drawn += len(active)
+            t += 1
+
+    def test_bernoulli_frame_wider_than_a_block(self):
+        clock = SpikeClock("bernoulli", rng=np.random.default_rng(5))
+        ref_rng = np.random.default_rng(5)
+        for active in ([1, 2, 3], list(range(encoder._BERNOULLI_BLOCK + 7)), [9]):
+            keep = ref_rng.random(len(active)) < 0.3
+            assert clock.gate(0, active) == [c for c, k in zip(active, keep) if k]
+
+
+class TestRecordBytes:
+    """30 s records pinned to the bytes the one-step-at-a-time recorder wrote."""
+
+    @pytest.mark.parametrize("seed, clock, sha256", [
+        (3, "shared", "5cc6d61b893afa4027c0fbfbbd63ad528835d4f75c4dba6f9f148d7a1738075e"),
+        (11, "shared", "f449006b73f518eab855cc6caee81585465d368ee78203509436a277736b4edb"),
+        (3, "bernoulli", "e95fa8365929b578366e9dfefbc7a69edcbbb74e28bd4a7c854b9a81d120b757"),
+        (11, "bernoulli", "eb906f6f3db6d9d8476b5bb6c5e46ce68ac61e763fc11f61e6f83257794fb4ab"),
+    ])
+    def test_sha256_pinned(self, seed, clock, sha256):
+        rec = record_pong_episode(30, seed, clock_mode=clock)
+        assert hashlib.sha256(rec.to_bytes()).hexdigest() == sha256

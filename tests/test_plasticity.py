@@ -136,3 +136,9 @@ class TestConfigValidation:
     def test_rejects_bad_constants(self, kwargs):
         with pytest.raises(ValueError):
             PlasticityConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["d_bar", "w_min", "w_max", "d_s", "H"])
+    def test_rejects_non_finite_constants(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PlasticityConfig(**{field: value})

@@ -110,6 +110,57 @@ class TestPhysics:
         assert nxt.ball_x <= pong.ARENA_HALF
 
 
+def reference_env_step(state, action, rng):
+    """env_step transcribed with the racket move read from ``Action.value``."""
+    ry = state.racket_y + action.value * pong.RACKET_SPEED * pong.DT
+    ry = min(max(ry, -pong.RACKET_Y_MAX), pong.RACKET_Y_MAX)
+    x = state.ball_x + state.ball_vx * pong.DT
+    y = state.ball_y + state.ball_vy * pong.DT
+    vx, vy, event = state.ball_vx, state.ball_vy, None
+    if x <= -pong.ARENA_HALF:
+        if ry - pong.RACKET_HALF <= y <= ry + pong.RACKET_HALF:
+            x, vx = -2.0 * pong.ARENA_HALF - x, -vx
+            event = pong.EnvEvent(pong.EventKind.REWARD, state.step)
+        else:
+            event = pong.EnvEvent(pong.EventKind.PUNISHMENT, state.step)
+            x, y, vx, vy = pong.reset_ball(rng)
+    elif x >= pong.ARENA_HALF:
+        x, vx = 2.0 * pong.ARENA_HALF - x, -vx
+    if y >= pong.ARENA_HALF:
+        y, vy = 2.0 * pong.ARENA_HALF - y, -vy
+    elif y <= -pong.ARENA_HALF:
+        y, vy = -2.0 * pong.ARENA_HALF - y, -vy
+    return pong.WorldState(x, y, vx, vy, ry, state.step + 1), event
+
+
+class TestRacketMove:
+    def test_move_is_value_times_speed_times_dt(self):
+        for action in pong.Action:
+            assert action.racket_dy == action.value * pong.RACKET_SPEED * pong.DT
+
+    @pytest.mark.parametrize("action", list(pong.Action))
+    def test_env_step_equals_the_reference(self, action):
+        for seed in (21, 22):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            state = ref_state = pong.initial_state(rng)
+            pong.initial_state(ref_rng)
+            for _ in range(20_000):  # long enough to hit both walls and the racket
+                state, event = pong.env_step(state, action, rng)
+                ref_state, ref_event = reference_env_step(ref_state, action, ref_rng)
+                assert state == ref_state and event == ref_event
+
+    def test_env_step_equals_the_reference_under_the_policy(self):
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        policy = pong.ChaoticPolicy(np.random.default_rng(24))
+        state = ref_state = pong.initial_state(rng)
+        pong.initial_state(ref_rng)
+        for t in range(30_000):
+            action = policy(t)
+            state, event = pong.env_step(state, action, rng)
+            ref_state, ref_event = reference_env_step(ref_state, action, ref_rng)
+            assert state == ref_state and event == ref_event
+
+
 class TestDeterminism:
     def test_same_seed_same_trajectory(self):
         a_states, a_events = run_steps(11, 20_000)

@@ -215,6 +215,18 @@ class TestEventDrivenRule:
         assert a.fire_count == b.fire_count
         assert a.tss.completed == b.tss.completed
 
+    def test_tss_open_at_the_end_closes_as_dense_stepping_does(self):
+        # the last post spike is isi_max + 1 steps before n_steps: dense
+        # stepping ends on step n_steps - 1, whose tick does not close the TSS
+        rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=379,
+                                  frames=[(0, [0]), (278, [0])], reward_steps=[0])
+        a, b = (Detector(1, paper_cfg(0.0), initial_weight=0.0) for _ in range(2))
+        assert replay(a, rec) == dense_replay(rec, b) == [278]
+        assert a.tss.completed == b.tss.completed == []
+        assert a.tss.active and b.tss.active
+        a.advance_to(380)  # step 379 is skipped now, and its tick would close it
+        assert a.tss.completed == [(278, 278)]
+
     def test_negative_H_fires_only_at_event_steps(self):
         rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=30,
                                   frames=[(3, [0])], reward_steps=[10])
