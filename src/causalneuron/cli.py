@@ -96,6 +96,11 @@ def _params_from_file(path) -> PlasticityConfig:
     return PlasticityConfig(**(load_config(path, PARAM_DEFAULTS) if path else PARAM_DEFAULTS))
 
 
+def _check_window(window_s: int) -> None:
+    if window_s < 1:
+        raise ConfigError(f"--window must be >= 1 s, got {window_s}")
+
+
 def _load_record(path) -> EpisodeRecord:
     return EpisodeRecord.load(path)
 
@@ -118,6 +123,7 @@ def cmd_train(args) -> int:
         return EXIT_OK
     if not args.record:
         raise ConfigError("--record is required")
+    _check_window(args.window)
     cfg = _params_from_file(args.params)
     rec = _load_record(args.record)
     detector = Detector(rec.n_channels, cfg)
@@ -181,6 +187,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if not args.record or not args.snapshot:
         raise ConfigError("--record and --snapshot are required")
+    _check_window(args.window)
     rec = _load_record(args.record)
     trained = Detector.load_snapshot(args.snapshot)
     fires = frozen_fires(rec, trained.weight_array(), trained.cfg.H)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources as importlib_resources
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -66,9 +67,15 @@ def bin_index(value: float, n_bins: int, lo: float, hi: float) -> int:
     """Equal-width bin of value over [lo, hi], clamped to [0, n_bins-1]."""
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"non-finite bounds [{lo}, {hi}]")
     if lo >= hi:
         raise ValueError("lo must be < hi")
-    k = int(n_bins * (value - lo) / (hi - lo))
+    try:
+        k = int(n_bins * (value - lo) / (hi - lo))
+    except (OverflowError, ValueError):
+        # a huge finite value overflows the float expression; bin it exactly
+        k = int(n_bins * (Fraction(value) - Fraction(lo)) / (Fraction(hi) - Fraction(lo)))
     if k < 0:
         return 0
     if k >= n_bins:
@@ -135,7 +142,8 @@ class EncoderLayout:
             for value in (x, y, vx, vy, ry):
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite value {value}") from None
-            raise
+            # a huge finite position overflows the inlined expression
+            kx, ky, kr = (bin_index(v, N_COORD_BINS, _ARENA_LO, ARENA_HALF) for v in (x, y, ry))
         if kx < 0:
             kx = 0
         elif kx >= N_COORD_BINS:
@@ -163,6 +171,8 @@ class EncoderLayout:
             col = int((x + ARENA_HALF) / ZONE_SIZE)
             if col >= N_ZONE_SIDE:
                 col = N_ZONE_SIDE - 1
+            elif col < 0:  # the ball is past the left edge
+                col = 0
             out.append(_ZONE0 + row * N_ZONE_SIDE + col)
         return out
 

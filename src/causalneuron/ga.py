@@ -18,7 +18,7 @@ import numpy as np
 
 from .metrics import score_run
 from .plasticity import PlasticityConfig
-from .population import Event, record_events, replay_population
+from .population import EventArrays, event_arrays, replay_population
 from .records import EpisodeRecord
 from .runner import replay  # noqa: F401  kept: perfbench/tracing.py patches ga.replay
 
@@ -75,6 +75,10 @@ class GaConfig:
             raise ValueError("mutation_prob must be in [0, 1]")
         if self.stagnation_generations < 1:
             raise ValueError("stagnation_generations must be >= 1")
+        if self.eval_window_s < 1:
+            raise ValueError("eval_window_s must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -90,12 +94,12 @@ def evaluate_population(
     record: EpisodeRecord,
     ga_cfg: GaConfig = GaConfig(),
     *,
-    events: Optional[list[Event]] = None,
+    arrays: Optional[EventArrays] = None,
 ) -> list[float]:
     """Train a fresh zero-weight detector per genome on the record and
     score each one's tail window.
 
-    ``events``, if given, must be ``record_events(record)``; a caller
+    ``arrays``, if given, must be ``event_arrays(record)``; a caller
     that evaluates many populations on one record converts it once.
     """
     window_steps = ga_cfg.eval_window_s * 1000 // record.step_ms
@@ -104,10 +108,9 @@ def evaluate_population(
             f"record ({record.n_steps} steps) shorter than the "
             f"evaluation window ({window_steps} steps)"
         )
-    runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record, events)
-    rewards = record.reward_steps.tolist()
+    runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record, arrays)
     window = (record.n_steps - window_steps, record.n_steps)
-    return [score_run(run.fires, rewards, ga_cfg.T_P, window) for run in runs]
+    return [score_run(run.fires, record.reward_steps, ga_cfg.T_P, window) for run in runs]
 
 
 def evaluate(genome: Genome, record: EpisodeRecord, ga_cfg: GaConfig = GaConfig()) -> float:
@@ -170,7 +173,7 @@ def run_ga(
     genome and the per-generation history."""
     rng = np.random.default_rng(cfg.seed)
     population = [sample_genome(rng, cfg.ranges) for _ in range(cfg.population_size)]
-    events = record_events(record)
+    arrays = event_arrays(record)
     scores: dict[Genome, float] = {}  # every genome scored so far this run
     history: list[GenerationStats] = []
     best_genome: Optional[Genome] = None
@@ -179,7 +182,7 @@ def run_ga(
     generation = 0
     while True:
         unseen = list(dict.fromkeys(g for g in population if g not in scores))
-        scores.update(zip(unseen, evaluate_population(unseen, record, cfg, events=events)))
+        scores.update(zip(unseen, evaluate_population(unseen, record, cfg, arrays=arrays)))
         fitnesses = [scores[g] for g in population]
         gen_best = max(range(len(population)), key=lambda i: (fitnesses[i], -i))
         history.append(

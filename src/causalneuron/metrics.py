@@ -4,12 +4,19 @@ All periods are half-open integer-step intervals [start, end). The score
 is R = 1 - |targets symmetric-difference predictions| / |targets|: 1 for
 a perfect prediction, 0 for a silent detector, unbounded below for a
 detector that fires in all the wrong places.
+
+:class:`IntervalSet`, :func:`target_periods`, :func:`prediction_periods`
+and :func:`r_metric` state the definition one interval at a time and are
+the reference; :func:`score_run`, which the CLI and the genetic search
+call, computes the same integers on sorted arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class IntervalSet:
@@ -104,6 +111,23 @@ def r_metric(targets: IntervalSet, predictions: IntervalSet) -> float:
     return 1.0 - t_err / t_tar
 
 
+def _union(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the intervals [starts, ends) as sorted disjoint intervals.
+
+    ``starts`` must be sorted. Empty intervals are dropped, and each
+    interval joins the run before it when it starts at or before the
+    run's furthest end so far, as :class:`IntervalSet` merges.
+    """
+    keep = ends > starts
+    starts, ends = starts[keep], ends[keep]
+    reach = np.maximum.accumulate(ends)
+    new = np.ones(len(starts), dtype=bool)
+    new[1:] = starts[1:] > reach[:-1]
+    first = np.flatnonzero(new)
+    last = np.append(first[1:] - 1, len(starts) - 1)[:len(first)]
+    return starts[first], reach[last]
+
+
 def score_run(
     fire_steps: Sequence[int],
     reward_steps: Sequence[int],
@@ -114,17 +138,45 @@ def score_run(
 
     With a window, firings and rewards are filtered to it and the
     resulting periods are clipped to it, so activity outside the window
-    can neither help nor hurt.
+    can neither help nor hurt. Fires and rewards may be unsorted and
+    repeated.
+
+    Equal to ``r_metric(target_periods(...), prediction_periods(...))``
+    (clipped to the window), computed on sorted int64 arrays: the error
+    is |T| + |P| - 2|T & P|, where |T & P| is read off the targets'
+    cumulative lengths, so R is the same quotient of the same integers.
     """
-    fires = list(fire_steps)
-    rewards = list(reward_steps)
+    fires = np.sort(np.asarray(fire_steps, dtype=np.int64))
+    rewards = np.sort(np.asarray(reward_steps, dtype=np.int64))
+    floor = 0
     if window is not None:
         lo, hi = window
-        fires = [f for f in fires if lo <= f < hi]
-        rewards = [r for r in rewards if lo <= r < hi]
-    targets = target_periods(rewards, T_P)
-    predictions = prediction_periods(fires, rewards, T_P)
+        fires = fires[(fires >= lo) & (fires < hi)]
+        rewards = rewards[(rewards >= lo) & (rewards < hi)]
+        floor = max(lo, 0)
+    t_start, t_end = _union(np.maximum(rewards - T_P, floor), rewards)
+    t_tar = int((t_end - t_start).sum())
+    if t_tar == 0:
+        raise ValueError("R metric undefined: no target periods")
+
+    # each prediction ends T_P after its fire, at the first reward at or
+    # after the fire, or at the window's end, whichever comes first
+    ends = fires + T_P
+    k = np.searchsorted(rewards, fires)
+    ahead = k < len(rewards)
+    ends[ahead] = np.minimum(ends[ahead], rewards[k[ahead]])
     if window is not None:
-        targets = targets.clip(*window)
-        predictions = predictions.clip(*window)
-    return r_metric(targets, predictions)
+        ends = np.minimum(ends, hi)
+    p_start, p_end = _union(fires, ends)
+
+    # covered(x): the target steps before x
+    cum = np.append(0, np.cumsum(t_end - t_start))
+
+    def covered(x: np.ndarray) -> np.ndarray:
+        j = np.searchsorted(t_start, x, side="right")
+        past = np.where(j > 0, t_end[j - 1] - x, 0)
+        return cum[j] - np.maximum(past, 0)
+
+    overlap = int((covered(p_end) - covered(p_start)).sum())
+    t_err = t_tar + int((p_end - p_start).sum()) - 2 * overlap
+    return 1.0 - t_err / t_tar

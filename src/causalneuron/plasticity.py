@@ -13,6 +13,10 @@ import math
 from dataclasses import dataclass
 
 
+# The longest causal window; step arithmetic with it stays well inside int64.
+T_P_MAX = 2**32
+
+
 @dataclass(frozen=True)
 class PlasticityConfig:
     """Constants of the detector neuron.
@@ -42,8 +46,8 @@ class PlasticityConfig:
             raise ValueError("d_bar must be positive")
         if self.d_s <= 0.0:
             raise ValueError("d_s must be positive")
-        if self.T_P < 1:
-            raise ValueError("T_P must be >= 1")
+        if not 1 <= self.T_P <= T_P_MAX:
+            raise ValueError(f"T_P must be in [1, {T_P_MAX}], got {self.T_P}")
 
     @property
     def d_H_bar(self) -> float:

@@ -1,10 +1,10 @@
 """Lockstep replay of many plasticity configs through one record.
 
 The genetic search trains one fresh detector per genome on the same
-record. Every genome sees the same input, so the record's event stream
-can be walked once while P detectors advance side by side: the
-per-synapse state becomes (P, N) arrays and each step costs a handful of
-numpy operations instead of P scalar ticks.
+record. Every genome sees the same input, so the record can be walked
+once while P detectors advance side by side: the per-synapse state
+becomes (P, N) arrays and each step costs a handful of numpy operations
+instead of P scalar ticks.
 
 The kernel reproduces :class:`~causalneuron.neuron.Detector` driven by
 :func:`~causalneuron.runner.replay` bit for bit, which
@@ -14,33 +14,75 @@ floating-point operation in the scalar path's order:
 * the membrane sum adds the active channels' weights one column at a
   time in the record's channel order (never a reduction, whose
   summation order numpy does not fix);
-* weights are recomputed with :func:`weight_of`'s expression, which is
-  idempotent on unchanged resources, so whole rows may be refreshed;
+* a weight is recomputed with :func:`weight_of`'s expression from its
+  own resource, so any subset of entries may be refreshed;
 * the gated rate comes from the scalar :func:`effective_rates`, and only
   for genomes whose stability changed in the step;
 * stability takes the dopamine adjustment first, then the onset decrement.
 
-Two pieces of scalar state are not stored. The presynaptic spike times
-are the same for every genome, so ``last_presyn`` is one shared (N,)
-vector. The pending set of an open TSS -- channels that spiked after its
-latest postsynaptic spike -- is exactly ``last_presyn > last_post``, so
-it is derived when a genome fires instead of being updated every step.
+Python code runs only at reward steps and at candidate frames. Between
+two rewards no weight rises, so a frame whose channel ceilings (the
+largest weight of each channel over the genomes), added in the membrane
+sum's order, stay at or below H cannot fire in any genome: rounding is
+monotone, so that bound is at or above every genome's sum. The bounds of
+all frames up to the next reward are computed at once with numpy
+(:func:`~causalneuron.runner.frame_sums`); a fire only lowers weights,
+so they stay valid until dopamine, after which they are recomputed.
+
+Three pieces of scalar state are kept lazily. The presynaptic spike
+times are the same for every genome, so ``last_presyn`` is one shared
+(N,) vector, brought up to date only where a fire or a reward reads it.
+The pending set of an open TSS -- channels that spiked after its latest
+postsynaptic spike -- is exactly ``last_presyn > last_post``, so it is
+derived when a genome fires. A TSS closed by silence changes nothing
+until the genome fires again, so closure is applied at fires only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .plasticity import PlasticityConfig, effective_rates, resource_for_weight, weight_of
 from .records import EpisodeRecord
+from .runner import frame_sums
 
-Event = tuple[int, list, bool]  # (step, active channels, dopamine)
-
-_CLOSED = np.iinfo(np.int64).max  # last_post of a genome with no open TSS
+_NEVER = np.iinfo(np.int64).min // 2  # last_post of a genome that never fired
 _NONE = np.zeros(0, dtype=np.intp)
+
+
+class EventArrays(NamedTuple):
+    """A record's events as int64 arrays, checked once for replay order.
+
+    Spike frame k is at ``spike_steps[k]`` with channels
+    ``channels[indptr[k]:indptr[k + 1]]``. ``reward_frames[j]`` is the
+    first frame at or after reward j, so the frames between two rewards
+    are one slice.
+    """
+
+    n_steps: int
+    spike_steps: np.ndarray
+    indptr: np.ndarray
+    channels: np.ndarray
+    reward_steps: np.ndarray
+    reward_frames: np.ndarray
+
+
+def event_arrays(record: EpisodeRecord) -> EventArrays:
+    """The record's arrays as replay reads them; raises on bad event order."""
+    record.check_event_order()
+    spike_steps = np.ascontiguousarray(record.spike_steps, dtype=np.int64)
+    reward_steps = np.ascontiguousarray(record.reward_steps, dtype=np.int64)
+    return EventArrays(
+        n_steps=record.n_steps,
+        spike_steps=spike_steps,
+        indptr=np.ascontiguousarray(record.indptr, dtype=np.int64),
+        channels=np.ascontiguousarray(record.channels, dtype=np.int64),
+        reward_steps=reward_steps,
+        reward_frames=np.searchsorted(spike_steps, reward_steps),
+    )
 
 
 @dataclass
@@ -57,67 +99,38 @@ class ReplayResult:
         return len(self.fires)
 
 
-def record_events(record: EpisodeRecord) -> list[Event]:
-    """The record's event steps in order: spikes and dopamine merged.
-
-    Steps with neither are left out; replay skips them, since the only
-    state change over silence is TSS closure.
-    """
-    record.check_event_order()
-    spike_steps = record.spike_steps.tolist()
-    indptr = record.indptr.tolist()
-    chans = record.channels.tolist()
-    rewards = record.reward_steps.tolist()
-    events: list[Event] = []
-    i = j = 0
-    n_spk, n_rew = len(spike_steps), len(rewards)
-    while i < n_spk or j < n_rew:
-        t_spk = spike_steps[i] if i < n_spk else record.n_steps
-        t_rew = rewards[j] if j < n_rew else record.n_steps
-        t = t_spk if t_spk <= t_rew else t_rew
-        if t_spk == t:
-            active = chans[indptr[i]:indptr[i + 1]]
-            i += 1
-        else:
-            active = []
-        dopamine = t_rew == t
-        if dopamine:
-            j += 1
-        events.append((t, active, dopamine))
-    return events
-
-
 def replay_population(
     cfgs: Sequence[PlasticityConfig],
     record: EpisodeRecord,
-    events: Optional[list[Event]] = None,
+    arrays: Optional[EventArrays] = None,
 ) -> list[ReplayResult]:
     """Train one fresh zero-weight detector per config on the record.
 
     Equivalent to ``replay(Detector(record.n_channels, cfg), record)`` for
-    each config. All configs must share ``T_P`` and ``H``. ``events``, if
-    given, must be ``record_events(record)`` (callers that replay the
-    same record repeatedly convert it once).
+    each config. All configs must share ``T_P`` and ``H``. ``arrays``, if
+    given, must be ``event_arrays(record)`` (callers that replay the same
+    record repeatedly convert it once).
     """
     if not cfgs:
         return []
     T_P, H = cfgs[0].T_P, cfgs[0].H
     if any(c.T_P != T_P or c.H != H for c in cfgs):
         raise ValueError("all configs of a population must share T_P and H")
-    if events is None:
-        events = record_events(record)
+    if arrays is None:
+        arrays = event_arrays(record)
     P, N = len(cfgs), record.n_channels
     if N < 1:
         raise ValueError("need at least one synapse")
+    spike_steps, indptr, channels = arrays.spike_steps, arrays.indptr, arrays.channels
 
-    w_min = np.array([c.w_min for c in cfgs])[:, None]
-    span = np.array([c.w_max - c.w_min for c in cfgs])[:, None]
+    w_min = np.array([c.w_min for c in cfgs])
+    span = np.array([c.w_max - c.w_min for c in cfgs])
     d_s = np.array([c.d_s for c in cfgs])
 
-    def weights(res: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """weight_of, elementwise, for the given genome rows of res."""
+    def weights(res: np.ndarray, w_min: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """weight_of, elementwise, with the bounds broadcast against res."""
         w = np.where(res > 0.0, res, 0.0)
-        return w_min[rows] + span[rows] * w / (span[rows] + w)
+        return w_min + span * w / (span + w)
 
     r0 = [resource_for_weight(0.0, c) for c in cfgs]
     R = np.repeat(np.array(r0)[:, None], N, axis=1)
@@ -125,77 +138,96 @@ def replay_population(
     depressed = np.zeros((P, N), dtype=bool)
     stability = np.zeros(P)
     rate = np.array([effective_rates(0.0, c)[0] for c in cfgs])
-    last_post = np.full(P, _CLOSED, dtype=np.int64)
+    # last post spike; a TSS is open at step t while last_post >= t - T_P
+    last_post = np.full(P, _NEVER, dtype=np.int64)
     last_onset = np.full(P, -1, dtype=np.int64)  # -1: no TSS yet
-    n_closed = np.zeros(P, dtype=np.int64)
-    lp = [-1] * N      # last presynaptic spike step, shared by all genomes
-    colmax = W.max(axis=0).tolist()  # per-channel weight ceiling over genomes
-    next_close = _CLOSED  # lower bound on the earliest open TSS deadline
+    n_tss = np.zeros(P, dtype=np.int64)  # TSS onsets so far
+    lp = np.full(N, -1, dtype=np.int64)  # last presynaptic spike, shared by all genomes
+    folded = 0  # spike frames whose steps are in lp
     fire_log: list[tuple[int, np.ndarray]] = []
 
-    for t, active, dopamine in events:
-        if t > next_close:
-            closing = last_post < t - T_P
-            n_closed += closing
-            last_post[closing] = _CLOSED
-            depressed[closing] = False
-            still_open = last_post[last_post != _CLOSED]
-            next_close = int(still_open.min()) + T_P if still_open.size else _CLOSED
+    def fold_presyn(frame_end: int) -> None:
+        """Bring lp up to date with the spike frames before frame_end."""
+        nonlocal folded
+        if frame_end > folded:
+            ptr = indptr[folded:frame_end + 1]
+            steps = np.repeat(spike_steps[folded:frame_end], np.diff(ptr))
+            np.maximum.at(lp, channels[ptr[0]:ptr[-1]], steps)
+            folded = frame_end
 
-        # Rounding is monotone, so summing the channel ceilings in the
-        # membrane sum's order bounds every genome's sum: at or below H,
-        # no genome fires and the step needs no array work.
-        bound = 0.0
-        for c in active:
-            lp[c] = t
-            bound += colmax[c]
-        new_onset = _NONE
-        if bound > H:
-            total = np.zeros(P)
-            for c in active:
+    def firing(k: Optional[int]) -> np.ndarray:
+        """The genomes whose membrane sum over frame k (None: empty) exceeds H."""
+        total = np.zeros(P)
+        if k is not None:
+            for c in channels[indptr[k]:indptr[k + 1]].tolist():
                 total += W[:, c]
-            rows = np.flatnonzero(total > H)
-            if rows.size:
-                fire_log.append((t, rows))
-                post = last_post[rows]
-                # depress what spiked since the latest post spike of an open
-                # TSS, or this step's spikers at an onset; once per TSS
-                since = np.minimum(post, t - 1)[:, None]
-                hit = (np.array(lp) > since) & ~depressed[rows]
-                depressed[rows] |= hit
-                R[rows] = np.where(hit, R[rows] - rate[rows, None], R[rows])
-                W[rows] = weights(R[rows], rows)
-                colmax = W.max(axis=0).tolist()
-                last_post[rows] = t
-                new_onset = rows[post == _CLOSED]
-                if new_onset.size:
-                    last_onset[new_onset] = t
-                    next_close = min(next_close, t + T_P)
+        return (total > H).nonzero()[0]
 
-        if dopamine:
-            lpa = np.array(lp)
-            eligible = (lpa >= t - T_P) & (lpa >= 0)
-            if eligible.any():
-                grow = rate > 0.0
-                R[np.ix_(grow, eligible)] += rate[grow, None]
-                W = weights(R)
-                colmax = W.max(axis=0).tolist()
-            adj = np.maximum(2.0 - np.abs(t - last_onset - T_P) / T_P, -1.0)
-            stability = np.where(last_onset < 0, stability - d_s, stability + d_s * adj)
+    def fire(t: int, rows: np.ndarray) -> np.ndarray:
+        """Post spikes of the given genomes at step t; returns the new onsets.
+
+        A genome whose TSS closed in silence starts a new one here, so
+        closure needs no step of its own.
+        """
+        post = last_post[rows]
+        onset = post < t - T_P
+        new_onset = rows[onset]
         if new_onset.size:
-            stability[new_onset] -= d_s[new_onset]
-        if dopamine:
-            rate = np.array([effective_rates(s, c)[0]
-                             for s, c in zip(stability.tolist(), cfgs)])
-        elif new_onset.size:
-            for g in new_onset.tolist():
-                rate[g] = effective_rates(float(stability[g]), cfgs[g])[0]
+            depressed[new_onset] = False
+            last_onset[new_onset] = t
+            n_tss[new_onset] += 1
+        fire_log.append((t, rows))
+        # depress what spiked since the latest post spike of an open TSS,
+        # or this step's spikers at an onset; once per TSS
+        since = np.where(onset, t - 1, post)[:, None]
+        g, c = ((lp > since) & ~depressed[rows]).nonzero()
+        if g.size:
+            g = rows[g]
+            depressed[g, c] = True
+            R[g, c] -= rate[g]
+            W[g, c] = weights(R[g, c], w_min[g], span[g])
+        last_post[rows] = t
+        return new_onset
+
+    frame = 0  # first spike frame not yet processed
+    n_frames = len(spike_steps)
+    for t, seg_end in zip(
+        arrays.reward_steps.tolist() + [arrays.n_steps],
+        arrays.reward_frames.tolist() + [n_frames],
+    ):
+        # spike frames before the reward: only candidates can fire
+        bound = frame_sums(indptr[frame:seg_end + 1], channels, W.max(axis=0))
+        for k in ((bound > H).nonzero()[0] + frame).tolist():
+            rows = firing(k)
+            if rows.size:
+                fold_presyn(k + 1)
+                new_onset = fire(int(spike_steps[k]), rows)
+                for g in new_onset.tolist():
+                    stability[g] -= d_s[g]
+                    rate[g] = effective_rates(float(stability[g]), cfgs[g])[0]
+        if t == arrays.n_steps:
+            break
+
+        # the reward step, with its spike frame if it has one
+        k = seg_end if seg_end < n_frames and spike_steps[seg_end] == t else None
+        frame = seg_end if k is None else seg_end + 1
+        fold_presyn(frame)
+        rows = firing(k)
+        new_onset = fire(t, rows) if rows.size else _NONE
+        # a zero rate adds 0.0, which leaves a resource's bits unchanged
+        eligible = ((lp >= t - T_P) & (lp >= 0)).nonzero()[0]
+        if eligible.size:
+            R[:, eligible] += rate[:, None]
+            W[:, eligible] = weights(R[:, eligible], w_min[:, None], span[:, None])
+        adj = np.maximum(2.0 - np.abs(t - last_onset - T_P) / T_P, -1.0)
+        stability = np.where(last_onset < 0, stability - d_s, stability + d_s * adj)
+        stability[new_onset] -= d_s[new_onset]
+        rate = np.array([effective_rates(s, c)[0] for s, c in zip(stability.tolist(), cfgs)])
 
     fires: list[list[int]] = [[] for _ in range(P)]
     for t, rows in fire_log:
         for g in rows.tolist():
             fires[g].append(t)
-    n_tss = n_closed + (last_post != _CLOSED)
     return [
         ReplayResult(fires[g], R[g].copy(), float(stability[g]), int(n_tss[g]))
         for g in range(P)

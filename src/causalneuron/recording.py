@@ -29,6 +29,8 @@ def record_pong_episode(
         raise ValueError(f"duration must be finite, got {duration_s}")
     if duration_s <= 0:
         raise ValueError("duration must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n_steps = round(duration_s * 1000)
     if n_steps == 0:
         raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")

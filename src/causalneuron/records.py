@@ -25,6 +25,8 @@ import numpy as np
 MAGIC = b"SPKC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHQQ")
+# the header's fields after the magic and the version, with their largest value
+_HEADER_LIMITS = {"step_ms": 0xFFFF, "n_channels": 0xFFFF, "seed": 2**64 - 1, "n_steps": 2**64 - 1}
 
 _KIND_REWARD = 0
 _KIND_PUNISHMENT = 1
@@ -238,7 +240,15 @@ class EpisodeRecord:
             yield step, chans[indptr[k]:indptr[k + 1]]
 
     def to_bytes(self) -> bytes:
-        """Encode the record; spike steps must rise strictly below ``n_steps``."""
+        """Encode the record; spike steps must rise strictly below ``n_steps``.
+
+        A header field out of its range raises ``ValueError`` naming it.
+        """
+        for name, limit in _HEADER_LIMITS.items():
+            value = getattr(self, name)
+            if not 0 <= value <= limit:
+                raise ValueError(f"bad record: {name} {value} is outside the header's "
+                                 f"range 0 to {limit}")
         _check_steps(self.spike_steps, self.n_steps)
         if self.channels.size and int(self.channels.min()) < 0:
             raise ValueError(f"bad record: channel index {int(self.channels.min())} < 0")
@@ -375,8 +385,9 @@ class EpisodeRecord:
         )
 
     def save(self, path) -> None:
+        data = self.to_bytes()  # a record that cannot be encoded leaves no file
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(data)
 
     @classmethod
     def load(cls, path) -> "EpisodeRecord":

@@ -94,16 +94,35 @@ def replay(
     return fires
 
 
+def frame_sums(indptr: np.ndarray, channels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per spike frame, the sum of ``values`` over the frame's channels.
+
+    Frame k holds ``channels[indptr[k]:indptr[k + 1]]``; ``indptr`` may be
+    a slice of a record's, since its entries index ``channels`` directly.
+    The sums are built one frame position at a time over all frames, in
+    the record's channel order, which is the order a scalar loop adds
+    them in. A reduction is never used: numpy does not fix its order.
+    """
+    starts = indptr[:-1]
+    counts = np.diff(indptr)
+    total = np.zeros(len(starts))
+    rows = np.flatnonzero(counts)
+    k = 0
+    while rows.size:  # the k-th channel of every frame that has one
+        total[rows] += values[channels[starts[rows] + k]]
+        k += 1
+        rows = rows[counts[rows] > k]
+    return total
+
+
 def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[int]:
     """The steps at which a frozen detector with these weights fires.
 
     Equal to ``replay(det.frozen_clone(), record)`` for a detector ``det``
     with these weights and threshold ``H``. A frozen detector fires at an
     event step exactly when the weights of that step's channels, added in
-    the record's channel order, exceed H. The sums are built one frame
-    position at a time over all frames, never with a reduction, whose
-    summation order numpy does not fix. A reward-only step is an empty
-    frame, which fires when H < 0.
+    the record's channel order, exceed H (:func:`frame_sums`). A
+    reward-only step is an empty frame, which fires when H < 0.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != record.n_channels:
@@ -111,15 +130,7 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[i
             f"record has {record.n_channels} channels, detector has {len(weights)}"
         )
     record.check_event_order()
-    starts = record.indptr[:-1]
-    counts = np.diff(record.indptr)
-    total = np.zeros(len(starts))
-    rows = np.flatnonzero(counts)
-    k = 0
-    while rows.size:  # the k-th channel of every frame that has one
-        total[rows] += weights[record.channels[starts[rows] + k]]
-        k += 1
-        rows = rows[counts[rows] > k]
+    total = frame_sums(record.indptr, record.channels, weights)
     fired = record.spike_steps[total > H]
     if 0.0 > H:
         reward_only = record.reward_steps[~np.isin(record.reward_steps, record.spike_steps)]

@@ -43,6 +43,10 @@ class SyntheticConfig:
             raise ValueError("need 0 < min_gap <= max_gap")
         if self.min_gap <= self.lag:
             raise ValueError("cause activations must be rarer than the lag")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def generate(cfg: SyntheticConfig) -> EpisodeRecord:

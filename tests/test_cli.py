@@ -127,6 +127,77 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestHeaderLimits:
+    """A value the record header cannot hold ends in exit 2, one line, no file."""
+
+    def run(self, argv, out, capsys):
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: bad record: ")
+        assert not out.exists()
+        return err
+
+    def test_synthetic_channel_count_beyond_uint16(self, tmp_path, capsys):
+        cfg = tmp_path / "syn.txt"
+        cfg.write_text("n_channels = 70000\nn_steps = 2000\nnoise_rate = 0.0\n")
+        err = self.run(["synthetic", "--config", str(cfg)], tmp_path / "s.spkc", capsys)
+        assert "n_channels 70000" in err and "0 to 65535" in err
+
+    def test_synthetic_seed_beyond_uint64(self, tmp_path, capsys):
+        cfg = tmp_path / "syn.txt"
+        cfg.write_text("n_steps = 2000\n")
+        err = self.run(["synthetic", "--config", str(cfg), "--seed", str(2**64)],
+                       tmp_path / "s.spkc", capsys)
+        assert f"seed {2**64}" in err and f"0 to {2**64 - 1}" in err
+
+    def test_record_seed_beyond_uint64(self, tmp_path, capsys):
+        err = self.run(["record", "--seed", str(2**64), "--duration", "1"],
+                       tmp_path / "r.spkc", capsys)
+        assert f"seed {2**64}" in err
+
+
+class TestConfigValidation:
+    """Values the config classes reject, each named in a one-line error."""
+
+    def expect(self, argv, message, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_ga_eval_window_not_positive(self, tmp_path, syn_record, capsys, window):
+        cfg = tmp_path / "ga.txt"
+        cfg.write_text(f"population_size = 4\neval_window_s = {window}\n")
+        self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
+                    "eval_window_s must be >= 1", capsys)
+
+    def test_ga_negative_seed(self, tmp_path, syn_record, capsys):
+        cfg = tmp_path / "ga.txt"
+        cfg.write_text("population_size = 4\nseed = -1\n")
+        self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
+                    "seed must be >= 0", capsys)
+
+    def test_synthetic_negative_steps(self, tmp_path, capsys):
+        cfg = tmp_path / "syn.txt"
+        cfg.write_text("n_steps = -5\n")
+        self.expect(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "s.spkc")],
+                    "n_steps must be >= 1", capsys)
+
+    def test_record_negative_seed(self, tmp_path, capsys):
+        self.expect(["record", "--seed", "-1", "--duration", "1",
+                     "--out", str(tmp_path / "r.spkc")], "seed must be >= 0, got -1", capsys)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_not_positive(self, syn_record, params_file, command, window, capsys):
+        argv = [command, "--record", str(syn_record), "--window", window]
+        argv += ["--params", str(params_file)] if command == "train" else ["--snapshot", "x.npz"]
+        self.expect(argv, f"--window must be >= 1 s, got {window}", capsys)
+
+    def test_synthetic_negative_seed(self, tmp_path, capsys):
+        self.expect(["synthetic", "--seed", "-2", "--out", str(tmp_path / "s.spkc")],
+                    "seed must be >= 0", capsys)
+
+
 class TestRecordCommand:
     def test_short_record_round_trip(self, tmp_path):
         p1 = tmp_path / "a.spkc"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestBinIndex:
             bin_index(float("nan"), 30, -5.0, 5.0)
         with pytest.raises(ValueError):
             bin_index(1.0, 30, 5.0, -5.0)
+        with pytest.raises(ValueError, match="non-finite bounds"):
+            bin_index(1.0, 30, -math.inf, 5.0)
+
+    @pytest.mark.parametrize("value, k", [(1e308, 29), (-1e308, 0), (1e6, 29), (-1e6, 0)])
+    def test_huge_finite_values_clamp_to_the_edge_bin(self, value, k):
+        assert bin_index(value, 30, -5.0, 5.0) == k
+
+    def test_bounds_whose_span_overflows(self):
+        assert bin_index(0.0, 30, -1e308, 1e308) == 15
+        assert bin_index(1e308, 30, -1e308, 1e308) == 29
 
 
 class TestVelocityBins:
@@ -232,7 +243,7 @@ def reference_channels(layout, state):
     dy = state.ball_y - (state.racket_y - 1.5)
     if state.ball_x <= -2.0 and 0.0 <= dy <= 3.0:
         row = min(int(dy / 0.6), 4)
-        col = min(int((state.ball_x + 5.0) / 0.6), 4)
+        col = max(min(int((state.ball_x + 5.0) / 0.6), 4), 0)
         out.append(SECTION_OFFSETS["close_zone"] + row * 5 + col)
     return out
 
@@ -260,6 +271,17 @@ class TestActiveChannelsOracle:
         for v in VELOCITY_EDGES:
             state = pong.WorldState(0.0, 0.0, v, v, 0.0, step=0)
             assert LAYOUT.active_channels(state) == reference_channels(LAYOUT, state)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("field", ["ball_x", "ball_y", "racket_y"])
+    def test_huge_finite_position_clamps_to_the_edge_bin(self, field, value):
+        fields = dict(ball_x=-3.0, ball_y=0.5, ball_vx=12.0, ball_vy=-3.0, racket_y=0.0)
+        fields[field] = value
+        state = pong.WorldState(**fields, step=0)
+        channels = LAYOUT.active_channels(state)
+        edge = replace(state, **{field: 6.0 if value > 0 else -6.0})
+        assert channels == reference_channels(LAYOUT, edge)
+        assert all(0 <= c < N_CHANNELS for c in channels)
 
     def test_close_zone_seams(self):
         # the ball on and next to the zone rows and columns around the racket

@@ -156,3 +156,49 @@ class TestBruteForceEquivalence:
             assert score_run(fires, rewards, T_P, (lo, hi)) == brute_force_score(
                 fires, rewards, T_P, (lo, hi)
             )
+
+
+def interval_score(fires, rewards, T_P, window):
+    """R through the IntervalSet reference: filter, build, clip, r_metric."""
+    if window is not None:
+        lo, hi = window
+        fires = [f for f in fires if lo <= f < hi]
+        rewards = [r for r in rewards if lo <= r < hi]
+    targets = target_periods(rewards, T_P)
+    predictions = prediction_periods(fires, rewards, T_P)
+    if window is not None:
+        targets, predictions = targets.clip(*window), predictions.clip(*window)
+    return r_metric(targets, predictions)
+
+
+@st.composite
+def timelines(draw):
+    """Unsorted, repeated fires and rewards, often on the window's edges."""
+    window = draw(st.one_of(st.none(), st.tuples(st.integers(0, 150), st.integers(0, 300))))
+    edges = [] if window is None else [w + d for w in window for d in (-1, 0, 1) if w + d >= 0]
+    step = st.one_of(st.integers(0, 300), st.sampled_from(edges)) if edges else st.integers(0, 300)
+    rewards = draw(st.lists(step, max_size=8))
+    fires = draw(st.lists(st.one_of(step, st.sampled_from(rewards)) if rewards else step,
+                          max_size=20))
+    return fires, rewards, draw(st.one_of(st.just(1), st.integers(1, 80))), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(timelines())
+def test_score_run_matches_both_references(case):
+    fires, rewards, T_P, window = case
+    # brute force needs a window; one past every period is the same as none
+    full = window or (0, max(fires + rewards, default=0) + T_P + 1)
+    try:
+        expected = interval_score(fires, rewards, T_P, window)
+    except ValueError as exc:
+        assert str(exc) == "R metric undefined: no target periods"
+        with pytest.raises(ValueError, match="^R metric undefined: no target periods$"):
+            score_run(fires, rewards, T_P, window)
+        with pytest.raises(ValueError):
+            brute_force_score(fires, rewards, T_P, full)
+        return
+    assert score_run(fires, rewards, T_P, window) == expected
+    assert brute_force_score(fires, rewards, T_P, full) == expected
+    assert score_run(np.array(fires, dtype=np.int64), np.array(rewards, dtype=np.int64),
+                     T_P, window) == expected

@@ -20,7 +20,7 @@ from causalneuron.ga import (
 from causalneuron.metrics import score_run
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
-from causalneuron.population import record_events, replay_population
+from causalneuron.population import event_arrays, replay_population
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay
@@ -143,7 +143,13 @@ def test_events_merge_spikes_and_rewards():
         step_ms=1, n_channels=3, seed=0, n_steps=20,
         frames=[(2, [0, 2]), (5, [1])], reward_steps=[5, 9],
     )
-    assert record_events(rec) == [(2, [0, 2], False), (5, [1], True), (9, [], True)]
+    arrays = event_arrays(rec)
+    assert arrays.n_steps == 20
+    for name, expected in [("spike_steps", [2, 5]), ("indptr", [0, 2, 3]),
+                           ("channels", [0, 2, 1]), ("reward_steps", [5, 9]),
+                           ("reward_frames", [1, 2])]:
+        value = getattr(arrays, name)
+        assert value.dtype == np.int64 and value.tolist() == expected, name
 
 
 @pytest.mark.parametrize("rewards", [[4, 4], [20]])

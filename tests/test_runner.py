@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
-from causalneuron.population import record_events
+from causalneuron.population import replay_population
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
 from causalneuron.runner import frozen_fires, replay, train_on_record
@@ -253,7 +253,7 @@ def unordered_record(kind):
 
 ENTRY_POINTS = {
     "replay": lambda rec: replay(Detector(rec.n_channels, CFG), rec),
-    "record_events": record_events,
+    "replay_population": lambda rec: replay_population([CFG], rec),
     "frozen_fires": lambda rec: frozen_fires(rec, np.ones(rec.n_channels), CFG.H),
 }
 
