@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the equal-probability velocity bin boundaries.
 
-Runs the pong environment with the chaotic racket for the given number
-of steps, collects the per-step ball velocity components and writes
-their 1/9 ... 8/9 quantiles as the encoder's calibration artifact.
+Walks the pong environment with the chaotic racket for the given number
+of steps, in the recorder's free-flight blocks (``pong.trajectory``),
+collects the per-step ball velocity components and writes their
+1/9 ... 8/9 quantiles as the encoder's calibration artifact.
 
 The checked-in artifact was produced with:
     python3 scripts/calibrate_velocity_bins.py --seed 12345 --steps 1000000 \
@@ -28,13 +29,13 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     policy = pong.ChaoticPolicy(np.random.default_rng(args.seed + 1))
-    state = pong.initial_state(rng)
     vx = np.empty(args.steps)
     vy = np.empty(args.steps)
-    for t in range(args.steps):
-        vx[t] = state.ball_vx
-        vy[t] = state.ball_vy
-        state, _ = pong.env_step(state, policy(t), rng)
+    # the ball velocity holds within each block of the walk
+    for start, positions, _ in pong.trajectory(pong.initial_state(rng), policy, args.steps, rng):
+        steps = slice(start.step, start.step + positions.shape[1])
+        vx[steps] = start.ball_vx
+        vy[steps] = start.ball_vy
 
     layout = EncoderLayout(vx_bounds=velocity_bins(vx), vy_bounds=velocity_bins(vy))
     command = (

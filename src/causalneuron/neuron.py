@@ -30,18 +30,6 @@ SNAPSHOT_FORMAT_VERSION = 2
 
 
 @dataclass
-class InputFrame:
-    """One step of input: presynaptic spike bits plus the dopamine bit.
-
-    The dopamine channel is not part of the plastic channels; it gates
-    plasticity and never contributes to the membrane sum.
-    """
-
-    spikes: Sequence[bool]
-    dopamine: bool = False
-
-
-@dataclass
 class TssTracker:
     """Online state of the current / most recent tight spike sequence."""
 
@@ -109,29 +97,7 @@ class Detector:
         self.fire_count = 0
         self.total_abs_dw = 0.0  # cumulative |weight change|, for reporting
 
-    # -- pure integration ---------------------------------------------------
-
-    def integrate(self, frame: InputFrame) -> bool:
-        """Threshold test for one frame without mutating any state."""
-        spikes = frame.spikes
-        if len(spikes) != self.n:
-            raise ValueError(f"frame length {len(spikes)} != synapse count {self.n}")
-        total = 0.0
-        w = self.weights
-        for i, bit in enumerate(spikes):
-            if bit:
-                total += w[i]
-        return total > self.cfg.H
-
     # -- stepping -----------------------------------------------------------
-
-    def tick(self, frame: InputFrame) -> bool:
-        """Advance one step with a dense frame. Returns whether we fired."""
-        spikes = frame.spikes
-        if len(spikes) != self.n:
-            raise ValueError(f"frame length {len(spikes)} != synapse count {self.n}")
-        active = [i for i, bit in enumerate(spikes) if bit]
-        return self.tick_sparse(active, frame.dopamine)
 
     def tick_sparse(self, active: Sequence[int], dopamine: bool = False) -> bool:
         """Advance one step given the indices of spiking channels.

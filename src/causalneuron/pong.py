@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -122,6 +122,59 @@ def env_step(
         vy = -vy
 
     return WorldState(x, y, vx, vy, ry, state.step + 1), event
+
+
+def trajectory(
+    state: WorldState,
+    policy: Callable[[int], Action],
+    n_steps: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[WorldState, np.ndarray, Optional[EnvEvent]]]:
+    """Walk n_steps steps from state in free-flight blocks, as env_step would.
+
+    A block runs under one action, ``policy(step)`` at its first step, and
+    ends at the next multiple of ACTION_PERIOD, at the end of the walk or
+    at the first step whose post-step ball x or y reaches a wall line.
+    That step is run by env_step itself, which stays the one home of
+    contacts, rewards, misses and serves. Yields, per block, the state at
+    its start (the ball velocity holds throughout the block), the
+    pre-step positions of its steps as a (3, n) array with rows ball x,
+    ball y and racket y, and the event of its last step (None without a
+    contact).
+
+    Within a block the positions are cumulative sums ``x0, x0 + d,
+    x0 + d + d, ...``; ``np.cumsum`` is a sequential ``add.accumulate``,
+    so it repeats env_step's ``x + vx * DT`` bit for bit. The racket must
+    start within +/-RACKET_Y_MAX, as in every state env_step returns; it
+    moves one way in a block, so clipping the sums holds it at the limit
+    once it gets there, as env_step's clamp does step by step.
+    """
+    end = state.step + n_steps
+    t = state.step
+    while t < end:
+        action = policy(t)
+        n = min(end, t - t % ACTION_PERIOD + ACTION_PERIOD) - t
+        walk = np.empty((3, n + 1))
+        walk[:, 0] = (state.ball_x, state.ball_y, state.racket_y)
+        walk[0, 1:] = state.ball_vx * DT
+        walk[1, 1:] = state.ball_vy * DT
+        walk[2, 1:] = action.racket_dy
+        np.cumsum(walk, axis=1, out=walk)
+        np.clip(walk[2], -RACKET_Y_MAX, RACKET_Y_MAX, out=walk[2])
+        reach = (np.abs(walk[:2, 1:]) >= ARENA_HALF).any(axis=0)
+        k = int(reach.argmax())  # the first step reaching a wall line, if any
+        if reach[k]:
+            x, y, ry = walk[:, k].tolist()
+            after, event = env_step(
+                WorldState(x, y, state.ball_vx, state.ball_vy, ry, t + k), action, rng)
+            n = k + 1
+        else:
+            x, y, ry = walk[:, n].tolist()
+            after = WorldState(x, y, state.ball_vx, state.ball_vy, ry, t + n)
+            event = None
+        yield state, walk[:, :n], event
+        state = after
+        t += n
 
 
 class ChaoticPolicy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -20,10 +21,12 @@ def record_pong_episode(
 ) -> EpisodeRecord:
     """Run the seeded pong world for duration_s and log the spike stream.
 
-    Reward events double as the dopamine channel; punishment events are
-    logged but drive no plasticity. The master seed deterministically
-    derives independent streams for the ball physics, the racket policy
-    and (if selected) the Bernoulli spike clock.
+    The world advances in ``pong.trajectory``'s free-flight blocks, and
+    each step's pre-step state is encoded. Reward events double as the
+    dopamine channel; punishment events are logged but drive no
+    plasticity. The master seed deterministically derives independent
+    streams for the ball physics, the racket policy and (if selected) the
+    Bernoulli spike clock.
     """
     if not math.isfinite(duration_s):
         raise ValueError(f"duration must be finite, got {duration_s}")
@@ -44,31 +47,46 @@ def record_pong_episode(
         rng=np.random.default_rng(seeds[2]) if clock_mode == "bernoulli" else None,
     )
 
-    state = pong.initial_state(env_rng)
-    frames = []
+    spike_steps = array("q")
+    indptr = array("q", [0])
+    channels = array("q")
     rewards = []
     punishments = []
-    # Bound per call, not at import, so that a tracer patching the module
-    # attribute still sees every step: one env_step and one encode per step.
-    env_step = pong.env_step
     reward = pong.EventKind.REWARD
-    for t in range(n_steps):
-        spiking = encode(state, layout, clock)
-        if spiking:
-            frames.append((t, spiking))
-        state, event = env_step(state, policy(t), env_rng)
+    # One reused state carries each step's pre-step positions to encode.
+    # encode is looked up as this module's global on every step, so that a
+    # tracer patching the module attribute still sees one call per step.
+    state = pong.WorldState(0.0, 0.0, 0.0, 0.0, 0.0)
+    blocks = pong.trajectory(pong.initial_state(env_rng), policy, n_steps, env_rng)
+    for start, positions, event in blocks:
+        state.ball_vx = start.ball_vx
+        state.ball_vy = start.ball_vy
+        t = start.step
+        for x, y, ry in zip(*positions.tolist()):
+            state.ball_x = x
+            state.ball_y = y
+            state.racket_y = ry
+            state.step = t
+            spiking = encode(state, layout, clock)
+            if spiking:
+                spike_steps.append(t)
+                channels.extend(spiking)
+                indptr.append(len(channels))
+            t += 1
         if event is not None:
             if event.kind is reward:
                 rewards.append(event.step)
             else:
                 punishments.append(event.step)
 
-    return EpisodeRecord.build(
+    return EpisodeRecord(
         step_ms=1,
         n_channels=N_CHANNELS,
         seed=seed,
         n_steps=n_steps,
-        frames=frames,
-        reward_steps=rewards,
-        punishment_steps=punishments,
+        spike_steps=np.frombuffer(spike_steps, dtype=np.int64),
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        channels=np.frombuffer(channels, dtype=np.int64),
+        reward_steps=np.asarray(rewards, dtype=np.int64),
+        punishment_steps=np.asarray(punishments, dtype=np.int64),
     )

@@ -8,6 +8,7 @@ the stated bound and keeps the stability variable from locking. See the
 xfail reasons on the individual tests for the measured evidence.
 """
 
+import hashlib
 import math
 import time
 
@@ -263,3 +264,10 @@ def test_criterion_9_recorder_sanity(pong_run, tmp_path):
     rec.save(p1)
     EpisodeRecord.load(p1).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_criterion_9_recorder_bytes_pinned(pong_run):
+    # the bytes the one-step-at-a-time recorder wrote for this episode
+    rec, *_ = pong_run
+    assert hashlib.sha256(rec.to_bytes()).hexdigest() == (
+        "04667eef1669a0572c130d30aa33dee169ad22d6865fe31818c9d0b4ec2dad91")

@@ -1,10 +1,13 @@
 """Spike encoder: channel layout, binning, clock statistics, artifact I/O."""
 
 import hashlib
+import importlib.util
 import io
 import math
 import re
 from dataclasses import replace
+from importlib import resources as importlib_resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,28 @@ class TestVelocityBins:
     def test_rejects_degenerate_samples(self):
         with pytest.raises(ValueError):
             velocity_bins(np.zeros(20_000))
+
+
+def load_calibration_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_velocity_bins.py"
+    spec = importlib.util.spec_from_file_location("calibrate_velocity_bins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCalibrationArtifact:
+    def test_script_reproduces_the_checked_in_bounds(self, tmp_path):
+        # the default seed and step count are the ones the artifact names
+        out = tmp_path / "velocity_bins.txt"
+        assert load_calibration_script().main(["--out", str(out)]) == 0
+        artifact = importlib_resources.files("causalneuron") / "data" / "velocity_bins.txt"
+
+        def bounds_lines(text):
+            return [line for line in text.splitlines() if "_bounds = " in line]
+
+        assert len(bounds_lines(out.read_text())) == 2
+        assert bounds_lines(out.read_text()) == bounds_lines(artifact.read_text())
 
 
 class TestSpikeClock:

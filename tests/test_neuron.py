@@ -1,9 +1,12 @@
 """Detector neuron: TSS tracking, depression, dopamine, stability, snapshots."""
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from causalneuron.neuron import Detector, InputFrame, tss_segments
+from causalneuron.neuron import Detector, tss_segments
 from causalneuron.plasticity import (
     PlasticityConfig,
     effective_rates,
@@ -15,6 +18,38 @@ CFG = PlasticityConfig()
 # Wider weight ceiling: lets a single synapse (or a pair) cross threshold,
 # which keeps firing scripts short in the unit tests below.
 STRONG_CFG = PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=2.0, d_s=0.23, T_P=100)
+
+
+@dataclass
+class InputFrame:
+    """One dense step of input: a spike bit per synapse plus the dopamine bit.
+
+    The dopamine channel is not a plastic channel; it gates plasticity and
+    never adds to the membrane sum.
+    """
+
+    spikes: Sequence[bool]
+    dopamine: bool = False
+
+
+def integrate(det, frame):
+    """Dense threshold test of one frame over every synapse, mutating nothing."""
+    spikes = frame.spikes
+    if len(spikes) != det.n:
+        raise ValueError(f"frame length {len(spikes)} != synapse count {det.n}")
+    total = 0.0
+    for i, bit in enumerate(spikes):
+        if bit:
+            total += det.weights[i]
+    return total > det.cfg.H
+
+
+def tick(det, frame):
+    """Advance one step with a dense frame. Returns whether the detector fired."""
+    spikes = frame.spikes
+    if len(spikes) != det.n:
+        raise ValueError(f"frame length {len(spikes)} != synapse count {det.n}")
+    return det.tick_sparse([i for i, bit in enumerate(spikes) if bit], frame.dopamine)
 
 
 def make_detector(n=4, weight=0.0, cfg=CFG, **kwargs):
@@ -221,30 +256,48 @@ class TestIntegration:
     def test_three_strong_inputs_fire(self):
         cfg = PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=0.5, d_s=0.23)
         det = Detector(3, cfg, initial_weight=0.48)
-        assert det.integrate(InputFrame([True, True, True]))
-        assert not det.integrate(InputFrame([True, True, False]))
+        assert integrate(det, InputFrame([True, True, True]))
+        assert not integrate(det, InputFrame([True, True, False]))
 
     def test_empty_frame_silent(self):
         det = make_detector(n=3)
-        assert not det.integrate(InputFrame([False, False, False]))
+        assert not integrate(det, InputFrame([False, False, False]))
 
     def test_threshold_is_strict(self):
         cfg = PlasticityConfig(d_bar=0.056, w_min=-0.017, w_max=2.0, d_s=0.23)
         det = Detector(2, cfg, initial_weight=0.5)
-        assert not det.integrate(InputFrame([True, True]))  # sum exactly 1.0
+        assert not integrate(det, InputFrame([True, True]))  # sum exactly 1.0
 
     def test_integrate_is_pure(self):
         det = make_detector(n=2)
         before = (list(det.resources), det.step, det.stability)
-        det.integrate(InputFrame([True, True]))
+        integrate(det, InputFrame([True, True]))
         assert (list(det.resources), det.step, det.stability) == before
 
     def test_length_mismatch(self):
         det = make_detector(n=3)
         with pytest.raises(ValueError):
-            det.integrate(InputFrame([True]))
+            integrate(det, InputFrame([True]))
         with pytest.raises(ValueError):
-            det.tick(InputFrame([True]))
+            tick(det, InputFrame([True]))
+
+    def test_dense_integration_decides_every_sparse_fire(self):
+        # weights move as the run goes, so each step is tested on live state
+        rng = np.random.default_rng(4)
+        det = make_detector(n=6, weight=0.3, cfg=STRONG_CFG)
+        dense = make_detector(n=6, weight=0.3, cfg=STRONG_CFG)
+        fired = []
+        for _ in range(3000):
+            frame = InputFrame((rng.random(6) < 0.15).tolist(), bool(rng.random() < 0.01))
+            will_fire = integrate(det, frame)
+            active = [i for i, bit in enumerate(frame.spikes) if bit]
+            assert det.tick_sparse(active, frame.dopamine) == will_fire
+            assert tick(dense, frame) == will_fire
+            fired.append(will_fire)
+        assert any(fired) and not all(fired)
+        assert dense.resources == det.resources
+        assert dense.stability == det.stability
+        assert dense.tss.completed == det.tss.completed
 
     def test_fresh_detector_inert_without_dopamine(self):
         rng = np.random.default_rng(3)
