@@ -17,7 +17,12 @@ import sys
 import numpy as np
 
 from causalneuron import pong
-from causalneuron.encoder import EncoderLayout, dump_layout, velocity_bins
+from causalneuron.encoder import (
+    MIN_CALIBRATION_SAMPLES,
+    EncoderLayout,
+    dump_layout,
+    velocity_bins,
+)
 
 
 def main(argv=None) -> int:
@@ -26,6 +31,8 @@ def main(argv=None) -> int:
     ap.add_argument("--steps", type=int, default=1_000_000)
     ap.add_argument("--out", default="src/causalneuron/data/velocity_bins.txt")
     args = ap.parse_args(argv)
+    if args.steps < MIN_CALIBRATION_SAMPLES:
+        ap.error(f"--steps must be at least {MIN_CALIBRATION_SAMPLES}, got {args.steps}")
 
     rng = np.random.default_rng(args.seed)
     policy = pong.ChaoticPolicy(np.random.default_rng(args.seed + 1))
@@ -37,7 +44,11 @@ def main(argv=None) -> int:
         vx[steps] = start.ball_vx
         vy[steps] = start.ball_vy
 
-    layout = EncoderLayout(vx_bounds=velocity_bins(vx), vy_bounds=velocity_bins(vy))
+    try:
+        vx_bounds, vy_bounds = velocity_bins(vx), velocity_bins(vy)
+    except ValueError as exc:  # a short walk visits too few velocities
+        ap.error(f"--steps {args.steps} with --seed {args.seed}: {exc}")
+    layout = EncoderLayout(vx_bounds=vx_bounds, vy_bounds=vy_bounds)
     command = (
         f"python3 scripts/calibrate_velocity_bins.py --seed {args.seed} "
         f"--steps {args.steps} --out {args.out}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -23,15 +24,14 @@ from .neuron import Detector
 from .plasticity import PlasticityConfig
 from .records import EpisodeRecord
 from .recording import record_pong_episode
+from .runner import REPORT_WINDOW_STEPS, frozen_fires, train_on_record
 # replay is not called here; kept because perfbench/tracing.py patches cli.replay
-from .runner import frozen_fires, replay, train_on_record  # noqa: F401
+from .runner import replay  # noqa: F401
 from .synthetic import SyntheticConfig, generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
 
 # PlasticityConfig's fields as config-file keys; the threshold H is not one.
 PARAM_DEFAULTS = {
@@ -124,28 +124,16 @@ def cmd_train(args) -> int:
     if not args.record:
         raise ConfigError("--record is required")
     _check_window(args.window)
+    freeze_after = args.freeze_after
+    if freeze_after is not None and not (math.isfinite(freeze_after) and freeze_after >= 0):
+        raise ConfigError(f"--freeze-after must be finite and >= 0 s, got {freeze_after:g}")
     cfg = _params_from_file(args.params)
     rec = _load_record(args.record)
     detector = Detector(rec.n_channels, cfg)
-
-    freeze_at = None
-    if args.freeze_after is not None:
-        if args.freeze_after < 0:
-            raise ConfigError("--freeze-after must be >= 0")
-        freeze_at = round(args.freeze_after * 1000 / rec.step_ms)
+    freeze_at = None if freeze_after is None else round(freeze_after * 1000 / rec.step_ms)
+    fires, rows = train_on_record(rec, detector, freeze_at=freeze_at)
 
     window_steps = args.window * 1000 // rec.step_ms
-    if freeze_at is None:
-        fires, rows = train_on_record(rec, detector, window_steps=REPORT_WINDOW_STEPS)
-    else:
-        def hook(boundary_step, det):
-            if boundary_step >= freeze_at:
-                det.frozen = True
-        fires, rows = train_on_record(
-            rec, detector, window_steps=REPORT_WINDOW_STEPS, on_window=hook
-        )
-        detector.frozen = True
-
     eval_window = (max(rec.n_steps - window_steps, 0), rec.n_steps)
     r_value = score_run(fires, rec.reward_steps.tolist(), cfg.T_P, eval_window)
     print(
@@ -200,9 +188,7 @@ def cmd_eval(args) -> int:
 
 # GaConfig's fields as config-file keys; max_generations None is written 0.
 GA_DEFAULTS = {
-    f.name: 0 if f.default is None else f.default
-    for f in dataclass_fields(GaConfig)
-    if f.name != "ranges"
+    f.name: 0 if f.default is None else f.default for f in dataclass_fields(GaConfig)
 }
 
 

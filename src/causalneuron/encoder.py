@@ -61,6 +61,7 @@ _BERNOULLI_BLOCK = 4096   # uniforms a Bernoulli clock draws per refill
 
 BINS_FILE_VERSION = 1
 DEFAULT_BINS_RESOURCE = "velocity_bins.txt"
+MIN_CALIBRATION_SAMPLES = 10_000  # fewest samples velocity_bins accepts
 
 
 def bin_index(value: float, n_bins: int, lo: float, hi: float) -> int:
@@ -86,8 +87,10 @@ def bin_index(value: float, n_bins: int, lo: float, hi: float) -> int:
 def velocity_bins(samples: Sequence[float]) -> tuple[float, ...]:
     """Eight interior boundaries splitting samples into 9 equal-mass bins."""
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 10_000:
-        raise ValueError(f"need at least 10000 calibration samples, got {arr.size}")
+    if arr.size < MIN_CALIBRATION_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_CALIBRATION_SAMPLES} calibration samples, got {arr.size}"
+        )
     bounds = np.quantile(arr, np.arange(1, N_VEL_BINS) / N_VEL_BINS)
     if not np.all(np.diff(bounds) > 0):
         raise ValueError("degenerate calibration samples: boundaries not increasing")

@@ -11,14 +11,14 @@ scored in the same run is not replayed again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .metrics import score_run
 from .plasticity import PlasticityConfig
-from .population import EventArrays, event_arrays, replay_population
+from .population import replay_population
 from .records import EpisodeRecord
 from .runner import replay  # noqa: F401  kept: perfbench/tracing.py patches ga.replay
 
@@ -64,7 +64,6 @@ class GaConfig:
     T_P: int = 100
     seed: int = 0
     max_generations: Optional[int] = None
-    ranges: dict = field(default_factory=lambda: dict(GENE_RANGES))
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -85,30 +84,24 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
 
 
-def sample_genome(rng: np.random.Generator, ranges: dict = GENE_RANGES) -> Genome:
-    return Genome(**{name: _log_uniform(rng, *ranges[name]) for name in GENE_NAMES})
+def sample_genome(rng: np.random.Generator) -> Genome:
+    return Genome(**{name: _log_uniform(rng, *GENE_RANGES[name]) for name in GENE_NAMES})
 
 
 def evaluate_population(
     genomes: Sequence[Genome],
     record: EpisodeRecord,
     ga_cfg: GaConfig = GaConfig(),
-    *,
-    arrays: Optional[EventArrays] = None,
 ) -> list[float]:
     """Train a fresh zero-weight detector per genome on the record and
-    score each one's tail window.
-
-    ``arrays``, if given, must be ``event_arrays(record)``; a caller
-    that evaluates many populations on one record converts it once.
-    """
+    score each one's tail window."""
     window_steps = ga_cfg.eval_window_s * 1000 // record.step_ms
     if record.n_steps < window_steps:
         raise ValueError(
             f"record ({record.n_steps} steps) shorter than the "
             f"evaluation window ({window_steps} steps)"
         )
-    runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record, arrays)
+    runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record)
     window = (record.n_steps - window_steps, record.n_steps)
     return [score_run(run.fires, record.reward_steps, ga_cfg.T_P, window) for run in runs]
 
@@ -152,7 +145,7 @@ def evolve(
         }
         if rng.random() < cfg.mutation_prob:
             name = GENE_NAMES[rng.integers(len(GENE_NAMES))]
-            genes[name] = _log_uniform(rng, *cfg.ranges[name])
+            genes[name] = _log_uniform(rng, *GENE_RANGES[name])
         nxt.append(Genome(**genes))
     return nxt
 
@@ -172,8 +165,7 @@ def run_ga(
     of successive generations (or max_generations). Returns the best-ever
     genome and the per-generation history."""
     rng = np.random.default_rng(cfg.seed)
-    population = [sample_genome(rng, cfg.ranges) for _ in range(cfg.population_size)]
-    arrays = event_arrays(record)
+    population = [sample_genome(rng) for _ in range(cfg.population_size)]
     scores: dict[Genome, float] = {}  # every genome scored so far this run
     history: list[GenerationStats] = []
     best_genome: Optional[Genome] = None
@@ -182,7 +174,7 @@ def run_ga(
     generation = 0
     while True:
         unseen = list(dict.fromkeys(g for g in population if g not in scores))
-        scores.update(zip(unseen, evaluate_population(unseen, record, cfg, arrays=arrays)))
+        scores.update(zip(unseen, evaluate_population(unseen, record, cfg)))
         fitnesses = [scores[g] for g in population]
         gen_best = max(range(len(population)), key=lambda i: (fitnesses[i], -i))
         history.append(

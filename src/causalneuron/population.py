@@ -41,7 +41,7 @@ until the genome fires again, so closure is applied at fires only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,38 +51,6 @@ from .runner import frame_sums
 
 _NEVER = np.iinfo(np.int64).min // 2  # last_post of a genome that never fired
 _NONE = np.zeros(0, dtype=np.intp)
-
-
-class EventArrays(NamedTuple):
-    """A record's events as int64 arrays, checked once for replay order.
-
-    Spike frame k is at ``spike_steps[k]`` with channels
-    ``channels[indptr[k]:indptr[k + 1]]``. ``reward_frames[j]`` is the
-    first frame at or after reward j, so the frames between two rewards
-    are one slice.
-    """
-
-    n_steps: int
-    spike_steps: np.ndarray
-    indptr: np.ndarray
-    channels: np.ndarray
-    reward_steps: np.ndarray
-    reward_frames: np.ndarray
-
-
-def event_arrays(record: EpisodeRecord) -> EventArrays:
-    """The record's arrays as replay reads them; raises on bad event order."""
-    record.check_event_order()
-    spike_steps = np.ascontiguousarray(record.spike_steps, dtype=np.int64)
-    reward_steps = np.ascontiguousarray(record.reward_steps, dtype=np.int64)
-    return EventArrays(
-        n_steps=record.n_steps,
-        spike_steps=spike_steps,
-        indptr=np.ascontiguousarray(record.indptr, dtype=np.int64),
-        channels=np.ascontiguousarray(record.channels, dtype=np.int64),
-        reward_steps=reward_steps,
-        reward_frames=np.searchsorted(spike_steps, reward_steps),
-    )
 
 
 @dataclass
@@ -100,28 +68,26 @@ class ReplayResult:
 
 
 def replay_population(
-    cfgs: Sequence[PlasticityConfig],
-    record: EpisodeRecord,
-    arrays: Optional[EventArrays] = None,
+    cfgs: Sequence[PlasticityConfig], record: EpisodeRecord
 ) -> list[ReplayResult]:
     """Train one fresh zero-weight detector per config on the record.
 
     Equivalent to ``replay(Detector(record.n_channels, cfg), record)`` for
-    each config. All configs must share ``T_P`` and ``H``. ``arrays``, if
-    given, must be ``event_arrays(record)`` (callers that replay the same
-    record repeatedly convert it once).
+    each config. All configs must share ``T_P`` and ``H``.
     """
     if not cfgs:
         return []
     T_P, H = cfgs[0].T_P, cfgs[0].H
     if any(c.T_P != T_P or c.H != H for c in cfgs):
         raise ValueError("all configs of a population must share T_P and H")
-    if arrays is None:
-        arrays = event_arrays(record)
+    record.check_event_order()
     P, N = len(cfgs), record.n_channels
     if N < 1:
         raise ValueError("need at least one synapse")
-    spike_steps, indptr, channels = arrays.spike_steps, arrays.indptr, arrays.channels
+    spike_steps, indptr, channels = record.spike_steps, record.indptr, record.channels
+    # the first spike frame at or after each reward: the frames between two
+    # rewards are one slice
+    reward_frames = np.searchsorted(spike_steps, record.reward_steps)
 
     w_min = np.array([c.w_min for c in cfgs])
     span = np.array([c.w_max - c.w_min for c in cfgs])
@@ -192,8 +158,8 @@ def replay_population(
     frame = 0  # first spike frame not yet processed
     n_frames = len(spike_steps)
     for t, seg_end in zip(
-        arrays.reward_steps.tolist() + [arrays.n_steps],
-        arrays.reward_frames.tolist() + [n_frames],
+        record.reward_steps.tolist() + [record.n_steps],
+        reward_frames.tolist() + [n_frames],
     ):
         # spike frames before the reward: only candidates can fire
         bound = frame_sums(indptr[frame:seg_end + 1], channels, W.max(axis=0))
@@ -205,7 +171,7 @@ def replay_population(
                 for g in new_onset.tolist():
                     stability[g] -= d_s[g]
                     rate[g] = effective_rates(float(stability[g]), cfgs[g])[0]
-        if t == arrays.n_steps:
+        if t == record.n_steps:
             break
 
         # the reward step, with its spike frame if it has one

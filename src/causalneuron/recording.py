@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Optional
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from .records import EpisodeRecord
 def record_pong_episode(
     duration_s: float,
     seed: int,
-    layout: Optional[EncoderLayout] = None,
     clock_mode: str = "shared",
 ) -> EpisodeRecord:
     """Run the seeded pong world for duration_s and log the spike stream.
@@ -37,8 +35,7 @@ def record_pong_episode(
     n_steps = round(duration_s * 1000)
     if n_steps == 0:
         raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")
-    if layout is None:
-        layout = EncoderLayout.default()
+    layout = EncoderLayout.default()
     seeds = np.random.SeedSequence(seed).spawn(3)
     env_rng = np.random.default_rng(seeds[0])
     policy = pong.ChaoticPolicy(np.random.default_rng(seeds[1]))

@@ -24,6 +24,8 @@ from .records import EpisodeRecord
 
 WindowHook = Callable[[int, Detector], None]
 
+REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
+
 
 def replay(
     detector: Detector,
@@ -35,7 +37,7 @@ def replay(
     """Replay a record from the detector's current step to the end.
 
     Returns the steps at which the detector fired. If ``window_steps``
-    is given, ``on_window(window_index, detector)`` is called with the
+    is given, ``on_window(boundary_step, detector)`` is called with the
     detector advanced exactly to each window boundary (boundary step not
     yet processed), including the final boundary at n_steps.
     """
@@ -45,8 +47,11 @@ def replay(
         )
     record.check_event_order()
     start = detector.step
-    if start > record.n_steps:
+    n_steps = record.n_steps
+    if start > n_steps:
         raise ValueError("detector is already past the end of the record")
+    if window_steps is not None and window_steps < 1:
+        raise ValueError("window_steps must be >= 1")
 
     spike_steps = record.spike_steps.tolist()
     indptr = record.indptr.tolist()
@@ -56,24 +61,25 @@ def replay(
     j = int(np.searchsorted(record.reward_steps, start))
     n_spk = len(spike_steps)
     n_rew = len(rewards)
-
-    if window_steps is not None and window_steps < 1:
-        raise ValueError("window_steps must be >= 1")
-    boundary = None
-    if window_steps is not None:
+    if window_steps is None:
+        boundary = n_steps + 1  # never reached
+    else:
         boundary = (start // window_steps + 1) * window_steps
 
     fires: list[int] = []
     tick = detector.tick_sparse
-    while i < n_spk or j < n_rew:
-        t_spk = spike_steps[i] if i < n_spk else record.n_steps
-        t_rew = rewards[j] if j < n_rew else record.n_steps
+    while True:
+        # events lie below n_steps, so t reaches n_steps only after the last
+        t_spk = spike_steps[i] if i < n_spk else n_steps
+        t_rew = rewards[j] if j < n_rew else n_steps
         t = t_spk if t_spk <= t_rew else t_rew
-        while boundary is not None and boundary <= t and boundary <= record.n_steps:
+        while boundary <= t:
             detector.advance_to(boundary)
             if on_window is not None:
-                on_window(boundary // window_steps - 1, detector)
+                on_window(boundary, detector)
             boundary += window_steps
+        if t == n_steps:
+            break
         detector.advance_to(t)
         if t_spk == t:
             active = chans[indptr[i]:indptr[i + 1]]
@@ -85,12 +91,7 @@ def replay(
             j += 1
         if tick(active, dopamine):
             fires.append(t)
-    while boundary is not None and boundary <= record.n_steps:
-        detector.advance_to(boundary)
-        if on_window is not None:
-            on_window(boundary // window_steps - 1, detector)
-        boundary += window_steps
-    detector.advance_to(record.n_steps)
+    detector.advance_to(n_steps)
     return fires
 
 
@@ -152,22 +153,22 @@ def train_on_record(
     record: EpisodeRecord,
     detector: Detector,
     *,
-    window_steps: int = 10_000,
-    on_window: Optional[WindowHook] = None,
+    window_steps: int = REPORT_WINDOW_STEPS,
+    freeze_at: Optional[int] = None,
 ) -> tuple[list[int], list[WindowRow]]:
     """Replay with plasticity on, collecting fires and per-window stats.
 
-    ``on_window(boundary_step, detector)``, if given, runs at each window
-    boundary after the statistics row is recorded (e.g. to freeze
-    plasticity partway through a run).
+    If ``freeze_at`` (a step) is given, plasticity freezes at the first
+    window boundary at or after it, once that window's row is recorded;
+    ``freeze_at = 0`` still trains the first window.
     """
     rows: list[WindowRow] = []
     state = {"fires": 0, "dw": 0.0}
 
-    def hook(idx: int, det: Detector) -> None:
+    def hook(boundary: int, det: Detector) -> None:
         rows.append(
             WindowRow(
-                window=idx,
+                window=boundary // window_steps - 1,
                 fire_rate_hz=(det.fire_count - state["fires"])
                 / (window_steps * record.step_ms / 1000.0),
                 stability=det.stability,
@@ -176,8 +177,8 @@ def train_on_record(
         )
         state["fires"] = det.fire_count
         state["dw"] = det.total_abs_dw
-        if on_window is not None:
-            on_window((idx + 1) * window_steps, det)
+        if freeze_at is not None and boundary >= freeze_at:
+            det.frozen = True
 
     fires = replay(detector, record, window_steps=window_steps, on_window=hook)
     return fires, rows

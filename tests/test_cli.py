@@ -193,6 +193,14 @@ class TestConfigValidation:
         argv += ["--params", str(params_file)] if command == "train" else ["--snapshot", "x.npz"]
         self.expect(argv, f"--window must be >= 1 s, got {window}", capsys)
 
+    @pytest.mark.parametrize("value, shown", [("-1", "-1"), ("inf", "inf"), ("nan", "nan"),
+                                              ("1e400", "inf")])
+    def test_freeze_after_not_finite_or_negative(self, syn_record, params_file, value,
+                                                 shown, capsys):
+        self.expect(["train", "--record", str(syn_record), "--params", str(params_file),
+                     "--freeze-after", value],
+                    f"--freeze-after must be finite and >= 0 s, got {shown}", capsys)
+
     def test_synthetic_negative_seed(self, tmp_path, capsys):
         self.expect(["synthetic", "--seed", "-2", "--out", str(tmp_path / "s.spkc")],
                     "seed must be >= 0", capsys)

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from causalneuron import encoder, pong
 from causalneuron.encoder import (
+    MIN_CALIBRATION_SAMPLES,
     N_CHANNELS,
     SECTION_OFFSETS,
     SECTION_SIZES,
@@ -160,6 +161,30 @@ class TestCalibrationArtifact:
 
         assert len(bounds_lines(out.read_text())) == 2
         assert bounds_lines(out.read_text()) == bounds_lines(artifact.read_text())
+
+
+    def test_too_few_steps_is_an_argument_error(self, tmp_path, capsys, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the world was walked")
+
+        monkeypatch.setattr(pong, "trajectory", no_walk)
+        out = tmp_path / "velocity_bins.txt"
+        with pytest.raises(SystemExit) as exc:
+            load_calibration_script().main(["--steps", "5000", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--steps must be at least {MIN_CALIBRATION_SAMPLES}, got 5000" in err
+        assert not out.exists()
+
+    def test_too_few_velocities_is_an_argument_error(self, tmp_path, capsys):
+        # at the floor, the default seed's walk serves too few distinct balls
+        out = tmp_path / "velocity_bins.txt"
+        with pytest.raises(SystemExit) as exc:
+            load_calibration_script().main(["--steps", str(MIN_CALIBRATION_SAMPLES),
+                                            "--out", str(out)])
+        assert exc.value.code == 2
+        assert "degenerate calibration samples" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSpikeClock:

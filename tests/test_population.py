@@ -20,7 +20,7 @@ from causalneuron.ga import (
 from causalneuron.metrics import score_run
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
-from causalneuron.population import event_arrays, replay_population
+from causalneuron.population import replay_population
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay
@@ -138,20 +138,6 @@ def test_mixed_T_P_or_H_rejected(other):
         replay_population([base, other], rec)
 
 
-def test_events_merge_spikes_and_rewards():
-    rec = EpisodeRecord.build(
-        step_ms=1, n_channels=3, seed=0, n_steps=20,
-        frames=[(2, [0, 2]), (5, [1])], reward_steps=[5, 9],
-    )
-    arrays = event_arrays(rec)
-    assert arrays.n_steps == 20
-    for name, expected in [("spike_steps", [2, 5]), ("indptr", [0, 2, 3]),
-                           ("channels", [0, 2, 1]), ("reward_steps", [5, 9]),
-                           ("reward_frames", [1, 2])]:
-        value = getattr(arrays, name)
-        assert value.dtype == np.int64 and value.tolist() == expected, name
-
-
 @pytest.mark.parametrize("rewards", [[4, 4], [20]])
 def test_events_out_of_order_or_past_the_end_rejected(rewards):
     rec = EpisodeRecord.build(
@@ -175,7 +161,7 @@ def scalar_evaluate(genome, record, cfg):
 def reference_run_ga(cfg, record):
     """run_ga's loop with one scalar replay per genome and no caching."""
     rng = np.random.default_rng(cfg.seed)
-    population = [sample_genome(rng, cfg.ranges) for _ in range(cfg.population_size)]
+    population = [sample_genome(rng) for _ in range(cfg.population_size)]
     history = []
     best_fitness, best_genome, stall = -math.inf, None, 0
     while True:

@@ -31,12 +31,15 @@ def busy_record(seed, n_steps=6000, n_channels=6):
     )
 
 
-def dense_replay(record, detector):
-    """Reference loop: tick every single step, no skipping."""
+def dense_replay(record, detector, freeze_step=None):
+    """Reference loop: tick every single step, no skipping; plasticity is
+    frozen by hand before ``freeze_step``, if given, is ticked."""
     frame_map = dict(record.frames())
     rewards = set(record.reward_steps.tolist())
     fires = []
     for t in range(record.n_steps):
+        if t == freeze_step:
+            detector.frozen = True
         active = frame_map.get(t, [])
         if detector.tick_sparse(active, t in rewards):
             fires.append(t)
@@ -98,17 +101,39 @@ class TestWindows:
     def test_freeze_hook(self):
         rec = busy_record(9)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-
-        def freeze(boundary_step, d):
-            if boundary_step >= 3000:
-                d.frozen = True
-
-        train_on_record(rec, det, window_steps=1000, on_window=freeze)
+        train_on_record(rec, det, window_steps=1000, freeze_at=3000)
         assert det.frozen
         # replaying more input through a frozen clone cannot change anything
         clone = det.frozen_clone()
         replay(clone, busy_record(10, n_steps=2000))
         assert clone.weights == det.weights
+
+    @pytest.mark.parametrize("seed", [11, 13])
+    @pytest.mark.parametrize("freeze_at", [2001, 2500, 3000])
+    def test_freeze_at_acts_at_the_next_boundary(self, seed, freeze_at):
+        rec = busy_record(seed)
+        det = Detector(rec.n_channels, CFG, initial_weight=0.35)
+        fires, rows = train_on_record(rec, det, window_steps=1000, freeze_at=freeze_at)
+        ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
+        assert fires == dense_replay(rec, ref, freeze_step=3000)
+        assert det.resources == ref.resources
+        assert det.stability == ref.stability
+        assert [r.abs_weight_change for r in rows[3:]] == [0.0] * (len(rows) - 3)
+        # guard: freezing one window earlier or later ends elsewhere
+        for step in (2000, 4000):
+            other = Detector(rec.n_channels, CFG, initial_weight=0.35)
+            dense_replay(rec, other, freeze_step=step)
+            assert other.resources != ref.resources
+
+    def test_freeze_at_zero_still_trains_the_first_window(self):
+        rec = busy_record(9)
+        det = Detector(rec.n_channels, CFG, initial_weight=0.35)
+        fires, rows = train_on_record(rec, det, window_steps=1000, freeze_at=0)
+        ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
+        assert fires == dense_replay(rec, ref, freeze_step=1000)
+        assert det.resources == ref.resources
+        assert rows[0].abs_weight_change > 0.0
+        assert all(r.abs_weight_change == 0.0 for r in rows[1:])
 
     def test_bad_window(self):
         rec = busy_record(0)
