@@ -2,9 +2,9 @@
 
 Binary format "SPKC" v1, little-endian: a fixed header, then one varint
 channel-count per step followed by that many varint channel indices,
-then a trailing event table (reward / punishment steps). Sparse frames
-keep a 2,000,000-step episode with ~6 spikes per active step around a
-few megabytes.
+then the event table (reward / punishment steps), which ends the file.
+Sparse frames keep a 2,000,000-step episode with ~6 spikes per active
+step around a few megabytes.
 
 The codec works on numpy arrays a block at a time, so its temporaries
 stay a fixed size whatever the record's length. ``_write_varint`` and
@@ -33,6 +33,7 @@ _KIND_PUNISHMENT = 1
 
 _BLOCK_BYTES = 1 << 14   # body bytes from_bytes decodes per pass
 _BLOCK_FRAMES = 1 << 12  # spike frames to_bytes encodes per pass
+_JUMP = 16              # frames from_bytes's frame walk takes per Python step
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -106,42 +107,69 @@ def _read_varints(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, ends, wide
 
 
-def _scan_frames(values: np.ndarray, steps_left: int) -> tuple[np.ndarray, int]:
+def _scan_frames(values: np.ndarray, steps_left: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Find the spike frames in the varints of the steps still to read.
 
     ``values[0]`` is the channel count of the next step, and each count is
     followed by that many channel indices. Returns the positions of the
     nonzero counts whose frames lie wholly in ``values``, among the next
-    ``steps_left`` steps, and how many values those steps take up. Where
-    a frame does not fit in ``values``, the steps read end before it.
+    ``steps_left`` steps, the number of channel indices ahead of each of
+    them, and how many values those steps take up. Where a frame does not
+    fit in ``values``, the steps read end before it.
     """
     m = len(values)
     steps_left = min(steps_left, m + 1)  # keeps the comparisons in int64
-    # next_count[p]: the first nonzero value at or after p (m: none)
-    next_count = np.append(np.where(values != 0, np.arange(m), m), m)
-    next_count = np.minimum.accumulate(next_count[::-1])[::-1]
-    # after[q]: where the step after a frame counted at q starts (> m: none)
-    after = np.append(np.arange(1, m + 1) + np.minimum(values, m), m + 1)
-    hop = after[next_count]
-    hop[hop > m] = -1
-    # Each count's position follows from the one before, so this walk is
-    # sequential, but it takes one hop per frame, not one per step. Read
-    # through a memoryview into an array, it makes no Python int per value.
-    hops = memoryview(hop)
-    at = array("q", [0])
-    p = hops[0]
-    while p >= 0:
-        at.append(p)
-        p = hops[p]
-    found = next_count[np.frombuffer(at, dtype=np.int64)]  # the last one: no whole frame
+    # Every frame's count is a nonzero value, so the walk goes from nonzero
+    # value to nonzero value: node i < n is the i-th nonzero value, node n
+    # stands for position m (no count left) and node n + 1 ends the walk.
+    is_node = np.append(values != 0, True)
+    position = np.flatnonzero(is_node)
+    n = len(position) - 1
+    # node_at[p]: the node at or after position p (n + 1 for p = m + 1)
+    node_at = np.empty(m + 2, dtype=np.int64)
+    node_at[0] = 0
+    np.cumsum(is_node, out=node_at[1:])
+    # after[i]: where the step after a frame counted at node i starts (m + 1:
+    # the frame runs past the values)
+    counted = position[:n]
+    after = np.minimum(values[counted], m - counted)
+    after += counted + 1
+    # hops[k][i]: the node 2**k frames after node i
+    hop = np.empty(n + 2, dtype=np.int64)
+    hop[:n] = node_at[after]
+    hop[n:] = n + 1
+    hops = [hop]
+    for _ in range(_JUMP.bit_length() - 1):
+        hops.append(hops[-1][hops[-1]])
+    # A frame's count follows from the one before, so the walk is
+    # sequential. Python takes one jump of _JUMP frames at a time, through
+    # a memoryview into an array, so it makes one Python int per jump; numpy
+    # gathers then fill in the nodes between the jumps, halving the gap
+    # each time.
+    jumps = memoryview(hops.pop())
+    starts = array("q", [0])
+    p = jumps[0]
+    while p <= n:
+        starts.append(p)
+        p = jumps[p]
+    rows = np.empty((len(starts), _JUMP), dtype=np.int64)
+    rows[:, 0] = np.frombuffer(starts, dtype=np.int64)
+    gap = _JUMP
+    while hops:
+        gap //= 2
+        rows[:, gap::2 * gap] = hops.pop()[rows[:, :-gap:2 * gap]]
+    # the walk's nodes in order; only the last row reaches node n + 1
+    walk = rows.ravel()[:_JUMP * (len(starts) - 1) + int(np.count_nonzero(rows[-1] <= n))]
+    found = position[walk]  # the last one: no whole frame
     frames = found[:-1]
-    channels_before = np.cumsum(values[frames]) - values[frames]
-    keep = int(np.count_nonzero(frames - channels_before < steps_left))
-    channels = int(values[frames[:keep]].sum())
+    counts = values[frames]
+    before = np.cumsum(counts) - counts
+    keep = int(np.count_nonzero(frames - before < steps_left))
+    channels = int(before[keep - 1] + counts[keep - 1]) if keep else 0
     end = int(found[keep])
     if end - channels >= steps_left:
         end = steps_left + channels
-    return frames[:keep], end
+    return frames[:keep], before[:keep], end
 
 
 def _mapped_int64(n: int) -> np.ndarray:
@@ -320,22 +348,19 @@ class EpisodeRecord:
             chunk = body[pos:pos + size]
             at_end = pos + size >= len(raw)
             values, ends, wide = _read_varints(chunk)
-            frames, used = _scan_frames(values, n_steps - step)
+            frames, before, used = _scan_frames(values, n_steps - step)
             if used:
                 counts = values[frames]
-                ptr = np.cumsum(counts)
-                spike_steps[n_frames:n_frames + len(frames)] = step + frames - (ptr - counts)
-                indptr[n_frames + 1:n_frames + len(frames) + 1] = n_chans + ptr
+                spike_steps[n_frames:n_frames + len(frames)] = step + frames - before
+                indptr[n_frames + 1:n_frames + len(frames) + 1] = n_chans + before + counts
                 n_frames += len(frames)
-                in_frame = np.zeros(used + 1, dtype=np.int8)
-                in_frame[frames + 1] = 1
-                in_frame[frames + 1 + counts] = -1
-                in_frame = np.cumsum(in_frame[:used]) > 0
-                found = values[:used][in_frame]
-                channels[n_chans:n_chans + len(found)] = found
-                n_chans += len(found)
-                wide_channel = wide_channel or bool(wide[:used][in_frame].any())
-                step += used - len(found)
+                # the block's j-th channel index is value frames + 1 + j - before
+                total = int(before[-1] + counts[-1]) if len(frames) else 0
+                at = np.repeat(frames + 1 - before, counts) + np.arange(total)
+                channels[n_chans:n_chans + total] = values[at]
+                n_chans += total
+                wide_channel = wide_channel or bool(wide[at].any())
+                step += used - total
                 pos += int(ends[used - 1]) + 1
             if step < n_steps and at_end:
                 raise ValueError(f"truncated record: spike frames ends at byte {len(raw)}")
@@ -346,16 +371,24 @@ class EpisodeRecord:
         channels = channels[:n_chans]
         rewards = []
         punishments = []
+        unknown_kind = None  # the first kind that is neither reward nor punishment, and its byte
         try:
             (n_events,) = struct.unpack_from("<I", raw, pos)
             pos += 4
             for _ in range(n_events):
                 kind = raw[pos]
-                pos += 1
-                step, pos = _read_varint(raw, pos)
+                if kind not in (_KIND_REWARD, _KIND_PUNISHMENT) and unknown_kind is None:
+                    unknown_kind = kind, pos
+                step, pos = _read_varint(raw, pos + 1)
                 (rewards if kind == _KIND_REWARD else punishments).append(step)
         except (IndexError, struct.error):
             raise ValueError(f"truncated record: event table ends at byte {len(raw)}") from None
+        if unknown_kind is not None:
+            kind, at = unknown_kind
+            raise ValueError(f"bad record: event kind {kind} at byte {at} is neither 0 "
+                             "(reward) nor 1 (punishment)")
+        if pos < len(raw):
+            raise ValueError(f"bad record: {len(raw) - pos} bytes after the event table")
         if wide_channel:
             raise ValueError("bad record: a value does not fit in 64 bits")
         try:

@@ -343,6 +343,15 @@ class TestMalformedRecords:
         self.assert_one_line_config_error(
             ["ga", "--record", str(path)], capsys, "channel index 7 >= n_channels 4")
 
+    def test_bytes_after_the_event_table(self, tmp_path, capsys):
+        path, snapshot = tmp_path / "long.spkc", tmp_path / "snap.npz"
+        self.write_record(path, 4, [(10, [1, 2])])
+        path.write_bytes(path.read_bytes() + b"garbage!")
+        Detector(4, PlasticityConfig()).save_snapshot(snapshot)
+        self.assert_one_line_config_error(
+            ["eval", "--record", str(path), "--snapshot", str(snapshot)], capsys,
+            "bad record: 8 bytes after the event table")
+
 
 class TestMalformedSnapshots:
     @pytest.fixture

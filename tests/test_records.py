@@ -196,6 +196,25 @@ class TestMalformed:
         with pytest.raises(ValueError, match="64 bits"):
             EpisodeRecord.from_bytes(bytes(raw))
 
+    def test_bytes_after_the_event_table(self):
+        raw = self.small_record_bytes()
+        with pytest.raises(ValueError, match="bad record: 8 bytes after the event table"):
+            EpisodeRecord.from_bytes(raw + b"garbage!")
+
+    def test_unknown_event_kind(self):
+        raw = bytearray(self.small_record_bytes())
+        # the event table ends with the (kind, step) pairs (0, 3), (1, 7), (0, 11)
+        at = len(raw) - 6
+        assert raw[at:] == bytes([0, 3, 1, 7, 0, 11])
+        raw[at] = 7
+        with pytest.raises(ValueError, match=f"event kind 7 at byte {at} is neither"):
+            EpisodeRecord.from_bytes(bytes(raw))
+        # an unknown kind outranks bytes after the table, and a truncated table both
+        with pytest.raises(ValueError, match="event kind 7"):
+            EpisodeRecord.from_bytes(bytes(raw) + b"x")
+        with pytest.raises(ValueError, match="truncated record: event table"):
+            EpisodeRecord.from_bytes(bytes(raw[:-1]))
+
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=300))
     def test_fuzz_arbitrary_bytes(self, raw):
@@ -265,12 +284,21 @@ def reference_decode(raw):
         section = "event table"
         (n_events,) = struct.unpack_from("<I", raw, pos)
         pos += 4
+        unknown = []
         for _ in range(n_events):
             kind = raw[pos]
+            if kind > 1:
+                unknown.append((kind, pos))
             step, pos = _read_varint(raw, pos + 1)
             events[kind != 0].append(step)
     except (IndexError, struct.error):
         raise ValueError(f"truncated record: {section} ends at byte {len(raw)}") from None
+    if unknown:
+        kind, at = unknown[0]
+        raise ValueError(f"bad record: event kind {kind} at byte {at} is neither 0 (reward) "
+                         "nor 1 (punishment)")
+    if pos < len(raw):
+        raise ValueError(f"bad record: {len(raw) - pos} bytes after the event table")
     values = [c for _, chans in frames for c in chans] + events[0] + events[1]
     if any(v >= 2**63 for v in values):
         raise ValueError("bad record: a value does not fit in 64 bits")
@@ -284,6 +312,14 @@ def reference_decode(raw):
         step_ms=step_ms, n_channels=n_channels, seed=seed, n_steps=n_steps,
         frames=frames, reward_steps=events[0], punishment_steps=events[1],
     )
+
+
+def damaged(raw, edits, cut, tail):
+    """The bytes with each (position, byte) edit made, cut short and a tail added."""
+    raw = bytearray(raw)
+    for at, byte in edits:
+        raw[at % len(raw)] = byte
+    return bytes(raw[:cut % (len(raw) + 1)]) + tail
 
 
 def outcome(decode, raw):
@@ -320,12 +356,26 @@ class TestArrayCodec:
         assert raw == reference_bytes(rec)
         assert EpisodeRecord.from_bytes(raw) == rec == reference_decode(raw)
 
+    @settings(max_examples=80, deadline=None)
+    @given(rec=episode_records())
+    @pytest.mark.parametrize("block_bytes", [8, 61])
+    def test_matches_one_value_reference_in_small_blocks(self, block_bytes, rec):
+        # frames straddle and fill blocks, and many are longer than a block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records, "_BLOCK_BYTES", block_bytes)
+            raw = rec.to_bytes()
+            assert EpisodeRecord.from_bytes(raw) == rec == reference_decode(raw)
+
     @pytest.mark.parametrize("frames, n_channels, n_steps", [
         ([(0, [127, 128]), (3, [16383, 16384, 65534])], 65535, 4),   # 1-, 2- and 3-byte indices
         ([(2, list(range(128))), (5, list(range(300)))], 300, 9),     # a two-byte count
         ([], 5, 0),                                                    # no steps at all
         ([(1, [2])], 5, 1000),                                         # trailing empty steps
         ([(0, [0, 0, 4]), (999, [4])], 5, 1000),                       # first and last step
+        # the block's walk takes 15, 16, 17 or 32 frames and then reaches the
+        # end of the values, as only zero bytes follow (no events)
+        *[([(t, [t % 3, 200]) for t in range(k)], 300, k) for k in (15, 16, 17, 32)],
+        ([(t, [t % 3, 200]) for t in range(16)], 300, 56),            # and 40 empty steps
     ])
     def test_edge_records(self, frames, n_channels, n_steps):
         rec = EpisodeRecord.build(step_ms=1, n_channels=n_channels, seed=9, n_steps=n_steps,
@@ -362,11 +412,22 @@ class TestArrayCodec:
         tail=st.binary(max_size=12),
     )
     def test_damaged_bytes_decode_like_the_reference(self, rec, edits, cut, tail):
-        raw = bytearray(rec.to_bytes())
-        for at, byte in edits:
-            raw[at % len(raw)] = byte
-        raw = bytes(raw[:cut % (len(raw) + 1)]) + tail
+        raw = damaged(rec.to_bytes(), edits, cut, tail)
         assert outcome(EpisodeRecord.from_bytes, raw) == outcome(reference_decode, raw)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rec=episode_records(),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+        cut=st.integers(0, 10**6),
+        tail=st.binary(max_size=12),
+    )
+    @pytest.mark.parametrize("block_bytes", [8, 61])
+    def test_damaged_bytes_in_small_blocks(self, block_bytes, rec, edits, cut, tail):
+        raw = damaged(rec.to_bytes(), edits, cut, tail)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records, "_BLOCK_BYTES", block_bytes)
+            assert outcome(EpisodeRecord.from_bytes, raw) == outcome(reference_decode, raw)
 
     @pytest.mark.parametrize("values", [
         [1, 2**56 + 3],   # a nine-byte channel index
