@@ -13,11 +13,12 @@ import argparse
 import csv
 import math
 import sys
+from functools import cache
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
-from .encoder import SECTION_OFFSETS, SECTION_SIZES
+from .encoder import N_CHANNELS, SECTION_SIZES
 from .ga import GENE_NAMES, GaConfig, run_ga
 from .metrics import score_run
 from .neuron import Detector
@@ -101,10 +102,6 @@ def _check_window(window_s: int) -> None:
         raise ConfigError(f"--window must be >= 1 s, got {window_s}")
 
 
-def _load_record(path) -> EpisodeRecord:
-    return EpisodeRecord.load(path)
-
-
 # -- subcommands ------------------------------------------------------------
 
 def cmd_record(args) -> int:
@@ -128,7 +125,7 @@ def cmd_train(args) -> int:
     if freeze_after is not None and not (math.isfinite(freeze_after) and freeze_after >= 0):
         raise ConfigError(f"--freeze-after must be finite and >= 0 s, got {freeze_after:g}")
     cfg = _params_from_file(args.params)
-    rec = _load_record(args.record)
+    rec = EpisodeRecord.load(args.record)
     detector = Detector(rec.n_channels, cfg)
     freeze_at = None if freeze_after is None else round(freeze_after * 1000 / rec.step_ms)
     fires, rows = train_on_record(rec, detector, freeze_at=freeze_at)
@@ -159,15 +156,15 @@ def cmd_train(args) -> int:
     if args.resources:
         res = detector.resource_array()
         wts = detector.weight_array()
+        if rec.n_channels == N_CHANNELS:  # a pong record: name its encoder sections
+            labels = [(name, k) for name, size in SECTION_SIZES.items() for k in range(size)]
+        else:
+            labels = [("channel", ch) for ch in range(rec.n_channels)]
         with open(args.resources, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["section", "index_in_section", "channel", "resource", "weight"])
-            for name, off in SECTION_OFFSETS.items():
-                for k in range(SECTION_SIZES[name]):
-                    ch = off + k
-                    if ch >= len(res):
-                        break
-                    writer.writerow([name, k, ch, f"{res[ch]:.9g}", f"{wts[ch]:.9g}"])
+            for ch, (name, k) in enumerate(labels):
+                writer.writerow([name, k, ch, f"{res[ch]:.9g}", f"{wts[ch]:.9g}"])
         print(f"wrote resources {args.resources}")
     return EXIT_OK
 
@@ -176,7 +173,7 @@ def cmd_eval(args) -> int:
     if not args.record or not args.snapshot:
         raise ConfigError("--record and --snapshot are required")
     _check_window(args.window)
-    rec = _load_record(args.record)
+    rec = EpisodeRecord.load(args.record)
     trained = Detector.load_snapshot(args.snapshot)
     fires = frozen_fires(rec, trained.weight_array(), trained.cfg.H)
     window_steps = args.window * 1000 // rec.step_ms
@@ -203,7 +200,7 @@ def cmd_ga(args) -> int:
         values["seed"] = args.seed
     max_gen = values.pop("max_generations")
     cfg = GaConfig(max_generations=max_gen if max_gen > 0 else None, **values)
-    rec = _load_record(args.record)
+    rec = EpisodeRecord.load(args.record)
     best, history = run_ga(cfg, rec)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -242,7 +239,7 @@ def cmd_synthetic(args) -> int:
 
 
 def cmd_export(args) -> int:
-    rec = _load_record(args.record)
+    rec = EpisodeRecord.load(args.record)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "kind", "channels"])
@@ -264,6 +261,7 @@ def cmd_export(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
+@cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalneuron",
@@ -323,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -11,16 +11,19 @@ becomes reliable.
 
 Online subtlety: a TSS only provably ended after ISI_max silent steps,
 so presynaptic spikes that arrive after the latest postsynaptic spike
-are held pending and committed for depression only if a further
-postsynaptic spike extends the sequence; otherwise they are discarded
-when the sequence closes. This makes the online behaviour agree exactly
-with the offline segmentation in :func:`tss_segments`.
+are pending: depressed only if a further postsynaptic spike extends
+the sequence. The pending set is derived, not held: it is the channels
+whose ``last_presyn`` is after the latest postsynaptic spike. Closure is
+no event either: a fire more than ISI_max steps after the previous one
+starts a new TSS. This makes the online behaviour agree exactly with the
+offline segmentation in :func:`tss_segments`, and it is the model
+:mod:`~causalneuron.population` keeps for many detectors at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,17 +32,26 @@ from .plasticity import PlasticityConfig, effective_rates, resource_for_weight, 
 SNAPSHOT_FORMAT_VERSION = 2
 
 
-@dataclass
 class TssTracker:
-    """Online state of the current / most recent tight spike sequence."""
+    """Read-only view of a detector's tight spike sequences at its current step."""
 
-    active: bool = False
-    onset: Optional[int] = None
-    last_post: Optional[int] = None
-    # Onset of the ongoing or most recently completed TSS; survives closure
-    # because the dopamine stability rule measures time from it.
-    last_onset: Optional[int] = None
-    completed: list = field(default_factory=list)  # (onset, last_post) pairs
+    def __init__(self, det: "Detector"):
+        self._det = det
+
+    @property
+    def active(self) -> bool:
+        return self._det._tss_open()
+
+    @property
+    def completed(self) -> list:
+        spans = self._det._spans
+        return spans[:-1] if self.active else list(spans)
+
+    @property
+    def last_onset(self) -> Optional[int]:
+        """Onset of the open or latest closed TSS; the dopamine rule measures from it."""
+        spans = self._det._spans
+        return spans[-1][0] if spans else None
 
 
 def tss_segments(post_spike_steps: Sequence[int], isi_max: int) -> list[tuple[int, int]]:
@@ -73,7 +85,6 @@ class Detector:
         n_synapses: int,
         cfg: PlasticityConfig,
         initial_weight: float = 0.0,
-        stability: float = 0.0,
     ):
         if n_synapses < 1:
             raise ValueError("need at least one synapse")
@@ -86,13 +97,12 @@ class Detector:
         self.resources = [r0] * n_synapses
         self.weights = [w0] * n_synapses
         self.last_presyn = [-1] * n_synapses  # -1 = never spiked
-        self.stability = float(stability)
+        self.stability = 0.0
         self.step = 0
-        self.tss = TssTracker()
         self.frozen = False  # rates forced to 0 (evaluation mode)
 
-        self._depressed: set[int] = set()       # depressed in current TSS
-        self._pending_spikers: set[int] = set() # spiked after latest post spike of open TSS
+        self._spans: list[tuple[int, int]] = []  # TSS (onset, last_post), latest last
+        self._depressed: set[int] = set()  # depressed in the latest TSS
 
         self.fire_count = 0
         self.total_abs_dw = 0.0  # cumulative |weight change|, for reporting
@@ -123,29 +133,32 @@ class Detector:
             total += weights[i]
         fired = total > cfg.H
 
-        tss = self.tss
-        if tss.active and t - tss.last_post > cfg.isi_max:
-            self._close_tss()
-
         new_onset = False
         if fired:
             self.fire_count += 1
-            if tss.active:
-                pend = self._pending_spikers
-                pend.update(active)
-                if pend:
-                    self._depress_once(pend, rate)
-                    pend.clear()
-                tss.last_post = t
+            spans = self._spans
+            if spans and t - spans[-1][1] <= cfg.isi_max:
+                onset, since = spans[-1]
+                spans[-1] = (onset, t)
             else:
-                tss.active = True
-                tss.onset = t
-                tss.last_post = t
-                tss.last_onset = t
                 new_onset = True
-                self._depress_once(active, rate)
-        elif tss.active and active:
-            self._pending_spikers.update(active)
+                since = t - 1
+                spans.append((t, t))
+                self._depressed.clear()
+            # once per TSS and in channel order, what spiked since the open
+            # TSS's latest post spike, or this step's spikers at an onset
+            depressed = self._depressed
+            res = self.resources
+            for i, s in enumerate(lp):
+                if s <= since or i in depressed:
+                    continue
+                depressed.add(i)
+                if rate != 0.0:
+                    r = res[i] - rate
+                    res[i] = r
+                    new = weight_of(r, cfg)
+                    self.total_abs_dw += abs(new - weights[i])
+                    weights[i] = new
 
         if dopamine:
             self._apply_dopamine(t, rate)
@@ -161,48 +174,22 @@ class Detector:
 
         Replay is event-driven: a step with no spike and no dopamine is
         not a neuron step, so it can neither fire nor change a weight.
-        The only state change over such steps is TSS closure, which has
-        no time-stamped side effects and is applied lazily here. For
-        H >= 0 this equals ticking empty frames, which cannot fire; for
-        H < 0 an empty frame would fire, and skipping it does not.
+        Only the clock moves: TSS closure is not an event but a reading
+        of the clock (:meth:`_tss_open`), so a TSS closes on the first
+        skipped step whose tick would have closed it. For H >= 0 this
+        equals ticking empty frames, which cannot fire; for H < 0 an
+        empty frame would fire, and skipping it does not.
         """
         if step < self.step:
             raise ValueError(f"cannot rewind from {self.step} to {step}")
-        tss = self.tss
-        # Step `step` itself is not processed yet: the last skipped step,
-        # step - 1, is the latest one whose tick would have closed the TSS.
-        if tss.active and step - 1 - tss.last_post > self.cfg.isi_max:
-            self._close_tss()
         self.step = step
 
     # -- internals ----------------------------------------------------------
 
-    def _close_tss(self) -> None:
-        tss = self.tss
-        tss.completed.append((tss.onset, tss.last_post))
-        tss.active = False
-        tss.onset = None
-        tss.last_post = None
-        self._depressed.clear()
-        self._pending_spikers.clear()
-
-    def _depress_once(self, channels: Iterable[int], rate: float) -> None:
-        depressed = self._depressed
-        res = self.resources
-        weights = self.weights
-        cfg = self.cfg
-        for i in channels:
-            if i in depressed:
-                continue
-            depressed.add(i)
-            if rate == 0.0:
-                continue
-            r = res[i] - rate
-            res[i] = r
-            old = weights[i]
-            new = weight_of(r, cfg)
-            weights[i] = new
-            self.total_abs_dw += abs(new - old)
+    def _tss_open(self) -> bool:
+        """Whether the latest TSS is still open after the latest step."""
+        spans = self._spans
+        return bool(spans) and self.step - 1 - spans[-1][1] <= self.cfg.isi_max
 
     def _apply_dopamine(self, t: int, rate: float) -> None:
         cfg = self.cfg
@@ -218,11 +205,10 @@ class Detector:
                     new = weight_of(r, cfg)
                     weights[i] = new
                     self.total_abs_dw += abs(new - old)
-        tss = self.tss
-        if tss.last_onset is None:
+        if not self._spans:
             self.stability -= cfg.d_s
         else:
-            t_tss = t - tss.last_onset
+            t_tss = t - self._spans[-1][0]
             isi = cfg.isi_max
             adj = max(2.0 - abs(t_tss - isi) / isi, -1.0)
             self.stability += cfg.d_s * adj
@@ -244,9 +230,21 @@ class Detector:
     # -- introspection / checkpointing --------------------------------------
 
     @property
+    def tss(self) -> TssTracker:
+        return TssTracker(self)
+
+    @property
     def tss_count(self) -> int:
         """Number of TSS started so far (completed plus any open one)."""
-        return len(self.tss.completed) + (1 if self.tss.active else 0)
+        return len(self._spans)
+
+    def _tss_state(self) -> tuple[list[int], list[int], list[int]]:
+        """Snapshot v2's derived keys: pending, depressed and tss_state."""
+        if not self._tss_open():
+            return [], [], [0, -1, -1, self._spans[-1][0] if self._spans else -1]
+        onset, last_post = self._spans[-1]
+        pending = [i for i, s in enumerate(self.last_presyn) if s > last_post]
+        return pending, sorted(self._depressed), [1, onset, last_post, onset]
 
     def resource_array(self) -> np.ndarray:
         return np.asarray(self.resources, dtype=np.float64)
@@ -259,8 +257,10 @@ class Detector:
 
         Format v2 also stores the plasticity config, one ``cfg_<field>``
         entry per field, and the completed TSS as (onset, last_post) pairs.
+        ``pending``, ``depressed`` and ``tss_state`` (open flag, onset, last
+        post spike, last onset; -1 for none) are derived (:meth:`_tss_state`).
         """
-        tss = self.tss
+        pending, depressed, tss_state = self._tss_state()
         np.savez(
             path,
             format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
@@ -269,18 +269,10 @@ class Detector:
             stability=np.float64(self.stability),
             step=np.int64(self.step),
             last_presyn=np.asarray(self.last_presyn, dtype=np.int64),
-            depressed=np.asarray(sorted(self._depressed), dtype=np.int64),
-            pending=np.asarray(sorted(self._pending_spikers), dtype=np.int64),
-            tss_state=np.asarray(
-                [
-                    1 if tss.active else 0,
-                    -1 if tss.onset is None else tss.onset,
-                    -1 if tss.last_post is None else tss.last_post,
-                    -1 if tss.last_onset is None else tss.last_onset,
-                ],
-                dtype=np.int64,
-            ),
-            tss_completed=np.asarray(tss.completed, dtype=np.int64).reshape(-1, 2),
+            depressed=np.asarray(depressed, dtype=np.int64),
+            pending=np.asarray(pending, dtype=np.int64),
+            tss_state=np.asarray(tss_state, dtype=np.int64),
+            tss_completed=np.asarray(self.tss.completed, dtype=np.int64).reshape(-1, 2),
             fire_count=np.int64(self.fire_count),
             total_abs_dw=np.float64(self.total_abs_dw),
         )
@@ -293,6 +285,7 @@ class Detector:
         that (numpy and zipfile raise a dozen exception types for damaged
         archives, bare ``.npy`` files and missing or misshapen entries)
         means the file is not a v2 snapshot: one ``ValueError`` names it.
+        So does a ``pending`` or ``tss_state`` that the rest of the file contradicts.
         """
         with open(path, "rb") as fh:
             try:
@@ -315,13 +308,16 @@ class Detector:
                         raise ValueError(f"{len(det.last_presyn)} presynaptic times "
                                          f"for {det.n} synapses")
                     det._depressed = set(int(v) for v in data["depressed"])
-                    det._pending_spikers = set(int(v) for v in data["pending"])
-                    st = data["tss_state"]
-                    det.tss.active = bool(st[0])
-                    det.tss.onset = None if st[1] < 0 else int(st[1])
-                    det.tss.last_post = None if st[2] < 0 else int(st[2])
-                    det.tss.last_onset = None if st[3] < 0 else int(st[3])
-                    det.tss.completed = [(a, b) for a, b in data["tss_completed"].tolist()]
+                    state = data["tss_state"].tolist()
+                    active, onset, last_post, _ = state
+                    det._spans = [(a, b) for a, b in data["tss_completed"].tolist()]
+                    if active:
+                        det._spans.append((onset, last_post))
+                    pending, _, derived = det._tss_state()
+                    stored = (data["pending"].tolist(), state)
+                    if stored != (pending, derived):
+                        raise ValueError(f"pending, tss_state {stored} disagree with the rest "
+                                         f"of the file, which gives {(pending, derived)}")
                     det.fire_count = int(data["fire_count"])
                     det.total_abs_dw = float(data["total_abs_dw"])
             except Exception as exc:

@@ -29,13 +29,14 @@ all frames up to the next reward are computed at once with numpy
 (:func:`~causalneuron.runner.frame_sums`); a fire only lowers weights,
 so they stay valid until dopamine, after which they are recomputed.
 
-Three pieces of scalar state are kept lazily. The presynaptic spike
-times are the same for every genome, so ``last_presyn`` is one shared
-(N,) vector, brought up to date only where a fire or a reward reads it.
-The pending set of an open TSS -- channels that spiked after its latest
-postsynaptic spike -- is exactly ``last_presyn > last_post``, so it is
-derived when a genome fires. A TSS closed by silence changes nothing
-until the genome fires again, so closure is applied at fires only.
+Three pieces of state are kept lazily. The presynaptic spike times are
+the same for every genome, so ``last_presyn`` is one shared (N,) vector,
+brought up to date only where a fire or a reward reads it. The other two
+follow the scalar detector's own model. The pending set of an open TSS
+-- channels that spiked after its latest postsynaptic spike -- is
+exactly ``last_presyn > last_post``, derived when a genome fires. A TSS
+closed by silence changes nothing until the genome fires again: a fire
+more than ``T_P`` steps after the last one is an onset.
 """
 
 from __future__ import annotations

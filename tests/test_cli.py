@@ -245,8 +245,37 @@ class TestTrainEval:
         assert all(float(r["firing_hz"]) >= 0 for r in rows)
         with open(resources) as fh:
             res_rows = list(csv.DictReader(fh))
-        assert len(res_rows) == 20
-        assert {r["section"] for r in res_rows} == {"ball_x"}
+        assert [(r["section"], r["index_in_section"], r["channel"]) for r in res_rows] \
+            == [("channel", str(ch), str(ch)) for ch in range(20)]
+
+    def test_resources_cover_every_channel_of_a_wide_record(self, tmp_path, capsys):
+        config, record = tmp_path / "syn.txt", tmp_path / "wide.spkc"
+        config.write_text("n_channels = 140\ncause_channels = 2 7 135\nn_steps = 30000\n")
+        assert main(["synthetic", "--config", str(config), "--out", str(record)]) == EXIT_OK
+        resources = tmp_path / "res.csv"
+        assert main(["train", "--record", str(record), "--resources", str(resources)]) \
+            == EXIT_OK
+        with open(resources) as fh:
+            rows = list(csv.DictReader(fh))
+        # one row per channel; pong section names belong to 133-channel records only
+        assert [(r["section"], r["index_in_section"], r["channel"]) for r in rows] \
+            == [("channel", str(ch), str(ch)) for ch in range(140)]
+        det = Detector(140, PlasticityConfig())
+        replay(det, EpisodeRecord.load(record))
+        assert [float(r["resource"]) for r in rows] \
+            == [float(f"{v:.9g}") for v in det.resources]
+
+    def test_pong_record_resources_name_the_encoder_sections(self, tmp_path):
+        record, resources = tmp_path / "pong.spkc", tmp_path / "res.csv"
+        assert main(["record", "--seed", "1", "--duration", "30", "--out", str(record)]) \
+            == EXIT_OK
+        assert main(["train", "--record", str(record), "--resources", str(resources)]) \
+            == EXIT_OK
+        with open(resources) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["channel"] for r in rows] == [str(ch) for ch in range(133)]
+        assert (rows[0]["section"], rows[0]["index_in_section"]) == ("ball_x", "0")
+        assert rows[-1]["section"] != "ball_x"
 
     def test_train_eval_consistency(self, tmp_path, syn_record, params_file, capsys):
         snap = tmp_path / "snap.npz"
@@ -295,6 +324,17 @@ class TestTrainEval:
         assert main(["eval", "--record", str(syn_record), "--snapshot", str(snap),
                      "--window", "100"]) == EXIT_OK
         assert capsys.readouterr().out == f"R(100s window) = {train_r}\n"
+
+    def test_repeated_eval_calls_print_the_same_line(self, tmp_path, syn_record, capsys):
+        snap = tmp_path / "snap.npz"
+        assert main(["train", "--record", str(syn_record), "--out", str(snap)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["eval", "--record", str(syn_record), "--snapshot", str(snap), "--window", "100"]
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert first.startswith("R(100s window) = ")
 
     def test_eval_help_has_no_parameter_options(self, capsys):
         with pytest.raises(SystemExit):
@@ -403,6 +443,38 @@ class TestMalformedSnapshots:
     def test_short_tss_state(self, record, snapshot, capsys):
         self.rewrite(snapshot, tss_state=np.array([0], dtype=np.int64))
         self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
+
+    @pytest.fixture
+    def open_snapshot(self, tmp_path):
+        """A detector saved inside an open TSS, with channel 3 pending."""
+        det = Detector(4, PlasticityConfig(), initial_weight=0.45)
+        assert det.tick_sparse([0, 1, 2])  # step 0: an onset
+        assert not det.tick_sparse([3])
+        path = tmp_path / "open.npz"
+        det.save_snapshot(path)
+        with np.load(path) as data:
+            assert data["pending"].tolist() == [3]
+            assert data["tss_state"].tolist() == [1, 0, 0, 0]
+        return path
+
+    def test_consistent_open_snapshot_evaluates(self, record, open_snapshot):
+        assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
+            == EXIT_OK
+
+    @pytest.mark.parametrize("pending", [[], [2, 3], [0]])
+    def test_inconsistent_pending(self, record, open_snapshot, capsys, pending):
+        self.rewrite(open_snapshot, pending=np.array(pending, dtype=np.int64))
+        self.assert_eval_fails(record, open_snapshot, capsys, "bad snapshot")
+
+    @pytest.mark.parametrize("state", [[0, -1, -1, 0], [0, 0, 0, 0], [1, 0, 0, 1],
+                                       [1, 0, 1, 0], [2, 0, 0, 0]])
+    def test_inconsistent_tss_state(self, record, open_snapshot, capsys, state):
+        self.rewrite(open_snapshot, tss_state=np.array(state, dtype=np.int64))
+        self.assert_eval_fails(record, open_snapshot, capsys, "bad snapshot")
+
+    def test_tss_state_of_a_fresh_detector_must_say_no_tss(self, record, snapshot, capsys):
+        self.rewrite(snapshot, tss_state=np.array([0, -1, -1, 5], dtype=np.int64))
+        self.assert_eval_fails(record, snapshot, capsys, "disagree with the rest")
 
     def test_version_1(self, record, snapshot, capsys):
         data = dict(np.load(snapshot))

@@ -13,6 +13,8 @@ from causalneuron.plasticity import (
     resource_for_weight,
     weight_of,
 )
+from causalneuron.records import EpisodeRecord
+from causalneuron.runner import replay
 
 CFG = PlasticityConfig()
 # Wider weight ceiling: lets a single synapse (or a pair) cross threshold,
@@ -145,6 +147,26 @@ class TestDepression:
         det.advance_to(200)             # gap 200 > ISI_max: TSS closed
         det.tick_sparse([0])            # new TSS; synapse 1 was never depressed
         assert det.resources[1] == 0.5
+
+    def test_pending_channels_are_depressed_in_ascending_order(self):
+        # the fire at step 2 extends the TSS and depresses the pending set
+        # {130, 3, 67}; the running |dw| total adds them in channel order
+        rec = EpisodeRecord.build(step_ms=1, n_channels=131, seed=0, n_steps=10,
+                                  frames=[(0, [0]), (1, [130, 3, 67]), (2, [0])],
+                                  reward_steps=[])
+        det = Detector(131, STRONG_CFG)
+        start = {0: 50.0, 3: 0.1, 67: 0.05, 130: 0.15}
+        for i, r in start.items():
+            det.resources[i] = r
+            det.weights[i] = weight_of(r, STRONG_CFG)
+        assert replay(det, rec) == [0, 2]
+        rate = effective_rates(0.0, STRONG_CFG)[0]  # stability <= 0 leaves it at d_bar
+        dw = {i: abs(weight_of(r - rate, STRONG_CFG) - weight_of(r, STRONG_CFG))
+              for i, r in start.items()}
+        assert det.total_abs_dw == ((dw[0] + dw[3]) + dw[67]) + dw[130]
+        # the frame's order and the order 67, 130, 3 give other bits
+        assert det.total_abs_dw != ((dw[0] + dw[130]) + dw[3]) + dw[67]
+        assert det.total_abs_dw != ((dw[0] + dw[67]) + dw[130]) + dw[3]
 
     def test_spike_outside_tss_not_depressed(self):
         det = make_detector(n=2)
@@ -337,8 +359,11 @@ class TestDeterminismAndSnapshots:
         assert b.resources == a.resources
         assert b.step == a.step
         assert b.stability == a.stability
-        assert b._depressed == a._depressed
-        assert b._pending_spikers == a._pending_spikers
+        assert (b.tss.active, b.tss.completed) == (a.tss.active, a.tss.completed)
+        b.save_snapshot(tmp_path / "again.npz")
+        with np.load(path) as saved, np.load(tmp_path / "again.npz") as again:
+            for key in ("pending", "depressed", "tss_state", "tss_completed"):
+                assert saved[key].tolist() == again[key].tolist()
         self.random_run(a, 13)
         self.random_run(b, 13)
         assert a.resources == b.resources
