@@ -132,10 +132,13 @@ def cmd_train(args) -> int:
 
     window_steps = args.window * 1000 // rec.step_ms
     eval_window = (max(rec.n_steps - window_steps, 0), rec.n_steps)
-    r_value = score_run(fires, rec.reward_steps.tolist(), cfg.T_P, eval_window)
+    try:
+        r_text = f"{score_run(fires, rec.reward_steps.tolist(), cfg.T_P, eval_window):.4f}"
+    except ValueError:  # R has no target period to measure: the outputs are still written
+        r_text = "undefined (no reward in the window)"
     print(
         f"trained on {args.record}: {len(fires)} fires, "
-        f"stability {detector.stability:.2f}, R({args.window}s window) = {r_value:.4f}"
+        f"stability {detector.stability:.2f}, R({args.window}s window) = {r_text}"
     )
 
     if args.out:

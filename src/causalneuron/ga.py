@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .metrics import score_run
+from .metrics import score_runs
+from .metrics import score_run  # noqa: F401  kept: perfbench/tracing.py patches ga.score_run
 from .plasticity import PlasticityConfig
 from .population import replay_population
 from .records import EpisodeRecord
@@ -103,7 +104,10 @@ def evaluate_population(
         )
     runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record)
     window = (record.n_steps - window_steps, record.n_steps)
-    return [score_run(run.fires, record.reward_steps, ga_cfg.T_P, window) for run in runs]
+    # every genome's fires in one array, tagged with the genome's index
+    fire_steps = np.concatenate([np.zeros(0, np.int64), *(run.fire_steps for run in runs)])
+    genome = np.repeat(np.arange(len(runs)), [run.fire_count for run in runs])
+    return score_runs(fire_steps, genome, len(runs), record.reward_steps, ga_cfg.T_P, window)
 
 
 def evaluate(genome: Genome, record: EpisodeRecord, ga_cfg: GaConfig = GaConfig()) -> float:

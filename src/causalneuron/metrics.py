@@ -7,8 +7,10 @@ detector that fires in all the wrong places.
 
 :class:`IntervalSet`, :func:`target_periods`, :func:`prediction_periods`
 and :func:`r_metric` state the definition one interval at a time and are
-the reference; :func:`score_run`, which the CLI and the genetic search
-call, computes the same integers on sorted arrays.
+the reference. :func:`score_runs`, which the genetic search calls once
+per generation, computes the same integers on sorted arrays for many
+runs at once; :func:`score_run`, which the CLI calls, is its one-run
+case.
 """
 
 from __future__ import annotations
@@ -111,21 +113,94 @@ def r_metric(targets: IntervalSet, predictions: IntervalSet) -> float:
     return 1.0 - t_err / t_tar
 
 
-def _union(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The union of the intervals [starts, ends) as sorted disjoint intervals.
+def _merge(
+    starts: np.ndarray, ends: np.ndarray, runs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of the intervals [starts, ends) within each run.
 
-    ``starts`` must be sorted. Empty intervals are dropped, and each
-    interval joins the run before it when it starts at or before the
-    run's furthest end so far, as :class:`IntervalSet` merges.
+    The intervals must be sorted by run, then start, and their ends must
+    never fall within a run, so no running maximum is needed: an
+    interval joins the one before it when both are the run's and it
+    starts at or before that one's end, as :class:`IntervalSet` merges.
+    Empty intervals are dropped. Returns the merged starts, ends and runs.
     """
     keep = ends > starts
-    starts, ends = starts[keep], ends[keep]
-    reach = np.maximum.accumulate(ends)
-    new = np.ones(len(starts), dtype=bool)
-    new[1:] = starts[1:] > reach[:-1]
-    first = np.flatnonzero(new)
-    last = np.append(first[1:] - 1, len(starts) - 1)[:len(first)]
-    return starts[first], reach[last]
+    starts, ends, runs = starts[keep], ends[keep], runs[keep]
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = (starts[1:] > ends[:-1]) | (runs[1:] != runs[:-1])
+    # a group's last interval comes just before the next group's first;
+    # np.roll wraps the last one round to first[0], which is True
+    return starts[first], ends[np.roll(first, -1)], runs[first]
+
+
+def score_runs(
+    fire_steps: Sequence[int],
+    runs: Sequence[int],
+    n_runs: int,
+    reward_steps: Sequence[int],
+    T_P: int,
+    window: tuple[int, int] | None = None,
+) -> list[float]:
+    """R for each of ``n_runs`` runs, given every run's fires at once.
+
+    ``runs[i]`` is the run (0 to n_runs - 1) that fired at
+    ``fire_steps[i]``. Each run's R is :func:`score_run` of its own
+    fires, computed in one array pass: the targets are built once, and
+    each run's prediction periods are merged apart from the others'.
+    With a window, firings and rewards are filtered to it and the
+    periods are clipped to it, so activity outside the window can
+    neither help nor hurt. Fires and rewards may be unsorted and
+    repeated.
+
+    Equal to ``r_metric(target_periods(...), prediction_periods(...))``
+    (clipped to the window) run by run, computed on int64 arrays: a
+    run's error is |T| + |P| - 2|T & P|, where |T & P| is read off the
+    targets' cumulative lengths, so R is the same quotient of the same
+    integers.
+    """
+    fires = np.asarray(fire_steps, dtype=np.int64)
+    runs = np.asarray(runs, dtype=np.int64)
+    rewards = np.sort(np.asarray(reward_steps, dtype=np.int64))
+    floor = 0
+    if window is not None:
+        lo, hi = window
+        keep = (fires >= lo) & (fires < hi)
+        fires, runs = fires[keep], runs[keep]
+        rewards = rewards[(rewards >= lo) & (rewards < hi)]
+        floor = max(lo, 0)
+    t_start, t_end, _ = _merge(np.maximum(rewards - T_P, floor), rewards,
+                               np.zeros(len(rewards), dtype=np.int64))
+    t_tar = int((t_end - t_start).sum())
+    if t_tar == 0:
+        raise ValueError("R metric undefined: no target periods")
+
+    # each prediction ends T_P after its fire, at the first reward at or
+    # after the fire, or at the window's end, whichever comes first; in
+    # fire order within a run, those ends never fall
+    order = np.lexsort((fires, runs))
+    fires, runs = fires[order], runs[order]
+    ends = fires + T_P
+    k = np.searchsorted(rewards, fires)
+    ahead = k < len(rewards)
+    ends[ahead] = np.minimum(ends[ahead], rewards[k[ahead]])
+    if window is not None:
+        ends = np.minimum(ends, hi)
+    p_start, p_end, p_run = _merge(fires, ends, runs)
+
+    # covered(x): the target steps before x
+    cum = np.append(0, np.cumsum(t_end - t_start))
+
+    def covered(x: np.ndarray) -> np.ndarray:
+        j = np.searchsorted(t_start, x, side="right")
+        past = np.where(j > 0, t_end[j - 1] - x, 0)
+        return cum[j] - np.maximum(past, 0)
+
+    # each run's |P| - 2|T & P|, summed exactly in int64
+    own = (p_end - p_start) - 2 * (covered(p_end) - covered(p_start))
+    acc = np.append(0, np.cumsum(own))
+    bounds = np.searchsorted(p_run, np.arange(n_runs + 1))
+    t_err = t_tar + acc[bounds[1:]] - acc[bounds[:-1]]
+    return (1.0 - t_err / t_tar).tolist()
 
 
 def score_run(
@@ -136,47 +211,8 @@ def score_run(
 ) -> float:
     """R for a recorded run, optionally restricted to a step window.
 
-    With a window, firings and rewards are filtered to it and the
-    resulting periods are clipped to it, so activity outside the window
-    can neither help nor hurt. Fires and rewards may be unsorted and
-    repeated.
-
-    Equal to ``r_metric(target_periods(...), prediction_periods(...))``
-    (clipped to the window), computed on sorted int64 arrays: the error
-    is |T| + |P| - 2|T & P|, where |T & P| is read off the targets'
-    cumulative lengths, so R is the same quotient of the same integers.
+    The one-run case of :func:`score_runs`.
     """
-    fires = np.sort(np.asarray(fire_steps, dtype=np.int64))
-    rewards = np.sort(np.asarray(reward_steps, dtype=np.int64))
-    floor = 0
-    if window is not None:
-        lo, hi = window
-        fires = fires[(fires >= lo) & (fires < hi)]
-        rewards = rewards[(rewards >= lo) & (rewards < hi)]
-        floor = max(lo, 0)
-    t_start, t_end = _union(np.maximum(rewards - T_P, floor), rewards)
-    t_tar = int((t_end - t_start).sum())
-    if t_tar == 0:
-        raise ValueError("R metric undefined: no target periods")
-
-    # each prediction ends T_P after its fire, at the first reward at or
-    # after the fire, or at the window's end, whichever comes first
-    ends = fires + T_P
-    k = np.searchsorted(rewards, fires)
-    ahead = k < len(rewards)
-    ends[ahead] = np.minimum(ends[ahead], rewards[k[ahead]])
-    if window is not None:
-        ends = np.minimum(ends, hi)
-    p_start, p_end = _union(fires, ends)
-
-    # covered(x): the target steps before x
-    cum = np.append(0, np.cumsum(t_end - t_start))
-
-    def covered(x: np.ndarray) -> np.ndarray:
-        j = np.searchsorted(t_start, x, side="right")
-        past = np.where(j > 0, t_end[j - 1] - x, 0)
-        return cum[j] - np.maximum(past, 0)
-
-    overlap = int((covered(p_end) - covered(p_start)).sum())
-    t_err = t_tar + int((p_end - p_start).sum()) - 2 * overlap
-    return 1.0 - t_err / t_tar
+    fires = np.asarray(fire_steps, dtype=np.int64)
+    return score_runs(fires, np.zeros(len(fires), dtype=np.int64), 1,
+                      reward_steps, T_P, window)[0]

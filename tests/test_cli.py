@@ -277,6 +277,26 @@ class TestTrainEval:
         assert (rows[0]["section"], rows[0]["index_in_section"]) == ("ball_x", "0")
         assert rows[-1]["section"] != "ball_x"
 
+    def test_train_without_rewards_writes_outputs_and_leaves_r_undefined(self, tmp_path,
+                                                                          capsys):
+        record = tmp_path / "short.spkc"
+        assert main(["record", "--seed", "1", "--duration", "2", "--out", str(record)]) \
+            == EXIT_OK
+        assert len(EpisodeRecord.load(record).reward_steps) == 0
+        snap, report, resources = tmp_path / "s.npz", tmp_path / "r.csv", tmp_path / "w.csv"
+        capsys.readouterr()
+        assert main(["train", "--record", str(record), "--out", str(snap),
+                     "--report", str(report), "--resources", str(resources)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(", R(600s window) = undefined (no reward in the window)")
+        assert lines[1:] == [f"wrote snapshot {snap}", f"wrote report {report}",
+                             f"wrote resources {resources}"]
+        det = Detector(133, PlasticityConfig())
+        replay(det, EpisodeRecord.load(record))
+        assert Detector.load_snapshot(snap).resources == det.resources
+        with open(resources) as fh:
+            assert len(list(csv.DictReader(fh))) == 133
+
     def test_train_eval_consistency(self, tmp_path, syn_record, params_file, capsys):
         snap = tmp_path / "snap.npz"
         # freeze plasticity before the evaluated window so both paths
@@ -531,6 +551,19 @@ class TestGaCommand:
         assert rows[0]["generation"] == "0"
         bests = [float(r["best_R"]) for r in rows]
         assert bests == sorted(bests)
+
+    def test_no_reward_in_the_window_is_config_error(self, tmp_path, capsys):
+        record, cfg = tmp_path / "early.spkc", tmp_path / "ga.txt"
+        # the only reward lies before the 1 s (1000-step) evaluation window
+        EpisodeRecord.build(
+            step_ms=1, n_channels=3, seed=0, n_steps=5000,
+            frames=[(t, [0, 1]) for t in range(50, 5000, 300)], reward_steps=[100],
+        ).save(record)
+        cfg.write_text("population_size = 4\nmax_generations = 1\neval_window_s = 1\n")
+        assert main(["ga", "--record", str(record), "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: R metric undefined: no target periods\n"
 
 
 class TestExportCommand:

@@ -9,6 +9,7 @@ from causalneuron.metrics import (
     prediction_periods,
     r_metric,
     score_run,
+    score_runs,
     target_periods,
 )
 
@@ -202,3 +203,35 @@ def test_score_run_matches_both_references(case):
     assert brute_force_score(fires, rewards, T_P, full) == expected
     assert score_run(np.array(fires, dtype=np.int64), np.array(rewards, dtype=np.int64),
                      T_P, window) == expected
+
+
+@st.composite
+def populations(draw):
+    """Several runs' fires over one timeline, interleaved in any order."""
+    _, rewards, T_P, window = draw(timelines())
+    step = st.integers(0, 300)
+    if rewards:
+        step = st.one_of(step, st.sampled_from(rewards))
+    runs = draw(st.lists(st.lists(step, max_size=12), min_size=1, max_size=6))
+    log = [(f, run) for run, fires in enumerate(runs) for f in fires]
+    log = draw(st.permutations(log))
+    return runs, log, rewards, T_P, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(populations())
+def test_score_runs_matches_the_reference_run_by_run(case):
+    runs, log, rewards, T_P, window = case
+    fires = [f for f, _ in log]
+    owner = [run for _, run in log]
+    try:
+        expected = [interval_score(f, rewards, T_P, window) for f in runs]
+    except ValueError:
+        with pytest.raises(ValueError, match="^R metric undefined: no target periods$"):
+            score_runs(fires, owner, len(runs), rewards, T_P, window)
+        return
+    assert score_runs(fires, owner, len(runs), rewards, T_P, window) == expected
+    # runs past the last one that fired score as silent
+    silent = interval_score([], rewards, T_P, window)
+    assert score_runs(fires, owner, len(runs) + 2, rewards, T_P, window) \
+        == expected + [silent, silent]

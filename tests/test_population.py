@@ -17,7 +17,7 @@ from causalneuron.ga import (
     run_ga,
     sample_genome,
 )
-from causalneuron.metrics import score_run
+from causalneuron.metrics import score_run, score_runs
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
 from causalneuron.population import replay_population
@@ -119,6 +119,51 @@ def test_pong_record_matches_scalar(clock):
     assert sum(run.fire_count for run in runs) > 0
 
 
+def stability_crossings(cfg, record):
+    """(event, direction) of each time the scalar detector's stability
+    changes sign across zero (s > 0 against s <= 0), at a reward step or
+    at a TSS onset."""
+    det = Detector(record.n_channels, cfg)
+    tick = det.tick_sparse
+    seen = set()
+
+    def traced(active, dopamine=False):
+        before, onsets = det.stability, det.tss_count
+        fired = tick(active, dopamine)
+        if (before > 0.0) != (det.stability > 0.0):
+            event = "reward" if dopamine else "onset" if det.tss_count > onsets else "?"
+            seen.add((event, "up" if det.stability > 0.0 else "down"))
+        return fired
+
+    det.tick_sparse = traced
+    replay(det, record)
+    return seen
+
+
+def test_stability_crossing_zero_both_ways_matches_scalar():
+    # H < 0: every event step fires. In each 110-step block, with T_P = 10:
+    # an onset at 0 and a reward at 10 (+2 d_s), an onset at 30 (-d_s), a
+    # reward at 40 (+2 d_s), and an onset at 60 (-d_s) whose TSS runs on
+    # to a reward at 100, 40 steps after it (-d_s). Stability thus crosses
+    # zero upward at rewards and downward at onsets and at rewards, so
+    # rates come both from d_bar (s <= 0) and from effective_rates (s > 0)
+    frames, rewards = [], []
+    for base in range(0, 600, 110):
+        frames += [(base + dt, [dt % 3]) for dt in (0, 30, 60, 68, 76, 84, 92)]
+        rewards += [base + dt for dt in (10, 40, 100)]
+    rec = EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=700,
+                              frames=frames, reward_steps=rewards)
+    cfgs = [
+        PlasticityConfig(d_bar=g.d_H_bar, w_min=-min(g.neg_w_min, 0.05), w_max=g.w_max,
+                         d_s=g.d_s, T_P=10, H=-0.25)
+        for g in CORNERS + random_genomes(2, 4)
+    ]
+    for cfg in cfgs:
+        assert stability_crossings(cfg, rec) == {
+            ("reward", "up"), ("onset", "down"), ("reward", "down")}
+    assert_matches_scalar(cfgs, rec)
+
+
 def test_empty_population():
     rec = generate(SyntheticConfig(n_steps=5_000, seed=0))
     assert replay_population([], rec) == []
@@ -200,11 +245,11 @@ def test_run_ga_matches_scalar_reference(ga_record):
 def test_run_ga_scores_each_distinct_genome_once(ga_record, monkeypatch):
     scored = []
 
-    def counting_score_run(fires, *args):
-        scored.append(1)
-        return score_run(fires, *args)
+    def counting_score_runs(fires, runs, n_runs, *args):
+        scored.extend(range(n_runs))
+        return score_runs(fires, runs, n_runs, *args)
 
-    monkeypatch.setattr(ga_module, "score_run", counting_score_run)
+    monkeypatch.setattr(ga_module, "score_runs", counting_score_runs)
     seen = set()
     real_evolve = ga_module.evolve
 
