@@ -2,9 +2,12 @@
 
 Exit codes: 0 on success, 2 on configuration errors (bad flags, bad
 config files, malformed records or snapshots, inconsistent inputs), 3
-on I/O errors. Config files are flat ``key = value`` text; every
-subcommand that takes one accepts ``--dump-config`` to print its
-defaults in the same format.
+on I/O errors. Config files are flat ``key = value`` text, one key per
+field of the subcommand's config class, whose field defaults are the only
+defaults; ``--dump-config`` prints them in the same format. ``ga``'s
+``max_generations = 0`` means no cap. ``train``/``eval --window`` default to
+``GaConfig.eval_window_s``; ``train --out`` writes exactly the path given,
+and ``--freeze-after`` takes the first report-window boundary at or after it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ import sys
 from functools import cache
 from dataclasses import fields as dataclass_fields
 
-import numpy as np
-
 from .encoder import N_CHANNELS, SECTION_SIZES
-from .ga import GENE_NAMES, GaConfig, run_ga
+from .ga import GENE_NAMES, GaConfig, run_ga, trailing_window
 from .metrics import score_run
 from .neuron import Detector
 from .plasticity import PlasticityConfig
@@ -34,10 +35,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# PlasticityConfig's fields as config-file keys; the threshold H is not one.
+# Each config class's fields as config-file keys; the threshold H is not one.
 PARAM_DEFAULTS = {
     f.name: f.default for f in dataclass_fields(PlasticityConfig) if f.name != "H"
 }
+GA_DEFAULTS = {f.name: f.default for f in dataclass_fields(GaConfig)}
+SYNTHETIC_DEFAULTS = {f.name: f.default for f in dataclass_fields(SyntheticConfig)}
 
 
 class ConfigError(ValueError):
@@ -70,31 +73,24 @@ def load_config(path, defaults: dict) -> dict:
 
 
 def _coerce(text: str, default):
-    if isinstance(default, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
     if isinstance(default, tuple):
         return tuple(int(v) for v in text.replace(",", " ").split())
-    return text
+    return type(default)(text)
 
 
-def dump_config(defaults: dict, fh=None) -> None:
-    fh = sys.stdout if fh is None else fh  # looked up per call, so redirection applies
+def dump_config(defaults: dict) -> None:
     for key, value in defaults.items():
         if isinstance(value, tuple):
             value = " ".join(str(v) for v in value)
-        fh.write(f"{key} = {value}\n")
+        print(f"{key} = {value}")
 
 
-def _params_from_file(path) -> PlasticityConfig:
-    return PlasticityConfig(**(load_config(path, PARAM_DEFAULTS) if path else PARAM_DEFAULTS))
+def build_config(args):
+    """The subcommand's config: its class defaults, then the file, then --seed."""
+    values = load_config(args.config, args.defaults) if args.config else dict(args.defaults)
+    if getattr(args, "seed", None) is not None:
+        values["seed"] = args.seed
+    return args.config_class(**values)
 
 
 def _check_window(window_s: int) -> None:
@@ -115,25 +111,24 @@ def cmd_record(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.dump_config:
-        dump_config(PARAM_DEFAULTS)
-        return EXIT_OK
     if not args.record:
         raise ConfigError("--record is required")
     _check_window(args.window)
     freeze_after = args.freeze_after
     if freeze_after is not None and not (math.isfinite(freeze_after) and freeze_after >= 0):
         raise ConfigError(f"--freeze-after must be finite and >= 0 s, got {freeze_after:g}")
-    cfg = _params_from_file(args.params)
+    cfg = build_config(args)
     rec = EpisodeRecord.load(args.record)
     detector = Detector(rec.n_channels, cfg)
-    freeze_at = None if freeze_after is None else round(freeze_after * 1000 / rec.step_ms)
+    freeze_at = None
+    if freeze_after is not None:  # the first step at or after S, in exact integer arithmetic
+        num, den = freeze_after.as_integer_ratio()
+        freeze_at = -(-num * 1000 // (den * rec.step_ms))
     fires, rows = train_on_record(rec, detector, freeze_at=freeze_at)
 
-    window_steps = args.window * 1000 // rec.step_ms
-    eval_window = (max(rec.n_steps - window_steps, 0), rec.n_steps)
+    window = trailing_window(rec, args.window)
     try:
-        r_text = f"{score_run(fires, rec.reward_steps.tolist(), cfg.T_P, eval_window):.4f}"
+        r_text = f"{score_run(fires, rec.reward_steps.tolist(), cfg.T_P, window):.4f}"
     except ValueError:  # R has no target period to measure: the outputs are still written
         r_text = "undefined (no reward in the window)"
     print(
@@ -179,30 +174,16 @@ def cmd_eval(args) -> int:
     rec = EpisodeRecord.load(args.record)
     trained = Detector.load_snapshot(args.snapshot)
     fires = frozen_fires(rec, trained.weight_array(), trained.cfg.H)
-    window_steps = args.window * 1000 // rec.step_ms
-    eval_window = (max(rec.n_steps - window_steps, 0), rec.n_steps)
-    r_value = score_run(fires, rec.reward_steps.tolist(), trained.cfg.T_P, eval_window)
+    window = trailing_window(rec, args.window)
+    r_value = score_run(fires, rec.reward_steps.tolist(), trained.cfg.T_P, window)
     print(f"R({args.window}s window) = {r_value:.4f}")
     return EXIT_OK
 
 
-# GaConfig's fields as config-file keys; max_generations None is written 0.
-GA_DEFAULTS = {
-    f.name: 0 if f.default is None else f.default for f in dataclass_fields(GaConfig)
-}
-
-
 def cmd_ga(args) -> int:
-    if args.dump_config:
-        dump_config(GA_DEFAULTS)
-        return EXIT_OK
     if not args.record:
         raise ConfigError("--record is required")
-    values = load_config(args.config, GA_DEFAULTS) if args.config else dict(GA_DEFAULTS)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    max_gen = values.pop("max_generations")
-    cfg = GaConfig(max_generations=max_gen if max_gen > 0 else None, **values)
+    cfg = build_config(args)
     rec = EpisodeRecord.load(args.record)
     best, history = run_ga(cfg, rec)
     if args.out:
@@ -223,19 +204,10 @@ def cmd_ga(args) -> int:
     return EXIT_OK
 
 
-SYNTHETIC_DEFAULTS = {f.name: f.default for f in dataclass_fields(SyntheticConfig)}
-
-
 def cmd_synthetic(args) -> int:
-    if args.dump_config:
-        dump_config(SYNTHETIC_DEFAULTS)
-        return EXIT_OK
     if not args.out:
         raise ConfigError("--out is required")
-    values = load_config(args.config, SYNTHETIC_DEFAULTS) if args.config else dict(SYNTHETIC_DEFAULTS)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    rec = generate(SyntheticConfig(**values))
+    rec = generate(build_config(args))
     rec.save(args.out)
     print(f"wrote {args.out}: {rec.n_steps} steps, {len(rec.reward_steps)} rewards")
     return EXIT_OK
@@ -282,22 +254,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a detector on a record")
     p.add_argument("--record")
-    p.add_argument("--params", help="plasticity parameter file (key = value)")
-    p.add_argument("--out", help="snapshot output (.npz)")
-    p.add_argument("--report", help="time-series CSV, one row per 10,000 steps")
+    p.add_argument("--params", dest="config", metavar="PARAMS",
+                   help="plasticity parameter file (key = value)")
+    p.add_argument("--out", help="snapshot output (.npz), written at exactly this path")
+    p.add_argument("--report",
+                   help=f"time-series CSV, one row per {REPORT_WINDOW_STEPS:,} steps")
     p.add_argument("--resources", help="per-synapse resource CSV")
-    p.add_argument("--window", type=int, default=600, help="R window, seconds")
+    p.add_argument("--window", type=int, default=GaConfig.eval_window_s,
+                   help="R window, seconds")
     p.add_argument("--freeze-after", type=float, default=None,
-                   help="freeze plasticity after this many seconds; takes effect "
-                   "at the next 10,000-step report-window boundary")
+                   help=f"freeze plasticity at the first {REPORT_WINDOW_STEPS:,}-step "
+                   "report-window boundary at or after this many seconds")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, config_class=PlasticityConfig, defaults=PARAM_DEFAULTS)
 
     p = sub.add_parser("eval", help="frozen-plasticity evaluation of a snapshot; "
                        "the plasticity parameters come from the snapshot")
     p.add_argument("--record")
     p.add_argument("--snapshot")
-    p.add_argument("--window", type=int, default=600)
+    p.add_argument("--window", type=int, default=GaConfig.eval_window_s)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ga", help="genetic parameter search on a record")
@@ -306,14 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", help="generation-history CSV")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_ga)
+    p.set_defaults(func=cmd_ga, config_class=GaConfig, defaults=GA_DEFAULTS)
 
     p = sub.add_parser("synthetic", help="generate a ground-truth causal record")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_synthetic)
+    p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig,
+                   defaults=SYNTHETIC_DEFAULTS)
 
     p = sub.add_parser("export", help="dump a record as CSV for inspection")
     p.add_argument("--record", required=True)
@@ -326,6 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "dump_config", False):
+            dump_config(args.defaults)
+            return EXIT_OK
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ class Genome:
     w_max: float
     d_s: float
 
-    def to_config(self, T_P: int = 100) -> PlasticityConfig:
+    def to_config(self, T_P: int = PlasticityConfig.T_P) -> PlasticityConfig:
         return PlasticityConfig(
             d_bar=self.d_H_bar,
             w_min=-self.neg_w_min,
@@ -61,10 +61,10 @@ class GaConfig:
     elitism_fraction: float = 0.1
     mutation_prob: float = 0.5      # per chromosome; one gene resampled
     stagnation_generations: int = 3
-    eval_window_s: int = 600
-    T_P: int = 100
+    eval_window_s: int = 600        # also the default of train/eval --window
+    T_P: int = PlasticityConfig.T_P
     seed: int = 0
-    max_generations: Optional[int] = None
+    max_generations: int = 0        # 0: no cap, run until stagnation
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -79,6 +79,14 @@ class GaConfig:
             raise ValueError("eval_window_s must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.max_generations < 0:
+            raise ValueError("max_generations must be >= 0 (0: no cap)")
+
+
+def trailing_window(record: EpisodeRecord, window_s: int) -> tuple[int, int]:
+    """The record's last ``window_s`` seconds as a [start, end) step window; the
+    start is negative for a shorter record, which ``score_run`` then scores whole."""
+    return record.n_steps - window_s * 1000 // record.step_ms, record.n_steps
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -96,14 +104,13 @@ def evaluate_population(
 ) -> list[float]:
     """Train a fresh zero-weight detector per genome on the record and
     score each one's tail window."""
-    window_steps = ga_cfg.eval_window_s * 1000 // record.step_ms
-    if record.n_steps < window_steps:
+    start, end = window = trailing_window(record, ga_cfg.eval_window_s)
+    if start < 0:
         raise ValueError(
             f"record ({record.n_steps} steps) shorter than the "
-            f"evaluation window ({window_steps} steps)"
+            f"evaluation window ({end - start} steps)"
         )
     runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record)
-    window = (record.n_steps - window_steps, record.n_steps)
     # every genome's fires in one array, tagged with the genome's index
     fire_steps = np.concatenate([np.zeros(0, np.int64), *(run.fire_steps for run in runs)])
     genome = np.repeat(np.arange(len(runs)), [run.fire_count for run in runs])
@@ -166,8 +173,8 @@ def run_ga(
     cfg: GaConfig, record: EpisodeRecord
 ) -> tuple[Genome, list[GenerationStats]]:
     """Evolve until the best-ever fitness stalls for the configured number
-    of successive generations (or max_generations). Returns the best-ever
-    genome and the per-generation history."""
+    of successive generations, or for max_generations generations if that
+    is not 0. Returns the best-ever genome and the per-generation history."""
     rng = np.random.default_rng(cfg.seed)
     population = [sample_genome(rng) for _ in range(cfg.population_size)]
     scores: dict[Genome, float] = {}  # every genome scored so far this run
@@ -198,7 +205,7 @@ def run_ga(
         generation += 1
         if stall >= cfg.stagnation_generations:
             break
-        if cfg.max_generations is not None and generation >= cfg.max_generations:
+        if generation == cfg.max_generations:
             break
         population = evolve(population, fitnesses, rng, cfg)
     return best_genome, history

@@ -261,21 +261,23 @@ class Detector:
         post spike, last onset; -1 for none) are derived (:meth:`_tss_state`).
         """
         pending, depressed, tss_state = self._tss_state()
-        np.savez(
-            path,
-            format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
-            **{f"cfg_{k}": v for k, v in asdict(self.cfg).items()},
-            resources=self.resource_array(),
-            stability=np.float64(self.stability),
-            step=np.int64(self.step),
-            last_presyn=np.asarray(self.last_presyn, dtype=np.int64),
-            depressed=np.asarray(depressed, dtype=np.int64),
-            pending=np.asarray(pending, dtype=np.int64),
-            tss_state=np.asarray(tss_state, dtype=np.int64),
-            tss_completed=np.asarray(self.tss.completed, dtype=np.int64).reshape(-1, 2),
-            fire_count=np.int64(self.fire_count),
-            total_abs_dw=np.float64(self.total_abs_dw),
-        )
+        # numpy appends ".npz" to a path without it; a file handle writes exactly path
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
+                **{f"cfg_{k}": v for k, v in asdict(self.cfg).items()},
+                resources=self.resource_array(),
+                stability=np.float64(self.stability),
+                step=np.int64(self.step),
+                last_presyn=np.asarray(self.last_presyn, dtype=np.int64),
+                depressed=np.asarray(depressed, dtype=np.int64),
+                pending=np.asarray(pending, dtype=np.int64),
+                tss_state=np.asarray(tss_state, dtype=np.int64),
+                tss_completed=np.asarray(self.tss.completed, dtype=np.int64).reshape(-1, 2),
+                fire_count=np.int64(self.fire_count),
+                total_abs_dw=np.float64(self.total_abs_dw),
+            )
 
     @classmethod
     def load_snapshot(cls, path) -> "Detector":

@@ -15,6 +15,7 @@ from causalneuron.cli import (
     load_config,
     main,
 )
+from causalneuron.ga import GaConfig, run_ga
 from causalneuron.metrics import score_run
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
@@ -63,6 +64,15 @@ class TestConfigFiles:
         assert capsys.readouterr().out == (
             "d_bar = 0.056\nw_min = -0.017\nw_max = 0.48\nd_s = 0.23\nT_P = 100\n"
         )
+
+    def test_ga_defaults_come_from_the_config_class(self, capsys):
+        assert main(["ga", "--dump-config"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "population_size = 300\nelitism_fraction = 0.1\nmutation_prob = 0.5\n"
+            "stagnation_generations = 3\neval_window_s = 600\nT_P = 100\nseed = 0\n"
+            "max_generations = 0\n"
+        )
+        assert GA_DEFAULTS == vars(GaConfig())
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -169,6 +179,12 @@ class TestConfigValidation:
         cfg.write_text(f"population_size = 4\neval_window_s = {window}\n")
         self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
                     "eval_window_s must be >= 1", capsys)
+
+    def test_ga_negative_max_generations(self, tmp_path, syn_record, capsys):
+        cfg = tmp_path / "ga.txt"
+        cfg.write_text("population_size = 4\nmax_generations = -1\n")
+        self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
+                    "max_generations must be >= 0 (0: no cap)", capsys)
 
     def test_ga_negative_seed(self, tmp_path, syn_record, capsys):
         cfg = tmp_path / "ga.txt"
@@ -296,6 +312,31 @@ class TestTrainEval:
         assert Detector.load_snapshot(snap).resources == det.resources
         with open(resources) as fh:
             assert len(list(csv.DictReader(fh))) == 133
+
+    def test_snapshot_is_written_at_exactly_the_out_path(self, tmp_path, syn_record, capsys):
+        snap = tmp_path / "model"
+        assert main(["train", "--record", str(syn_record), "--out", str(snap)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote snapshot {snap}"
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]  # no model.npz twin
+        assert main(["eval", "--record", str(syn_record), "--snapshot", str(snap)]) == EXIT_OK
+
+    def test_freeze_after_takes_the_first_boundary_at_or_after_it(self, tmp_path, syn_record):
+        def report(*freeze_after):
+            path = tmp_path / "report.csv"
+            assert main(["train", "--record", str(syn_record), "--report", str(path),
+                         *freeze_after]) == EXIT_OK
+            with open(path) as fh:
+                return [(r["window_start_s"], r["abs_weight_change"])
+                        for r in csv.DictReader(fh)]
+
+        at_10, at_20 = report("--freeze-after", "10"), report("--freeze-after", "20")
+        # the first window after the freeze is the first that changes no weight
+        assert at_10[1] == ("10", "0")
+        assert at_20[1][1] != "0" and at_20[2] == ("20", "0")
+        assert report("--freeze-after", "9.9996") == at_10
+        assert report("--freeze-after", "10.0004") == at_20
+        # a finite S past the record never freezes, though S * 1000 overflows a float
+        assert report("--freeze-after", "1e306") == report()
 
     def test_train_eval_consistency(self, tmp_path, syn_record, params_file, capsys):
         snap = tmp_path / "snap.npz"
@@ -551,6 +592,19 @@ class TestGaCommand:
         assert rows[0]["generation"] == "0"
         bests = [float(r["best_R"]) for r in rows]
         assert bests == sorted(bests)
+
+    def test_max_generations_zero_runs_to_stagnation(self, tmp_path, syn_record):
+        settings = dict(population_size=6, eval_window_s=100, stagnation_generations=2,
+                        seed=3, max_generations=0)
+        cfg, out = tmp_path / "ga.txt", tmp_path / "hist.csv"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        assert main(["ga", "--record", str(syn_record), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            rows = [(r["generation"], r["best_R"]) for r in csv.DictReader(fh)]
+        _, history = run_ga(GaConfig(**settings), EpisodeRecord.load(syn_record))
+        assert rows == [(str(s.generation), f"{s.best_fitness:.9g}") for s in history]
+        assert len(rows) > settings["stagnation_generations"]
 
     def test_no_reward_in_the_window_is_config_error(self, tmp_path, capsys):
         record, cfg = tmp_path / "early.spkc", tmp_path / "ga.txt"

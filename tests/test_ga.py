@@ -142,7 +142,7 @@ class TestRunGa:
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
     def test_stagnation_terminates(self, small_record):
-        cfg = self.ga_cfg(stagnation_generations=1, max_generations=None)
+        cfg = self.ga_cfg(stagnation_generations=1, max_generations=0)
         _, hist = run_ga(cfg, small_record)
         assert len(hist) >= 1
 
@@ -162,6 +162,7 @@ class TestConfigValidation:
             dict(elitism_fraction=1.0),
             dict(mutation_prob=1.5),
             dict(stagnation_generations=0),
+            dict(max_generations=-1),
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -220,7 +220,7 @@ def reference_run_ga(cfg, record):
             stall += 1
         if stall >= cfg.stagnation_generations:
             break
-        if cfg.max_generations is not None and len(history) >= cfg.max_generations:
+        if cfg.max_generations and len(history) >= cfg.max_generations:
             break
         population = evolve(population, fitnesses, rng, cfg)
     return best_genome, history
