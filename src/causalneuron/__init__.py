@@ -10,8 +10,7 @@ search over the four free plasticity parameters.
 """
 
 from .plasticity import PlasticityConfig, weight_of, resource_for_weight, effective_rates
-from .neuron import Detector, tss_segments
-from .metrics import IntervalSet, target_periods, prediction_periods, r_metric
+from .neuron import Detector
 from .records import EpisodeRecord
 from .ga import Genome, GaConfig, sample_genome, evaluate, evolve, run_ga
 
@@ -21,11 +20,6 @@ __all__ = [
     "resource_for_weight",
     "effective_rates",
     "Detector",
-    "tss_segments",
-    "IntervalSet",
-    "target_periods",
-    "prediction_periods",
-    "r_metric",
     "EpisodeRecord",
     "Genome",
     "GaConfig",

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 on configuration errors (bad flags, bad
 config files, malformed records or snapshots, inconsistent inputs), 3
-on I/O errors. Config files are flat ``key = value`` text, one key per
-field of the subcommand's config class, whose field defaults are the only
-defaults; ``--dump-config`` prints them in the same format. ``ga``'s
+on I/O errors (a missing or unreadable file, config files included).
+Config files are flat ``key = value`` text, each key at most once, one
+key per field of the subcommand's config class, whose field defaults are
+the only defaults; ``--dump-config`` prints them in the same format. ``ga``'s
 ``max_generations = 0`` means no cap. ``train``/``eval --window`` default to
 ``GaConfig.eval_window_s``; ``train --out`` writes exactly the path given,
 and ``--freeze-after`` takes the first report-window boundary at or after it.
@@ -48,12 +49,15 @@ class ConfigError(ValueError):
 
 
 def load_config(path, defaults: dict) -> dict:
-    """Read a flat key=value file, coercing each value to its default's type."""
+    """Read a flat key=value file, coercing each value to its default's type.
+
+    A file that cannot be opened raises ``OSError`` (exit code 3)."""
     out = dict(defaults)
+    seen: dict[str, int] = {}  # key -> the line that set it
     try:
         fh = open(path, "r")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise OSError(f"cannot read config {path}: {exc.strerror or exc}") from None
     with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -65,6 +69,10 @@ def load_config(path, defaults: dict) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             if key not in defaults:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeated "
+                                  f"(first set on line {seen[key]})")
+            seen[key] = lineno
             try:
                 out[key] = _coerce(value, defaults[key])
             except ValueError as exc:

@@ -5,112 +5,18 @@ is R = 1 - |targets symmetric-difference predictions| / |targets|: 1 for
 a perfect prediction, 0 for a silent detector, unbounded below for a
 detector that fires in all the wrong places.
 
-:class:`IntervalSet`, :func:`target_periods`, :func:`prediction_periods`
-and :func:`r_metric` state the definition one interval at a time and are
-the reference. :func:`score_runs`, which the genetic search calls once
-per generation, computes the same integers on sorted arrays for many
-runs at once; :func:`score_run`, which the CLI calls, is its one-run
-case.
+:func:`score_runs`, which the genetic search calls once per generation,
+computes R on sorted arrays for many runs at once; :func:`score_run`,
+which the CLI calls, is its one-run case. The reference that states the
+definition one interval at a time lives with the tests
+(``tests/reference.py``), which check both against it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-class IntervalSet:
-    """Normalized set of disjoint, sorted half-open intervals [start, end)."""
-
-    __slots__ = ("intervals",)
-
-    def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
-        merged: list[tuple[int, int]] = []
-        for start, end in sorted(intervals):
-            if end <= start:
-                continue
-            if merged and start <= merged[-1][1]:
-                last_start, last_end = merged[-1]
-                if end > last_end:
-                    merged[-1] = (last_start, end)
-            else:
-                merged.append((start, end))
-        self.intervals = tuple(merged)
-
-    @property
-    def total(self) -> int:
-        return sum(end - start for start, end in self.intervals)
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalSet) and self.intervals == other.intervals
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
-    def __repr__(self) -> str:
-        return f"IntervalSet({list(self.intervals)!r})"
-
-    def __contains__(self, step: int) -> bool:
-        iv = self.intervals
-        k = bisect_left(iv, (step + 1,)) - 1
-        return k >= 0 and iv[k][0] <= step < iv[k][1]
-
-    def clip(self, start: int, end: int) -> "IntervalSet":
-        """Intersection with the window [start, end)."""
-        return IntervalSet(
-            (max(s, start), min(e, end)) for s, e in self.intervals
-        )
-
-    def symmetric_difference_measure(self, other: "IntervalSet") -> int:
-        """Total number of steps belonging to exactly one of the two sets."""
-        bounds = sorted(
-            {b for s, e in self.intervals for b in (s, e)}
-            | {b for s, e in other.intervals for b in (s, e)}
-        )
-        measure = 0
-        for lo, hi in zip(bounds, bounds[1:]):
-            if (lo in self) != (lo in other):
-                measure += hi - lo
-        return measure
-
-
-def target_periods(reward_steps: Sequence[int], T_P: int) -> IntervalSet:
-    """Union of the T_P-long windows preceding each reward, clipped at 0."""
-    return IntervalSet((max(r - T_P, 0), r) for r in reward_steps)
-
-
-def prediction_periods(
-    fire_steps: Sequence[int], reward_steps: Sequence[int], T_P: int
-) -> IntervalSet:
-    """Windows opened by detector spikes.
-
-    Each firing at T* opens [T*, T* + T_P), truncated at the first
-    reward at or after T* (a prediction is fulfilled by the event it
-    predicts).
-    """
-    rewards = sorted(reward_steps)
-    out = []
-    for f in fire_steps:
-        end = f + T_P
-        k = bisect_left(rewards, f)
-        if k < len(rewards):
-            end = min(end, rewards[k])
-        out.append((f, end))
-    return IntervalSet(out)
-
-
-def r_metric(targets: IntervalSet, predictions: IntervalSet) -> float:
-    """R = 1 - |targets XOR predictions| / |targets|. Undefined without targets."""
-    t_tar = targets.total
-    if t_tar == 0:
-        raise ValueError("R metric undefined: no target periods")
-    t_err = targets.symmetric_difference_measure(predictions)
-    return 1.0 - t_err / t_tar
 
 
 def _merge(
@@ -121,7 +27,7 @@ def _merge(
     The intervals must be sorted by run, then start, and their ends must
     never fall within a run, so no running maximum is needed: an
     interval joins the one before it when both are the run's and it
-    starts at or before that one's end, as :class:`IntervalSet` merges.
+    starts at or before that one's end, so touching intervals merge.
     Empty intervals are dropped. Returns the merged starts, ends and runs.
     """
     keep = ends > starts
@@ -152,7 +58,7 @@ def score_runs(
     neither help nor hurt. Fires and rewards may be unsorted and
     repeated.
 
-    Equal to ``r_metric(target_periods(...), prediction_periods(...))``
+    Equal to the interval-at-a-time reference in ``tests/reference.py``
     (clipped to the window) run by run, computed on int64 arrays: a
     run's error is |T| + |P| - 2|T & P|, where |T & P| is read off the
     targets' cumulative lengths, so R is the same quotient of the same

@@ -15,15 +15,20 @@ are pending: depressed only if a further postsynaptic spike extends
 the sequence. The pending set is derived, not held: it is the channels
 whose ``last_presyn`` is after the latest postsynaptic spike. Closure is
 no event either: a fire more than ISI_max steps after the previous one
-starts a new TSS. This makes the online behaviour agree exactly with the
-offline segmentation in :func:`tss_segments`, and it is the model
-:mod:`~causalneuron.population` keeps for many detectors at once.
+starts a new TSS. This makes the online behaviour agree exactly with an
+offline segmentation of the fire train (``tests/reference.py``), and it is
+the model :mod:`~causalneuron.population` keeps for many detectors at once.
+
+This scalar detector is the readable reference: ``train`` and ``ga`` run
+the lockstep kernel :func:`~causalneuron.population.replay_population`,
+which is checked against it bit for bit, and ``train`` writes the
+kernel's final state into a :class:`Detector` (:meth:`Detector.set_state`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,35 +51,6 @@ class TssTracker:
     def completed(self) -> list:
         spans = self._det._spans
         return spans[:-1] if self.active else list(spans)
-
-    @property
-    def last_onset(self) -> Optional[int]:
-        """Onset of the open or latest closed TSS; the dopamine rule measures from it."""
-        spans = self._det._spans
-        return spans[-1][0] if spans else None
-
-
-def tss_segments(post_spike_steps: Sequence[int], isi_max: int) -> list[tuple[int, int]]:
-    """Offline reference segmentation of a postsynaptic spike train.
-
-    Returns maximal (first_step, last_step) runs where consecutive gaps
-    are <= isi_max. Serves as the oracle for the online tracker.
-    """
-    segs: list[tuple[int, int]] = []
-    first = None
-    prev = None
-    for t in post_spike_steps:
-        if prev is not None and t <= prev:
-            raise ValueError("post spike steps must be strictly increasing")
-        if first is None:
-            first = t
-        elif t - prev > isi_max:
-            segs.append((first, prev))
-            first = t
-        prev = t
-    if first is not None:
-        segs.append((first, prev))
-    return segs
 
 
 class Detector:
@@ -213,20 +189,6 @@ class Detector:
             adj = max(2.0 - abs(t_tss - isi) / isi, -1.0)
             self.stability += cfg.d_s * adj
 
-    def frozen_clone(self) -> "Detector":
-        """Fresh-clock copy carrying only the learned weights, rates off.
-
-        Used to evaluate a trained detector on a different episode: the
-        step counter, TSS state and eligibility traces start clean, and
-        the frozen flag disables all further resource changes.
-        """
-        clone = Detector(self.n, self.cfg)
-        clone.resources = list(self.resources)
-        clone.weights = list(self.weights)
-        clone.stability = self.stability
-        clone.frozen = True
-        return clone
-
     # -- introspection / checkpointing --------------------------------------
 
     @property
@@ -245,6 +207,24 @@ class Detector:
         onset, last_post = self._spans[-1]
         pending = [i for i, s in enumerate(self.last_presyn) if s > last_post]
         return pending, sorted(self._depressed), [1, onset, last_post, onset]
+
+    def set_state(self, *, resources, stability, step, last_presyn, spans, depressed,
+                  fire_count, total_abs_dw) -> None:
+        """Set the detector's state; the weights follow from the resources.
+
+        ``spans``: the TSS as (onset, last post spike), latest last;
+        ``depressed``: the synapses depressed in the latest TSS."""
+        if len(last_presyn) != self.n:
+            raise ValueError(f"{len(last_presyn)} presynaptic times for {self.n} synapses")
+        self.resources = list(resources)
+        self.weights = [weight_of(r, self.cfg) for r in self.resources]
+        self.stability = stability
+        self.step = step
+        self.last_presyn = list(last_presyn)
+        self._spans = list(spans)
+        self._depressed = set(depressed)
+        self.fire_count = fire_count
+        self.total_abs_dw = total_abs_dw
 
     def resource_array(self) -> np.ndarray:
         return np.asarray(self.resources, dtype=np.float64)
@@ -301,27 +281,24 @@ class Detector:
                     })
                     resources = data["resources"]
                     det = cls(len(resources), cfg)
-                    det.resources = [float(r) for r in resources]
-                    det.weights = [weight_of(r, cfg) for r in det.resources]
-                    det.stability = float(data["stability"])
-                    det.step = int(data["step"])
-                    det.last_presyn = [int(v) for v in data["last_presyn"]]
-                    if len(det.last_presyn) != det.n:
-                        raise ValueError(f"{len(det.last_presyn)} presynaptic times "
-                                         f"for {det.n} synapses")
-                    det._depressed = set(int(v) for v in data["depressed"])
                     state = data["tss_state"].tolist()
                     active, onset, last_post, _ = state
-                    det._spans = [(a, b) for a, b in data["tss_completed"].tolist()]
+                    spans = [(a, b) for a, b in data["tss_completed"].tolist()]
                     if active:
-                        det._spans.append((onset, last_post))
+                        spans.append((onset, last_post))
+                    det.set_state(
+                        resources=[float(r) for r in resources],
+                        stability=float(data["stability"]), step=int(data["step"]),
+                        last_presyn=[int(v) for v in data["last_presyn"]], spans=spans,
+                        depressed=[int(v) for v in data["depressed"]],
+                        fire_count=int(data["fire_count"]),
+                        total_abs_dw=float(data["total_abs_dw"]),
+                    )
                     pending, _, derived = det._tss_state()
                     stored = (data["pending"].tolist(), state)
                     if stored != (pending, derived):
                         raise ValueError(f"pending, tss_state {stored} disagree with the rest "
                                          f"of the file, which gives {(pending, derived)}")
-                    det.fire_count = int(data["fire_count"])
-                    det.total_abs_dw = float(data["total_abs_dw"])
             except Exception as exc:
                 raise ValueError(f"bad snapshot {path}: {exc}") from None
         return det

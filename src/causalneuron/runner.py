@@ -1,45 +1,39 @@
 """Replay of episode records through a detector, with windowed reporting.
 
 Replay is event-driven: a step with no spike and no dopamine is not a
-neuron step. Detector.advance_to skips such steps, which turns a
-2,000,000-step episode into a few hundred thousand ticks. For H >= 0
-this equals ticking an empty frame at every skipped step, because an
-empty frame cannot fire; for H < 0 it would fire, and replay does not
-see it (``tests/test_runner.py`` checks both).
+neuron step. It skips such steps, which turns a 2,000,000-step episode
+into a few hundred thousand events. For H >= 0 this equals ticking an
+empty frame at every skipped step, because an empty frame cannot fire;
+for H < 0 it would fire, and replay does not see it
+(``tests/test_runner.py`` checks both).
 
-With plasticity frozen, firing carries no state from one step to the
-next, so :func:`frozen_fires` evaluates every step at once. The scalar
-:func:`replay` is its reference, which ``tests/test_runner.py`` checks.
+:func:`train_on_record` runs the lockstep kernel of the genetic search
+(:mod:`~causalneuron.population`) with the detector's one config. The
+scalar :func:`replay`, one :meth:`Detector.tick_sparse` call per event,
+is the reference it is checked against, as is :func:`frozen_fires`,
+which evaluates every step of a frozen detector at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .neuron import Detector
+from .population import FrameSums, replay_population
 from .records import EpisodeRecord
-
-WindowHook = Callable[[int, Detector], None]
 
 REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
 
 
-def replay(
-    detector: Detector,
-    record: EpisodeRecord,
-    *,
-    window_steps: Optional[int] = None,
-    on_window: Optional[WindowHook] = None,
-) -> list[int]:
+def replay(detector: Detector, record: EpisodeRecord) -> list[int]:
     """Replay a record from the detector's current step to the end.
 
-    Returns the steps at which the detector fired. If ``window_steps``
-    is given, ``on_window(boundary_step, detector)`` is called with the
-    detector advanced exactly to each window boundary (boundary step not
-    yet processed), including the final boundary at n_steps.
+    Returns the steps at which the detector fired. This scalar loop, one
+    :meth:`Detector.tick_sparse` call per event step, is the reference
+    the lockstep kernel is checked against; no command runs it.
     """
     if record.n_channels != detector.n:
         raise ValueError(
@@ -50,8 +44,6 @@ def replay(
     n_steps = record.n_steps
     if start > n_steps:
         raise ValueError("detector is already past the end of the record")
-    if window_steps is not None and window_steps < 1:
-        raise ValueError("window_steps must be >= 1")
 
     spike_steps = record.spike_steps.tolist()
     indptr = record.indptr.tolist()
@@ -59,12 +51,7 @@ def replay(
     rewards = record.reward_steps.tolist()
     i = int(np.searchsorted(record.spike_steps, start))
     j = int(np.searchsorted(record.reward_steps, start))
-    n_spk = len(spike_steps)
-    n_rew = len(rewards)
-    if window_steps is None:
-        boundary = n_steps + 1  # never reached
-    else:
-        boundary = (start // window_steps + 1) * window_steps
+    n_spk, n_rew = len(spike_steps), len(rewards)
 
     fires: list[int] = []
     tick = detector.tick_sparse
@@ -73,11 +60,6 @@ def replay(
         t_spk = spike_steps[i] if i < n_spk else n_steps
         t_rew = rewards[j] if j < n_rew else n_steps
         t = t_spk if t_spk <= t_rew else t_rew
-        while boundary <= t:
-            detector.advance_to(boundary)
-            if on_window is not None:
-                on_window(boundary, detector)
-            boundary += window_steps
         if t == n_steps:
             break
         detector.advance_to(t)
@@ -95,34 +77,13 @@ def replay(
     return fires
 
 
-def frame_sums(indptr: np.ndarray, channels: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per spike frame, the sum of ``values`` over the frame's channels.
-
-    Frame k holds ``channels[indptr[k]:indptr[k + 1]]``; ``indptr`` may be
-    a slice of a record's, since its entries index ``channels`` directly.
-    The sums are built one frame position at a time over all frames, in
-    the record's channel order, which is the order a scalar loop adds
-    them in. A reduction is never used: numpy does not fix its order.
-    """
-    starts = indptr[:-1]
-    counts = np.diff(indptr)
-    total = np.zeros(len(starts))
-    rows = np.flatnonzero(counts)
-    k = 0
-    while rows.size:  # the k-th channel of every frame that has one
-        total[rows] += values[channels[starts[rows] + k]]
-        k += 1
-        rows = rows[counts[rows] > k]
-    return total
-
-
 def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[int]:
     """The steps at which a frozen detector with these weights fires.
 
-    Equal to ``replay(det.frozen_clone(), record)`` for a detector ``det``
-    with these weights and threshold ``H``. A frozen detector fires at an
+    Equal to the scalar :func:`replay` of a fresh frozen detector with
+    these weights and threshold ``H``. A frozen detector fires at an
     event step exactly when the weights of that step's channels, added in
-    the record's channel order, exceed H (:func:`frame_sums`). A
+    the record's channel order, exceed H (:class:`FrameSums`). A
     reward-only step is an empty frame, which fires when H < 0.
     """
     weights = np.asarray(weights, dtype=np.float64)
@@ -131,7 +92,7 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[i
             f"record has {record.n_channels} channels, detector has {len(weights)}"
         )
     record.check_event_order()
-    total = frame_sums(record.indptr, record.channels, weights)
+    total = FrameSums(record.indptr, record.channels)(weights, 0, len(record.spike_steps))
     fired = record.spike_steps[total > H]
     if 0.0 > H:
         reward_only = record.reward_steps[~np.isin(record.reward_steps, record.spike_steps)]
@@ -156,29 +117,41 @@ def train_on_record(
     window_steps: int = REPORT_WINDOW_STEPS,
     freeze_at: Optional[int] = None,
 ) -> tuple[list[int], list[WindowRow]]:
-    """Replay with plasticity on, collecting fires and per-window stats.
+    """Train the detector on the whole record, collecting fires and per-window stats.
 
-    If ``freeze_at`` (a step) is given, plasticity freezes at the first
+    The detector must not have stepped; its resources (and its frozen
+    flag) are where training starts. The record is replayed by the
+    lockstep kernel with the detector's one config, and the detector is
+    left in the state the scalar :func:`replay` would leave it in. If
+    ``freeze_at`` (a step) is given, plasticity freezes at the first
     window boundary at or after it, once that window's row is recorded;
     ``freeze_at = 0`` still trains the first window.
     """
-    rows: list[WindowRow] = []
-    state = {"fires": 0, "dw": 0.0}
-
-    def hook(boundary: int, det: Detector) -> None:
-        rows.append(
-            WindowRow(
-                window=boundary // window_steps - 1,
-                fire_rate_hz=(det.fire_count - state["fires"])
-                / (window_steps * record.step_ms / 1000.0),
-                stability=det.stability,
-                abs_weight_change=det.total_abs_dw - state["dw"],
-            )
+    if record.n_channels != detector.n:
+        raise ValueError(
+            f"record has {record.n_channels} channels, detector has {detector.n}"
         )
-        state["fires"] = det.fire_count
-        state["dw"] = det.total_abs_dw
-        if freeze_at is not None and boundary >= freeze_at:
-            det.frozen = True
-
-    fires = replay(detector, record, window_steps=window_steps, on_window=hook)
-    return fires, rows
+    if detector.step != 0:
+        raise ValueError(f"training starts at step 0; the detector is at step {detector.step}")
+    if window_steps < 1:
+        raise ValueError("window_steps must be >= 1")
+    freeze_step = 0 if detector.frozen else None
+    if freeze_at is not None and not detector.frozen:  # the first boundary at or after it
+        step = max(-(-freeze_at // window_steps), 1) * window_steps
+        freeze_step = step if step <= record.n_steps else None
+    (run,) = replay_population(
+        [detector.cfg], record, resources=np.array(detector.resources),
+        window_steps=window_steps, freeze_step=freeze_step,
+    )
+    detector.set_state(
+        resources=run.resources.tolist(), stability=run.stability, step=record.n_steps,
+        last_presyn=run.last_presyn.tolist(), spans=run.tss_spans(),
+        depressed=np.flatnonzero(run.depressed).tolist(),
+        fire_count=run.fire_count, total_abs_dw=run.total_abs_dw,
+    )
+    detector.frozen = freeze_step is not None
+    seconds = window_steps * record.step_ms / 1000.0
+    rows = [WindowRow(i, fires / seconds, stability, dw) for i, (fires, stability, dw) in
+            enumerate(zip(run.window_fires.tolist(), run.window_stability.tolist(),
+                          run.window_abs_dw.tolist()))]
+    return run.fires, rows

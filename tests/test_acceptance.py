@@ -17,7 +17,7 @@ import pytest
 
 from causalneuron.ga import GaConfig, Genome, run_ga
 from causalneuron.metrics import score_run
-from causalneuron.neuron import Detector, tss_segments
+from causalneuron.neuron import Detector
 from causalneuron.plasticity import (
     PlasticityConfig,
     effective_rates,
@@ -29,6 +29,7 @@ from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay, train_on_record
 from causalneuron.synthetic import SyntheticConfig, generate
 
+from reference import frozen_clone, tss_segments
 from test_metrics import brute_force_score
 
 PAPER_PARAMS = PlasticityConfig()
@@ -170,7 +171,7 @@ def test_criterion_6_synthetic_causal_detection():
     assert top3 == set(syn.cause_channels)
 
     fresh = generate(SyntheticConfig(n_steps=300_000, seed=1000))
-    frozen = det.frozen_clone()
+    frozen = frozen_clone(det)
     fires = replay(frozen, fresh)
     r_frozen = score_run(fires, fresh.reward_steps.tolist(), cfg.T_P, (0, fresh.n_steps))
     assert r_frozen >= 0.9

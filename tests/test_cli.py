@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config files, end-to-end flows."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from causalneuron.plasticity import PlasticityConfig
 from causalneuron.records import EpisodeRecord
 from causalneuron.runner import replay
 from causalneuron.synthetic import SyntheticConfig
+
+from reference import frozen_clone
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +93,31 @@ class TestConfigFiles:
         path.write_text("d_bar = banana\n")
         with pytest.raises(Exception):
             load_config(path, PARAM_DEFAULTS)
+
+    def test_repeated_key_is_config_error_naming_both_lines(self, tmp_path, syn_record,
+                                                            capsys):
+        path = tmp_path / "twice.txt"
+        path.write_text("d_bar = 0.1\n# a comment\nd_s = 0.3\nd_bar = 0.2\n")
+        assert main(["train", "--record", str(syn_record), "--params", str(path)]) \
+            == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}:4: key 'd_bar' repeated (first set on line 1)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--record", "r.spkc", "--params"],
+        ["ga", "--record", "r.spkc", "--config"],
+        ["synthetic", "--out", "s.spkc", "--config"],
+    ])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_config_file_is_io_error(self, tmp_path, capsys, argv, target):
+        path = tmp_path / "nope.txt" if target == "missing" else tmp_path
+        assert main([*argv, str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestExitCodes:
@@ -241,6 +269,60 @@ class TestRecordCommand:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+# sha256 of train's stdout, report, resources CSV and snapshot, as the
+# scalar training loop wrote them, for records made by the CLI in the
+# working directory
+TRAIN_PINS = {
+    ("pong30", ()): (
+        "023946a4d4557797c6aa590d8ff7695508e72f129b8093b64e2091435bc5c5d6",
+        "72c4fd866e90cd332b4969bf272a0f4883f0c9071cccfb4412a69286114e00f1",
+        "443ebbcac24e63d66ae8620e5d8a03f8fc6f5db2d6b6033fdf608e52bb50941b",
+        "a31ed3d764978e6c4261be4a1c941d429d3bb24cad8a4271326027499111aefc",
+    ),
+    ("syn", ()): (
+        "cccaf6fe78db366d43026944f7f5fac78d5d6532c5328bc41039abb614d43671",
+        "fc5e8c04fd37979460e2d8debaef0bf8c42f181cb80cdeb5e283091fd1a7e423",
+        "752b1d6a8ea9e3c781c0497d067f87569c0c1f6e7cadac9f8ec412e5499bc2e1",
+        "2a7a2c004625a6465a8c314a3491aac5359fc740a79439452041a09bd8d019f6",
+    ),
+    ("syn", ("--freeze-after", "25")): (
+        "8a34d790b380930b350cc345a31c39ec8378c6b7f5c3a70e629ef1d367426e80",
+        "ee1262730167269ccb9d5296a38c329007a24f38163905c5ea247deafeca93c7",
+        "42870d36e210ccf49939f0d77dfb97b47c4be539f0377f25eb7b13c42821485c",
+        "7b331667fd493a75b7ff6e60dc7425d22e966e5099f3b368f04fdfcfc11394d5",
+    ),
+}
+MAKE_RECORD = {
+    "pong30": ["record", "--seed", "42", "--duration", "30", "--out", "pong30.spkc"],
+    "syn": ["synthetic", "--seed", "0", "--out", "syn.spkc"],
+}
+
+
+@pytest.mark.parametrize("name, extra", sorted(TRAIN_PINS))
+def test_train_outputs_are_pinned(tmp_path, monkeypatch, capsys, name, extra):
+    monkeypatch.chdir(tmp_path)
+    assert main(MAKE_RECORD[name]) == EXIT_OK
+    capsys.readouterr()
+    tag = f"{name}-{extra[-1] if extra else 'none'}"
+    outputs = [f"{tag}.report.csv", f"{tag}.res.csv", f"{tag}.snap"]
+    assert main(["train", "--record", f"{name}.spkc", "--out", outputs[2],
+                 "--report", outputs[0], "--resources", outputs[1], *extra]) == EXIT_OK
+    digests = [hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()]
+    digests += [hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() for out in outputs]
+    assert tuple(digests) == TRAIN_PINS[name, extra]
+
+
+def test_train_makes_no_scalar_tick(tmp_path, syn_record, monkeypatch):
+    def no_tick(self, active, dopamine=False):
+        raise AssertionError("train ticked the scalar detector")
+
+    monkeypatch.setattr(Detector, "tick_sparse", no_tick)
+    assert main(["train", "--record", str(syn_record), "--freeze-after", "100",
+                 "--out", str(tmp_path / "snap.npz")]) == EXIT_OK
+    with pytest.raises(AssertionError, match="ticked"):
+        Detector(1, PlasticityConfig()).tick_sparse([0])
+
+
 class TestTrainEval:
     def test_train_writes_all_outputs(self, tmp_path, syn_record, params_file):
         snap = tmp_path / "snap.npz"
@@ -369,7 +451,7 @@ class TestTrainEval:
                      "--window", "100"]) == EXIT_OK
         cfg = PlasticityConfig(**load_config(params_file, PARAM_DEFAULTS))
         rec = EpisodeRecord.load(heldout)
-        fires = replay(Detector.load_snapshot(snap).frozen_clone(), rec)
+        fires = replay(frozen_clone(Detector.load_snapshot(snap)), rec)
         assert fires
         r_value = score_run(fires, rec.reward_steps.tolist(), cfg.T_P, (200_000, 300_000))
         assert capsys.readouterr().out == f"R(100s window) = {r_value:.4f}\n"

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalneuron.metrics import (
-    IntervalSet,
-    prediction_periods,
-    r_metric,
-    score_run,
-    score_runs,
-    target_periods,
-)
+from causalneuron.metrics import score_run, score_runs
+
+from reference import IntervalSet, prediction_periods, r_metric, target_periods
 
 
 def brute_force_score(fires, rewards, T_P, window):

