@@ -271,6 +271,11 @@ class Detector:
         """
         with open(path, "rb") as fh:
             try:
+                # np.load takes any other file for a pickle and, refusing to
+                # unpickle it, says how to load it unsafely
+                if fh.read(4) != b"PK\x03\x04":
+                    raise ValueError("not an .npz archive")
+                fh.seek(0)
                 with np.load(fh) as data:
                     version = int(data["format_version"])
                     if version != SNAPSHOT_FORMAT_VERSION:

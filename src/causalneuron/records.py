@@ -7,9 +7,10 @@ Sparse frames keep a 2,000,000-step episode with ~6 spikes per active
 step around a few megabytes.
 
 The codec works on numpy arrays a block at a time, so its temporaries
-stay a fixed size whatever the record's length. ``_write_varint`` and
-``_read_varint`` are the one-value reference that ``tests/test_records.py``
-checks the encoder and decoder against.
+stay a fixed size whatever the record's length; the decoder's jump tables
+share one scratch array per record. ``_write_varint`` and ``_read_varint``
+are the one-value reference that ``tests/test_records.py`` checks the
+encoder and decoder against.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ _KIND_PUNISHMENT = 1
 
 _BLOCK_BYTES = 1 << 14   # body bytes from_bytes decodes per pass
 _BLOCK_FRAMES = 1 << 12  # spike frames to_bytes encodes per pass
-_JUMP = 16              # frames from_bytes's frame walk takes per Python step
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -83,105 +83,88 @@ def _put_varints(out: np.ndarray, pos: np.ndarray, values: np.ndarray) -> None:
 def _read_varints(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode every complete varint at the start of a uint8 buffer.
 
-    Returns the values, the index of each one's last byte, and whether
-    each lies beyond int64 (such a value reads as the int64 maximum).
+    Returns the values, the value each continuation byte (high bit set)
+    belongs to, and the values beyond int64, which read as its maximum.
     """
-    ends = np.flatnonzero(buf < 0x80)
-    starts = np.empty_like(ends)
-    starts[:1] = 0
-    starts[1:] = ends[:-1] + 1
-    values = (buf[starts] & 0x7F).astype(np.int64)
-    wide = np.zeros(len(ends), dtype=bool)
-    longer = np.flatnonzero(ends > starts)
-    for k in range(1, 9):  # bytes 1 to 8 carry bits 7 to 62
+    more = (buf >= 0x80).nonzero()[0]
+    if not more.size:
+        return buf.astype(np.int64), more, more
+    owner = more - np.arange(len(more))
+    values = buf[buf < 0x80].astype(np.int64)
+    # each whole multi-byte value, the index of its first byte and of its last
+    longer = owner[np.append(True, owner[1:] != owner[:-1])]
+    longer = longer[longer < len(values)]
+    start = longer + owner.searchsorted(longer)
+    end = longer + owner.searchsorted(longer, "right")
+    values[longer] = 0
+    for k in range(9):  # bytes 0 to 8 carry bits 0 to 62
         if not longer.size:
             break
-        at = starts[longer] + k
+        at = start + k
         values[longer] |= (buf[at] & 0x7F).astype(np.int64) << (7 * k)
-        longer = longer[ends[longer] > at]
+        stay = end > at
+        longer, start, end = longer[stay], start[stay], end[stay]
     if longer.size:
         # a 1 anywhere in byte 9 onward sets bit 63 or above
         ones = np.cumsum((buf & 0x7F) != 0)
-        wide[longer] = ones[ends[longer]] > ones[starts[longer] + 8]
-        values[wide] = _INT64_MAX
-    return values, ends, wide
+        longer = longer[ones[end] > ones[start + 8]]
+        values[longer] = _INT64_MAX
+    return values, owner, longer
 
 
-def _scan_frames(values: np.ndarray, steps_left: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _scan_frames(values: np.ndarray, steps_left: int,
+                 work: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Find the spike frames in the varints of the steps still to read.
 
     ``values[0]`` is the channel count of the next step, and each count is
-    followed by that many channel indices. Returns the positions of the
-    nonzero counts whose frames lie wholly in ``values``, among the next
-    ``steps_left`` steps, the number of channel indices ahead of each of
-    them, and how many values those steps take up. Where a frame does not
-    fit in ``values``, the steps read end before it.
+    followed by that many channel indices. For the frames (nonzero counts)
+    wholly in ``values`` among the next ``steps_left`` steps, returns each
+    one's step, counted from the first, and the number of channel indices
+    up to its end; then how many values those steps take up. Where a frame
+    does not fit in ``values``, the steps read end before it. ``work`` is
+    scratch, rows of ``len(values) + 2`` or more, row 0 holding 0, 1, 2, ...
     """
     m = len(values)
     steps_left = min(steps_left, m + 1)  # keeps the comparisons in int64
-    # Every frame's count is a nonzero value, so the walk goes from nonzero
-    # value to nonzero value: node i < n is the i-th nonzero value, node n
-    # stands for position m (no count left) and node n + 1 ends the walk.
-    is_node = np.append(values != 0, True)
-    position = np.flatnonzero(is_node)
-    n = len(position) - 1
-    # node_at[p]: the node at or after position p (n + 1 for p = m + 1)
-    node_at = np.empty(m + 2, dtype=np.int64)
-    node_at[0] = 0
-    np.cumsum(is_node, out=node_at[1:])
-    # after[i]: where the step after a frame counted at node i starts (m + 1:
-    # the frame runs past the values)
-    counted = position[:n]
-    after = np.minimum(values[counted], m - counted)
-    after += counted + 1
-    # hops[k][i]: the node 2**k frames after node i
-    hop = np.empty(n + 2, dtype=np.int64)
-    hop[:n] = node_at[after]
-    hop[n:] = n + 1
-    hops = [hop]
-    for _ in range(_JUMP.bit_length() - 1):
-        hops.append(hops[-1][hops[-1]])
-    # A frame's count follows from the one before, so the walk is
-    # sequential. Python takes one jump of _JUMP frames at a time, through
-    # a memoryview into an array, so it makes one Python int per jump; numpy
-    # gathers then fill in the nodes between the jumps, halving the gap
-    # each time.
-    jumps = memoryview(hops.pop())
-    starts = array("q", [0])
-    p = jumps[0]
-    while p <= n:
+    ramp, target, skip, hop = work[:, :m + 2]
+    # target[p]: where the step after a frame counted at p starts; hop[p]:
+    # where the next frame's count is, past the zeros (empty steps) after
+    # that; position m: none left; m + 1: the frame runs past the values
+    np.add(np.minimum(values, m), ramp[1:m + 1], out=target[:m])
+    np.minimum(target, m + 1, out=target)
+    target[m:] = m + 1
+    # skip[q]: the first nonzero value at or after q; a run of zeros skips to its end
+    skip[:] = ramp
+    zeros = (values == 0).nonzero()[0]
+    past = zeros + 1
+    np.putmask(past[:-1], zeros[1:] == past[:-1], m + 1)
+    skip[zeros] = np.minimum.accumulate(past[::-1])[::-1]
+    starts, p = array("q"), int(skip[0])
+    # each index is in range, and mode="clip" lets take fill `out` in place
+    skip.take(target, out=hop, mode="clip")
+    hop2 = hop.take(hop, out=target, mode="clip")
+    hop4 = hop2.take(hop2, out=skip, mode="clip")
+    # Python walks the 4-hop table four hops, 16 frames, per step; gathers
+    # through the 4-, 2- and 1-hop tables fill in the frames between
+    jumps = memoryview(hop4)
+    while p <= m:
         starts.append(p)
-        p = jumps[p]
-    rows = np.empty((len(starts), _JUMP), dtype=np.int64)
-    rows[:, 0] = np.frombuffer(starts, dtype=np.int64)
-    gap = _JUMP
-    while hops:
-        gap //= 2
-        rows[:, gap::2 * gap] = hops.pop()[rows[:, :-gap:2 * gap]]
-    # the walk's nodes in order; only the last row reaches node n + 1
-    walk = rows.ravel()[:_JUMP * (len(starts) - 1) + int(np.count_nonzero(rows[-1] <= n))]
-    found = position[walk]  # the last one: no whole frame
-    frames = found[:-1]
-    counts = values[frames]
-    before = np.cumsum(counts) - counts
-    keep = int(np.count_nonzero(frames - before < steps_left))
-    channels = int(before[keep - 1] + counts[keep - 1]) if keep else 0
-    end = int(found[keep])
-    if end - channels >= steps_left:
-        end = steps_left + channels
-    return frames[:keep], before[:keep], end
-
-
-def _mapped_int64(n: int) -> np.ndarray:
-    """A zeroed int64 array in its own private anonymous memory map.
-
-    Pages never written take no memory, so the array may be sized by an
-    upper bound, and the map goes back to the system when the array is
-    freed instead of staying in the allocator's heap.
-    """
-    if not n:
-        return np.zeros(0, dtype=np.int64)
-    return np.frombuffer(mmap.mmap(-1, 8 * n, access=mmap.ACCESS_COPY), dtype=np.int64)
+        p = jumps[jumps[jumps[jumps[p]]]]
+    rows = np.empty((16, len(starts)), dtype=np.intp)  # row k: k frames on from each start
+    rows[0] = np.frombuffer(starts, dtype=np.int64)
+    for k in (4, 8, 12):
+        rows[k] = hop4.take(rows[k - 4])
+    rows[2::4] = hop2.take(rows[::4])
+    rows[1::2] = hop.take(rows[::2])
+    # the walk in order; only the last start's column reaches m + 1
+    found = rows.T.ravel()[:16 * (len(starts) - 1) + int(np.count_nonzero(rows[:, -1] <= m))]
+    frames = found[:-1]  # the last one: no whole frame
+    counts = values.take(frames)
+    through = counts.cumsum()
+    steps = frames - through + counts
+    keep = int(steps.searchsorted(steps_left))
+    channels = int(through[keep - 1]) if keep else 0
+    return steps[:keep], through[:keep], min(int(found[keep]), steps_left + channels)
 
 
 def _check_steps(steps: np.ndarray, n_steps: int) -> None:
@@ -333,42 +316,47 @@ class EpisodeRecord:
         if step_ms == 0:
             raise ValueError("bad record header: step_ms is 0")
         body = np.frombuffer(raw, dtype=np.uint8)
-        # Every step and every channel index takes at least one byte, which
-        # bounds the arrays; they are filled in place and cut to size once.
-        room = len(raw) - _HEADER.size
-        spike_steps = _mapped_int64(min(n_steps, room))
-        indptr = _mapped_int64(len(spike_steps) + 1)
-        channels = _mapped_int64(room)
-        n_frames = n_chans = 0
+        # Each step and each channel index takes a byte or more, so the indices
+        # fit in the bytes the steps leave: a close bound, which only a
+        # truncated record overruns, for an array cut to size once. Frames can
+        # be far fewer than steps; each block's steps and ends are joined at the end.
+        room = max(len(raw) - _HEADER.size - n_steps, 0)
+        channels = np.empty(room, dtype=np.int64)
+        frame_steps, frame_ends = [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
+        n_chans = 0
         wide_channel = False
         pos = _HEADER.size
         step = 0
         size = _BLOCK_BYTES
-        while step < n_steps:
+        work = np.empty((4, 0), dtype=np.intp)
+        at_end = False
+        while step < n_steps and not at_end:
             chunk = body[pos:pos + size]
             at_end = pos + size >= len(raw)
-            values, ends, wide = _read_varints(chunk)
-            frames, before, used = _scan_frames(values, n_steps - step)
-            if used:
-                counts = values[frames]
-                spike_steps[n_frames:n_frames + len(frames)] = step + frames - before
-                indptr[n_frames + 1:n_frames + len(frames) + 1] = n_chans + before + counts
-                n_frames += len(frames)
-                # the block's j-th channel index is value frames + 1 + j - before
-                total = int(before[-1] + counts[-1]) if len(frames) else 0
-                at = np.repeat(frames + 1 - before, counts) + np.arange(total)
-                channels[n_chans:n_chans + total] = values[at]
-                n_chans += total
-                wide_channel = wide_channel or bool(wide[at].any())
-                step += used - total
-                pos += int(ends[used - 1]) + 1
-            if step < n_steps and at_end:
-                raise ValueError(f"truncated record: spike frames ends at byte {len(raw)}")
+            values, owner, wide = _read_varints(chunk)
+            if work.shape[1] < len(values) + 2:  # _scan_frames's scratch
+                work = np.tile(np.arange(len(values) + 2), (4, 1))
+            steps, through, used = _scan_frames(values, n_steps - step, work)
+            total = int(through[-1]) if len(steps) else 0
+            if n_chans + total > room:
+                break
+            frame_steps.append(steps + step)
+            frame_ends.append(through + n_chans)
+            # channel positions rise by 1 in a frame, by 1 + the steps between frames
+            at = np.ones(total, dtype=np.intp)
+            at[:1] = steps[:1] + 1
+            at[through[:-1]] = steps[1:] - steps[:-1] + 1
+            channels[n_chans:n_chans + total] = values.take(at.cumsum(out=at))
+            n_chans += total
+            # a value beyond int64 before the steps' end is a channel index
+            wide_channel = wide_channel or bool(wide.size and wide[0] < used)
+            step += used - total
+            pos += used + int(owner.searchsorted(used))  # with continuation bytes
             # a frame longer than the chunk needs a longer chunk
             size = _BLOCK_BYTES if used else 2 * size
-        spike_steps = spike_steps[:n_frames]
-        indptr = indptr[:n_frames + 1]
-        channels = channels[:n_chans]
+        if step < n_steps:
+            raise ValueError(f"truncated record: spike frames ends at byte {len(raw)}")
+        channels.resize(n_chans, refcheck=False)  # hands the unused tail back to the allocator
         rewards = []
         punishments = []
         unknown_kind = None  # the first kind that is neither reward nor punishment, and its byte
@@ -410,8 +398,8 @@ class EpisodeRecord:
             n_channels=n_channels,
             seed=seed,
             n_steps=n_steps,
-            spike_steps=spike_steps,
-            indptr=indptr,
+            spike_steps=np.concatenate(frame_steps),
+            indptr=np.concatenate(frame_ends),
             channels=channels,
             reward_steps=reward_steps,
             punishment_steps=punishment_steps,

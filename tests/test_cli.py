@@ -579,6 +579,14 @@ class TestMalformedSnapshots:
         np.save(path, np.zeros(4))
         self.assert_eval_fails(record, path, capsys, "bad snapshot")
 
+    @pytest.mark.parametrize("kind", ["empty", "record", "text"])
+    def test_file_that_is_not_an_archive(self, record, tmp_path, capsys, kind):
+        # np.load takes such a file for a pickle and suggests loading it unsafely
+        path = tmp_path / "snap.npz"
+        path.write_bytes({"empty": b"", "record": record.read_bytes(), "text": b"H = 1\n"}[kind])
+        assert main(["eval", "--record", str(record), "--snapshot", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bad snapshot {path}: not an .npz archive\n"
+
     def test_missing_resources(self, record, snapshot, capsys):
         self.rewrite(snapshot, resources=None)
         self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")

@@ -14,6 +14,8 @@ from causalneuron.records import (
     _write_varint,
 )
 
+BLOCK = records._BLOCK_BYTES  # the decoder's default block
+
 
 def random_record(rng, n_steps=500, n_channels=10):
     frames = []
@@ -384,6 +386,45 @@ class TestArrayCodec:
         assert raw == reference_bytes(rec)
         assert EpisodeRecord.from_bytes(raw) == rec
         assert list(EpisodeRecord.from_bytes(raw).frames()) == frames
+
+    @pytest.mark.parametrize("frames, n_steps", [
+        ([(0, [1, 0]), (3 * BLOCK, [2])], 3 * BLOCK + 1),  # empty steps between frames
+        ([(0, [1, 0])], 3 * BLOCK),                          # and trailing
+        ([(3 * BLOCK, [0]), (3 * BLOCK + 5, [0, 0])], 3 * BLOCK + 6),  # and leading
+        ([(t, [t % 3, 200 + t % 50]) for t in range(4 * BLOCK)], 4 * BLOCK),  # no empty step
+    ])
+    def test_edge_records_at_the_default_block_size(self, frames, n_steps):
+        # runs of empty steps longer than two blocks, and a frame on every step
+        rec = EpisodeRecord.build(step_ms=1, n_channels=300, seed=9, n_steps=n_steps,
+                                  frames=frames, reward_steps=[n_steps - 1])
+        raw = rec.to_bytes()
+        assert len(raw) > 2 * BLOCK
+        assert raw == reference_bytes(rec)
+        assert EpisodeRecord.from_bytes(raw) == rec == reference_decode(raw)
+        assert list(EpisodeRecord.from_bytes(raw).frames()) == frames
+
+    def test_cut_right_after_the_spike_frames(self):
+        # the channel indices fill every byte the steps leave, so only the
+        # event table is missing
+        rec = EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=3,
+                                  frames=[(0, [1, 2]), (2, [3])], reward_steps=[1])
+        raw = rec.to_bytes()
+        for cut in range(26 + 6, len(raw)):
+            got = outcome(EpisodeRecord.from_bytes, raw[:cut])
+            assert got == outcome(reference_decode, raw[:cut])
+            assert got == f"truncated record: event table ends at byte {cut}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(rec=episode_records())
+    @pytest.mark.parametrize("block_bytes", [BLOCK, 8, 61])
+    def test_decoded_arrays_are_int64(self, block_bytes, rec):
+        # __eq__ compares values with np.array_equal, which ignores the dtype
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records, "_BLOCK_BYTES", block_bytes)
+            got = EpisodeRecord.from_bytes(rec.to_bytes())
+        assert got == rec
+        for name in ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps"):
+            assert getattr(got, name).dtype == np.int64, name
 
     def test_frame_longer_than_a_decode_block(self):
         big = [2**14 + k % 1000 for k in range(records._BLOCK_BYTES)]  # 3 bytes each
