@@ -141,7 +141,8 @@ def cmd_train(args) -> int:
         r_text = "undefined (no reward in the window)"
     print(
         f"trained on {args.record}: {len(fires)} fires, "
-        f"stability {detector.stability:.2f}, R({args.window}s window) = {r_text}"
+        f"stability {detector.stability:.2f}, "
+        f"R({min(args.window, rec.duration_s):.15g}s window) = {r_text}"
     )
 
     if args.out:
@@ -184,7 +185,7 @@ def cmd_eval(args) -> int:
     fires = frozen_fires(rec, trained.weight_array(), trained.cfg.H)
     window = trailing_window(rec, args.window)
     r_value = score_run(fires, rec.reward_steps.tolist(), trained.cfg.T_P, window)
-    print(f"R({args.window}s window) = {r_value:.4f}")
+    print(f"R({min(args.window, rec.duration_s):.15g}s window) = {r_value:.4f}")
     return EXIT_OK
 
 

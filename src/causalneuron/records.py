@@ -6,6 +6,10 @@ then the event table (reward / punishment steps), which ends the file.
 Sparse frames keep a 2,000,000-step episode with ~6 spikes per active
 step around a few megabytes.
 
+An :class:`EpisodeRecord` checks the rules of a record once, when it is
+made, and is immutable, so every record can be written, reads back equal
+and can be replayed; ``from_bytes`` checks only the format.
+
 The codec works on numpy arrays a block at a time, so its temporaries
 stay a fixed size whatever the record's length; the decoder's jump tables
 share one scratch array per record. ``_write_varint`` and ``_read_varint``
@@ -18,7 +22,7 @@ from __future__ import annotations
 import mmap
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,6 +32,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHQQ")
 # the header's fields after the magic and the version, with their largest value
 _HEADER_LIMITS = {"step_ms": 0xFFFF, "n_channels": 0xFFFF, "seed": 2**64 - 1, "n_steps": 2**64 - 1}
+_ARRAYS = ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps")
 
 _KIND_REWARD = 0
 _KIND_PUNISHMENT = 1
@@ -169,32 +174,67 @@ def _scan_frames(values: np.ndarray, steps_left: int,
 
 def _check_steps(steps: np.ndarray, n_steps: int) -> None:
     """Raise ``ValueError`` unless steps rise strictly from >= 0 to < n_steps."""
-    bad = np.flatnonzero((np.diff(steps, prepend=-1) <= 0) | (steps >= n_steps))
-    if bad.size:
+    bad = steps >= n_steps  # boolean views only: no int64 temporary
+    bad[1:] |= steps[1:] <= steps[:-1]
+    bad[:1] |= steps[:1] < 0
+    if bad.any():
         raise ValueError(
-            f"record event at step {int(steps[bad[0]])} is out of order or past the end"
+            f"record event at step {int(steps[bad.argmax()])} is out of order or past the end"
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EpisodeRecord:
     """Per-step sparse spike frames plus reward/punishment event times.
 
     Spike frames are stored CSR-style: ``spike_steps[k]`` is the k-th
     step carrying at least one spike and its channels are
     ``channels[indptr[k]:indptr[k+1]]``. The dopamine channel is implied
-    by ``reward_steps``.
+    by ``reward_steps``. A record that breaks a rule of ``__post_init__``
+    raises ``ValueError``; fields and (read-only int64) arrays are fixed.
     """
 
     step_ms: int
     n_channels: int
     seed: int
     n_steps: int
-    spike_steps: np.ndarray   # int64, sorted, steps with >= 1 spike
-    indptr: np.ndarray        # int64, len(spike_steps) + 1
-    channels: np.ndarray      # int64 channel indices
-    reward_steps: np.ndarray  # int64, sorted
+    spike_steps: np.ndarray   # steps with >= 1 spike
+    indptr: np.ndarray        # len(spike_steps) + 1 frame ends
+    channels: np.ndarray      # channel indices
+    reward_steps: np.ndarray
     punishment_steps: np.ndarray
+
+    def __post_init__(self) -> None:
+        """Header fields in range, ``step_ms >= 1``; spike, reward and punishment
+        steps each rising strictly in [0, n_steps); ``indptr`` rising strictly
+        from 0 to ``len(channels)`` (no empty frame); channels in [0, n_channels)."""
+        for name, limit in _HEADER_LIMITS.items():
+            value = getattr(self, name)
+            if not 0 <= value <= limit:
+                raise ValueError(f"bad record: {name} {value} is outside the header's "
+                                 f"range 0 to {limit}")
+        if self.step_ms == 0:
+            raise ValueError("bad record header: step_ms is 0")
+        for name in _ARRAYS:
+            values = np.asarray(getattr(self, name), dtype=np.int64).view()
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        n_steps, ptr, channels = self.n_steps, self.indptr, self.channels
+        _check_steps(self.spike_steps, n_steps)
+        if (len(ptr) != len(self.spike_steps) + 1 or ptr[0] != 0 or ptr[-1] != len(channels)
+                or (ptr[1:] <= ptr[:-1]).any()):
+            raise ValueError(f"bad record: indptr must have {len(self.spike_steps) + 1} "
+                             f"entries rising strictly from 0 to {len(channels)}")
+        low, high = (int(channels.min()), int(channels.max())) if channels.size else (0, -1)
+        if low < 0:
+            raise ValueError(f"bad record: channel index {low} < 0")
+        if high >= self.n_channels:
+            raise ValueError(f"bad record: channel index {high} >= n_channels {self.n_channels}")
+        for events in (self.reward_steps, self.punishment_steps):
+            last = int(events.max()) if events.size else -1
+            if last >= n_steps:
+                raise ValueError(f"bad record: event at step {last} >= n_steps {n_steps}")
+            _check_steps(events, n_steps)
 
     @property
     def duration_s(self) -> float:
@@ -221,26 +261,9 @@ class EpisodeRecord:
             steps.append(step)
             chans.extend(channel_ids)
             indptr.append(len(chans))
-        return cls(
-            step_ms=step_ms,
-            n_channels=n_channels,
-            seed=seed,
-            n_steps=n_steps,
-            spike_steps=np.asarray(steps, dtype=np.int64),
-            indptr=np.asarray(indptr, dtype=np.int64),
-            channels=np.asarray(chans, dtype=np.int64),
-            reward_steps=np.asarray(sorted(reward_steps), dtype=np.int64),
-            punishment_steps=np.asarray(sorted(punishment_steps), dtype=np.int64),
-        )
-
-    def check_event_order(self) -> None:
-        """Raise ``ValueError`` unless the spike and reward steps can be replayed.
-
-        Replay walks both in one pass, so each must rise strictly and stay
-        below ``n_steps``.
-        """
-        _check_steps(self.spike_steps, self.n_steps)
-        _check_steps(self.reward_steps, self.n_steps)
+        return cls(step_ms=step_ms, n_channels=n_channels, seed=seed, n_steps=n_steps,
+                   spike_steps=steps, indptr=indptr, channels=chans,
+                   reward_steps=sorted(reward_steps), punishment_steps=sorted(punishment_steps))
 
     def frames(self) -> Iterator[tuple[int, list[int]]]:
         """Yield (step, channel indices) for every step that has spikes."""
@@ -251,18 +274,7 @@ class EpisodeRecord:
             yield step, chans[indptr[k]:indptr[k + 1]]
 
     def to_bytes(self) -> bytes:
-        """Encode the record; spike steps must rise strictly below ``n_steps``.
-
-        A header field out of its range raises ``ValueError`` naming it.
-        """
-        for name, limit in _HEADER_LIMITS.items():
-            value = getattr(self, name)
-            if not 0 <= value <= limit:
-                raise ValueError(f"bad record: {name} {value} is outside the header's "
-                                 f"range 0 to {limit}")
-        _check_steps(self.spike_steps, self.n_steps)
-        if self.channels.size and int(self.channels.min()) < 0:
-            raise ValueError(f"bad record: channel index {int(self.channels.min())} < 0")
+        """Encode the record."""
         events = sorted(
             [(int(s), _KIND_REWARD) for s in self.reward_steps]
             + [(int(s), _KIND_PUNISHMENT) for s in self.punishment_steps]
@@ -305,7 +317,10 @@ class EpisodeRecord:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EpisodeRecord":
-        """Decode a record; any malformed input raises ``ValueError``."""
+        """Decode a record; any malformed input raises ``ValueError``.
+
+        Only the format is checked here; the record's rules, when it is made.
+        """
         if len(raw) < _HEADER.size:
             raise ValueError(f"truncated record: {len(raw)}-byte file has no full header")
         magic, version, step_ms, n_channels, seed, n_steps = _HEADER.unpack_from(raw, 0)
@@ -313,8 +328,6 @@ class EpisodeRecord:
             raise ValueError("not an episode record (bad magic)")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported record version {version}")
-        if step_ms == 0:
-            raise ValueError("bad record header: step_ms is 0")
         body = np.frombuffer(raw, dtype=np.uint8)
         # Each step and each channel index takes a byte or more, so the indices
         # fit in the bytes the steps leave: a close bound, which only a
@@ -384,15 +397,6 @@ class EpisodeRecord:
             punishment_steps = np.asarray(sorted(punishments), dtype=np.int64)
         except OverflowError:
             raise ValueError("bad record: a value does not fit in 64 bits") from None
-        if channels.size and int(channels.max()) >= n_channels:
-            raise ValueError(
-                f"bad record: channel index {int(channels.max())} >= n_channels {n_channels}"
-            )
-        for events in (reward_steps, punishment_steps):
-            if events.size and int(events[-1]) >= n_steps:
-                raise ValueError(
-                    f"bad record: event at step {int(events[-1])} >= n_steps {n_steps}"
-                )
         return cls(
             step_ms=step_ms,
             n_channels=n_channels,
@@ -406,7 +410,7 @@ class EpisodeRecord:
         )
 
     def save(self, path) -> None:
-        data = self.to_bytes()  # a record that cannot be encoded leaves no file
+        data = self.to_bytes()  # encoded first, so a failure leaves no file
         with open(path, "wb") as fh:
             fh.write(data)
 
@@ -418,14 +422,5 @@ class EpisodeRecord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpisodeRecord):
             return NotImplemented
-        return (
-            self.step_ms == other.step_ms
-            and self.n_channels == other.n_channels
-            and self.seed == other.seed
-            and self.n_steps == other.n_steps
-            and np.array_equal(self.spike_steps, other.spike_steps)
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.channels, other.channels)
-            and np.array_equal(self.reward_steps, other.reward_steps)
-            and np.array_equal(self.punishment_steps, other.punishment_steps)
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))

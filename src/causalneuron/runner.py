@@ -33,13 +33,14 @@ def replay(detector: Detector, record: EpisodeRecord) -> list[int]:
 
     Returns the steps at which the detector fired. This scalar loop, one
     :meth:`Detector.tick_sparse` call per event step, is the reference
-    the lockstep kernel is checked against; no command runs it.
+    the lockstep kernel is checked against; no command runs it. Like every
+    replay it checks nothing of the record, whose steps rise strictly below
+    ``n_steps`` from the moment it is made (:class:`EpisodeRecord`).
     """
     if record.n_channels != detector.n:
         raise ValueError(
             f"record has {record.n_channels} channels, detector has {detector.n}"
         )
-    record.check_event_order()
     start = detector.step
     n_steps = record.n_steps
     if start > n_steps:
@@ -91,13 +92,13 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[i
         raise ValueError(
             f"record has {record.n_channels} channels, detector has {len(weights)}"
         )
-    record.check_event_order()
-    total = FrameSums(record.indptr, record.channels)(weights, 0, len(record.spike_steps))
-    fired = record.spike_steps[total > H]
-    if 0.0 > H:
-        reward_only = record.reward_steps[~np.isin(record.reward_steps, record.spike_steps)]
-        fired = np.union1d(fired, reward_only)
-    return fired.tolist()
+    steps, rewards = record.spike_steps, record.reward_steps
+    total = FrameSums(record.indptr, record.channels)(weights, 0, len(steps))
+    fired = steps[total > H].tolist()
+    if 0.0 > H:  # merge in the reward-only steps; sorted merges two sorted runs
+        reward_only = rewards[steps.searchsorted(rewards) == steps.searchsorted(rewards, "right")]
+        fired = sorted(fired + reward_only.tolist())
+    return fired
 
 
 @dataclass

@@ -12,16 +12,20 @@ direct way, one interval, spike or event at a time:
   scalar replay ``runner.frozen_fires`` must reproduce;
 * :func:`train_scalar` drives the scalar ``Detector`` through a record
   with its own report-window loop; ``runner.train_on_record``, which runs
-  the lockstep kernel, must reproduce its fires, rows and final state.
+  the lockstep kernel, must reproduce its fires, rows and final state;
+* :func:`spkc_bytes` writes the ``.spkc`` format one varint at a time,
+  also for values that make no valid record, which ``EpisodeRecord``
+  cannot hold and so cannot encode.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from causalneuron.neuron import Detector
-from causalneuron.records import EpisodeRecord
+from causalneuron.records import EpisodeRecord, _write_varint
 from causalneuron.runner import WindowRow
 
 
@@ -171,7 +175,6 @@ def train_scalar(
     """
     if window_steps < 1:
         raise ValueError("window_steps must be >= 1")
-    record.check_event_order()
     n_steps = record.n_steps
     spike_steps = record.spike_steps.tolist()
     indptr = record.indptr.tolist()
@@ -213,3 +216,25 @@ def train_scalar(
             fires.append(t)
     detector.advance_to(n_steps)
     return fires, rows
+
+
+def spkc_bytes(*, step_ms: int = 1, n_channels: int, seed: int = 0, n_steps: int,
+               frames: Iterable[tuple[int, Sequence[int]]] = (),
+               events: Sequence[tuple[int, int]] = ()) -> bytes:
+    """The ``.spkc`` bytes of these values, whether or not they are a valid record.
+
+    ``frames`` are (step, channels) pairs, ``events`` (step, kind) pairs
+    written in the order given, kind 0 a reward and 1 a punishment.
+    """
+    buf = bytearray(struct.pack("<4sHHHQQ", b"SPKC", 1, step_ms, n_channels, seed, n_steps))
+    channels = dict(frames)
+    for t in range(n_steps):
+        chans = channels.get(t, [])
+        _write_varint(buf, len(chans))
+        for c in chans:
+            _write_varint(buf, c)
+    buf += struct.pack("<I", len(events))
+    for t, kind in events:
+        buf.append(kind)
+        _write_varint(buf, t)
+    return bytes(buf)

@@ -24,7 +24,7 @@ from causalneuron.records import EpisodeRecord
 from causalneuron.runner import replay
 from causalneuron.synthetic import SyntheticConfig
 
-from reference import frozen_clone
+from reference import frozen_clone, spkc_bytes
 
 
 @pytest.fixture(scope="module")
@@ -270,23 +270,23 @@ class TestRecordCommand:
 
 
 # sha256 of train's stdout, report, resources CSV and snapshot, as the
-# scalar training loop wrote them, for records made by the CLI in the
-# working directory
+# scalar training loop wrote them (stdout since R's label names the span
+# scored), for records made by the CLI in the working directory
 TRAIN_PINS = {
     ("pong30", ()): (
-        "023946a4d4557797c6aa590d8ff7695508e72f129b8093b64e2091435bc5c5d6",
+        "ea9c7f613a561e9b954c370f70757092484b87bd7b8d7b4269aa23f0d91ee001",
         "72c4fd866e90cd332b4969bf272a0f4883f0c9071cccfb4412a69286114e00f1",
         "443ebbcac24e63d66ae8620e5d8a03f8fc6f5db2d6b6033fdf608e52bb50941b",
         "a31ed3d764978e6c4261be4a1c941d429d3bb24cad8a4271326027499111aefc",
     ),
     ("syn", ()): (
-        "cccaf6fe78db366d43026944f7f5fac78d5d6532c5328bc41039abb614d43671",
+        "7d1c720a64d4f26c07d866ef6f161bf19c01f404dfec8602c9e089015c603351",
         "fc5e8c04fd37979460e2d8debaef0bf8c42f181cb80cdeb5e283091fd1a7e423",
         "752b1d6a8ea9e3c781c0497d067f87569c0c1f6e7cadac9f8ec412e5499bc2e1",
         "2a7a2c004625a6465a8c314a3491aac5359fc740a79439452041a09bd8d019f6",
     ),
     ("syn", ("--freeze-after", "25")): (
-        "8a34d790b380930b350cc345a31c39ec8378c6b7f5c3a70e629ef1d367426e80",
+        "12528018a9cb2cae2d36a6cc8d8f3dbcf96125ec5c18887caca91f3306b6a953",
         "ee1262730167269ccb9d5296a38c329007a24f38163905c5ea247deafeca93c7",
         "42870d36e210ccf49939f0d77dfb97b47c4be539f0377f25eb7b13c42821485c",
         "7b331667fd493a75b7ff6e60dc7425d22e966e5099f3b368f04fdfcfc11394d5",
@@ -386,7 +386,8 @@ class TestTrainEval:
         assert main(["train", "--record", str(record), "--out", str(snap),
                      "--report", str(report), "--resources", str(resources)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].endswith(", R(600s window) = undefined (no reward in the window)")
+        # the 2 s record is shorter than the 600 s window, so all of it was scored
+        assert lines[0].endswith(", R(2s window) = undefined (no reward in the window)")
         assert lines[1:] == [f"wrote snapshot {snap}", f"wrote report {report}",
                              f"wrote resources {resources}"]
         det = Detector(133, PlasticityConfig())
@@ -479,6 +480,18 @@ class TestTrainEval:
         assert capsys.readouterr().out == first
         assert first.startswith("R(100s window) = ")
 
+    def test_r_label_names_the_span_scored(self, tmp_path, syn_record, capsys):
+        # the 300 s record is shorter than the default 600 s window: all of it is scored
+        snap = tmp_path / "snap.npz"
+        assert main(["train", "--record", str(syn_record), "--out", str(snap)]) == EXIT_OK
+        assert ", R(300s window) = " in capsys.readouterr().out
+        for window, label in ((None, "R(300s window) = "), ("300", "R(300s window) = "),
+                              ("299", "R(299s window) = ")):
+            extra = ["--window", window] if window else []
+            assert main(["eval", "--record", str(syn_record), "--snapshot", str(snap),
+                         *extra]) == EXIT_OK
+            assert capsys.readouterr().out.startswith(label)
+
     def test_eval_help_has_no_parameter_options(self, capsys):
         with pytest.raises(SystemExit):
             main(["eval", "--help"])
@@ -521,10 +534,29 @@ class TestMalformedRecords:
             self.assert_one_line_config_error(argv, capsys, "truncated record")
 
     def test_channel_out_of_range(self, tmp_path, capsys):
+        # no record holds it, so the file is made by hand
         path = tmp_path / "bad.spkc"
-        self.write_record(path, 4, [(10, [1, 7])])
+        path.write_bytes(spkc_bytes(n_channels=4, n_steps=1000, frames=[(10, [1, 7])],
+                                    events=[(500, 0)]))
         self.assert_one_line_config_error(
             ["ga", "--record", str(path)], capsys, "channel index 7 >= n_channels 4")
+
+    @pytest.mark.parametrize("frames, events, match", [
+        ([(10, [1, 2])], [(500, 0), (500, 0)], "record event at step 500 is out of order"),
+        ([(10, [1, 2])], [(500, 0), (1000, 1)], "bad record: event at step 1000 >= n_steps 1000"),
+        ([(10, [1, 4])], [(500, 0)], "bad record: channel index 4 >= n_channels 4"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval", "ga", "export"])
+    def test_record_breaking_a_rule(self, tmp_path, capsys, command, frames, events, match):
+        path, snapshot = tmp_path / "bad.spkc", tmp_path / "snap.npz"
+        path.write_bytes(spkc_bytes(n_channels=4, n_steps=1000, frames=frames, events=events))
+        Detector(4, PlasticityConfig()).save_snapshot(snapshot)
+        argv = {"train": ["train", "--record", str(path), "--out", str(tmp_path / "out.npz")],
+                "eval": ["eval", "--record", str(path), "--snapshot", str(snapshot)],
+                "ga": ["ga", "--record", str(path)],
+                "export": ["export", "--record", str(path), "--out", str(tmp_path / "x.csv")]}
+        self.assert_one_line_config_error(argv[command], capsys, match)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.spkc", "snap.npz"]
 
     def test_bytes_after_the_event_table(self, tmp_path, capsys):
         path, snapshot = tmp_path / "long.spkc", tmp_path / "snap.npz"

@@ -209,14 +209,18 @@ def test_mixed_T_P_or_H_rejected(other):
         replay_population([base, other], rec)
 
 
-@pytest.mark.parametrize("rewards", [[4, 4], [20]])
-def test_events_out_of_order_or_past_the_end_rejected(rewards):
-    rec = EpisodeRecord.build(
-        step_ms=1, n_channels=3, seed=0, n_steps=20,
-        frames=[(2, [0])], reward_steps=rewards,
-    )
-    with pytest.raises(ValueError, match="out of order or past the end"):
-        replay_population([CORNERS[0].to_config()], rec)
+@pytest.mark.parametrize("rewards, message", [
+    pytest.param([4, 4], "record event at step 4 is out of order or past the end",
+                 id="rewards0"),
+    pytest.param([20], "bad record: event at step 20 >= n_steps 20", id="rewards1"),
+])
+def test_events_out_of_order_or_past_the_end_rejected(rewards, message):
+    # the record is refused when it is made, before replay_population runs
+    with pytest.raises(ValueError, match=message):
+        replay_population([CORNERS[0].to_config()], EpisodeRecord.build(
+            step_ms=1, n_channels=3, seed=0, n_steps=20,
+            frames=[(2, [0])], reward_steps=rewards,
+        ))
 
 
 # -- the genetic search through a scalar reference ----------------------------

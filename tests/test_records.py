@@ -1,5 +1,6 @@
 """Episode record format: round trips, varints, error handling."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -13,6 +14,8 @@ from causalneuron.records import (
     _read_varint,
     _write_varint,
 )
+
+from reference import spkc_bytes
 
 BLOCK = records._BLOCK_BYTES  # the decoder's default block
 
@@ -163,28 +166,46 @@ class TestMalformed:
             with pytest.raises(ValueError, match="truncated record"):
                 EpisodeRecord.from_bytes(raw[:cut])
 
+    # The record refuses these when it is made, so the encoder cannot write
+    # them; the decoder's refusal is checked on hand-made bytes.
+
     def test_channel_index_out_of_range(self):
-        rec = EpisodeRecord.build(
-            step_ms=1, n_channels=4, seed=0, n_steps=10,
-            frames=[(2, [1, 4])], reward_steps=[],
-        )
         with pytest.raises(ValueError, match="channel index 4 >= n_channels 4"):
-            EpisodeRecord.from_bytes(rec.to_bytes())
+            EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10,
+                                frames=[(2, [1, 4])], reward_steps=[])
+        raw = spkc_bytes(n_channels=4, n_steps=10, frames=[(2, [1, 4])])
+        with pytest.raises(ValueError, match="channel index 4 >= n_channels 4"):
+            EpisodeRecord.from_bytes(raw)
 
     @pytest.mark.parametrize("kind", ["reward_steps", "punishment_steps"])
     def test_event_past_the_end(self, kind):
         events = {"reward_steps": [], "punishment_steps": [], kind: [2, 10]}
-        rec = EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10,
-                                  frames=[], **events)
         with pytest.raises(ValueError, match="event at step 10 >= n_steps 10"):
-            EpisodeRecord.from_bytes(rec.to_bytes())
+            EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10,
+                                frames=[], **events)
+        code = 0 if kind == "reward_steps" else 1
+        raw = spkc_bytes(n_channels=4, n_steps=10, events=[(2, code), (10, code)])
+        with pytest.raises(ValueError, match="event at step 10 >= n_steps 10"):
+            EpisodeRecord.from_bytes(raw)
 
     def test_zero_step_ms(self):
-        rec = EpisodeRecord.build(
-            step_ms=0, n_channels=4, seed=0, n_steps=10, frames=[], reward_steps=[],
-        )
-        with pytest.raises(ValueError, match="step_ms"):
-            EpisodeRecord.from_bytes(rec.to_bytes())
+        with pytest.raises(ValueError, match="bad record header: step_ms is 0"):
+            EpisodeRecord.build(step_ms=0, n_channels=4, seed=0, n_steps=10,
+                                frames=[], reward_steps=[])
+        raw = spkc_bytes(step_ms=0, n_channels=4, n_steps=10, events=[(3, 0)])
+        with pytest.raises(ValueError, match="bad record header: step_ms is 0"):
+            EpisodeRecord.from_bytes(raw)
+        # the record's rules come after the format's: a truncation is named first
+        with pytest.raises(ValueError, match="truncated record: event table"):
+            EpisodeRecord.from_bytes(raw[:-1])
+
+    @pytest.mark.parametrize("kind", [0, 1])
+    def test_repeated_event_step(self, kind):
+        raw = spkc_bytes(n_channels=4, n_steps=10, events=[(2, 1 - kind), (4, kind), (4, kind)])
+        with pytest.raises(ValueError, match="event at step 4 is out of order or past the end"):
+            EpisodeRecord.from_bytes(raw)
+        # a reward and a punishment at one step are two different events
+        EpisodeRecord.from_bytes(spkc_bytes(n_channels=4, n_steps=10, events=[(4, 0), (4, 1)]))
 
     def test_value_beyond_64_bits(self):
         raw = bytearray(
@@ -245,25 +266,18 @@ class TestMalformed:
 
 def reference_bytes(rec):
     """The .spkc encoding, written one varint at a time."""
-    buf = bytearray(struct.pack("<4sHHHQQ", b"SPKC", 1, rec.step_ms, rec.n_channels,
-                                rec.seed, rec.n_steps))
-    frames = dict(rec.frames())
-    for t in range(rec.n_steps):
-        chans = frames.get(t, [])
-        _write_varint(buf, len(chans))
-        for c in chans:
-            _write_varint(buf, c)
     events = sorted([(t, 0) for t in rec.reward_steps.tolist()]
                     + [(t, 1) for t in rec.punishment_steps.tolist()])
-    buf += struct.pack("<I", len(events))
-    for t, kind in events:
-        buf.append(kind)
-        _write_varint(buf, t)
-    return bytes(buf)
+    return spkc_bytes(step_ms=rec.step_ms, n_channels=rec.n_channels, seed=rec.seed,
+                      n_steps=rec.n_steps, frames=rec.frames(), events=events)
 
 
 def reference_decode(raw):
-    """The .spkc decoding, read one varint at a time, with its error messages."""
+    """The .spkc decoding, read one varint at a time, with its error messages.
+
+    It checks the format; the record's own rules are checked, and their
+    errors raised, when ``EpisodeRecord.build`` makes it.
+    """
     if len(raw) < 26:
         raise ValueError(f"truncated record: {len(raw)}-byte file has no full header")
     magic, version, step_ms, n_channels, seed, n_steps = struct.unpack_from("<4sHHHQQ", raw)
@@ -271,8 +285,6 @@ def reference_decode(raw):
         raise ValueError("not an episode record (bad magic)")
     if version != 1:
         raise ValueError(f"unsupported record version {version}")
-    if step_ms == 0:
-        raise ValueError("bad record header: step_ms is 0")
     pos, frames, events = 26, [], ([], [])
     section = "spike frames"
     try:
@@ -304,12 +316,6 @@ def reference_decode(raw):
     values = [c for _, chans in frames for c in chans] + events[0] + events[1]
     if any(v >= 2**63 for v in values):
         raise ValueError("bad record: a value does not fit in 64 bits")
-    top = max((c for _, chans in frames for c in chans), default=-1)
-    if top >= n_channels:
-        raise ValueError(f"bad record: channel index {top} >= n_channels {n_channels}")
-    for steps in events:
-        if steps and max(steps) >= n_steps:
-            raise ValueError(f"bad record: event at step {max(steps)} >= n_steps {n_steps}")
     return EpisodeRecord.build(
         step_ms=step_ms, n_channels=n_channels, seed=seed, n_steps=n_steps,
         frames=frames, reward_steps=events[0], punishment_steps=events[1],
@@ -342,7 +348,7 @@ def episode_records(draw):
         (t, draw(st.lists(channel, min_size=1, max_size=draw(st.sampled_from([3, 8, 140])))))
         for t in steps
     ]
-    events = st.lists(step, max_size=8) if n_steps else st.just([])
+    events = st.lists(step, unique=True, max_size=8) if n_steps else st.just([])
     return EpisodeRecord.build(
         step_ms=draw(st.integers(1, 3)), n_channels=n_channels,
         seed=draw(st.integers(0, 2**64 - 1)), n_steps=n_steps, frames=frames,
@@ -493,21 +499,138 @@ class TestArrayCodec:
         raw = struct.pack("<4sHHHQQ", b"SPKC", 1, 1, 4, 0, 1) + body + bytes(4)
         assert outcome(EpisodeRecord.from_bytes, raw) == outcome(reference_decode, raw)
 
+    # The encoder writes any record, since these cannot be made; the steps of
+    # spike frames are implicit in the bytes, and a varint is never negative.
+
     @pytest.mark.parametrize("steps", [[5, 3], [2, 2], [-1], [10]])
     def test_encoder_rejects_unordered_spike_steps(self, steps):
-        rec = EpisodeRecord(
-            step_ms=1, n_channels=3, seed=0, n_steps=10,
-            spike_steps=np.array(steps, dtype=np.int64),
-            indptr=np.arange(len(steps) + 1, dtype=np.int64),
-            channels=np.zeros(len(steps), dtype=np.int64),
-            reward_steps=np.zeros(0, dtype=np.int64),
-            punishment_steps=np.zeros(0, dtype=np.int64),
-        )
         with pytest.raises(ValueError, match="out of order or past the end"):
-            rec.to_bytes()
+            EpisodeRecord(
+                step_ms=1, n_channels=3, seed=0, n_steps=10,
+                spike_steps=np.array(steps, dtype=np.int64),
+                indptr=np.arange(len(steps) + 1, dtype=np.int64),
+                channels=np.zeros(len(steps), dtype=np.int64),
+                reward_steps=np.zeros(0, dtype=np.int64),
+                punishment_steps=np.zeros(0, dtype=np.int64),
+            )
 
     def test_encoder_rejects_negative_channel(self):
-        rec = EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=10,
-                                  frames=[(2, [1, -1])], reward_steps=[])
         with pytest.raises(ValueError, match="channel index -1 < 0"):
-            rec.to_bytes()
+            EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=10,
+                                frames=[(2, [1, -1])], reward_steps=[])
+
+
+# -- the rules of a record, checked once when it is made ----------------------
+
+ARRAYS = ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps")
+FIELDS = ("step_ms", "n_channels", "seed", "n_steps") + ARRAYS
+
+
+def breaks_a_rule(f):
+    """Whether the fields break a rule of a record, stated one value at a time."""
+    n_steps, ptr = f["n_steps"], list(f["indptr"])
+
+    def rising(steps):
+        return all(a < b for a, b in zip([-1] + list(steps), steps)) \
+            and all(s < n_steps for s in steps)
+
+    return not (
+        1 <= f["step_ms"] <= 2**16 - 1 and 0 <= f["n_channels"] <= 2**16 - 1
+        and 0 <= f["seed"] <= 2**64 - 1 and 0 <= n_steps <= 2**64 - 1
+        and rising(f["spike_steps"]) and rising(f["reward_steps"])
+        and rising(f["punishment_steps"])
+        and len(ptr) == len(f["spike_steps"]) + 1 and ptr[0] == 0
+        and ptr[-1] == len(f["channels"]) and all(a < b for a, b in zip(ptr, ptr[1:]))
+        and all(0 <= c < f["n_channels"] for c in f["channels"])
+    )
+
+
+@st.composite
+def record_fields(draw):
+    """Header values and int64 arrays; about half the time each follows its
+    rule, otherwise one to three fields are drawn from any values."""
+    loose = draw(st.just(set()) | st.sets(st.sampled_from(FIELDS), min_size=1, max_size=3))
+
+    def pick(name, ruled, anything):
+        return draw(anything if name in loose else ruled)
+
+    header = {  # (values in range, values in and out of range)
+        "step_ms": (st.integers(1, 3), st.sampled_from([-1, 0, 1, 2**16 - 1, 2**16])),
+        "n_channels": (st.integers(1, 5), st.sampled_from([-1, 0, 2, 2**16 - 1, 2**16])),
+        "seed": (st.integers(0, 9), st.sampled_from([-1, 0, 2**64 - 1, 2**64])),
+        # a record takes a byte per step, so a valid n_steps stays small
+        "n_steps": (st.integers(0, 30), st.sampled_from([-1, 0, 9, 2**64])),
+    }
+    f = {name: pick(name, *values) for name, values in header.items()}
+    anything = st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-2, 32), max_size=8)
+    top = min(max(f["n_steps"], 0), 31)
+    steps = st.lists(st.integers(0, top - 1), unique=True, max_size=8).map(sorted) \
+        if top else st.just([])
+    for name in ("spike_steps", "reward_steps", "punishment_steps"):
+        f[name] = pick(name, steps, anything)
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(f["spike_steps"]),
+                          max_size=len(f["spike_steps"])))
+    f["indptr"] = pick("indptr", st.just(np.cumsum([0] + sizes).tolist()), anything)
+    size = sum(sizes)
+    channel = st.integers(0, max(f["n_channels"] - 1, 0))
+    f["channels"] = pick("channels", st.lists(channel, min_size=size, max_size=size), anything)
+    if draw(st.booleans()):
+        f.update({name: np.array(f[name], dtype=np.int64) for name in ARRAYS})
+    return f
+
+
+@settings(max_examples=600, deadline=None)
+@given(record_fields())
+def test_a_record_is_made_exactly_when_it_follows_the_rules(fields):
+    try:
+        rec = EpisodeRecord(**fields)
+    except ValueError as exc:
+        assert breaks_a_rule(fields)
+        assert "\n" not in str(exc)
+        return
+    assert not breaks_a_rule(fields)
+    assert EpisodeRecord.from_bytes(rec.to_bytes()) == rec
+    for name in ARRAYS:
+        assert getattr(rec, name).dtype == np.int64, name
+        assert getattr(rec, name).tolist() == list(fields[name]), name
+
+
+VALID = dict(step_ms=1, n_channels=4, seed=0, n_steps=10, spike_steps=[2, 5],
+             indptr=[0, 2, 3], channels=[1, 3, 0], reward_steps=[4], punishment_steps=[7])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_channels": 2**16}, "bad record: n_channels 65536 is outside the header's range"),
+    ({"seed": -1}, "bad record: seed -1 is outside the header's range"),
+    ({"step_ms": 0}, "bad record header: step_ms is 0"),
+    ({"spike_steps": [5, 2]}, "record event at step 2 is out of order or past the end"),
+    ({"spike_steps": [2, 10]}, "record event at step 10 is out of order or past the end"),
+    ({"indptr": [0, 2, 2]}, "bad record: indptr must have 3 entries rising strictly from 0 to 3"),
+    ({"indptr": [0, 2, 2], "channels": [1, 3]}, "rising strictly from 0 to 2"),  # empty frame
+    ({"indptr": [0, 1, 2]}, "rising strictly from 0 to 3"),     # ends before the channels
+    ({"indptr": [0, 3]}, "indptr must have 3 entries"),         # the wrong length
+    ({"channels": [1, 4, 0]}, "bad record: channel index 4 >= n_channels 4"),
+    ({"channels": [1, -2, 0]}, "bad record: channel index -2 < 0"),
+    ({"reward_steps": [10]}, "bad record: event at step 10 >= n_steps 10"),
+    ({"punishment_steps": [10]}, "bad record: event at step 10 >= n_steps 10"),
+    ({"reward_steps": [6, 4]}, "record event at step 4 is out of order or past the end"),
+    ({"reward_steps": [4, 4]}, "record event at step 4 is out of order or past the end"),
+    ({"punishment_steps": [-1]}, "record event at step -1 is out of order or past the end"),
+])
+def test_each_rule_is_checked_when_the_record_is_made(tmp_path, change, message):
+    path = tmp_path / "bad.spkc"
+    with pytest.raises(ValueError, match=message) as exc:
+        EpisodeRecord(**{**VALID, **change}).save(path)
+    assert "\n" not in str(exc.value)
+    assert not path.exists()
+
+
+def test_a_record_is_immutable():
+    rec = EpisodeRecord(**VALID)
+    for name, value in VALID.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, value)
+    for name in ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(rec, name)[:1] = 9
+    assert rec == EpisodeRecord(**VALID)

@@ -361,20 +361,21 @@ class TestEventDrivenRule:
         assert dense_replay(rec, Detector(1, paper_cfg(-0.25))) == list(range(30))
 
 
-# -- one event-order check for every replay entry point ------------------------
+# -- no replay entry point can be given an unreplayable record ----------------
+
+UNORDERED = {  # the fields changed, and the error of the record that cannot be made
+    "reward at n_steps": ({"reward_steps": [4, 10]}, "event at step 10 >= n_steps 10"),
+    "repeated reward": ({"reward_steps": [4, 4]}, "out of order or past the end"),
+    "spikes out of order": ({"spike_steps": [6, 2]}, "out of order or past the end"),
+    "negative step": ({"spike_steps": [-1, 6]}, "out of order or past the end"),
+    "ordered": ({}, None),
+}
+
 
 def unordered_record(kind):
-    rec = EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=10,
-                              frames=[(2, [0]), (6, [1, 2])], reward_steps=[4])
-    if kind == "reward at n_steps":
-        rec.reward_steps = np.array([4, 10])
-    elif kind == "repeated reward":
-        rec.reward_steps = np.array([4, 4])
-    elif kind == "spikes out of order":
-        rec.spike_steps = np.array([6, 2])
-    elif kind == "negative step":
-        rec.spike_steps = np.array([-1, 6])
-    return rec
+    fields = dict(step_ms=1, n_channels=3, seed=0, n_steps=10, spike_steps=[2, 6],
+                  indptr=[0, 1, 3], channels=[0, 1, 2], reward_steps=[4], punishment_steps=[])
+    return EpisodeRecord(**{**fields, **UNORDERED[kind][0]})
 
 
 ENTRY_POINTS = {
@@ -388,7 +389,8 @@ ENTRY_POINTS = {
                                   "spikes out of order", "negative step"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_unreplayable_event_order_rejected(entry, kind):
-    with pytest.raises(ValueError, match="out of order or past the end"):
+    # the record is refused when it is made, so the entry point never runs
+    with pytest.raises(ValueError, match=UNORDERED[kind][1]):
         ENTRY_POINTS[entry](unordered_record(kind))
 
 
