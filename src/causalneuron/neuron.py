@@ -23,6 +23,7 @@ This scalar detector is the readable reference: ``train`` and ``ga`` run
 the lockstep kernel :func:`~causalneuron.population.replay_population`,
 which is checked against it bit for bit, and ``train`` writes the
 kernel's final state into a :class:`Detector` (:meth:`Detector.set_state`).
+A snapshot (format 3) stores that state once, and nothing derived from it.
 """
 
 from __future__ import annotations
@@ -34,23 +35,7 @@ import numpy as np
 
 from .plasticity import PlasticityConfig, effective_rates, resource_for_weight, weight_of
 
-SNAPSHOT_FORMAT_VERSION = 2
-
-
-class TssTracker:
-    """Read-only view of a detector's tight spike sequences at its current step."""
-
-    def __init__(self, det: "Detector"):
-        self._det = det
-
-    @property
-    def active(self) -> bool:
-        return self._det._tss_open()
-
-    @property
-    def completed(self) -> list:
-        spans = self._det._spans
-        return spans[:-1] if self.active else list(spans)
+SNAPSHOT_FORMAT_VERSION = 3
 
 
 class Detector:
@@ -77,8 +62,8 @@ class Detector:
         self.step = 0
         self.frozen = False  # rates forced to 0 (evaluation mode)
 
-        self._spans: list[tuple[int, int]] = []  # TSS (onset, last_post), latest last
-        self._depressed: set[int] = set()  # depressed in the latest TSS
+        self.tss_spans: list[tuple[int, int]] = []  # TSS (onset, last_post), latest last
+        self.depressed: set[int] = set()  # depressed in the latest TSS
 
         self.fire_count = 0
         self.total_abs_dw = 0.0  # cumulative |weight change|, for reporting
@@ -112,7 +97,7 @@ class Detector:
         new_onset = False
         if fired:
             self.fire_count += 1
-            spans = self._spans
+            spans = self.tss_spans
             if spans and t - spans[-1][1] <= cfg.isi_max:
                 onset, since = spans[-1]
                 spans[-1] = (onset, t)
@@ -120,10 +105,10 @@ class Detector:
                 new_onset = True
                 since = t - 1
                 spans.append((t, t))
-                self._depressed.clear()
+                self.depressed.clear()
             # once per TSS and in channel order, what spiked since the open
             # TSS's latest post spike, or this step's spikers at an onset
-            depressed = self._depressed
+            depressed = self.depressed
             res = self.resources
             for i, s in enumerate(lp):
                 if s <= since or i in depressed:
@@ -151,7 +136,7 @@ class Detector:
         Replay is event-driven: a step with no spike and no dopamine is
         not a neuron step, so it can neither fire nor change a weight.
         Only the clock moves: TSS closure is not an event but a reading
-        of the clock (:meth:`_tss_open`), so a TSS closes on the first
+        of the clock (:attr:`tss_open`), so a TSS closes on the first
         skipped step whose tick would have closed it. For H >= 0 this
         equals ticking empty frames, which cannot fire; for H < 0 an
         empty frame would fire, and skipping it does not.
@@ -161,11 +146,6 @@ class Detector:
         self.step = step
 
     # -- internals ----------------------------------------------------------
-
-    def _tss_open(self) -> bool:
-        """Whether the latest TSS is still open after the latest step."""
-        spans = self._spans
-        return bool(spans) and self.step - 1 - spans[-1][1] <= self.cfg.isi_max
 
     def _apply_dopamine(self, t: int, rate: float) -> None:
         cfg = self.cfg
@@ -181,10 +161,10 @@ class Detector:
                     new = weight_of(r, cfg)
                     weights[i] = new
                     self.total_abs_dw += abs(new - old)
-        if not self._spans:
+        if not self.tss_spans:
             self.stability -= cfg.d_s
         else:
-            t_tss = t - self._spans[-1][0]
+            t_tss = t - self.tss_spans[-1][0]
             isi = cfg.isi_max
             adj = max(2.0 - abs(t_tss - isi) / isi, -1.0)
             self.stability += cfg.d_s * adj
@@ -192,39 +172,57 @@ class Detector:
     # -- introspection / checkpointing --------------------------------------
 
     @property
-    def tss(self) -> TssTracker:
-        return TssTracker(self)
+    def tss_open(self) -> bool:
+        """Whether the latest TSS is still open after the latest step."""
+        spans = self.tss_spans
+        return bool(spans) and self.step - 1 - spans[-1][1] <= self.cfg.isi_max
 
     @property
     def tss_count(self) -> int:
         """Number of TSS started so far (completed plus any open one)."""
-        return len(self._spans)
+        return len(self.tss_spans)
 
-    def _tss_state(self) -> tuple[list[int], list[int], list[int]]:
-        """Snapshot v2's derived keys: pending, depressed and tss_state."""
-        if not self._tss_open():
-            return [], [], [0, -1, -1, self._spans[-1][0] if self._spans else -1]
-        onset, last_post = self._spans[-1]
-        pending = [i for i, s in enumerate(self.last_presyn) if s > last_post]
-        return pending, sorted(self._depressed), [1, onset, last_post, onset]
-
-    def set_state(self, *, resources, stability, step, last_presyn, spans, depressed,
-                  fire_count, total_abs_dw) -> None:
-        """Set the detector's state; the weights follow from the resources.
-
-        ``spans``: the TSS as (onset, last post spike), latest last;
-        ``depressed``: the synapses depressed in the latest TSS."""
-        if len(last_presyn) != self.n:
-            raise ValueError(f"{len(last_presyn)} presynaptic times for {self.n} synapses")
-        self.resources = list(resources)
+    def set_state(self, *, resources, stability, step, last_presyn, tss_spans, depressed,
+                  frozen, fire_count, total_abs_dw) -> None:
+        """Set the detector's state, as the Python numbers stepping holds; the
+        weights follow from the resources. ``tss_spans`` is a (k, 2) array of
+        every TSS as (onset, last post spike), latest last; ``depressed``, the
+        synapses depressed in the latest TSS. A state that stepping cannot
+        reach raises ``ValueError``.
+        """
+        n, isi = self.n, self.cfg.isi_max
+        res = np.asarray(resources, dtype=np.float64)
+        lp = np.asarray(last_presyn, dtype=np.int64)
+        spans = np.asarray(tss_spans, dtype=np.int64)
+        dep = np.asarray(depressed, dtype=np.int64).tolist()
+        step = int(step)
+        if res.shape != (n,) or lp.shape != (n,):
+            raise ValueError(f"{res.shape} resources, {lp.shape} presynaptic times, {n} synapses")
+        if step < 0:
+            raise ValueError(f"step {step} < 0")
+        if not -1 <= lp.min() <= lp.max() < step:
+            raise ValueError(f"presynaptic times {lp.min()} to {lp.max()} not in [-1, step {step})")
+        if spans.ndim != 2 or spans.shape[1] != 2:
+            raise ValueError(f"tss_spans has shape {spans.shape}, not (k, 2)")
+        onset, last = spans.T
+        # a last spike of -T_P - 1 before the first span makes its onset >= 0
+        gap = onset - np.append(-isi - 1, last[:-1])
+        bad = (gap <= isi) | (onset > last) | (last >= step)
+        if bad.any():
+            raise ValueError(f"TSS span {spans[bad.argmax()].tolist()} is not 0 <= onset <= last"
+                             f" < step {step} with onset > the previous span's last + T_P {isi}")
+        if len(set(dep) & set(range(n))) != len(dep):
+            raise ValueError(f"depressed synapses {dep} are not distinct indices in [0, {n})")
+        self.resources = res.tolist()
         self.weights = [weight_of(r, self.cfg) for r in self.resources]
-        self.stability = stability
+        self.stability = float(stability)
         self.step = step
-        self.last_presyn = list(last_presyn)
-        self._spans = list(spans)
-        self._depressed = set(depressed)
-        self.fire_count = fire_count
-        self.total_abs_dw = total_abs_dw
+        self.last_presyn = lp.tolist()
+        self.tss_spans = list(map(tuple, spans.tolist()))
+        self.depressed = set(dep)
+        self.frozen = bool(frozen)
+        self.fire_count = int(fire_count)
+        self.total_abs_dw = float(total_abs_dw)
 
     def resource_array(self) -> np.ndarray:
         return np.asarray(self.resources, dtype=np.float64)
@@ -235,12 +233,11 @@ class Detector:
     def save_snapshot(self, path) -> None:
         """Write a bit-exact checkpoint (resources kept as raw float64).
 
-        Format v2 also stores the plasticity config, one ``cfg_<field>``
-        entry per field, and the completed TSS as (onset, last_post) pairs.
-        ``pending``, ``depressed`` and ``tss_state`` (open flag, onset, last
-        post spike, last onset; -1 for none) are derived (:meth:`_tss_state`).
+        Format v3 stores the plasticity config, one ``cfg_<field>`` entry per
+        field, and then the detector's state once, each entry named as
+        :meth:`set_state` names it: ``tss_spans`` is a (k, 2) int64 array of
+        every TSS, an open one included.
         """
-        pending, depressed, tss_state = self._tss_state()
         # numpy appends ".npz" to a path without it; a file handle writes exactly path
         with open(path, "wb") as fh:
             np.savez(
@@ -251,10 +248,9 @@ class Detector:
                 stability=np.float64(self.stability),
                 step=np.int64(self.step),
                 last_presyn=np.asarray(self.last_presyn, dtype=np.int64),
-                depressed=np.asarray(depressed, dtype=np.int64),
-                pending=np.asarray(pending, dtype=np.int64),
-                tss_state=np.asarray(tss_state, dtype=np.int64),
-                tss_completed=np.asarray(self.tss.completed, dtype=np.int64).reshape(-1, 2),
+                tss_spans=np.asarray(self.tss_spans, dtype=np.int64).reshape(-1, 2),
+                depressed=np.asarray(sorted(self.depressed), dtype=np.int64),
+                frozen=np.bool_(self.frozen),
                 fire_count=np.int64(self.fire_count),
                 total_abs_dw=np.float64(self.total_abs_dw),
             )
@@ -264,10 +260,10 @@ class Detector:
         """Rebuild a detector, its plasticity config included, from a snapshot.
 
         A file that cannot be opened raises ``OSError``. Any failure after
-        that (numpy and zipfile raise a dozen exception types for damaged
-        archives, bare ``.npy`` files and missing or misshapen entries)
-        means the file is not a v2 snapshot: one ``ValueError`` names it.
-        So does a ``pending`` or ``tss_state`` that the rest of the file contradicts.
+        that means the file is not a v3 snapshot, and one ``ValueError``
+        names it: numpy and zipfile raise a dozen exception types for damaged
+        archives, bare ``.npy`` files and missing, extra or misshapen entries,
+        and :meth:`set_state` refuses a state that stepping cannot reach.
         """
         with open(path, "rb") as fh:
             try:
@@ -277,33 +273,16 @@ class Detector:
                     raise ValueError("not an .npz archive")
                 fh.seek(0)
                 with np.load(fh) as data:
-                    version = int(data["format_version"])
-                    if version != SNAPSHOT_FORMAT_VERSION:
-                        raise ValueError(f"unsupported snapshot version {version}")
-                    cfg = PlasticityConfig(**{
-                        f.name: type(f.default)(data[f"cfg_{f.name}"])
-                        for f in fields(PlasticityConfig)
-                    })
-                    resources = data["resources"]
-                    det = cls(len(resources), cfg)
-                    state = data["tss_state"].tolist()
-                    active, onset, last_post, _ = state
-                    spans = [(a, b) for a, b in data["tss_completed"].tolist()]
-                    if active:
-                        spans.append((onset, last_post))
-                    det.set_state(
-                        resources=[float(r) for r in resources],
-                        stability=float(data["stability"]), step=int(data["step"]),
-                        last_presyn=[int(v) for v in data["last_presyn"]], spans=spans,
-                        depressed=[int(v) for v in data["depressed"]],
-                        fire_count=int(data["fire_count"]),
-                        total_abs_dw=float(data["total_abs_dw"]),
-                    )
-                    pending, _, derived = det._tss_state()
-                    stored = (data["pending"].tolist(), state)
-                    if stored != (pending, derived):
-                        raise ValueError(f"pending, tss_state {stored} disagree with the rest "
-                                         f"of the file, which gives {(pending, derived)}")
+                    entries = dict(data)
+                version = int(entries.pop("format_version"))
+                if version != SNAPSHOT_FORMAT_VERSION:
+                    raise ValueError(f"unsupported snapshot version {version}")
+                cfg = PlasticityConfig(**{
+                    f.name: type(f.default)(entries.pop(f"cfg_{f.name}"))
+                    for f in fields(PlasticityConfig)
+                })
+                det = cls(len(entries["resources"]), cfg)
+                det.set_state(**entries)
             except Exception as exc:
                 raise ValueError(f"bad snapshot {path}: {exc}") from None
         return det

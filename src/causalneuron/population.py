@@ -126,11 +126,11 @@ class ReplayResult:
     def tss_count(self) -> int:
         return int(np.count_nonzero(self.onsets))
 
-    def tss_spans(self) -> list[tuple[int, int]]:
-        """Each TSS as (onset, last post spike), in step order."""
+    def tss_spans(self) -> np.ndarray:
+        """Each TSS as a row (onset, last post spike), in step order."""
         first = np.flatnonzero(self.onsets)
         last = np.append(first[1:], len(self.fire_steps))[:len(first)] - 1
-        return list(zip(self.fire_steps[first].tolist(), self.fire_steps[last].tolist()))
+        return np.stack((self.fire_steps[first], self.fire_steps[last]), axis=1)
 
 
 def _accumulate(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Binary format "SPKC" v1, little-endian: a fixed header, then one varint
 channel-count per step followed by that many varint channel indices,
-then the event table (reward / punishment steps), which ends the file.
+then the event table, which ends the file: a uint32 count, then per event
+a kind byte (0 reward, 1 punishment) and a varint step, the events' (step,
+kind) pairs rising strictly.
 Sparse frames keep a 2,000,000-step episode with ~6 spikes per active
 step around a few megabytes.
 
@@ -205,9 +207,10 @@ class EpisodeRecord:
     punishment_steps: np.ndarray
 
     def __post_init__(self) -> None:
-        """Header fields in range, ``step_ms >= 1``; spike, reward and punishment
-        steps each rising strictly in [0, n_steps); ``indptr`` rising strictly
-        from 0 to ``len(channels)`` (no empty frame); channels in [0, n_channels)."""
+        """Header fields in range, ``step_ms >= 1``; integer arrays (or empty); spike,
+        reward and punishment steps each rising strictly in [0, n_steps); ``indptr``
+        rising strictly from 0 to ``len(channels)`` (no empty frame); channels in
+        [0, n_channels)."""
         for name, limit in _HEADER_LIMITS.items():
             value = getattr(self, name)
             if not 0 <= value <= limit:
@@ -216,7 +219,10 @@ class EpisodeRecord:
         if self.step_ms == 0:
             raise ValueError("bad record header: step_ms is 0")
         for name in _ARRAYS:
-            values = np.asarray(getattr(self, name), dtype=np.int64).view()
+            values = np.asarray(getattr(self, name))
+            if values.size and values.dtype.kind not in "iu":
+                raise ValueError(f"bad record: {name} holds {values.dtype} values, not integers")
+            values = values.astype(np.int64, copy=False).view()
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         n_steps, ptr, channels = self.n_steps, self.indptr, self.channels
@@ -319,7 +325,8 @@ class EpisodeRecord:
     def from_bytes(cls, raw: bytes) -> "EpisodeRecord":
         """Decode a record; any malformed input raises ``ValueError``.
 
-        Only the format is checked here; the record's rules, when it is made.
+        Only the format, event order included, is checked here; the record's rules,
+        when it is made.
         """
         if len(raw) < _HEADER.size:
             raise ValueError(f"truncated record: {len(raw)}-byte file has no full header")
@@ -372,29 +379,33 @@ class EpisodeRecord:
         channels.resize(n_chans, refcheck=False)  # hands the unused tail back to the allocator
         rewards = []
         punishments = []
-        unknown_kind = None  # the first kind that is neither reward nor punishment, and its byte
+        wrong = None  # the error of the first event of another kind or out of (step, kind) order
+        event = (-1, -1)
         try:
             (n_events,) = struct.unpack_from("<I", raw, pos)
             pos += 4
             for _ in range(n_events):
                 kind = raw[pos]
-                if kind not in (_KIND_REWARD, _KIND_PUNISHMENT) and unknown_kind is None:
-                    unknown_kind = kind, pos
+                if kind not in (_KIND_REWARD, _KIND_PUNISHMENT) and wrong is None:
+                    wrong = (f"bad record: event kind {kind} at byte {pos} is neither 0 "
+                             "(reward) nor 1 (punishment)")
                 step, pos = _read_varint(raw, pos + 1)
+                if (step, kind) <= event and wrong is None:
+                    wrong = (f"bad record: record event at step {step} is out of order: "
+                             f"(step, kind) {(step, kind)} follows {event}")
+                event = step, kind
                 (rewards if kind == _KIND_REWARD else punishments).append(step)
         except (IndexError, struct.error):
             raise ValueError(f"truncated record: event table ends at byte {len(raw)}") from None
-        if unknown_kind is not None:
-            kind, at = unknown_kind
-            raise ValueError(f"bad record: event kind {kind} at byte {at} is neither 0 "
-                             "(reward) nor 1 (punishment)")
+        if wrong is not None:
+            raise ValueError(wrong)
         if pos < len(raw):
             raise ValueError(f"bad record: {len(raw) - pos} bytes after the event table")
         if wide_channel:
             raise ValueError("bad record: a value does not fit in 64 bits")
         try:
-            reward_steps = np.asarray(sorted(rewards), dtype=np.int64)
-            punishment_steps = np.asarray(sorted(punishments), dtype=np.int64)
+            reward_steps = np.asarray(rewards, dtype=np.int64)
+            punishment_steps = np.asarray(punishments, dtype=np.int64)
         except OverflowError:
             raise ValueError("bad record: a value does not fit in 64 bits") from None
         return cls(

@@ -145,12 +145,11 @@ def train_on_record(
         window_steps=window_steps, freeze_step=freeze_step,
     )
     detector.set_state(
-        resources=run.resources.tolist(), stability=run.stability, step=record.n_steps,
-        last_presyn=run.last_presyn.tolist(), spans=run.tss_spans(),
-        depressed=np.flatnonzero(run.depressed).tolist(),
+        resources=run.resources, stability=run.stability, step=record.n_steps,
+        last_presyn=run.last_presyn, tss_spans=run.tss_spans(),
+        depressed=np.flatnonzero(run.depressed), frozen=freeze_step is not None,
         fire_count=run.fire_count, total_abs_dw=run.total_abs_dw,
     )
-    detector.frozen = freeze_step is not None
     seconds = window_steps * record.step_ms / 1000.0
     rows = [WindowRow(i, fires / seconds, stability, dw) for i, (fires, stability, dw) in
             enumerate(zip(run.window_fires.tolist(), run.window_stability.tolist(),

@@ -90,7 +90,7 @@ def test_criterion_3_tss_equivalence():
             det.advance_to(t)
             assert det.tick_sparse([0])
         det.advance_to(10_000 + 101)
-        assert det.tss.completed == tss_segments(spikes, 100)
+        assert (det.tss_open, det.tss_spans) == (False, tss_segments(spikes, 100))
     assert time.perf_counter() - start < 5.0
 
 

@@ -277,19 +277,19 @@ TRAIN_PINS = {
         "ea9c7f613a561e9b954c370f70757092484b87bd7b8d7b4269aa23f0d91ee001",
         "72c4fd866e90cd332b4969bf272a0f4883f0c9071cccfb4412a69286114e00f1",
         "443ebbcac24e63d66ae8620e5d8a03f8fc6f5db2d6b6033fdf608e52bb50941b",
-        "a31ed3d764978e6c4261be4a1c941d429d3bb24cad8a4271326027499111aefc",
+        "68d047f44c1a4b801933b132fb7b742454676e895ec8b5f266090a2496925b39",
     ),
     ("syn", ()): (
         "7d1c720a64d4f26c07d866ef6f161bf19c01f404dfec8602c9e089015c603351",
         "fc5e8c04fd37979460e2d8debaef0bf8c42f181cb80cdeb5e283091fd1a7e423",
         "752b1d6a8ea9e3c781c0497d067f87569c0c1f6e7cadac9f8ec412e5499bc2e1",
-        "2a7a2c004625a6465a8c314a3491aac5359fc740a79439452041a09bd8d019f6",
+        "e6b1ee0932a8893ecf829614b31ca65fb8e500722b4742b810100dff0709b60c",
     ),
     ("syn", ("--freeze-after", "25")): (
         "12528018a9cb2cae2d36a6cc8d8f3dbcf96125ec5c18887caca91f3306b6a953",
         "ee1262730167269ccb9d5296a38c329007a24f38163905c5ea247deafeca93c7",
         "42870d36e210ccf49939f0d77dfb97b47c4be539f0377f25eb7b13c42821485c",
-        "7b331667fd493a75b7ff6e60dc7425d22e966e5099f3b368f04fdfcfc11394d5",
+        "6372d08e8529efc2a949939a3248e7559e83bf07044062039ef3fae47a665d38",
     ),
 }
 MAKE_RECORD = {
@@ -310,6 +310,36 @@ def test_train_outputs_are_pinned(tmp_path, monkeypatch, capsys, name, extra):
     digests = [hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()]
     digests += [hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() for out in outputs]
     assert tuple(digests) == TRAIN_PINS[name, extra]
+
+
+# sha256 of the state each TRAIN_PINS snapshot loads to (loaded_state_digest)
+STATE_PINS = {
+    ("pong30", ()): "adba2b985b686f9ce0059a914672f9b9fe5630337d268f09721b2d0c42a98559",
+    ("syn", ()): "82aa58223f7c880dd1239ca0327c7d32ae01b46c38b6238609875c9779b3c03e",
+    ("syn", ("--freeze-after", "25")):
+        "79e649d8bb2107decf57169597cbb4df30924152073966e02121401834f5f580",
+}
+
+
+def loaded_state_digest(path):
+    """The state a snapshot loads to: the config, the resources by float.hex,
+    stability, step, presynaptic times, every TSS span, the depressed set while
+    the latest TSS is open, the fire count and the total |weight change|."""
+    det = Detector.load_snapshot(path)
+    state = (sorted(vars(det.cfg).items()), [r.hex() for r in det.resources],
+             det.stability.hex(), det.step, det.last_presyn,
+             [list(span) for span in det.tss_spans],
+             sorted(det.depressed) if det.tss_open else [],
+             det.fire_count, det.total_abs_dw.hex())
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, extra", sorted(STATE_PINS))
+def test_trained_state_is_pinned(tmp_path, monkeypatch, name, extra):
+    monkeypatch.chdir(tmp_path)
+    assert main(MAKE_RECORD[name]) == EXIT_OK
+    assert main(["train", "--record", f"{name}.spkc", "--out", "snap", *extra]) == EXIT_OK
+    assert loaded_state_digest(tmp_path / "snap") == STATE_PINS[name, extra]
 
 
 def test_train_makes_no_scalar_tick(tmp_path, syn_record, monkeypatch):
@@ -558,6 +588,17 @@ class TestMalformedRecords:
         self.assert_one_line_config_error(argv[command], capsys, match)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.spkc", "snap.npz"]
 
+    @pytest.mark.parametrize("events", [[(5, 0), (3, 0)], [(3, 1), (3, 0)]])
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_event_table_out_of_order(self, tmp_path, capsys, command, events):
+        path, snapshot = tmp_path / "bad.spkc", tmp_path / "snap.npz"
+        path.write_bytes(spkc_bytes(n_channels=4, n_steps=10, events=events))
+        Detector(4, PlasticityConfig()).save_snapshot(snapshot)
+        argv = {"eval": ["eval", "--record", str(path), "--snapshot", str(snapshot)],
+                "export": ["export", "--record", str(path), "--out", str(tmp_path / "x.csv")]}
+        self.assert_one_line_config_error(argv[command], capsys,
+                                          "bad record: record event at step 3 is out of order")
+
     def test_bytes_after_the_event_table(self, tmp_path, capsys):
         path, snapshot = tmp_path / "long.spkc", tmp_path / "snap.npz"
         self.write_record(path, 4, [(10, [1, 2])])
@@ -624,47 +665,87 @@ class TestMalformedSnapshots:
         self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
 
     def test_short_tss_state(self, record, snapshot, capsys):
-        self.rewrite(snapshot, tss_state=np.array([0], dtype=np.int64))
-        self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
+        self.rewrite(snapshot, tss_spans=np.array([0], dtype=np.int64))
+        self.assert_eval_fails(record, snapshot, capsys, "tss_spans has shape (1,), not (k, 2)")
 
     @pytest.fixture
     def open_snapshot(self, tmp_path):
-        """A detector saved inside an open TSS, with channel 3 pending."""
+        """A detector saved at step 2 inside an open TSS that began at step 0."""
         det = Detector(4, PlasticityConfig(), initial_weight=0.45)
         assert det.tick_sparse([0, 1, 2])  # step 0: an onset
         assert not det.tick_sparse([3])
+        assert det.tss_open
         path = tmp_path / "open.npz"
         det.save_snapshot(path)
         with np.load(path) as data:
-            assert data["pending"].tolist() == [3]
-            assert data["tss_state"].tolist() == [1, 0, 0, 0]
+            assert data["tss_spans"].tolist() == [[0, 0]]
+            assert data["depressed"].tolist() == [0, 1, 2]
         return path
 
     def test_consistent_open_snapshot_evaluates(self, record, open_snapshot):
         assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
             == EXIT_OK
 
-    @pytest.mark.parametrize("pending", [[], [2, 3], [0]])
-    def test_inconsistent_pending(self, record, open_snapshot, capsys, pending):
-        self.rewrite(open_snapshot, pending=np.array(pending, dtype=np.int64))
-        self.assert_eval_fails(record, open_snapshot, capsys, "bad snapshot")
+    @pytest.mark.parametrize("depressed", [[99], [-1], [1, 1]])
+    def test_bad_depressed(self, record, open_snapshot, capsys, depressed):
+        self.rewrite(open_snapshot, depressed=np.array(depressed, dtype=np.int64))
+        self.assert_eval_fails(record, open_snapshot, capsys,
+                               f"depressed synapses {depressed} are not distinct indices in [0, 4)")
 
-    @pytest.mark.parametrize("state", [[0, -1, -1, 0], [0, 0, 0, 0], [1, 0, 0, 1],
-                                       [1, 0, 1, 0], [2, 0, 0, 0]])
+    @pytest.mark.parametrize("state", [  # (tss_spans, the span named)
+        ([[0, 2]], [0, 2]),            # ends at the stored step 2
+        ([[1, 0]], [1, 0]),            # onset after its last spike
+        ([[-1, 0]], [-1, 0]),          # onset before step 0
+        ([[0, 0], [1, 1]], [1, 1]),    # onset within T_P of the span before
+        ([[1, 1], [0, 0]], [0, 0]),    # out of order
+    ])
     def test_inconsistent_tss_state(self, record, open_snapshot, capsys, state):
-        self.rewrite(open_snapshot, tss_state=np.array(state, dtype=np.int64))
-        self.assert_eval_fails(record, open_snapshot, capsys, "bad snapshot")
+        """TSS spans that stepping to the stored step with the stored T_P cannot give."""
+        spans, named = state
+        self.rewrite(open_snapshot, tss_spans=np.array(spans, dtype=np.int64))
+        self.assert_eval_fails(record, open_snapshot, capsys,
+                               f"TSS span {named} is not 0 <= onset <= last < step 2 with "
+                               "onset > the previous span's last + T_P 100")
 
     def test_tss_state_of_a_fresh_detector_must_say_no_tss(self, record, snapshot, capsys):
-        self.rewrite(snapshot, tss_state=np.array([0, -1, -1, 5], dtype=np.int64))
-        self.assert_eval_fails(record, snapshot, capsys, "disagree with the rest")
+        self.rewrite(snapshot, tss_spans=np.array([[0, 0]], dtype=np.int64))
+        self.assert_eval_fails(record, snapshot, capsys, "TSS span [0, 0] is not 0 <= onset "
+                                                         "<= last < step 0")
+
+    def test_negative_step(self, record, snapshot, capsys):
+        self.rewrite(snapshot, step=np.int64(-5))
+        self.assert_eval_fails(record, snapshot, capsys, "step -5 < 0")
+
+    @pytest.mark.parametrize("last_presyn, match", [
+        ([0, -1, 2, 1], "presynaptic times -1 to 2 not in [-1, step 2)"),
+        ([-2, -1, 0, 1], "presynaptic times -2 to 1 not in [-1, step 2)"),
+        ([0, 1, 1], "(4,) resources, (3,) presynaptic times, 4 synapses"),
+    ], ids=["at the step", "before -1", "one short"])
+    def test_bad_presynaptic_times(self, record, open_snapshot, capsys, last_presyn, match):
+        self.rewrite(open_snapshot, last_presyn=np.array(last_presyn, dtype=np.int64))
+        self.assert_eval_fails(record, open_snapshot, capsys, match)
+
+    def test_entry_that_set_state_does_not_name(self, record, snapshot, capsys):
+        self.rewrite(snapshot, pending=np.zeros(0, dtype=np.int64))
+        self.assert_eval_fails(record, snapshot, capsys, "unexpected keyword argument 'pending'")
 
     def test_version_1(self, record, snapshot, capsys):
         data = dict(np.load(snapshot))
-        v1 = {k: v for k, v in data.items()
-              if not k.startswith("cfg_") and k != "tss_completed"}
+        v1 = {k: v for k, v in data.items() if not k.startswith("cfg_")}
         np.savez(snapshot, **{**v1, "format_version": np.int64(1)})
         self.assert_eval_fails(record, snapshot, capsys, "unsupported snapshot version 1")
+
+    def test_version_2(self, record, snapshot, capsys):
+        data = dict(np.load(snapshot))
+        v2 = {k: v for k, v in data.items() if k not in ("tss_spans", "frozen")}
+        none = np.zeros(0, dtype=np.int64)
+        np.savez(snapshot, **{**v2, "format_version": np.int64(2), "pending": none,
+                              "tss_state": np.array([0, -1, -1, -1]),
+                              "tss_completed": none.reshape(0, 2)})
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: bad snapshot {snapshot}: unsupported snapshot version 2\n"
 
     def test_stored_config_is_validated(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_w_min=np.float64(0.5))

@@ -202,10 +202,22 @@ class TestMalformed:
     @pytest.mark.parametrize("kind", [0, 1])
     def test_repeated_event_step(self, kind):
         raw = spkc_bytes(n_channels=4, n_steps=10, events=[(2, 1 - kind), (4, kind), (4, kind)])
-        with pytest.raises(ValueError, match="event at step 4 is out of order or past the end"):
+        with pytest.raises(ValueError, match=fr"^bad record: record event at step 4 is out of "
+                                             fr"order: \(step, kind\) \(4, {kind}\) follows "
+                                             fr"\(4, {kind}\)$"):
             EpisodeRecord.from_bytes(raw)
         # a reward and a punishment at one step are two different events
         EpisodeRecord.from_bytes(spkc_bytes(n_channels=4, n_steps=10, events=[(4, 0), (4, 1)]))
+
+    @pytest.mark.parametrize("events, message", [
+        ([(5, 0), (3, 0)], r"step 3 is out of order: \(step, kind\) \(3, 0\) follows \(5, 0\)"),
+        ([(3, 1), (3, 0)], r"step 3 is out of order: \(step, kind\) \(3, 0\) follows \(3, 1\)"),
+    ])
+    def test_event_table_out_of_order(self, events, message):
+        # to_bytes writes (step, kind) rising, so no record reads back from these
+        raw = spkc_bytes(n_channels=4, n_steps=10, events=events)
+        with pytest.raises(ValueError, match="^bad record: record event at " + message):
+            EpisodeRecord.from_bytes(raw)
 
     def test_value_beyond_64_bits(self):
         raw = bytearray(
@@ -298,19 +310,22 @@ def reference_decode(raw):
         section = "event table"
         (n_events,) = struct.unpack_from("<I", raw, pos)
         pos += 4
-        unknown = []
+        wrong, before = [], (-1, -1)  # each event's errors, in table order
         for _ in range(n_events):
             kind = raw[pos]
             if kind > 1:
-                unknown.append((kind, pos))
+                wrong.append(f"bad record: event kind {kind} at byte {pos} is neither 0 "
+                             "(reward) nor 1 (punishment)")
             step, pos = _read_varint(raw, pos + 1)
+            if (step, kind) <= before:
+                wrong.append(f"bad record: record event at step {step} is out of order: "
+                             f"(step, kind) {(step, kind)} follows {before}")
+            before = step, kind
             events[kind != 0].append(step)
     except (IndexError, struct.error):
         raise ValueError(f"truncated record: {section} ends at byte {len(raw)}") from None
-    if unknown:
-        kind, at = unknown[0]
-        raise ValueError(f"bad record: event kind {kind} at byte {at} is neither 0 (reward) "
-                         "nor 1 (punishment)")
+    if wrong:
+        raise ValueError(wrong[0])
     if pos < len(raw):
         raise ValueError(f"bad record: {len(raw) - pos} bytes after the event table")
     values = [c for _, chans in frames for c in chans] + events[0] + events[1]
@@ -623,6 +638,24 @@ def test_each_rule_is_checked_when_the_record_is_made(tmp_path, change, message)
         EpisodeRecord(**{**VALID, **change}).save(path)
     assert "\n" not in str(exc.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+@pytest.mark.parametrize("values, dtype", [
+    (lambda valid: [v + 0.7 for v in valid], "float64"),  # would truncate to the valid ints
+    (lambda valid: [True], "bool"),
+    (lambda valid: [2**70], "object"),
+], ids=["float", "bool", "beyond int64"])
+def test_an_array_of_non_integers_is_refused(name, values, dtype):
+    with pytest.raises(ValueError) as exc:
+        EpisodeRecord(**{**VALID, name: values(VALID[name])})
+    assert str(exc.value) == f"bad record: {name} holds {dtype} values, not integers"
+
+
+def test_empty_arrays_of_any_type_are_accepted():
+    rec = EpisodeRecord(**{**VALID, "spike_steps": [], "indptr": [0], "channels": np.zeros(0),
+                           "reward_steps": [], "punishment_steps": np.zeros(0, dtype=bool)})
+    assert all(getattr(rec, name).dtype == np.int64 for name in ARRAYS)
 
 
 def test_a_record_is_immutable():

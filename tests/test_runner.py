@@ -64,7 +64,7 @@ class TestReplayEquivalence:
         assert a.resources == b.resources
         assert a.stability == b.stability
         assert a.step == b.step == rec.n_steps
-        assert a.tss.completed == b.tss.completed
+        assert (a.tss_open, a.tss_spans) == (b.tss_open, b.tss_spans)
 
     def test_fires_nonempty_in_fixture(self):
         # guard: the equivalence test must exercise actual firing
@@ -257,7 +257,7 @@ def assert_trains_like_scalar(record, cfg, weight, window_steps, freeze_at):
     assert [row_bits(r) for r in rows] == [row_bits(r) for r in ref_rows]
     assert det.weights == ref.weights
     assert det.frozen == ref.frozen
-    assert det._depressed == ref._depressed
+    assert det.depressed == ref.depressed
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp) / "kernel.npz", Path(tmp) / "scalar.npz"
         det.save_snapshot(a)
@@ -339,7 +339,7 @@ class TestEventDrivenRule:
         assert a.resources == b.resources
         assert a.stability == b.stability
         assert a.fire_count == b.fire_count
-        assert a.tss.completed == b.tss.completed
+        assert (a.tss_open, a.tss_spans) == (b.tss_open, b.tss_spans)
 
     def test_tss_open_at_the_end_closes_as_dense_stepping_does(self):
         # the last post spike is isi_max + 1 steps before n_steps: dense
@@ -348,10 +348,9 @@ class TestEventDrivenRule:
                                   frames=[(0, [0]), (278, [0])], reward_steps=[0])
         a, b = (Detector(1, paper_cfg(0.0), initial_weight=0.0) for _ in range(2))
         assert replay(a, rec) == dense_replay(rec, b) == [278]
-        assert a.tss.completed == b.tss.completed == []
-        assert a.tss.active and b.tss.active
+        assert (a.tss_open, a.tss_spans) == (b.tss_open, b.tss_spans) == (True, [(278, 278)])
         a.advance_to(380)  # step 379 is skipped now, and its tick would close it
-        assert a.tss.completed == [(278, 278)]
+        assert (a.tss_open, a.tss_spans) == (False, [(278, 278)])
 
     def test_negative_H_fires_only_at_event_steps(self):
         rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=30,
