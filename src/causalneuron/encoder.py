@@ -23,7 +23,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources as importlib_resources
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -59,9 +58,12 @@ _CLOSE_DY_MAX = 2 * CLOSE_FIELD_HALF
 _ARENA_LO, _ARENA_WIDTH = -ARENA_HALF, ARENA_HALF - -ARENA_HALF
 _BERNOULLI_BLOCK = 4096   # uniforms a Bernoulli clock draws per refill
 
-BINS_FILE_VERSION = 1
-DEFAULT_BINS_RESOURCE = "velocity_bins.txt"
 MIN_CALIBRATION_SAMPLES = 10_000  # fewest samples velocity_bins accepts
+
+# The calibrated velocity bin boundaries, as printed by
+#     python3 scripts/calibrate_velocity_bins.py --seed 12345 --steps 1000000
+VX_BOUNDS = (-22.877568651270547, -18.357518412904646, -15.485644355429637, -13.448887953137795, -11.5958763564019, -10.082540297644037, 13.35947473348463, 18.357518412904646)
+VY_BOUNDS = (-18.772773339310174, -12.12497880949283, -7.699229893696371, -2.614354575015488, 2.0901840710760897, 7.326801641313639, 12.211432064068848, 18.79169559987763)
 
 
 def bin_index(value: float, n_bins: int, lo: float, hi: float) -> int:
@@ -113,10 +115,8 @@ class EncoderLayout:
 
     @staticmethod
     def default() -> "EncoderLayout":
-        """Layout with the checked-in calibration artifact (see scripts/)."""
-        ref = importlib_resources.files("causalneuron") / "data" / DEFAULT_BINS_RESOURCE
-        with ref.open("r") as fh:
-            return load_layout(fh)
+        """Layout with the calibrated ``VX_BOUNDS`` and ``VY_BOUNDS``."""
+        return EncoderLayout(vx_bounds=VX_BOUNDS, vy_bounds=VY_BOUNDS)
 
     def active_channels(self, state: WorldState) -> list[int]:
         """Channel indices active for this world state, before clock gating.
@@ -230,30 +230,3 @@ def encode(state: WorldState, layout: EncoderLayout, clock: SpikeClock) -> list[
     """Spiking channel indices for one step (sparse frame, no dopamine bit)."""
     return clock.gate(state.step, layout.active_channels(state))
 
-
-# -- calibration artifact I/O ----------------------------------------------
-
-def dump_layout(layout: EncoderLayout, fh, command: str = "") -> None:
-    """Serialize the velocity boundaries as a versioned key-value text file."""
-    fh.write(f"# velocity bin boundaries for the pong spike encoder\n")
-    if command:
-        fh.write(f"# generated by: {command}\n")
-    fh.write(f"version = {BINS_FILE_VERSION}\n")
-    fh.write("vx_bounds = " + " ".join(repr(b) for b in layout.vx_bounds) + "\n")
-    fh.write("vy_bounds = " + " ".join(repr(b) for b in layout.vy_bounds) + "\n")
-
-
-def load_layout(fh) -> EncoderLayout:
-    fields = {}
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    if int(fields.get("version", "-1")) != BINS_FILE_VERSION:
-        raise ValueError(f"unsupported bins file version {fields.get('version')}")
-    return EncoderLayout(
-        vx_bounds=tuple(float(v) for v in fields["vx_bounds"].split()),
-        vy_bounds=tuple(float(v) for v in fields["vy_bounds"].split()),
-    )

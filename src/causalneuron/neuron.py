@@ -195,7 +195,7 @@ class Detector:
         lp = np.asarray(last_presyn, dtype=np.int64)
         spans = np.asarray(tss_spans, dtype=np.int64)
         dep = np.asarray(depressed, dtype=np.int64).tolist()
-        step = int(step)
+        step, fire_count, total_abs_dw = int(step), int(fire_count), float(total_abs_dw)
         if res.shape != (n,) or lp.shape != (n,):
             raise ValueError(f"{res.shape} resources, {lp.shape} presynaptic times, {n} synapses")
         if step < 0:
@@ -213,6 +213,13 @@ class Detector:
                              f" < step {step} with onset > the previous span's last + T_P {isi}")
         if len(set(dep) & set(range(n))) != len(dep):
             raise ValueError(f"depressed synapses {dep} are not distinct indices in [0, {n})")
+        # a resource moves by finite rates, so it may overflow to +-inf but never reach NaN
+        if np.isnan(res).any():
+            raise ValueError(f"resource {int(np.isnan(res).argmax())} is NaN")
+        if fire_count < len(spans):  # each TSS holds at least one fire
+            raise ValueError(f"fire_count {fire_count} < {len(spans)} TSS spans")
+        if total_abs_dw < 0:  # NaN passes: the weight of an inf resource is NaN
+            raise ValueError(f"total_abs_dw {total_abs_dw} < 0")
         self.resources = res.tolist()
         self.weights = [weight_of(r, self.cfg) for r in self.resources]
         self.stability = float(stability)
@@ -221,8 +228,8 @@ class Detector:
         self.tss_spans = list(map(tuple, spans.tolist()))
         self.depressed = set(dep)
         self.frozen = bool(frozen)
-        self.fire_count = int(fire_count)
-        self.total_abs_dw = float(total_abs_dw)
+        self.fire_count = fire_count
+        self.total_abs_dw = total_abs_dw
 
     def resource_array(self) -> np.ndarray:
         return np.asarray(self.resources, dtype=np.float64)

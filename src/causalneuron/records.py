@@ -207,10 +207,10 @@ class EpisodeRecord:
     punishment_steps: np.ndarray
 
     def __post_init__(self) -> None:
-        """Header fields in range, ``step_ms >= 1``; integer arrays (or empty); spike,
-        reward and punishment steps each rising strictly in [0, n_steps); ``indptr``
-        rising strictly from 0 to ``len(channels)`` (no empty frame); channels in
-        [0, n_channels)."""
+        """Header fields in range, ``step_ms >= 1``; integer arrays (or empty) whose
+        values fit int64; spike, reward and punishment steps each rising strictly in
+        [0, n_steps); ``indptr`` rising strictly from 0 to ``len(channels)`` (no empty
+        frame); channels in [0, n_channels)."""
         for name, limit in _HEADER_LIMITS.items():
             value = getattr(self, name)
             if not 0 <= value <= limit:
@@ -222,6 +222,8 @@ class EpisodeRecord:
             values = np.asarray(getattr(self, name))
             if values.size and values.dtype.kind not in "iu":
                 raise ValueError(f"bad record: {name} holds {values.dtype} values, not integers")
+            if values.dtype.kind == "u" and values.size and int(values.max()) > _INT64_MAX:
+                raise ValueError(f"bad record: {name} holds {int(values.max())}, beyond int64")
             values = values.astype(np.int64, copy=False).view()
             values.flags.writeable = False
             object.__setattr__(self, name, values)

@@ -725,6 +725,24 @@ class TestMalformedSnapshots:
         self.rewrite(open_snapshot, last_presyn=np.array(last_presyn, dtype=np.int64))
         self.assert_eval_fails(record, open_snapshot, capsys, match)
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"resources": np.array([np.nan, np.inf, 0.0, 0.0])}, "resource 0 is NaN"),
+        ({"fire_count": np.int64(-3)}, "fire_count -3 < 1 TSS spans"),
+        ({"fire_count": np.int64(0)}, "fire_count 0 < 1 TSS spans"),
+        ({"total_abs_dw": np.float64(-0.5)}, "total_abs_dw -0.5 < 0"),
+    ], ids=["NaN resource", "negative fire count", "fewer fires than spans",
+            "negative total |dw|"])
+    def test_unreachable_state(self, record, open_snapshot, capsys, entries, message):
+        self.rewrite(open_snapshot, **entries)
+        assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bad snapshot {open_snapshot}: {message}\n"
+
+    def test_non_finite_values_that_stepping_reaches_evaluate(self, record, snapshot):
+        self.rewrite(snapshot, resources=np.array([np.inf, -np.inf, 0.0, 0.0]),
+                     stability=np.float64(np.nan), total_abs_dw=np.float64(np.nan))
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) == EXIT_OK
+
     def test_entry_that_set_state_does_not_name(self, record, snapshot, capsys):
         self.rewrite(snapshot, pending=np.zeros(0, dtype=np.int64))
         self.assert_eval_fails(record, snapshot, capsys, "unexpected keyword argument 'pending'")

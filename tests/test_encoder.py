@@ -1,12 +1,11 @@
-"""Spike encoder: channel layout, binning, clock statistics, artifact I/O."""
+"""Spike encoder: channel layout, binning, clock statistics, calibrated bounds."""
 
+import ast
 import hashlib
 import importlib.util
-import io
 import math
 import re
 from dataclasses import replace
-from importlib import resources as importlib_resources
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +19,11 @@ from causalneuron.encoder import (
     SECTION_OFFSETS,
     SECTION_SIZES,
     EncoderLayout,
+    VX_BOUNDS,
+    VY_BOUNDS,
     SpikeClock,
     bin_index,
-    dump_layout,
     encode,
-    load_layout,
     velocity_bins,
 )
 from causalneuron.recording import record_pong_episode
@@ -150,41 +149,38 @@ def load_calibration_script():
 
 
 class TestCalibrationArtifact:
-    def test_script_reproduces_the_checked_in_bounds(self, tmp_path):
-        # the default seed and step count are the ones the artifact names
-        out = tmp_path / "velocity_bins.txt"
-        assert load_calibration_script().main(["--out", str(out)]) == 0
-        artifact = importlib_resources.files("causalneuron") / "data" / "velocity_bins.txt"
+    def test_script_reproduces_the_checked_in_bounds(self, capsys):
+        # the default seed and step count are the ones encoder.py names
+        assert load_calibration_script().main([]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in printed] == ["VX_BOUNDS", "VY_BOUNDS"]
+        # the script's bounds equal VX_BOUNDS and VY_BOUNDS exactly ...
+        bounds = [ast.literal_eval(line.split(" = ")[1]) for line in printed]
+        assert bounds == [VX_BOUNDS, VY_BOUNDS]
+        # ... and its lines are the ones in the encoder, ready to paste
+        source = Path(encoder.__file__).read_text().splitlines()
+        assert all(line in source for line in printed)
 
-        def bounds_lines(text):
-            return [line for line in text.splitlines() if "_bounds = " in line]
-
-        assert len(bounds_lines(out.read_text())) == 2
-        assert bounds_lines(out.read_text()) == bounds_lines(artifact.read_text())
-
-
-    def test_too_few_steps_is_an_argument_error(self, tmp_path, capsys, monkeypatch):
+    def test_too_few_steps_is_an_argument_error(self, capsys, monkeypatch):
         def no_walk(*args):
             raise AssertionError("the world was walked")
 
         monkeypatch.setattr(pong, "trajectory", no_walk)
-        out = tmp_path / "velocity_bins.txt"
         with pytest.raises(SystemExit) as exc:
-            load_calibration_script().main(["--steps", "5000", "--out", str(out)])
+            load_calibration_script().main(["--steps", "5000"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert f"--steps must be at least {MIN_CALIBRATION_SAMPLES}, got 5000" in err
-        assert not out.exists()
+        assert out == ""
 
-    def test_too_few_velocities_is_an_argument_error(self, tmp_path, capsys):
+    def test_too_few_velocities_is_an_argument_error(self, capsys):
         # at the floor, the default seed's walk serves too few distinct balls
-        out = tmp_path / "velocity_bins.txt"
         with pytest.raises(SystemExit) as exc:
-            load_calibration_script().main(["--steps", str(MIN_CALIBRATION_SAMPLES),
-                                            "--out", str(out)])
+            load_calibration_script().main(["--steps", str(MIN_CALIBRATION_SAMPLES)])
         assert exc.value.code == 2
-        assert "degenerate calibration samples" in capsys.readouterr().err
-        assert not out.exists()
+        out, err = capsys.readouterr()
+        assert "degenerate calibration samples" in err
+        assert out == ""
 
 
 class TestSpikeClock:
@@ -236,19 +232,6 @@ class TestEncode:
 
 
 class TestLayoutIO:
-    def test_round_trip(self, layout):
-        buf = io.StringIO()
-        dump_layout(layout, buf, command="test")
-        buf.seek(0)
-        again = load_layout(buf)
-        assert again == layout
-
-    def test_version_check(self):
-        bad = io.StringIO("version = 99\nvx_bounds = 1 2 3 4 5 6 7 8\n"
-                          "vy_bounds = 1 2 3 4 5 6 7 8\n")
-        with pytest.raises(ValueError):
-            load_layout(bad)
-
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             EncoderLayout(vx_bounds=(1.0, 2.0), vy_bounds=tuple(range(8)))

@@ -436,6 +436,38 @@ class TestDeterminismAndSnapshots:
         with pytest.raises(ValueError):
             Detector.load_snapshot(path)
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"resources": [0.1, np.nan, np.inf]}, "resource 1 is NaN"),
+        ({"fire_count": -3}, "fire_count -3 < 2 TSS spans"),
+        ({"fire_count": 1}, "fire_count 1 < 2 TSS spans"),
+        ({"total_abs_dw": -1e-300}, "total_abs_dw -1e-300 < 0"),
+    ], ids=["NaN resource", "negative fire count", "fewer fires than spans",
+            "negative total |dw|"])
+    def test_snapshot_of_an_unreachable_state_is_refused(self, tmp_path, entries, message):
+        path = tmp_path / "snap.npz"
+        det = make_detector(n=3)
+        det.tss_spans, det.fire_count = [(0, 0), (200, 201)], 3
+        det.step = 300
+        det.save_snapshot(path)
+        data = dict(np.load(path))
+        data.update({k: np.asarray(v) for k, v in entries.items()})
+        np.savez(path, **data)
+        with pytest.raises(ValueError) as exc:
+            Detector.load_snapshot(path)
+        assert str(exc.value) == f"bad snapshot {path}: {message}"
+
+    def test_snapshot_keeps_values_that_stepping_reaches(self, tmp_path):
+        """An extreme config overflows a resource to inf, and its weight is then NaN."""
+        path = tmp_path / "snap.npz"
+        det = make_detector(n=3)
+        det.resources = [np.inf, -np.inf, 0.0]
+        det.stability, det.total_abs_dw = -np.inf, np.nan
+        det.save_snapshot(path)
+        again = Detector.load_snapshot(path)
+        assert again.resources == det.resources
+        assert again.stability == -np.inf and np.isnan(again.total_abs_dw)
+        assert np.isnan(again.weights[0]) and again.weights[1] == det.cfg.w_min
+
     def test_snapshot_keeps_tss_history_and_config(self, tmp_path):
         cfg = PlasticityConfig(d_bar=0.2, w_min=-0.05, w_max=0.9, d_s=0.5, T_P=40, H=0.75)
         a = make_detector(n=6, weight=0.2, cfg=cfg)

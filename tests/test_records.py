@@ -652,6 +652,16 @@ def test_an_array_of_non_integers_is_refused(name, values, dtype):
     assert str(exc.value) == f"bad record: {name} holds {dtype} values, not integers"
 
 
+@pytest.mark.parametrize("name", ARRAYS)
+@pytest.mark.parametrize("value", [2**63, 2**64 - 1])
+def test_unsigned_values_beyond_int64_are_refused(name, value):
+    values = np.array(VALID[name], dtype=np.uint64)
+    values[-1] = value
+    with pytest.raises(ValueError) as exc:
+        EpisodeRecord(**{**VALID, name: values})
+    assert str(exc.value) == f"bad record: {name} holds {value}, beyond int64"
+
+
 def test_empty_arrays_of_any_type_are_accepted():
     rec = EpisodeRecord(**{**VALID, "spike_steps": [], "indptr": [0], "channels": np.zeros(0),
                            "reward_steps": [], "punishment_steps": np.zeros(0, dtype=bool)})
