@@ -14,8 +14,16 @@ a kill (SIGTERM).
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` it prints
 both sides' median and quartiles, the ratio of the medians (working tree
-over revision) and the pairs the working tree won (ties count for neither
-side). It needs no network and changes no file of the benchmark; each run
+over revision), the pairs the working tree won (ties count for neither
+side) and a verdict against the metric's ``bound``:
+
+* ``worse than bound``: the working tree's median is worse than the
+  revision's by more than the bound (a fraction of the revision's median);
+* ``unresolved``: the revision's own spread, (q3 - q1) / median, is wider
+  than the bound, unless every working-tree run beats every revision run;
+* ``within bound``: every other case.
+
+It needs no network and changes no file of the benchmark; each run
 writes its report to its own tree's gitignored ``perfbench/out/``.
 """
 
@@ -42,13 +50,24 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(base, change, sign, bound):
+    """The module docstring's verdict on one metric's runs; ``sign`` is 1
+    when higher is better, -1 when lower is."""
+    b1, b2, b3 = quartiles(base)
+    if sign * (statistics.median(change) - b2) < -bound * b2:
+        return "worse than bound"
+    if (b3 - b1) / b2 > bound and min(sign * c for c in change) <= max(sign * b for b in base):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(metrics, pairs):
     """One row per end-to-end metric over paired runs.
 
-    ``metrics`` are ``BENCHMARK.json``'s ``end_to_end`` entries (``name``
-    and ``better``); ``pairs`` is a list of (revision, working tree) dicts
-    from metric name to value. A pair is won when the working tree's value
-    is better in the metric's direction.
+    ``metrics`` are ``BENCHMARK.json``'s ``end_to_end`` entries (``name``,
+    ``better`` and ``bound``); ``pairs`` is a list of (revision, working
+    tree) dicts from metric name to value. A pair is won when the working
+    tree's value is better in the metric's direction.
     """
     rows = []
     for spec in metrics:
@@ -64,6 +83,7 @@ def summarize(metrics, pairs):
             "ratio": statistics.median(change) / statistics.median(base),
             "won": won,
             "pairs": len(pairs),
+            "verdict": verdict(base, change, sign, spec["bound"]),
         })
     return rows
 
@@ -74,7 +94,7 @@ def format_rows(workload, rows):
         (b1, b2, b3), (c1, c2, c3) = row["base"], row["change"]
         lines.append(f"  {row['metric']:20s} {b2:.6g} [{b1:.6g}, {b3:.6g}] -> "
                      f"{c2:.6g} [{c1:.6g}, {c3:.6g}]  x{row['ratio']:.3f}  "
-                     f"won {row['won']}/{row['pairs']}")
+                     f"won {row['won']}/{row['pairs']}  {row['verdict']}")
     return "\n".join(lines)
 
 

@@ -39,11 +39,11 @@ def main(argv=None) -> int:
         vy[steps] = start.ball_vy
 
     try:
-        vx_bounds, vy_bounds = velocity_bins(vx), velocity_bins(vy)
+        x_bounds, y_bounds = velocity_bins(vx), velocity_bins(vy)
     except ValueError as exc:  # a short walk visits too few velocities
         ap.error(f"--steps {args.steps} with --seed {args.seed}: {exc}")
-    print(f"VX_BOUNDS = {vx_bounds!r}")
-    print(f"VY_BOUNDS = {vy_bounds!r}")
+    print(f"VX_BOUNDS = {x_bounds!r}")
+    print(f"VY_BOUNDS = {y_bounds!r}")
     return 0
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -99,24 +98,9 @@ def velocity_bins(samples: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(b) for b in bounds)
 
 
-@dataclass(frozen=True)
 class EncoderLayout:
-    """Fixed channel layout plus the calibrated velocity bin boundaries."""
-
-    vx_bounds: tuple[float, ...]
-    vy_bounds: tuple[float, ...]
-
-    def __post_init__(self):
-        for name, bounds in (("vx", self.vx_bounds), ("vy", self.vy_bounds)):
-            if len(bounds) != N_VEL_BINS - 1:
-                raise ValueError(f"{name}_bounds must have {N_VEL_BINS - 1} entries")
-            if any(b >= c for b, c in zip(bounds, bounds[1:])):
-                raise ValueError(f"{name}_bounds must be strictly increasing")
-
-    @staticmethod
-    def default() -> "EncoderLayout":
-        """Layout with the calibrated ``VX_BOUNDS`` and ``VY_BOUNDS``."""
-        return EncoderLayout(vx_bounds=VX_BOUNDS, vy_bounds=VY_BOUNDS)
+    """The fixed channel layout with the calibrated ``VX_BOUNDS``/``VY_BOUNDS``;
+    a class without state, whose method ``perfbench/tracing.py`` patches."""
 
     def active_channels(self, state: WorldState) -> list[int]:
         """Channel indices active for this world state, before clock gating.
@@ -162,8 +146,8 @@ class EncoderLayout:
         out = [
             _BALL_X0 + kx,
             _BALL_Y0 + ky,
-            _BALL_VX0 + bisect_right(self.vx_bounds, vx),
-            _BALL_VY0 + bisect_right(self.vy_bounds, vy),
+            _BALL_VX0 + bisect_right(VX_BOUNDS, vx),
+            _BALL_VY0 + bisect_right(VY_BOUNDS, vy),
             _RACKET_Y0 + kr,
         ]
         dy = y - (ry - CLOSE_FIELD_HALF)

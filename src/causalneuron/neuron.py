@@ -137,9 +137,9 @@ class Detector:
         not a neuron step, so it can neither fire nor change a weight.
         Only the clock moves: TSS closure is not an event but a reading
         of the clock (:attr:`tss_open`), so a TSS closes on the first
-        skipped step whose tick would have closed it. For H >= 0 this
-        equals ticking empty frames, which cannot fire; for H < 0 an
-        empty frame would fire, and skipping it does not.
+        skipped step whose tick would have closed it. This equals ticking
+        empty frames, which never fire: their sum of 0.0 does not exceed
+        H, which is never below zero.
         """
         if step < self.step:
             raise ValueError(f"cannot rewind from {self.step} to {step}")

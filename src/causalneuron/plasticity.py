@@ -33,7 +33,7 @@ class PlasticityConfig:
     w_max: float = 0.48   # weight upper bound (open), positive
     d_s: float = 0.23     # stability change speed
     T_P: int = 100        # causal window length in steps; also ISI_max
-    H: float = 1.0        # firing threshold (strict)
+    H: float = 1.0        # firing threshold (strict), >= 0
 
     def __post_init__(self) -> None:
         for name in ("d_bar", "w_min", "w_max", "d_s", "H"):
@@ -42,6 +42,12 @@ class PlasticityConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (self.w_min < 0.0 < self.w_max):
             raise ValueError(f"require w_min < 0 < w_max, got [{self.w_min}, {self.w_max}]")
+        w0 = weight_of(resource_for_weight(0.0, self), self)
+        if not math.isfinite(w0):
+            raise ValueError(f"w_min {self.w_min} and w_max {self.w_max} give a "
+                             f"non-finite starting weight {w0}")
+        if self.H < 0.0:  # an empty step's sum, 0.0, must not fire; -0.0 passes
+            raise ValueError(f"H must be >= 0, got {self.H}")
         if self.d_bar <= 0.0:
             raise ValueError("d_bar must be positive")
         if self.d_s <= 0.0:

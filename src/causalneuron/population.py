@@ -218,10 +218,8 @@ def replay_population(
             np.maximum.at(lp, channels[indptr[folded]:indptr[frame_end]], steps)
             folded = frame_end
 
-    def firing(k: Optional[int]) -> np.ndarray:
-        """The genomes whose membrane sum over frame k (None: empty) exceeds H."""
-        if k is None:
-            return everyone if 0.0 > H else _NONE
+    def firing(k: int) -> np.ndarray:
+        """The genomes whose membrane sum over frame k exceeds H."""
         first, *rest = channels[indptr[k]:indptr[k + 1]].tolist()
         total = W[:, first]  # 0.0 + w is w: a weight is never -0.0
         for c in rest:
@@ -314,12 +312,12 @@ def replay_population(
         if t == n_steps:
             break
 
-        # the reward step, with its spike frame if it has one
-        k = seg_end if seg_end < n_frames and spike_steps[seg_end] == t else None
-        if k is not None:
+        # the reward step, with its spike frame if it has one; an empty step never fires
+        has_frame = seg_end < n_frames and spike_steps[seg_end] == t
+        if has_frame:
             frame = seg_end + 1
         fold_presyn(frame)
-        rows = firing(k)
+        rows = firing(seg_end) if has_frame else _NONE
         new_onset = fire(t, rows) if rows.size else _NONE
         # a zero rate adds 0.0, which leaves a resource's bits unchanged
         eligible = ((lp >= t - T_P) & (lp >= 0)).nonzero()[0]

@@ -35,7 +35,7 @@ def record_pong_episode(
     n_steps = round(duration_s * 1000)
     if n_steps == 0:
         raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")
-    layout = EncoderLayout.default()
+    layout = EncoderLayout()
     seeds = np.random.SeedSequence(seed).spawn(3)
     env_rng = np.random.default_rng(seeds[0])
     policy = pong.ChaoticPolicy(np.random.default_rng(seeds[1]))

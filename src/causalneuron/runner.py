@@ -2,10 +2,9 @@
 
 Replay is event-driven: a step with no spike and no dopamine is not a
 neuron step. It skips such steps, which turns a 2,000,000-step episode
-into a few hundred thousand events. For H >= 0 this equals ticking an
-empty frame at every skipped step, because an empty frame cannot fire;
-for H < 0 it would fire, and replay does not see it
-(``tests/test_runner.py`` checks both).
+into a few hundred thousand events. This equals ticking an empty frame at
+every skipped step, because an empty frame's sum of 0.0 never exceeds a
+threshold, which is never below zero (``tests/test_runner.py`` checks it).
 
 :func:`train_on_record` runs the lockstep kernel of the genetic search
 (:mod:`~causalneuron.population`) with the detector's one config. The
@@ -82,23 +81,20 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[i
     """The steps at which a frozen detector with these weights fires.
 
     Equal to the scalar :func:`replay` of a fresh frozen detector with
-    these weights and threshold ``H``. A frozen detector fires at an
-    event step exactly when the weights of that step's channels, added in
-    the record's channel order, exceed H (:class:`FrameSums`). A
-    reward-only step is an empty frame, which fires when H < 0.
+    these weights and threshold ``H``, which no config sets below 0. A
+    frozen detector fires at an event step exactly when the weights of that
+    step's channels, added in the record's channel order, exceed H
+    (:class:`FrameSums`). A reward-only step is an empty frame, which never
+    fires.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != record.n_channels:
         raise ValueError(
             f"record has {record.n_channels} channels, detector has {len(weights)}"
         )
-    steps, rewards = record.spike_steps, record.reward_steps
+    steps = record.spike_steps
     total = FrameSums(record.indptr, record.channels)(weights, 0, len(steps))
-    fired = steps[total > H].tolist()
-    if 0.0 > H:  # merge in the reward-only steps; sorted merges two sorted runs
-        reward_only = rewards[steps.searchsorted(rewards) == steps.searchsorted(rewards, "right")]
-        fired = sorted(fired + reward_only.tolist())
-    return fired
+    return steps[total > H].tolist()
 
 
 @dataclass

@@ -12,15 +12,18 @@ spec = importlib.util.spec_from_file_location("ab_bench", PATH)
 ab_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_bench)
 
-METRICS = [{"name": "speed", "better": "higher"}, {"name": "rss", "better": "lower"}]
+METRICS = [{"name": "speed", "better": "higher", "bound": 0.1},
+           {"name": "rss", "better": "lower", "bound": 0.1},
+           {"name": "setup", "better": "lower", "bound": 0.1}]
 
 
 def test_summary_on_fixed_numbers():
     base = [10.0, 12.0, 11.0, 13.0, 14.0]
     change = [15.0, 12.0, 10.0, 16.0, 18.0]
-    pairs = [({"speed": b, "rss": 50.0}, {"speed": c, "rss": r})
-             for b, c, r in zip(base, change, [49.0, 50.0, 51.0, 48.0, 47.0])]
-    speed, rss = ab_bench.summarize(METRICS, pairs)
+    pairs = [({"speed": b, "rss": 50.0, "setup": 1.0}, {"speed": c, "rss": r, "setup": s})
+             for b, c, r, s in zip(base, change, [49.0, 50.0, 51.0, 48.0, 47.0],
+                                   [1.2, 1.05, 1.11, 1.0, 1.3])]
+    speed, rss, setup = ab_bench.summarize(METRICS, pairs)
     assert speed["base"] == (11.0, 12.0, 13.0)   # quartiles of 10, 11, 12, 13, 14
     assert speed["change"] == (12.0, 15.0, 16.0)
     assert speed["ratio"] == 15.0 / 12.0
@@ -28,13 +31,24 @@ def test_summary_on_fixed_numbers():
     assert rss["base"] == (50.0, 50.0, 50.0)
     assert rss["change"] == (48.0, 49.0, 50.0)
     assert rss["won"] == 3  # lower is better: 49, 48 and 47 win, 50 ties, 51 loses
+    # the revision's speed spreads (13 - 11) / 12 > 0.1, and a change run of 10
+    # loses to revision runs; rss spreads 0 and its median is better
+    assert speed["verdict"] == "unresolved"
+    assert rss["verdict"] == "within bound"
+    assert setup["change"][1] == 1.11 and setup["verdict"] == "worse than bound"
+
+
+def test_a_clean_sweep_resolves_a_wide_spread():
+    pairs = [({"speed": b}, {"speed": b + 10.0}) for b in (10.0, 12.0, 11.0, 13.0, 14.0)]
+    (row,) = ab_bench.summarize(METRICS[:1], pairs)
+    assert row["verdict"] == "within bound"  # every change run beats every revision run
 
 
 def test_summary_of_one_pair():
     (row,) = ab_bench.summarize(METRICS[:1], [({"speed": 2.0}, {"speed": 3.0})])
     assert row["base"] == (2.0, 2.0, 2.0) and row["change"] == (3.0, 3.0, 3.0)
     assert row["won"] == 1 and row["ratio"] == 1.5
-    assert "won 1/1" in ab_bench.format_rows("w", [row])
+    assert "won 1/1  within bound" in ab_bench.format_rows("w", [row])
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,12 @@ from causalneuron.runner import replay
 from causalneuron.synthetic import SyntheticConfig
 
 from reference import frozen_clone, spkc_bytes
+
+
+# (w_min, w_max, the starting weight): weight 0 needs an infinite resource,
+# the span overflows, and the weight of the starting resource overflows
+NON_FINITE_START = [(-1.0, 5e-324, math.nan), (-1e308, 1e308, math.nan),
+                    (-1.3e154, 1.0, math.inf)]
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +145,17 @@ class TestExitCodes:
             ["train", "--record", str(syn_record), "--params", str(bad)]
         ) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: d_bar must be finite, got nan\n"
+
+    @pytest.mark.parametrize("w_min, w_max, w0", NON_FINITE_START)
+    def test_params_with_a_non_finite_starting_weight_is_config_error(
+            self, tmp_path, syn_record, capsys, w_min, w_max, w0):
+        bad = tmp_path / "extreme.txt"
+        bad.write_text(f"w_min = {w_min}\nw_max = {w_max}\n")
+        assert main(
+            ["train", "--record", str(syn_record), "--params", str(bad)]
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: w_min {w_min} and w_max {w_max} give a non-finite starting weight {w0}\n"
 
     def test_unknown_config_key_is_config_error(self, tmp_path, syn_record):
         bad = tmp_path / "bad.txt"
@@ -768,6 +786,17 @@ class TestMalformedSnapshots:
     def test_stored_config_is_validated(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_w_min=np.float64(0.5))
         self.assert_eval_fails(record, snapshot, capsys, "require w_min < 0 < w_max")
+
+    @pytest.mark.parametrize("w_min, w_max, w0", NON_FINITE_START)
+    def test_stored_config_with_a_non_finite_starting_weight_is_rejected(
+            self, record, snapshot, capsys, w_min, w_max, w0):
+        self.rewrite(snapshot, cfg_w_min=np.float64(w_min), cfg_w_max=np.float64(w_max))
+        self.assert_eval_fails(record, snapshot, capsys,
+                               f"w_min {w_min} and w_max {w_max} give a non-finite")
+
+    def test_stored_threshold_below_zero_is_rejected(self, record, snapshot, capsys):
+        self.rewrite(snapshot, cfg_H=np.float64(-0.25))
+        self.assert_eval_fails(record, snapshot, capsys, "H must be >= 0, got -0.25")
 
     def test_stored_non_finite_config_is_rejected(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_d_bar=np.float64(np.nan))

@@ -31,7 +31,7 @@ from causalneuron.recording import record_pong_episode
 
 @pytest.fixture(scope="module")
 def layout():
-    return EncoderLayout.default()
+    return EncoderLayout()
 
 
 class TestLayoutGeometry:
@@ -232,24 +232,15 @@ class TestEncode:
 
 
 class TestLayoutIO:
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            EncoderLayout(vx_bounds=(1.0, 2.0), vy_bounds=tuple(range(8)))
-        with pytest.raises(ValueError):
-            EncoderLayout(
-                vx_bounds=(8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0),
-                vy_bounds=tuple(float(v) for v in range(8)),
-            )
-
-    def test_default_artifact_loads(self, layout):
-        assert len(layout.vx_bounds) == 8
-        assert len(layout.vy_bounds) == 8
-        assert all(b < c for b, c in zip(layout.vx_bounds, layout.vx_bounds[1:]))
+    def test_default_artifact_loads(self):
+        for bounds in (VX_BOUNDS, VY_BOUNDS):
+            assert len(bounds) == 8
+            assert all(b < c for b, c in zip(bounds, bounds[1:]))
 
 
 # -- oracles for the inlined per-step encoder ---------------------------------
 
-LAYOUT = EncoderLayout.default()
+LAYOUT = EncoderLayout()
 
 
 def linear_scan_bin(value, bounds):
@@ -261,7 +252,7 @@ def linear_scan_bin(value, bounds):
     return k
 
 
-def reference_channels(layout, state):
+def reference_channels(state):
     """active_channels written from bin_index and a linear-scan velocity bin."""
     for v in (state.ball_vx, state.ball_vy):
         if not math.isfinite(v):
@@ -269,8 +260,8 @@ def reference_channels(layout, state):
     out = [
         SECTION_OFFSETS["ball_x"] + bin_index(state.ball_x, 30, -5.0, 5.0),
         SECTION_OFFSETS["ball_y"] + bin_index(state.ball_y, 30, -5.0, 5.0),
-        SECTION_OFFSETS["ball_vx"] + linear_scan_bin(state.ball_vx, layout.vx_bounds),
-        SECTION_OFFSETS["ball_vy"] + linear_scan_bin(state.ball_vy, layout.vy_bounds),
+        SECTION_OFFSETS["ball_vx"] + linear_scan_bin(state.ball_vx, VX_BOUNDS),
+        SECTION_OFFSETS["ball_vy"] + linear_scan_bin(state.ball_vy, VY_BOUNDS),
         SECTION_OFFSETS["racket_y"] + bin_index(state.racket_y, 30, -5.0, 5.0),
     ]
     dy = state.ball_y - (state.racket_y - 1.5)
@@ -289,7 +280,7 @@ def with_neighbours(values):
 # the 31 edges of the equal-width bins, the close-zone edges and +-5
 POSITION_EDGES = with_neighbours([-5.0 + 10.0 * k / 30 for k in range(31)]
                                  + [-5.0 + 0.6 * k for k in range(6)] + [-2.0, 0.0, 5.0])
-VELOCITY_EDGES = with_neighbours(LAYOUT.vx_bounds + LAYOUT.vy_bounds + (0.0,))
+VELOCITY_EDGES = with_neighbours(VX_BOUNDS + VY_BOUNDS + (0.0,))
 positions = st.one_of(st.sampled_from(POSITION_EDGES), st.floats(-6.0, 6.0))
 velocities = st.one_of(st.sampled_from(VELOCITY_EDGES), st.floats(-40.0, 40.0))
 
@@ -298,12 +289,12 @@ class TestActiveChannelsOracle:
     @given(x=positions, y=positions, vx=velocities, vy=velocities, ry=positions)
     def test_matches_bin_index_and_linear_scan(self, x, y, vx, vy, ry):
         state = pong.WorldState(x, y, vx, vy, ry, step=0)
-        assert LAYOUT.active_channels(state) == reference_channels(LAYOUT, state)
+        assert LAYOUT.active_channels(state) == reference_channels(state)
 
     def test_every_velocity_edge_and_its_neighbours(self):
         for v in VELOCITY_EDGES:
             state = pong.WorldState(0.0, 0.0, v, v, 0.0, step=0)
-            assert LAYOUT.active_channels(state) == reference_channels(LAYOUT, state)
+            assert LAYOUT.active_channels(state) == reference_channels(state)
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     @pytest.mark.parametrize("field", ["ball_x", "ball_y", "racket_y"])
@@ -313,7 +304,7 @@ class TestActiveChannelsOracle:
         state = pong.WorldState(**fields, step=0)
         channels = LAYOUT.active_channels(state)
         edge = replace(state, **{field: 6.0 if value > 0 else -6.0})
-        assert channels == reference_channels(LAYOUT, edge)
+        assert channels == reference_channels(edge)
         assert all(0 <= c < N_CHANNELS for c in channels)
 
     def test_close_zone_seams(self):
@@ -322,7 +313,7 @@ class TestActiveChannelsOracle:
             for x in POSITION_EDGES:
                 for y in with_neighbours([ry - 1.5 + 0.6 * k for k in range(6)]):
                     state = pong.WorldState(x, y, 12.0, -3.0, ry, step=0)
-                    assert LAYOUT.active_channels(state) == reference_channels(LAYOUT, state)
+                    assert LAYOUT.active_channels(state) == reference_channels(state)
 
     @pytest.mark.parametrize("field", ["ball_x", "ball_y", "ball_vx", "ball_vy", "racket_y"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

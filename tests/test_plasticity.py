@@ -1,12 +1,15 @@
 """Resource-to-weight squash and stability-gated rate properties."""
 
+import itertools
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from causalneuron.ga import GENE_NAMES, GENE_RANGES, Genome
 from causalneuron.plasticity import (
     PlasticityConfig,
     effective_rates,
@@ -113,6 +116,11 @@ class TestEffectiveRates:
         assert effective_rates(s + 1.0, CFG)[0] <= effective_rates(s, CFG)[0]
 
 
+# weight 0 needs an infinite resource, the span overflows, and the weight of a
+# finite starting resource overflows to +inf
+NON_FINITE_START = [(-1.0, 5e-324), (-1e308, 1e308), (-1.3e154, 1.0)]
+
+
 class TestConfigValidation:
     def test_defaults_are_the_paper_values(self):
         assert PlasticityConfig() == PlasticityConfig(
@@ -142,3 +150,16 @@ class TestConfigValidation:
     def test_rejects_non_finite_constants(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PlasticityConfig(**{field: value})
+
+    @pytest.mark.parametrize("w_min, w_max", NON_FINITE_START)
+    def test_a_non_finite_starting_weight_is_refused(self, w_min, w_max):
+        message = f"w_min {w_min} and w_max {w_max} give a non-finite starting weight "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}(nan|inf)$"):
+            PlasticityConfig(w_min=w_min, w_max=w_max)
+
+    def test_paper_and_gene_range_corners_start_at_a_finite_weight(self):
+        cfgs = [CFG] + [Genome(**dict(zip(GENE_NAMES, corner))).to_config()
+                        for corner in itertools.product(*GENE_RANGES.values())]
+        for cfg in cfgs:
+            assert math.isfinite(weight_of(resource_for_weight(0.0, cfg), cfg))
+

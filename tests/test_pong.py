@@ -338,7 +338,7 @@ class TestTrajectory:
 def per_step_recording(duration_s, seed, clock_mode):
     """The recorder as one env_step and one encode call per step."""
     n_steps = round(duration_s * 1000)
-    layout = EncoderLayout.default()
+    layout = EncoderLayout()
     seeds = np.random.SeedSequence(seed).spawn(3)
     env_rng = np.random.default_rng(seeds[0])
     policy = pong.ChaoticPolicy(np.random.default_rng(seeds[1]))

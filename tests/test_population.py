@@ -19,7 +19,7 @@ from causalneuron.ga import (
 )
 from causalneuron.metrics import score_run, score_runs
 from causalneuron.neuron import Detector
-from causalneuron.plasticity import PlasticityConfig
+from causalneuron.plasticity import PlasticityConfig, resource_for_weight
 from causalneuron.population import replay_population
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
@@ -38,12 +38,16 @@ CORNERS = [
 ]
 
 
-def assert_matches_scalar(cfgs, record):
-    """Every config's lockstep result equals its own scalar replay."""
-    runs = replay_population(cfgs, record)
+def assert_matches_scalar(cfgs, record, start=None):
+    """Every config's lockstep result equals its own scalar replay; with
+    ``start``, every synapse starts at weight ``start * w_max``, else at 0."""
+    weights = [0.0 if start is None else start * cfg.w_max for cfg in cfgs]
+    resources = None if start is None else np.array(
+        [[resource_for_weight(w, cfg)] * record.n_channels for cfg, w in zip(cfgs, weights)])
+    runs = replay_population(cfgs, record, resources=resources)
     assert len(runs) == len(cfgs)
-    for cfg, run in zip(cfgs, runs):
-        det = Detector(record.n_channels, cfg)
+    for cfg, w, run in zip(cfgs, weights, runs):
+        det = Detector(record.n_channels, cfg, initial_weight=w)
         fires = replay(det, record)
         assert run.fires == fires
         assert run.resources.tobytes() == det.resource_array().tobytes()
@@ -91,7 +95,7 @@ def small_records(draw):
     record=small_records(),
     population=st.lists(genomes, min_size=1, max_size=6),
     T_P=st.integers(1, 40),
-    H=st.sampled_from([1.0, 0.25, 0.0, -0.25]),
+    H=st.sampled_from([1.0, 0.25, 0.0]),
 )
 def test_random_records_match_scalar(record, population, T_P, H):
     cfgs = [
@@ -121,11 +125,11 @@ def test_pong_record_matches_scalar(clock):
     assert sum(run.fire_count for run in runs) > 0
 
 
-def stability_crossings(cfg, record):
+def stability_crossings(cfg, record, initial_weight):
     """(event, direction) of each time the scalar detector's stability
     changes sign across zero (s > 0 against s <= 0), at a reward step or
     at a TSS onset."""
-    det = Detector(record.n_channels, cfg)
+    det = Detector(record.n_channels, cfg, initial_weight=initial_weight)
     tick = det.tick_sparse
     seen = set()
 
@@ -143,7 +147,8 @@ def stability_crossings(cfg, record):
 
 
 def test_stability_crossing_zero_both_ways_matches_scalar():
-    # H < 0: every event step fires. In each 110-step block, with T_P = 10:
+    # H = 0 and weights that start at 0.9 w_max: every spike frame fires.
+    # In each 110-step block, with T_P = 10:
     # an onset at 0 and a reward at 10 (+2 d_s), an onset at 30 (-d_s), a
     # reward at 40 (+2 d_s), and an onset at 60 (-d_s) whose TSS runs on
     # to a reward at 100, 40 steps after it (-d_s). Stability thus crosses
@@ -157,13 +162,13 @@ def test_stability_crossing_zero_both_ways_matches_scalar():
                               frames=frames, reward_steps=rewards)
     cfgs = [
         PlasticityConfig(d_bar=g.d_H_bar, w_min=-min(g.neg_w_min, 0.05), w_max=g.w_max,
-                         d_s=g.d_s, T_P=10, H=-0.25)
+                         d_s=g.d_s, T_P=10, H=0.0)
         for g in CORNERS + random_genomes(2, 4)
     ]
     for cfg in cfgs:
-        assert stability_crossings(cfg, rec) == {
+        assert stability_crossings(cfg, rec, 0.9 * cfg.w_max) == {
             ("reward", "up"), ("onset", "down"), ("reward", "down")}
-    assert_matches_scalar(cfgs, rec)
+    assert_matches_scalar(cfgs, rec, start=0.9)
 
 
 @pytest.mark.parametrize("freeze_step", [None, 0, 20_000, 25_000])

@@ -157,7 +157,7 @@ class TestWindows:
 
 # -- the frozen-evaluation kernel against frozen scalar replay ----------------
 
-THRESHOLDS = [1.0, 0.25, 0.0, -0.25]
+THRESHOLDS = [1.0, 0.25, 0.0]
 
 
 def paper_cfg(H):
@@ -225,13 +225,6 @@ class TestFrozenFires:
         replay(trained, rec)
         assert_frozen_matches(trained, rec)
         assert len(assert_frozen_matches(random_weights(Detector(30, paper_cfg(H)), 6), rec)) > 0
-
-    def test_reward_only_steps_fire_below_zero_threshold(self):
-        rec = EpisodeRecord.build(step_ms=1, n_channels=2, seed=0, n_steps=10,
-                                  frames=[(2, [0]), (5, [1])], reward_steps=[5, 7])
-        det = Detector(2, paper_cfg(-0.25))
-        det.weights = [0.5, -0.5]
-        assert assert_frozen_matches(det, rec) == [2, 7]
 
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError, match="detector has 3"):
@@ -330,9 +323,9 @@ def test_frame_sums_of_any_range_add_in_channel_order(record, data):
 
 class TestEventDrivenRule:
     @settings(max_examples=150, deadline=None)
-    @given(record=event_records(), H=st.sampled_from([0.0, 0.25, 1.0]),
+    @given(record=event_records(), H=st.sampled_from([0.0, -0.0, 0.25, 1.0]),
            weight=st.sampled_from([0.0, 0.2, 0.4]))
-    def test_dense_stepping_equals_replay_for_nonnegative_H(self, record, H, weight):
+    def test_dense_stepping_equals_replay_at_every_threshold(self, record, H, weight):
         a = Detector(record.n_channels, paper_cfg(H), initial_weight=weight)
         b = Detector(record.n_channels, paper_cfg(H), initial_weight=weight)
         assert replay(a, record) == dense_replay(record, b)
@@ -352,12 +345,21 @@ class TestEventDrivenRule:
         a.advance_to(380)  # step 379 is skipped now, and its tick would close it
         assert (a.tss_open, a.tss_spans) == (False, [(278, 278)])
 
-    def test_negative_H_fires_only_at_event_steps(self):
+    @pytest.mark.parametrize("H", [-0.25, -5e-324])
+    def test_a_threshold_below_zero_is_refused(self, H):
+        # an empty step would fire below zero, and no replay steps it
+        with pytest.raises(ValueError, match=f"^H must be >= 0, got {H}$"):
+            paper_cfg(H)
+
+    @pytest.mark.parametrize("H", [0.0, -0.0])
+    def test_a_zero_threshold_is_accepted_and_no_empty_step_fires(self, H):
         rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=30,
                                   frames=[(3, [0])], reward_steps=[10])
-        assert replay(Detector(1, paper_cfg(-0.25)), rec) == [3, 10]
-        # an empty frame fires below a zero threshold, so dense stepping differs
-        assert dense_replay(rec, Detector(1, paper_cfg(-0.25))) == list(range(30))
+        a, b = (Detector(1, paper_cfg(H), initial_weight=0.2) for _ in range(2))
+        (run,) = replay_population([a.cfg], rec, resources=a.resource_array())
+        assert replay(a, rec) == dense_replay(rec, b) == run.fires == [3]
+        assert frozen_fires(rec, np.array([0.2]), H) == [3]
+        assert frozen_fires(rec, np.array([0.0]), H) == []  # a sum of 0.0 does not fire
 
 
 # -- no replay entry point can be given an unreplayable record ----------------
