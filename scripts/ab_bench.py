@@ -10,7 +10,8 @@ and once in the working tree, for every workload asked for (default: all of
 ``BENCHMARK.json``). The side that runs first alternates from pair to pair,
 so a host that slows down or speeds up over the run does not favour either.
 The worktree is removed when the script ends, also on an error, Ctrl-C or
-a kill (SIGTERM).
+a kill (SIGTERM). When a run fails, the summary of the pairs completed so
+far is printed before the error, and the exit status is 1.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` it prints
 both sides' median and quartiles, the ratio of the medians (working tree
@@ -111,15 +112,17 @@ def run_bench(tree, workload, seed):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def ab_pairs(rev, n_pairs, workloads, run, root=ROOT, log=print):
+def ab_pairs(rev, n_pairs, workloads, run, root=ROOT, log=print, results=None):
     """Run each workload in ``n_pairs`` alternating pairs; returns
-    {workload: [(revision metrics, working tree metrics), ...]}."""
+    {workload: [(revision metrics, working tree metrics), ...]}. A given
+    ``results`` dict is filled as pairs complete, so it keeps them when a
+    run raises."""
+    results = {} if results is None else results
     tmp = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     worktree = tmp / "rev"
     try:
         subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", "--quiet",
                         str(worktree), rev], check=True)
-        results = {w: [] for w in workloads}
         for k in range(n_pairs):
             sides = [("revision", worktree), ("working tree", root)]
             if k % 2:
@@ -129,7 +132,7 @@ def ab_pairs(rev, n_pairs, workloads, run, root=ROOT, log=print):
                 for side, tree in sides:
                     got[side] = run(tree, workload)
                     log(f"pair {k + 1}/{n_pairs} {workload} {side}: {got[side]}")
-                results[workload].append((got["revision"], got["working tree"]))
+                results.setdefault(workload, []).append((got["revision"], got["working tree"]))
         return results
     finally:
         subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(worktree)],
@@ -157,14 +160,17 @@ def main(argv=None):
     def run(tree, workload):
         return run_bench(tree, workload, args.seed)
 
+    results, error = {}, None
     try:
-        results = ab_pairs(args.rev, args.pairs, workloads, run,
-                           log=lambda line: print(line, file=sys.stderr, flush=True))
+        ab_pairs(args.rev, args.pairs, workloads, run, root=ROOT, results=results,
+                 log=lambda line: print(line, file=sys.stderr, flush=True))
     except (subprocess.CalledProcessError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        error = exc
+    for workload, pairs in results.items():
+        print(format_rows(workload, summarize(spec["end_to_end"], pairs)))
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 1
-    for workload in workloads:
-        print(format_rows(workload, summarize(spec["end_to_end"], results[workload])))
     return 0
 
 

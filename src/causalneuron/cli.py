@@ -36,16 +36,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-# Each config class's fields as config-file keys; the threshold H is not one.
-PARAM_DEFAULTS = {
-    f.name: f.default for f in dataclass_fields(PlasticityConfig) if f.name != "H"
-}
-GA_DEFAULTS = {f.name: f.default for f in dataclass_fields(GaConfig)}
-SYNTHETIC_DEFAULTS = {f.name: f.default for f in dataclass_fields(SyntheticConfig)}
-
-
 class ConfigError(ValueError):
     """Bad flag value or malformed config file (exit code 2, like any ValueError)."""
+
+
+def config_defaults(config_class) -> dict:
+    """A config class's fields as config-file keys, each with its default."""
+    return {f.name: f.default for f in dataclass_fields(config_class)}
 
 
 def load_config(path, defaults: dict) -> dict:
@@ -95,7 +92,8 @@ def dump_config(defaults: dict) -> None:
 
 def build_config(args):
     """The subcommand's config: its class defaults, then the file, then --seed."""
-    values = load_config(args.config, args.defaults) if args.config else dict(args.defaults)
+    defaults = config_defaults(args.config_class)
+    values = load_config(args.config, defaults) if args.config else defaults
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
     return args.config_class(**values)
@@ -182,7 +180,7 @@ def cmd_eval(args) -> int:
     _check_window(args.window)
     rec = EpisodeRecord.load(args.record)
     trained = Detector.load_snapshot(args.snapshot)
-    fires = frozen_fires(rec, trained.weight_array(), trained.cfg.H)
+    fires = frozen_fires(rec, trained.weight_array())
     window = trailing_window(rec, args.window)
     r_value = score_run(fires, rec.reward_steps.tolist(), trained.cfg.T_P, window)
     print(f"R({min(args.window, rec.duration_s):.15g}s window) = {r_value:.4f}")
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"freeze plasticity at the first {REPORT_WINDOW_STEPS:,}-step "
                    "report-window boundary at or after this many seconds")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_train, config_class=PlasticityConfig, defaults=PARAM_DEFAULTS)
+    p.set_defaults(func=cmd_train, config_class=PlasticityConfig)
 
     p = sub.add_parser("eval", help="frozen-plasticity evaluation of a snapshot; "
                        "the plasticity parameters come from the snapshot")
@@ -290,15 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", help="generation-history CSV")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_ga, config_class=GaConfig, defaults=GA_DEFAULTS)
+    p.set_defaults(func=cmd_ga, config_class=GaConfig)
 
     p = sub.add_parser("synthetic", help="generate a ground-truth causal record")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig,
-                   defaults=SYNTHETIC_DEFAULTS)
+    p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig)
 
     p = sub.add_parser("export", help="dump a record as CSV for inspection")
     p.add_argument("--record", required=True)
@@ -312,7 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "dump_config", False):
-            dump_config(args.defaults)
+            dump_config(config_defaults(args.config_class))
             return EXIT_OK
         return args.func(args)
     except ValueError as exc:

@@ -2,19 +2,19 @@
 
 A binary threshold unit on a discrete clock. Firing is grouped online
 into tight spike sequences (TSS): maximal runs of postsynaptic spikes
-whose gaps never exceed ISI_max. Synapses that feed a TSS are depressed
+whose gaps never exceed T_P. Synapses that feed a TSS are depressed
 (anti-Hebbian, at most once per TSS); synapses that spiked within T_P
 before a dopamine spike are potentiated. A stability scalar rises when
-TSS onsets precede dopamine by about ISI_max (accurate prediction) and
+TSS onsets precede dopamine by about T_P (accurate prediction) and
 falls otherwise, exponentially shutting plasticity down as the neuron
 becomes reliable.
 
-Online subtlety: a TSS only provably ended after ISI_max silent steps,
+Online subtlety: a TSS only provably ended after T_P silent steps,
 so presynaptic spikes that arrive after the latest postsynaptic spike
 are pending: depressed only if a further postsynaptic spike extends
 the sequence. The pending set is derived, not held: it is the channels
 whose ``last_presyn`` is after the latest postsynaptic spike. Closure is
-no event either: a fire more than ISI_max steps after the previous one
+no event either: a fire more than T_P steps after the previous one
 starts a new TSS. This makes the online behaviour agree exactly with an
 offline segmentation of the fire train (``tests/reference.py``), and it is
 the model :mod:`~causalneuron.population` keeps for many detectors at once.
@@ -23,19 +23,19 @@ This scalar detector is the readable reference: ``train`` and ``ga`` run
 the lockstep kernel :func:`~causalneuron.population.replay_population`,
 which is checked against it bit for bit, and ``train`` writes the
 kernel's final state into a :class:`Detector` (:meth:`Detector.set_state`).
-A snapshot (format 3) stores that state once, and nothing derived from it.
+A snapshot (format 4) stores that state once, and nothing derived from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
 
-from .plasticity import PlasticityConfig, effective_rates, resource_for_weight, weight_of
+from .plasticity import THRESHOLD, PlasticityConfig, effective_rates, resource_for_weight, weight_of
 
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 
 
 class Detector:
@@ -84,7 +84,7 @@ class Detector:
         if self.frozen:
             rate = 0.0
         else:
-            rate = effective_rates(self.stability, cfg)[0]  # d_H == d_D
+            rate = effective_rates(self.stability, cfg)
 
         lp = self.last_presyn
         weights = self.weights
@@ -92,13 +92,13 @@ class Detector:
         for i in active:
             lp[i] = t
             total += weights[i]
-        fired = total > cfg.H
+        fired = total > THRESHOLD
 
         new_onset = False
         if fired:
             self.fire_count += 1
             spans = self.tss_spans
-            if spans and t - spans[-1][1] <= cfg.isi_max:
+            if spans and t - spans[-1][1] <= cfg.T_P:
                 onset, since = spans[-1]
                 spans[-1] = (onset, t)
             else:
@@ -139,7 +139,7 @@ class Detector:
         of the clock (:attr:`tss_open`), so a TSS closes on the first
         skipped step whose tick would have closed it. This equals ticking
         empty frames, which never fire: their sum of 0.0 does not exceed
-        H, which is never below zero.
+        :data:`~causalneuron.plasticity.THRESHOLD`.
         """
         if step < self.step:
             raise ValueError(f"cannot rewind from {self.step} to {step}")
@@ -165,8 +165,8 @@ class Detector:
             self.stability -= cfg.d_s
         else:
             t_tss = t - self.tss_spans[-1][0]
-            isi = cfg.isi_max
-            adj = max(2.0 - abs(t_tss - isi) / isi, -1.0)
+            T_P = cfg.T_P
+            adj = max(2.0 - abs(t_tss - T_P) / T_P, -1.0)
             self.stability += cfg.d_s * adj
 
     # -- introspection / checkpointing --------------------------------------
@@ -175,7 +175,7 @@ class Detector:
     def tss_open(self) -> bool:
         """Whether the latest TSS is still open after the latest step."""
         spans = self.tss_spans
-        return bool(spans) and self.step - 1 - spans[-1][1] <= self.cfg.isi_max
+        return bool(spans) and self.step - 1 - spans[-1][1] <= self.cfg.T_P
 
     @property
     def tss_count(self) -> int:
@@ -190,7 +190,7 @@ class Detector:
         synapses depressed in the latest TSS. A state that stepping cannot
         reach raises ``ValueError``.
         """
-        n, isi = self.n, self.cfg.isi_max
+        n, T_P = self.n, self.cfg.T_P
         res = np.asarray(resources, dtype=np.float64)
         lp = np.asarray(last_presyn, dtype=np.int64)
         spans = np.asarray(tss_spans, dtype=np.int64)
@@ -206,11 +206,11 @@ class Detector:
             raise ValueError(f"tss_spans has shape {spans.shape}, not (k, 2)")
         onset, last = spans.T
         # a last spike of -T_P - 1 before the first span makes its onset >= 0
-        gap = onset - np.append(-isi - 1, last[:-1])
-        bad = (gap <= isi) | (onset > last) | (last >= step)
+        gap = onset - np.append(-T_P - 1, last[:-1])
+        bad = (gap <= T_P) | (onset > last) | (last >= step)
         if bad.any():
             raise ValueError(f"TSS span {spans[bad.argmax()].tolist()} is not 0 <= onset <= last"
-                             f" < step {step} with onset > the previous span's last + T_P {isi}")
+                             f" < step {step} with onset > the previous span's last + T_P {T_P}")
         if len(set(dep) & set(range(n))) != len(dep):
             raise ValueError(f"depressed synapses {dep} are not distinct indices in [0, {n})")
         # a resource moves by finite rates, so it may overflow to +-inf but never reach NaN
@@ -237,41 +237,47 @@ class Detector:
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=np.float64)
 
+    def snapshot_entries(self) -> dict:
+        """This detector's snapshot entries, each of the one dtype loading accepts."""
+        return dict(
+            format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
+            **{f"cfg_{f.name}": np.asarray(getattr(self.cfg, f.name), type(f.default))
+               for f in fields(self.cfg)},
+            resources=self.resource_array(),
+            stability=np.float64(self.stability),
+            step=np.int64(self.step),
+            last_presyn=np.asarray(self.last_presyn, dtype=np.int64),
+            tss_spans=np.asarray(self.tss_spans, dtype=np.int64).reshape(-1, 2),
+            depressed=np.asarray(sorted(self.depressed), dtype=np.int64),
+            frozen=np.bool_(self.frozen),
+            fire_count=np.int64(self.fire_count),
+            total_abs_dw=np.float64(self.total_abs_dw),
+        )
+
     def save_snapshot(self, path) -> None:
         """Write a bit-exact checkpoint (resources kept as raw float64).
 
-        Format v3 stores the plasticity config, one ``cfg_<field>`` entry per
+        Format v4 stores the plasticity config, one ``cfg_<field>`` entry per
         field, and then the detector's state once, each entry named as
         :meth:`set_state` names it: ``tss_spans`` is a (k, 2) int64 array of
         every TSS, an open one included.
         """
         # numpy appends ".npz" to a path without it; a file handle writes exactly path
         with open(path, "wb") as fh:
-            np.savez(
-                fh,
-                format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
-                **{f"cfg_{k}": v for k, v in asdict(self.cfg).items()},
-                resources=self.resource_array(),
-                stability=np.float64(self.stability),
-                step=np.int64(self.step),
-                last_presyn=np.asarray(self.last_presyn, dtype=np.int64),
-                tss_spans=np.asarray(self.tss_spans, dtype=np.int64).reshape(-1, 2),
-                depressed=np.asarray(sorted(self.depressed), dtype=np.int64),
-                frozen=np.bool_(self.frozen),
-                fire_count=np.int64(self.fire_count),
-                total_abs_dw=np.float64(self.total_abs_dw),
-            )
+            np.savez(fh, **self.snapshot_entries())
 
     @classmethod
     def load_snapshot(cls, path) -> "Detector":
         """Rebuild a detector, its plasticity config included, from a snapshot.
 
         A file that cannot be opened raises ``OSError``. Any failure after
-        that means the file is not a v3 snapshot, and one ``ValueError``
+        that means the file is not a v4 snapshot, and one ``ValueError``
         names it: numpy and zipfile raise a dozen exception types for damaged
         archives, bare ``.npy`` files and missing, extra or misshapen entries,
-        and :meth:`set_state` refuses a state that stepping cannot reach.
+        an entry of another dtype than :meth:`snapshot_entries`' is refused,
+        not cast, and :meth:`set_state` refuses a state stepping cannot reach.
         """
+        dtypes = {k: v.dtype for k, v in cls(1, PlasticityConfig()).snapshot_entries().items()}
         with open(path, "rb") as fh:
             try:
                 # np.load takes any other file for a pickle and, refusing to
@@ -281,6 +287,9 @@ class Detector:
                 fh.seek(0)
                 with np.load(fh) as data:
                     entries = dict(data)
+                for name, value in entries.items():  # set_state names any unknown entry
+                    if name in dtypes and value.dtype != dtypes[name]:
+                        raise ValueError(f"{name} is {value.dtype}, not {dtypes[name]}")
                 version = int(entries.pop("format_version"))
                 if version != SNAPSHOT_FORMAT_VERSION:
                     raise ValueError(f"unsupported snapshot version {version}")

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 # The longest causal window; step arithmetic with it stays well inside int64.
 T_P_MAX = 2**32
+# The firing threshold (strict), no setting: h with (d_bar, w_min, w_max) fires
+# where 1 does with those divided by h. An empty step's sum, 0.0, never fires.
+THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
@@ -23,8 +26,7 @@ class PlasticityConfig:
 
     The anti-Hebbian and dopamine maximum increments are deliberately a
     single shared value (``d_bar``): their balance is what keeps a
-    correctly firing neuron's weights fixed. ``d_H_bar`` and ``d_D_bar``
-    are exposed as read-only aliases. The defaults are the paper's
+    correctly firing neuron's weights fixed. The defaults are the paper's
     values; ``train --dump-config`` prints them.
     """
 
@@ -32,11 +34,10 @@ class PlasticityConfig:
     w_min: float = -0.017 # weight lower bound, negative
     w_max: float = 0.48   # weight upper bound (open), positive
     d_s: float = 0.23     # stability change speed
-    T_P: int = 100        # causal window length in steps; also ISI_max
-    H: float = 1.0        # firing threshold (strict), >= 0
+    T_P: int = 100        # causal window length in steps; also the TSS gap bound
 
     def __post_init__(self) -> None:
-        for name in ("d_bar", "w_min", "w_max", "d_s", "H"):
+        for name in ("d_bar", "w_min", "w_max", "d_s"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -46,27 +47,12 @@ class PlasticityConfig:
         if not math.isfinite(w0):
             raise ValueError(f"w_min {self.w_min} and w_max {self.w_max} give a "
                              f"non-finite starting weight {w0}")
-        if self.H < 0.0:  # an empty step's sum, 0.0, must not fire; -0.0 passes
-            raise ValueError(f"H must be >= 0, got {self.H}")
         if self.d_bar <= 0.0:
             raise ValueError("d_bar must be positive")
         if self.d_s <= 0.0:
             raise ValueError("d_s must be positive")
         if not 1 <= self.T_P <= T_P_MAX:
             raise ValueError(f"T_P must be in [1, {T_P_MAX}], got {self.T_P}")
-
-    @property
-    def d_H_bar(self) -> float:
-        return self.d_bar
-
-    @property
-    def d_D_bar(self) -> float:
-        return self.d_bar
-
-    @property
-    def isi_max(self) -> int:
-        """Tightness bound for postsynaptic spike sequences (equals T_P)."""
-        return self.T_P
 
 
 def weight_of(resource: float, cfg: PlasticityConfig) -> float:
@@ -97,12 +83,11 @@ def resource_for_weight(target_w: float, cfg: PlasticityConfig) -> float:
     return span * (target_w - cfg.w_min) / (cfg.w_max - target_w)
 
 
-def effective_rates(s: float, cfg: PlasticityConfig) -> tuple[float, float]:
-    """Stability-attenuated plasticity magnitudes (d_H, d_D).
+def effective_rates(s: float, cfg: PlasticityConfig) -> float:
+    """The stability-attenuated plasticity magnitude, d_bar * min(2^-s, 1).
 
-    Both rates equal d_bar * min(2^-s, 1): full strength at s <= 0,
-    halving per unit of positive stability. Always equal to each other.
+    Full strength at s <= 0, halving per unit of positive stability. The
+    anti-Hebbian and dopamine changes both use it.
     """
     factor = 2.0 ** (-s) if s > 0.0 else 1.0
-    d = cfg.d_bar * factor
-    return d, d
+    return cfg.d_bar * factor

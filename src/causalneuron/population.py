@@ -34,8 +34,8 @@ Python code runs only at breakpoints and at candidate frames. The
 breakpoints are the reward steps, plus any report-window boundaries and
 the step plasticity freezes at. Between two rewards no weight rises, so
 a frame whose channel ceilings (the largest weight of each channel over
-the genomes), added in the membrane sum's order, stay at or below H
-cannot fire in any genome: rounding is monotone, so that bound is at or
+the genomes), added in the membrane sum's order, stay at or below the
+threshold cannot fire in any genome: rounding is monotone, so that bound is at or
 above every genome's sum. The bounds of all frames up to the next
 breakpoint are computed at once (:class:`FrameSums`).
 
@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .plasticity import PlasticityConfig, effective_rates, resource_for_weight
+from .plasticity import THRESHOLD, PlasticityConfig, effective_rates, resource_for_weight
 from .records import EpisodeRecord
 
 _NEVER = np.iinfo(np.int64).min // 2  # last_post of a genome that never fired
@@ -153,7 +153,7 @@ def replay_population(
     """Train one detector per config on the record, from step 0.
 
     Equivalent to ``replay(Detector(record.n_channels, cfg), record)`` for
-    each config. All configs must share ``T_P`` and ``H``. ``resources``,
+    each config. All configs must share ``T_P``. ``resources``,
     (N,) or (P, N), are the starting resources (default: those of weight
     0). With ``window_steps``, the state at every multiple of it up to
     ``n_steps`` is reported, before that step is processed; from
@@ -163,9 +163,9 @@ def replay_population(
     """
     if not cfgs:
         return []
-    T_P, H = cfgs[0].T_P, cfgs[0].H
-    if any(c.T_P != T_P or c.H != H for c in cfgs):
-        raise ValueError("all configs of a population must share T_P and H")
+    T_P = cfgs[0].T_P
+    if any(c.T_P != T_P for c in cfgs):
+        raise ValueError("all configs of a population must share T_P")
     if window_steps is not None and window_steps < 1:
         raise ValueError("window_steps must be >= 1")
     P, N = len(cfgs), record.n_channels
@@ -219,12 +219,12 @@ def replay_population(
             folded = frame_end
 
     def firing(k: int) -> np.ndarray:
-        """The genomes whose membrane sum over frame k exceeds H."""
+        """The genomes whose membrane sum over frame k exceeds the threshold."""
         first, *rest = channels[indptr[k]:indptr[k + 1]].tolist()
         total = W[:, first]  # 0.0 + w is w: a weight is never -0.0
         for c in rest:
             total = total + W[:, c]
-        return (total > H).nonzero()[0]
+        return (total > THRESHOLD).nonzero()[0]
 
     def fire(t: int, rows: np.ndarray) -> np.ndarray:
         """Post spikes of the given genomes at step t; returns the new onsets.
@@ -265,7 +265,7 @@ def replay_population(
         rate[rows] = d_bar[rows]
         gated = rows[stability[rows] > 0.0]
         if gated.size:
-            rate[gated] = [effective_rates(s, cfgs[g])[0]
+            rate[gated] = [effective_rates(s, cfgs[g])
                            for g, s in zip(gated.tolist(), stability[gated].tolist())]
 
     def frozen_rates(rows: np.ndarray) -> None:
@@ -291,7 +291,7 @@ def replay_population(
     ):
         # spike frames before the breakpoint: only candidates can fire
         bound = sums(W.max(axis=0), frame, seg_end)
-        for k in ((bound > H).nonzero()[0] + frame).tolist():
+        for k in ((bound > THRESHOLD).nonzero()[0] + frame).tolist():
             rows = firing(k)
             if rows.size:
                 fold_presyn(k + 1)

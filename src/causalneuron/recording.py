@@ -9,7 +9,7 @@ import numpy as np
 
 from . import pong
 from .encoder import N_CHANNELS, EncoderLayout, SpikeClock, encode
-from .records import EpisodeRecord
+from .records import EpisodeRecord, check_header
 
 
 def record_pong_episode(
@@ -35,6 +35,7 @@ def record_pong_episode(
     n_steps = round(duration_s * 1000)
     if n_steps == 0:
         raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")
+    check_header(n_channels=N_CHANNELS, seed=seed, n_steps=n_steps)
     layout = EncoderLayout()
     seeds = np.random.SeedSequence(seed).spawn(3)
     env_rng = np.random.default_rng(seeds[0])

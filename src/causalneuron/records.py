@@ -174,6 +174,14 @@ def _scan_frames(values: np.ndarray, steps_left: int,
     return steps[:keep], through[:keep], min(int(found[keep]), steps_left + channels)
 
 
+def check_header(**fields: int) -> None:
+    """Refuse a header field the header cannot hold; recorders call it before any work."""
+    for name, value in fields.items():
+        if not 0 <= value <= _HEADER_LIMITS[name]:
+            raise ValueError(f"bad record: {name} {value} is outside the header's "
+                             f"range 0 to {_HEADER_LIMITS[name]}")
+
+
 def _check_steps(steps: np.ndarray, n_steps: int) -> None:
     """Raise ``ValueError`` unless steps rise strictly from >= 0 to < n_steps."""
     bad = steps >= n_steps  # boolean views only: no int64 temporary
@@ -211,11 +219,7 @@ class EpisodeRecord:
         values fit int64; spike, reward and punishment steps each rising strictly in
         [0, n_steps); ``indptr`` rising strictly from 0 to ``len(channels)`` (no empty
         frame); channels in [0, n_channels)."""
-        for name, limit in _HEADER_LIMITS.items():
-            value = getattr(self, name)
-            if not 0 <= value <= limit:
-                raise ValueError(f"bad record: {name} {value} is outside the header's "
-                                 f"range 0 to {limit}")
+        check_header(**{name: getattr(self, name) for name in _HEADER_LIMITS})
         if self.step_ms == 0:
             raise ValueError("bad record header: step_ms is 0")
         for name in _ARRAYS:

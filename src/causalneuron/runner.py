@@ -3,8 +3,8 @@
 Replay is event-driven: a step with no spike and no dopamine is not a
 neuron step. It skips such steps, which turns a 2,000,000-step episode
 into a few hundred thousand events. This equals ticking an empty frame at
-every skipped step, because an empty frame's sum of 0.0 never exceeds a
-threshold, which is never below zero (``tests/test_runner.py`` checks it).
+every skipped step, because an empty frame's sum of 0.0 never exceeds the
+threshold, 1.0 (``tests/test_runner.py`` checks it).
 
 :func:`train_on_record` runs the lockstep kernel of the genetic search
 (:mod:`~causalneuron.population`) with the detector's one config. The
@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .neuron import Detector
+from .plasticity import THRESHOLD
 from .population import FrameSums, replay_population
 from .records import EpisodeRecord
 
@@ -77,15 +78,14 @@ def replay(detector: Detector, record: EpisodeRecord) -> list[int]:
     return fires
 
 
-def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[int]:
+def frozen_fires(record: EpisodeRecord, weights: np.ndarray) -> list[int]:
     """The steps at which a frozen detector with these weights fires.
 
     Equal to the scalar :func:`replay` of a fresh frozen detector with
-    these weights and threshold ``H``, which no config sets below 0. A
-    frozen detector fires at an event step exactly when the weights of that
-    step's channels, added in the record's channel order, exceed H
-    (:class:`FrameSums`). A reward-only step is an empty frame, which never
-    fires.
+    these weights. A frozen detector fires at an event step exactly when
+    the weights of that step's channels, added in the record's channel
+    order, exceed the threshold (:class:`FrameSums`). A reward-only step
+    is an empty frame, which never fires.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(weights) != record.n_channels:
@@ -94,7 +94,7 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray, H: float) -> list[i
         )
     steps = record.spike_steps
     total = FrameSums(record.indptr, record.channels)(weights, 0, len(steps))
-    return steps[total > H].tolist()
+    return steps[total > THRESHOLD].tolist()
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import EpisodeRecord
+from .records import EpisodeRecord, check_header
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class SyntheticConfig:
             raise ValueError("n_steps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        check_header(n_channels=self.n_channels, seed=self.seed, n_steps=self.n_steps)
 
 
 def generate(cfg: SyntheticConfig) -> EpisodeRecord:

@@ -121,11 +121,11 @@ def r_metric(targets: IntervalSet, predictions: IntervalSet) -> float:
     return 1.0 - t_err / t_tar
 
 
-def tss_segments(post_spike_steps: Sequence[int], isi_max: int) -> list[tuple[int, int]]:
+def tss_segments(post_spike_steps: Sequence[int], T_P: int) -> list[tuple[int, int]]:
     """Offline segmentation of a postsynaptic spike train.
 
     Returns maximal (first_step, last_step) runs where consecutive gaps
-    are <= isi_max. Serves as the oracle for the online tracker.
+    are <= T_P. Serves as the oracle for the online tracker.
     """
     segs: list[tuple[int, int]] = []
     first = None
@@ -135,7 +135,7 @@ def tss_segments(post_spike_steps: Sequence[int], isi_max: int) -> list[tuple[in
             raise ValueError("post spike steps must be strictly increasing")
         if first is None:
             first = t
-        elif t - prev > isi_max:
+        elif t - prev > T_P:
             segs.append((first, prev))
             first = t
         prev = t

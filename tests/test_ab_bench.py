@@ -1,6 +1,7 @@
 """scripts/ab_bench.py: the summary arithmetic and the worktree's lifetime."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -98,3 +99,27 @@ def test_worktree_is_removed_when_a_run_fails(repo):
         ab_bench.ab_pairs("HEAD", 3, ["a"], run, root=repo, log=lambda line: None)
     assert len(seen) == 1 and not seen[0].exists()
     assert worktrees(repo) == 1
+
+
+def test_a_failed_run_keeps_the_completed_pairs(repo, monkeypatch, capsys):
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": METRICS[:1]}))
+    calls = []
+
+    def run_bench(tree, workload, seed):
+        calls.append(workload)
+        if len(calls) == 5:  # the first run of the second pair
+            raise RuntimeError("a failed (exit 1)")
+        return {"speed": float(len(calls))}
+
+    monkeypatch.setattr(ab_bench, "ROOT", repo)
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    monkeypatch.setattr(ab_bench.signal, "signal", lambda signum, handler: None)
+    assert ab_bench.main(["--pairs", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ("a: median [quartiles], revision -> working tree\n"
+                   "  speed                1 [1, 1] -> 2 [2, 2]  x2.000  won 1/1  within bound\n"
+                   "b: median [quartiles], revision -> working tree\n"
+                   "  speed                3 [3, 3] -> 4 [4, 4]  x1.333  won 1/1  within bound\n")
+    assert err.endswith("error: a failed (exit 1)\n")
+    assert len(calls) == 5 and worktrees(repo) == 1

@@ -70,10 +70,9 @@ def test_criterion_2_rate_suite():
     for s in (0.0, -1e-9, -0.5, -3.0, -1e9):
         assert effective_rates(s, cfg) == base
     for s in range(0, 60):
-        assert effective_rates(s + 1.0, cfg)[0] == effective_rates(float(s), cfg)[0] / 2.0
+        assert effective_rates(s + 1.0, cfg) == effective_rates(float(s), cfg) / 2.0
     for s in (-7.0, 0.0, 0.25, 3.0, 40.0, 1e6):
-        d_h, d_d = effective_rates(s, cfg)
-        assert d_h == d_d
+        assert effective_rates(s, cfg) == cfg.d_bar * min(2.0 ** -s, 1.0)
 
 
 # -- criterion 3: online/offline TSS equivalence -----------------------------

@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from causalneuron import pong
 from causalneuron.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
-    GA_DEFAULTS,
-    PARAM_DEFAULTS,
-    SYNTHETIC_DEFAULTS,
+    config_defaults,
     load_config,
     main,
 )
@@ -22,6 +21,7 @@ from causalneuron.metrics import score_run
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig
 from causalneuron.records import EpisodeRecord
+from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay
 from causalneuron.synthetic import SyntheticConfig
 
@@ -50,11 +50,12 @@ def params_file(tmp_path_factory):
 
 class TestConfigFiles:
     def test_dump_config_round_trips(self, tmp_path, capsys):
-        for sub, defaults in (
-            ("train", PARAM_DEFAULTS),
-            ("ga", GA_DEFAULTS),
-            ("synthetic", SYNTHETIC_DEFAULTS),
+        for sub, config_class in (
+            ("train", PlasticityConfig),
+            ("ga", GaConfig),
+            ("synthetic", SyntheticConfig),
         ):
+            defaults = config_defaults(config_class)
             assert main([sub, "--dump-config"]) == EXIT_OK
             text = capsys.readouterr().out
             path = tmp_path / f"{sub}.txt"
@@ -67,7 +68,7 @@ class TestConfigFiles:
             "n_channels = 20\ncause_channels = 2 7 13\nlag = 100\nn_steps = 300000\n"
             "noise_rate = 0.001\nmin_gap = 300\nmax_gap = 1200\nseed = 0\n"
         )
-        assert SYNTHETIC_DEFAULTS == vars(SyntheticConfig())
+        assert config_defaults(SyntheticConfig) == vars(SyntheticConfig())
 
     def test_train_defaults_are_the_paper_values(self, capsys):
         assert main(["train", "--dump-config"]) == EXIT_OK
@@ -82,24 +83,24 @@ class TestConfigFiles:
             "stagnation_generations = 3\neval_window_s = 600\nT_P = 100\nseed = 0\n"
             "max_generations = 0\n"
         )
-        assert GA_DEFAULTS == vars(GaConfig())
+        assert config_defaults(GaConfig) == vars(GaConfig())
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("no_such_knob = 3\n")
         with pytest.raises(Exception):
-            load_config(path, PARAM_DEFAULTS)
+            load_config(path, config_defaults(PlasticityConfig))
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("# comment\n\nd_bar = 0.1\n")
-        assert load_config(path, PARAM_DEFAULTS)["d_bar"] == 0.1
+        assert load_config(path, config_defaults(PlasticityConfig))["d_bar"] == 0.1
 
     def test_type_coercion_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("d_bar = banana\n")
         with pytest.raises(Exception):
-            load_config(path, PARAM_DEFAULTS)
+            load_config(path, config_defaults(PlasticityConfig))
 
     def test_repeated_key_is_config_error_naming_both_lines(self, tmp_path, syn_record,
                                                             capsys):
@@ -184,7 +185,15 @@ class TestExitCodes:
 
 
 class TestHeaderLimits:
-    """A value the record header cannot hold ends in exit 2, one line, no file."""
+    """A value the record header cannot hold ends in exit 2, one line, no file,
+    and the recorder refuses it before it walks the world."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the world was walked")
+
+        monkeypatch.setattr(pong, "trajectory", no_walk)
 
     def run(self, argv, out, capsys):
         assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
@@ -206,10 +215,22 @@ class TestHeaderLimits:
                        tmp_path / "s.spkc", capsys)
         assert f"seed {2**64}" in err and f"0 to {2**64 - 1}" in err
 
-    def test_record_seed_beyond_uint64(self, tmp_path, capsys):
+    def test_record_seed_beyond_uint64(self, tmp_path, capsys, no_walk):
         err = self.run(["record", "--seed", str(2**64), "--duration", "1"],
                        tmp_path / "r.spkc", capsys)
         assert f"seed {2**64}" in err
+
+    def test_record_steps_beyond_uint64(self, tmp_path, capsys, no_walk):
+        err = self.run(["record", "--duration", "1e300"], tmp_path / "r.spkc", capsys)
+        assert f"n_steps {round(1e300 * 1000)} is outside the header's range 0 to " \
+            f"{2**64 - 1}" in err
+
+    @pytest.mark.parametrize("duration, seed, field", [(1e300, 1, "n_steps"),
+                                                       (1, 2**64, "seed")])
+    def test_recorder_checks_the_header_first(self, no_walk, duration, seed, field):
+        with pytest.raises(ValueError, match=f"^bad record: {field} [0-9]+ is outside "
+                                             f"the header's range 0 to {2**64 - 1}$"):
+            record_pong_episode(duration, seed)
 
 
 class TestConfigValidation:
@@ -295,19 +316,19 @@ TRAIN_PINS = {
         "ea9c7f613a561e9b954c370f70757092484b87bd7b8d7b4269aa23f0d91ee001",
         "72c4fd866e90cd332b4969bf272a0f4883f0c9071cccfb4412a69286114e00f1",
         "443ebbcac24e63d66ae8620e5d8a03f8fc6f5db2d6b6033fdf608e52bb50941b",
-        "68d047f44c1a4b801933b132fb7b742454676e895ec8b5f266090a2496925b39",
+        "c542a35d9937e355c9e4ddbf9b256261b64ab87991f15e8d8b2210130ae3cb0c",
     ),
     ("syn", ()): (
         "7d1c720a64d4f26c07d866ef6f161bf19c01f404dfec8602c9e089015c603351",
         "fc5e8c04fd37979460e2d8debaef0bf8c42f181cb80cdeb5e283091fd1a7e423",
         "752b1d6a8ea9e3c781c0497d067f87569c0c1f6e7cadac9f8ec412e5499bc2e1",
-        "e6b1ee0932a8893ecf829614b31ca65fb8e500722b4742b810100dff0709b60c",
+        "8b5cd5e7b5e6ac995eeac32ef78f0eb38af244607b61487f9960dd659f4bfd4b",
     ),
     ("syn", ("--freeze-after", "25")): (
         "12528018a9cb2cae2d36a6cc8d8f3dbcf96125ec5c18887caca91f3306b6a953",
         "ee1262730167269ccb9d5296a38c329007a24f38163905c5ea247deafeca93c7",
         "42870d36e210ccf49939f0d77dfb97b47c4be539f0377f25eb7b13c42821485c",
-        "6372d08e8529efc2a949939a3248e7559e83bf07044062039ef3fae47a665d38",
+        "2fd18993e273a7811cab5a785dcaffdce5c650ce5ce316ecd36065ac345a66e1",
     ),
 }
 MAKE_RECORD = {
@@ -332,10 +353,10 @@ def test_train_outputs_are_pinned(tmp_path, monkeypatch, capsys, name, extra):
 
 # sha256 of the state each TRAIN_PINS snapshot loads to (loaded_state_digest)
 STATE_PINS = {
-    ("pong30", ()): "adba2b985b686f9ce0059a914672f9b9fe5630337d268f09721b2d0c42a98559",
-    ("syn", ()): "82aa58223f7c880dd1239ca0327c7d32ae01b46c38b6238609875c9779b3c03e",
+    ("pong30", ()): "750033a5f78e2fd1cee3407d69701f6967951cfeaa7ea8a5e29e296ba4e96f96",
+    ("syn", ()): "6fd4d4241d4c2fc2bbf445ea64d52e0be216b2ef14e836c22c8fae6f9dee7b96",
     ("syn", ("--freeze-after", "25")):
-        "79e649d8bb2107decf57169597cbb4df30924152073966e02121401834f5f580",
+        "7b1bb425f3ebc886bb13f12f359fab8bee71292a24a25c2e8ddeafaae1a37ec7",
 }
 
 
@@ -498,7 +519,7 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(["eval", "--record", str(heldout), "--snapshot", str(snap),
                      "--window", "100"]) == EXIT_OK
-        cfg = PlasticityConfig(**load_config(params_file, PARAM_DEFAULTS))
+        cfg = PlasticityConfig(**load_config(params_file, config_defaults(PlasticityConfig)))
         rec = EpisodeRecord.load(heldout)
         fires = replay(frozen_clone(Detector.load_snapshot(snap)), rec)
         assert fires
@@ -783,6 +804,38 @@ class TestMalformedSnapshots:
         assert capsys.readouterr().err == \
             f"error: bad snapshot {snapshot}: unsupported snapshot version 2\n"
 
+    def test_version_3(self, record, snapshot, capsys):
+        data = dict(np.load(snapshot))
+        np.savez(snapshot, **{**data, "format_version": np.int64(3), "cfg_H": np.float64(1.0)})
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: bad snapshot {snapshot}: unsupported snapshot version 3\n"
+
+    @pytest.mark.parametrize("entry, value, dtypes", [
+        ("format_version", np.float64(3.9), "float64, not int64"),
+        ("cfg_T_P", np.float64(100.7), "float64, not int64"),
+        ("cfg_T_P", np.bool_(True), "bool, not int64"),
+        ("cfg_d_bar", np.int64(1), "int64, not float64"),
+        ("resources", np.full(4, 0.1, dtype=np.float32), "float32, not float64"),
+        ("stability", np.float32(0.5), "float32, not float64"),
+        ("step", np.float64(2.9), "float64, not int64"),
+        ("last_presyn", np.array([0.5, 0.5, 0.5, 1.5]), "float64, not int64"),
+        ("tss_spans", np.array([[0.5, 0.5]]), "float64, not int64"),
+        ("depressed", np.array([0.5, 1.5, 2.5]), "float64, not int64"),
+        ("frozen", np.float64(0.5), "float64, not bool"),
+        ("fire_count", np.float64(1.7), "float64, not int64"),
+        ("total_abs_dw", np.int64(0), "int64, not float64"),
+    ])
+    def test_entry_of_another_dtype(self, record, open_snapshot, capsys, entry, value,
+                                    dtypes):
+        # a cast would load each of these, truncated or rounded, without a word
+        self.rewrite(open_snapshot, **{entry: value})
+        assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: bad snapshot {open_snapshot}: {entry} is {dtypes}\n"
+
     def test_stored_config_is_validated(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_w_min=np.float64(0.5))
         self.assert_eval_fails(record, snapshot, capsys, "require w_min < 0 < w_max")
@@ -793,10 +846,6 @@ class TestMalformedSnapshots:
         self.rewrite(snapshot, cfg_w_min=np.float64(w_min), cfg_w_max=np.float64(w_max))
         self.assert_eval_fails(record, snapshot, capsys,
                                f"w_min {w_min} and w_max {w_max} give a non-finite")
-
-    def test_stored_threshold_below_zero_is_rejected(self, record, snapshot, capsys):
-        self.rewrite(snapshot, cfg_H=np.float64(-0.25))
-        self.assert_eval_fails(record, snapshot, capsys, "H must be >= 0, got -0.25")
 
     def test_stored_non_finite_config_is_rejected(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_d_bar=np.float64(np.nan))

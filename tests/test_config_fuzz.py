@@ -18,14 +18,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from causalneuron.cli import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    GA_DEFAULTS,
-    PARAM_DEFAULTS,
-    SYNTHETIC_DEFAULTS,
-    main,
-)
+from causalneuron.cli import EXIT_CONFIG, EXIT_OK, config_defaults, main
+from causalneuron.ga import GaConfig
+from causalneuron.plasticity import PlasticityConfig
+from causalneuron.synthetic import SyntheticConfig
 
 # the small ranges of the keys that size a run
 SIZES = {
@@ -99,21 +95,21 @@ FUZZ = settings(max_examples=60, deadline=None,
 
 
 @FUZZ
-@given(text=config_files(PARAM_DEFAULTS))
+@given(text=config_files(config_defaults(PlasticityConfig)))
 def test_train_params(small_record, text):
     assert_clean_exit(*run_with_config(
         text, ["train", "--record", str(small_record), "--params", "{cfg}"]))
 
 
 @FUZZ
-@given(text=config_files(GA_DEFAULTS))
+@given(text=config_files(config_defaults(GaConfig)))
 def test_ga_config(small_record, text):
     assert_clean_exit(*run_with_config(
         text, ["ga", "--record", str(small_record), "--config", "{cfg}"]))
 
 
 @FUZZ
-@given(text=config_files(SYNTHETIC_DEFAULTS))
+@given(text=config_files(config_defaults(SyntheticConfig)))
 def test_synthetic_config(text):
     assert_clean_exit(*run_with_config(
         text, ["synthetic", "--config", "{cfg}", "--out", "{tmp}/out.spkc"]))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import (
+    THRESHOLD,
     PlasticityConfig,
     effective_rates,
     resource_for_weight,
@@ -48,7 +49,7 @@ def integrate(det, frame):
     for i, bit in enumerate(spikes):
         if bit:
             total += det.weights[i]
-    return total > det.cfg.H
+    return total > THRESHOLD
 
 
 def tick(det, frame):
@@ -111,7 +112,7 @@ class TestDepression:
         before = list(det.resources)
         for _ in range(5):
             det.tick_sparse([0, 1, 2])    # same synapses spike every step
-        rate = effective_rates(0.0, CFG)[0]
+        rate = effective_rates(0.0, CFG)
         for i in range(3):
             assert det.resources[i] == pytest.approx(before[i] - rate)
         assert det.tss_count == 1
@@ -164,7 +165,7 @@ class TestDepression:
             det.resources[i] = r
             det.weights[i] = weight_of(r, STRONG_CFG)
         assert replay(det, rec) == [0, 2]
-        rate = effective_rates(0.0, STRONG_CFG)[0]  # stability <= 0 leaves it at d_bar
+        rate = effective_rates(0.0, STRONG_CFG)  # stability <= 0 leaves it at d_bar
         dw = {i: abs(weight_of(r - rate, STRONG_CFG) - weight_of(r, STRONG_CFG))
               for i, r in start.items()}
         assert det.total_abs_dw == ((dw[0] + dw[3]) + dw[67]) + dw[130]
@@ -380,7 +381,7 @@ class TestDeterminismAndSnapshots:
     def test_save_load_save_is_exact_and_both_resume_alike(self, seed, n, steps, T_P, gap,
                                                            freeze):
         """A TSS open or closed at the save, a detector frozen or not."""
-        cfg = PlasticityConfig(d_bar=0.08, w_min=-0.02, w_max=0.6, d_s=0.3, T_P=T_P, H=0.5)
+        cfg = PlasticityConfig(d_bar=0.16, w_min=-0.04, w_max=1.2, d_s=0.3, T_P=T_P)
         rng = np.random.default_rng(seed)
 
         def run(det, n_steps):
@@ -391,7 +392,7 @@ class TestDeterminismAndSnapshots:
                 fires.append(det.tick_sparse(active, bool(rng.random() < 0.05)))
             return fires
 
-        a = Detector(n, cfg, initial_weight=0.35)
+        a = Detector(n, cfg, initial_weight=0.7)
         run(a, steps)
         a.advance_to(a.step + gap)
         with tempfile.TemporaryDirectory() as tmp:
@@ -411,7 +412,8 @@ class TestDeterminismAndSnapshots:
             assert b.weights == a.weights
 
     def test_frozen_detector_round_trip_resumes_bit_for_bit(self, tmp_path):
-        a = Detector(3, PlasticityConfig(H=0.5), initial_weight=0.3)
+        a = Detector(3, PlasticityConfig(d_bar=0.112, w_min=-0.034, w_max=0.96),
+                     initial_weight=0.6)
         a.frozen = True
         a.tick_sparse([0, 1, 2])
         path = tmp_path / "snap.npz"
@@ -469,8 +471,8 @@ class TestDeterminismAndSnapshots:
         assert np.isnan(again.weights[0]) and again.weights[1] == det.cfg.w_min
 
     def test_snapshot_keeps_tss_history_and_config(self, tmp_path):
-        cfg = PlasticityConfig(d_bar=0.2, w_min=-0.05, w_max=0.9, d_s=0.5, T_P=40, H=0.75)
-        a = make_detector(n=6, weight=0.2, cfg=cfg)
+        cfg = PlasticityConfig(d_bar=0.27, w_min=-0.07, w_max=1.2, d_s=0.5, T_P=40)
+        a = make_detector(n=6, weight=0.27, cfg=cfg)
         self.random_run(a, 11)
         assert a.tss_count > 0
         path = tmp_path / "snap.npz"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from causalneuron.ga import GENE_NAMES, GENE_RANGES, Genome
+from causalneuron.neuron import Detector
 from causalneuron.plasticity import (
     PlasticityConfig,
     effective_rates,
@@ -83,9 +84,18 @@ class TestWeightSquash:
 
 class TestEffectiveRates:
     def test_equal_rates_always(self):
+        # the anti-Hebbian and the dopamine change both move by the one rate
+        cfg = PlasticityConfig(w_max=2.0)
         for s in (-50.0, -1.0, 0.0, 0.3, 2.0, 700.0):
-            d_h, d_d = effective_rates(s, CFG)
-            assert d_h == d_d
+            rate = effective_rates(s, cfg)
+            det = Detector(1, cfg, initial_weight=1.5)
+            start = det.resources[0]
+            det.stability = s
+            assert det.tick_sparse([0])  # an onset: synapse 0 is depressed
+            assert det.resources[0] == start - rate
+            det.stability = s
+            det.tick_sparse([], dopamine=True)  # synapse 0 spiked within T_P
+            assert det.resources[0] == (start - rate) + rate
 
     def test_clamp_for_non_positive_stability(self):
         base = effective_rates(0.0, CFG)
@@ -94,26 +104,22 @@ class TestEffectiveRates:
 
     def test_exact_halving(self):
         for s in range(0, 40):
-            d_now = effective_rates(float(s), CFG)[0]
-            d_next = effective_rates(float(s + 1), CFG)[0]
+            d_now = effective_rates(float(s), CFG)
+            d_next = effective_rates(float(s + 1), CFG)
             assert d_next == d_now / 2.0
 
     def test_paper_examples(self):
-        assert effective_rates(0.0, CFG) == (0.056, 0.056)
-        assert effective_rates(-3.0, CFG) == (0.056, 0.056)
-        d_h, d_d = effective_rates(2.0, CFG)
-        assert d_h == pytest.approx(0.014)
-        assert d_d == pytest.approx(0.014)
+        assert effective_rates(0.0, CFG) == 0.056
+        assert effective_rates(-3.0, CFG) == 0.056
+        assert effective_rates(2.0, CFG) == pytest.approx(0.014)
 
     def test_huge_stability_does_not_overflow(self):
-        d_h, d_d = effective_rates(1e6, CFG)
-        assert d_h == 0.0 and d_d == 0.0
-        d_h, d_d = effective_rates(-1e6, CFG)
-        assert d_h == CFG.d_bar
+        assert effective_rates(1e6, CFG) == 0.0
+        assert effective_rates(-1e6, CFG) == CFG.d_bar
 
     @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     def test_monotone_decreasing_in_stability(self, s):
-        assert effective_rates(s + 1.0, CFG)[0] <= effective_rates(s, CFG)[0]
+        assert effective_rates(s + 1.0, CFG) <= effective_rates(s, CFG)
 
 
 # weight 0 needs an infinite resource, the span overflows, and the weight of a
@@ -124,12 +130,7 @@ NON_FINITE_START = [(-1.0, 5e-324), (-1e308, 1e308), (-1.3e154, 1.0)]
 class TestConfigValidation:
     def test_defaults_are_the_paper_values(self):
         assert PlasticityConfig() == PlasticityConfig(
-            d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23, T_P=100, H=1.0)
-
-    def test_aliases(self):
-        assert CFG.d_H_bar == CFG.d_bar
-        assert CFG.d_D_bar == CFG.d_bar
-        assert CFG.isi_max == CFG.T_P
+            d_bar=0.056, w_min=-0.017, w_max=0.48, d_s=0.23, T_P=100)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -146,7 +147,7 @@ class TestConfigValidation:
             PlasticityConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["d_bar", "w_min", "w_max", "d_s", "H"])
+    @pytest.mark.parametrize("field", ["d_bar", "w_min", "w_max", "d_s"])
     def test_rejects_non_finite_constants(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PlasticityConfig(**{field: value})

@@ -95,15 +95,17 @@ def small_records(draw):
     record=small_records(),
     population=st.lists(genomes, min_size=1, max_size=6),
     T_P=st.integers(1, 40),
-    H=st.sampled_from([1.0, 0.25, 0.0]),
+    scale=st.sampled_from([1.0, 4.0]),
+    start=st.sampled_from([None, 0.9]),
 )
-def test_random_records_match_scalar(record, population, T_P, H):
+def test_random_records_match_scalar(record, population, T_P, scale, start):
+    # at scale 4, a start of 0.9 w_max puts weights above 1 where w_max > 0.28
     cfgs = [
-        PlasticityConfig(d_bar=g.d_H_bar, w_min=-g.neg_w_min, w_max=g.w_max,
-                         d_s=g.d_s, T_P=T_P, H=H)
+        PlasticityConfig(d_bar=g.d_H_bar * scale, w_min=-g.neg_w_min * scale,
+                         w_max=g.w_max * scale, d_s=g.d_s, T_P=T_P)
         for g in population
     ]
-    assert_matches_scalar(cfgs, record)
+    assert_matches_scalar(cfgs, record, start)
 
 
 # -- fixed records ------------------------------------------------------------
@@ -147,8 +149,8 @@ def stability_crossings(cfg, record, initial_weight):
 
 
 def test_stability_crossing_zero_both_ways_matches_scalar():
-    # H = 0 and weights that start at 0.9 w_max: every spike frame fires.
-    # In each 110-step block, with T_P = 10:
+    # Each config is scaled to w_max = 4, and weights start at 0.9 w_max,
+    # so every spike frame fires. In each 110-step block, with T_P = 10:
     # an onset at 0 and a reward at 10 (+2 d_s), an onset at 30 (-d_s), a
     # reward at 40 (+2 d_s), and an onset at 60 (-d_s) whose TSS runs on
     # to a reward at 100, 40 steps after it (-d_s). Stability thus crosses
@@ -160,11 +162,11 @@ def test_stability_crossing_zero_both_ways_matches_scalar():
         rewards += [base + dt for dt in (10, 40, 100)]
     rec = EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=700,
                               frames=frames, reward_steps=rewards)
-    cfgs = [
-        PlasticityConfig(d_bar=g.d_H_bar, w_min=-min(g.neg_w_min, 0.05), w_max=g.w_max,
-                         d_s=g.d_s, T_P=10, H=0.0)
-        for g in CORNERS + random_genomes(2, 4)
-    ]
+    cfgs = []
+    for g in CORNERS + random_genomes(2, 4):
+        k = 4.0 / g.w_max
+        cfgs.append(PlasticityConfig(d_bar=g.d_H_bar * k, w_min=-min(g.neg_w_min, 0.05) * k,
+                                     w_max=4.0, d_s=g.d_s, T_P=10))
     for cfg in cfgs:
         assert stability_crossings(cfg, rec, 0.9 * cfg.w_max) == {
             ("reward", "up"), ("onset", "down"), ("reward", "down")}
@@ -200,17 +202,11 @@ def test_empty_population():
     assert replay_population([], rec) == []
 
 
-@pytest.mark.parametrize(
-    "other",
-    [
-        PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2, T_P=50),
-        PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2, H=0.5),
-    ],
-)
-def test_mixed_T_P_or_H_rejected(other):
+def test_mixed_T_P_rejected():
     rec = generate(SyntheticConfig(n_steps=5_000, seed=0))
     base = PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2)
-    with pytest.raises(ValueError, match="T_P and H"):
+    other = PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2, T_P=50)
+    with pytest.raises(ValueError, match="must share T_P$"):
         replay_population([base, other], rec)
 
 

@@ -157,17 +157,24 @@ class TestWindows:
 
 # -- the frozen-evaluation kernel against frozen scalar replay ----------------
 
-THRESHOLDS = [1.0, 0.25, 0.0]
+# (weight scale, starting weight) of three firing regimes, each named by the
+# threshold that gives it at scale 1: d_bar, w_min and w_max times 4 fire
+# exactly where a threshold of 0.25 does, and weights near a w_max above 1
+# fire on every frame, as any positive sum does at a threshold of 0
+REGIMES = {1.0: (1, 0.0), 0.25: (4, 0.0), 0.0: (4, 1.8)}
 
 
-def paper_cfg(H):
-    return PlasticityConfig(H=H)
+def paper_cfg(scale):
+    """The paper's config with d_bar, w_min and w_max times ``scale``."""
+    c = PlasticityConfig()
+    return PlasticityConfig(d_bar=c.d_bar * scale, w_min=c.w_min * scale,
+                            w_max=c.w_max * scale)
 
 
 def assert_frozen_matches(det, record):
     """frozen_fires gives the fires of the detector's frozen clone."""
     expected = replay(frozen_clone(det), record)
-    assert frozen_fires(record, det.weight_array(), det.cfg.H) == expected
+    assert frozen_fires(record, det.weight_array()) == expected
     return expected
 
 
@@ -200,35 +207,38 @@ class TestFrozenFires:
     @given(
         record=event_records(),
         weights=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
-        H=st.sampled_from(THRESHOLDS),
+        scale=st.sampled_from([1.0, 4.0]),
     )
-    def test_random_records(self, record, weights, H):
-        det = Detector(record.n_channels, paper_cfg(H))
-        det.weights = weights[:record.n_channels]
+    def test_random_records(self, record, weights, scale):
+        det = Detector(record.n_channels, PlasticityConfig())
+        det.weights = [w * scale for w in weights[:record.n_channels]]
         assert_frozen_matches(det, record)
 
     @pytest.mark.parametrize("clock", ["shared", "bernoulli"])
-    @pytest.mark.parametrize("H", THRESHOLDS)
-    def test_pong_records(self, clock, H):
-        trained = Detector(133, paper_cfg(H))
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_pong_records(self, clock, regime):
+        scale, weight = REGIMES[regime]
+        trained = Detector(133, paper_cfg(scale), initial_weight=weight)
         replay(trained, record_pong_episode(30, 11, clock_mode=clock))
         heldout = record_pong_episode(30, 12, clock_mode=clock)
         assert_frozen_matches(trained, heldout)
-        assert len(assert_frozen_matches(random_weights(Detector(133, paper_cfg(H)), 5),
+        assert len(assert_frozen_matches(random_weights(Detector(133, paper_cfg(scale)), 5),
                                          heldout)) > 0
 
-    @pytest.mark.parametrize("H", THRESHOLDS)
-    def test_ga_search_shaped_record(self, H):
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_ga_search_shaped_record(self, regime):
+        scale, weight = REGIMES[regime]
         rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
                                        n_steps=60_000, seed=42))
-        trained = Detector(30, paper_cfg(H))
+        trained = Detector(30, paper_cfg(scale), initial_weight=weight)
         replay(trained, rec)
         assert_frozen_matches(trained, rec)
-        assert len(assert_frozen_matches(random_weights(Detector(30, paper_cfg(H)), 6), rec)) > 0
+        assert len(assert_frozen_matches(random_weights(Detector(30, paper_cfg(scale)), 6),
+                                         rec)) > 0
 
     def test_channel_count_mismatch(self):
         with pytest.raises(ValueError, match="detector has 3"):
-            frozen_fires(busy_record(0), np.zeros(3), 1.0)
+            frozen_fires(busy_record(0), np.zeros(3))
 
 
 # -- training on the lockstep kernel against the scalar detector ------------
@@ -266,13 +276,14 @@ def freeze_step(choice, window_steps, n_steps):
 
 class TestTrainOnKernel:
     @settings(max_examples=150, deadline=None)
-    @given(record=event_records(), H=st.sampled_from(THRESHOLDS),
-           T_P=st.sampled_from([1, 7, 100]), weight=st.sampled_from([0.0, 0.35]),
+    @given(record=event_records(), scale=st.sampled_from([1.0, 4.0]),
+           T_P=st.sampled_from([1, 7, 100]), weight=st.sampled_from([0.0, 0.35, 0.55]),
            window_steps=st.sampled_from([1, 7, 1000]),
            freeze=st.sampled_from(["none", "zero", "mid-window", "past the end"]))
-    def test_random_records(self, record, H, T_P, weight, window_steps, freeze):
-        cfg = PlasticityConfig(d_bar=0.08, w_min=-0.02, w_max=0.6, d_s=0.3, T_P=T_P, H=H)
-        assert_trains_like_scalar(record, cfg, weight, window_steps,
+    def test_random_records(self, record, scale, T_P, weight, window_steps, freeze):
+        cfg = PlasticityConfig(d_bar=0.08 * scale, w_min=-0.02 * scale, w_max=0.6 * scale,
+                               d_s=0.3, T_P=T_P)
+        assert_trains_like_scalar(record, cfg, weight * scale, window_steps,
                                   freeze_step(freeze, window_steps, record.n_steps))
 
     @pytest.mark.parametrize("seed", [0, 11])
@@ -323,11 +334,12 @@ def test_frame_sums_of_any_range_add_in_channel_order(record, data):
 
 class TestEventDrivenRule:
     @settings(max_examples=150, deadline=None)
-    @given(record=event_records(), H=st.sampled_from([0.0, -0.0, 0.25, 1.0]),
-           weight=st.sampled_from([0.0, 0.2, 0.4]))
-    def test_dense_stepping_equals_replay_at_every_threshold(self, record, H, weight):
-        a = Detector(record.n_channels, paper_cfg(H), initial_weight=weight)
-        b = Detector(record.n_channels, paper_cfg(H), initial_weight=weight)
+    @given(record=event_records(), scale=st.sampled_from([1.0, 4.0]),
+           weight=st.sampled_from([0.0, 0.2, 0.4, 0.45]))
+    def test_dense_stepping_equals_replay_at_every_weight_scale(self, record, scale, weight):
+        # at scale 4 and weight 0.45, every spike frame fires and no empty step does
+        a = Detector(record.n_channels, paper_cfg(scale), initial_weight=weight * scale)
+        b = Detector(record.n_channels, paper_cfg(scale), initial_weight=weight * scale)
         assert replay(a, record) == dense_replay(record, b)
         assert a.resources == b.resources
         assert a.stability == b.stability
@@ -335,31 +347,16 @@ class TestEventDrivenRule:
         assert (a.tss_open, a.tss_spans) == (b.tss_open, b.tss_spans)
 
     def test_tss_open_at_the_end_closes_as_dense_stepping_does(self):
-        # the last post spike is isi_max + 1 steps before n_steps: dense
-        # stepping ends on step n_steps - 1, whose tick does not close the TSS
+        # the last post spike is T_P + 1 steps before n_steps: dense
+        # stepping ends on step n_steps - 1, whose tick does not close the TSS.
+        # Step 0 does not fire, and its reward lifts the weight above 1
         rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=379,
                                   frames=[(0, [0]), (278, [0])], reward_steps=[0])
-        a, b = (Detector(1, paper_cfg(0.0), initial_weight=0.0) for _ in range(2))
+        a, b = (Detector(1, paper_cfg(4), initial_weight=0.96) for _ in range(2))
         assert replay(a, rec) == dense_replay(rec, b) == [278]
         assert (a.tss_open, a.tss_spans) == (b.tss_open, b.tss_spans) == (True, [(278, 278)])
         a.advance_to(380)  # step 379 is skipped now, and its tick would close it
         assert (a.tss_open, a.tss_spans) == (False, [(278, 278)])
-
-    @pytest.mark.parametrize("H", [-0.25, -5e-324])
-    def test_a_threshold_below_zero_is_refused(self, H):
-        # an empty step would fire below zero, and no replay steps it
-        with pytest.raises(ValueError, match=f"^H must be >= 0, got {H}$"):
-            paper_cfg(H)
-
-    @pytest.mark.parametrize("H", [0.0, -0.0])
-    def test_a_zero_threshold_is_accepted_and_no_empty_step_fires(self, H):
-        rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=30,
-                                  frames=[(3, [0])], reward_steps=[10])
-        a, b = (Detector(1, paper_cfg(H), initial_weight=0.2) for _ in range(2))
-        (run,) = replay_population([a.cfg], rec, resources=a.resource_array())
-        assert replay(a, rec) == dense_replay(rec, b) == run.fires == [3]
-        assert frozen_fires(rec, np.array([0.2]), H) == [3]
-        assert frozen_fires(rec, np.array([0.0]), H) == []  # a sum of 0.0 does not fire
 
 
 # -- no replay entry point can be given an unreplayable record ----------------
@@ -382,7 +379,7 @@ def unordered_record(kind):
 ENTRY_POINTS = {
     "replay": lambda rec: replay(Detector(rec.n_channels, CFG), rec),
     "replay_population": lambda rec: replay_population([CFG], rec),
-    "frozen_fires": lambda rec: frozen_fires(rec, np.ones(rec.n_channels), CFG.H),
+    "frozen_fires": lambda rec: frozen_fires(rec, np.ones(rec.n_channels)),
 }
 
 

@@ -64,3 +64,11 @@ class TestValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SyntheticConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [("n_steps", 2**64), ("seed", 2**64),
+                                              ("n_channels", 65536)])
+    def test_rejects_what_the_record_header_cannot_hold(self, field, value):
+        # when built, before generate draws n_channels x n_steps uniforms
+        with pytest.raises(ValueError, match=f"^bad record: {field} {value} is outside "
+                                             "the header's range 0 to "):
+            SyntheticConfig(**{field: value})
