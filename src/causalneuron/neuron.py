@@ -36,6 +36,7 @@ import numpy as np
 from .plasticity import THRESHOLD, PlasticityConfig, effective_rates, resource_for_weight, weight_of
 
 SNAPSHOT_FORMAT_VERSION = 4
+_SHAPES = ("()", "(k,)", "(k, 2)")  # a snapshot entry's shape, by its number of dimensions
 
 
 class Detector:
@@ -273,11 +274,12 @@ class Detector:
         A file that cannot be opened raises ``OSError``. Any failure after
         that means the file is not a v4 snapshot, and one ``ValueError``
         names it: numpy and zipfile raise a dozen exception types for damaged
-        archives, bare ``.npy`` files and missing, extra or misshapen entries,
-        an entry of another dtype than :meth:`snapshot_entries`' is refused,
-        not cast, and :meth:`set_state` refuses a state stepping cannot reach.
+        archives, bare ``.npy`` files and missing or extra entries, an entry
+        of another dtype or number of dimensions than :meth:`snapshot_entries`'
+        is refused, not cast or unwrapped, and :meth:`set_state` refuses a
+        state stepping cannot reach.
         """
-        dtypes = {k: v.dtype for k, v in cls(1, PlasticityConfig()).snapshot_entries().items()}
+        expected = cls(1, PlasticityConfig()).snapshot_entries()
         with open(path, "rb") as fh:
             try:
                 # np.load takes any other file for a pickle and, refusing to
@@ -288,8 +290,12 @@ class Detector:
                 with np.load(fh) as data:
                     entries = dict(data)
                 for name, value in entries.items():  # set_state names any unknown entry
-                    if name in dtypes and value.dtype != dtypes[name]:
-                        raise ValueError(f"{name} is {value.dtype}, not {dtypes[name]}")
+                    want = expected.get(name, value)
+                    if value.dtype != want.dtype:
+                        raise ValueError(f"{name} is {value.dtype}, not {want.dtype}")
+                    if value.ndim != want.ndim:
+                        raise ValueError(
+                            f"{name} has shape {value.shape}, not {_SHAPES[want.ndim]}")
                 version = int(entries.pop("format_version"))
                 if version != SNAPSHOT_FORMAT_VERSION:
                     raise ValueError(f"unsupported snapshot version {version}")

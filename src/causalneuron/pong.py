@@ -49,7 +49,7 @@ class EnvEvent:
     step: int
 
 
-@dataclass
+@dataclass(slots=True)
 class WorldState:
     ball_x: float
     ball_y: float
@@ -64,15 +64,18 @@ def reset_ball(rng: np.random.Generator) -> tuple[float, float, float, float]:
 
     Rejection-sampled so the speed lies in [10, 33.3] cm/s and the
     horizontal component satisfies |vx| >= 10; the sign of vx is uniform
-    by symmetry of the angle draw.
+    by symmetry of the angle draw. The velocities are Python floats, so
+    every step that carries them runs in float, not numpy scalar,
+    arithmetic; ``np.cos``/``np.sin`` stay, since the record bytes rest
+    on their bits.
     """
     y = rng.uniform(-ARENA_HALF, ARENA_HALF)
     while True:
         speed = rng.uniform(BALL_SPEED_MIN, BALL_SPEED_MAX)
         angle = rng.uniform(0.0, 2.0 * np.pi)
-        vx = speed * np.cos(angle)
+        vx = float(speed * np.cos(angle))
         if abs(vx) >= VX_MIN:
-            return 0.0, y, vx, speed * np.sin(angle)
+            return 0.0, y, vx, float(speed * np.sin(angle))
 
 
 def initial_state(rng: np.random.Generator) -> WorldState:

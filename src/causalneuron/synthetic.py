@@ -16,6 +16,8 @@ import numpy as np
 
 from .records import EpisodeRecord, check_header
 
+_NOISE_BLOCK = 65_536  # uniforms a noise channel draws per call, so memory is not O(n_steps)
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -68,9 +70,11 @@ def generate(cfg: SyntheticConfig) -> EpisodeRecord:
     for ch in range(cfg.n_channels):
         if ch in causes:
             continue
-        spikes = np.nonzero(rng.random(cfg.n_steps) < cfg.noise_rate)[0]
-        for t in spikes.tolist():
-            frames.setdefault(t, []).append(ch)
+        # drawn block by block, the uniforms are those of one dense draw
+        for start in range(0, cfg.n_steps, _NOISE_BLOCK):
+            uniforms = rng.random(min(_NOISE_BLOCK, cfg.n_steps - start))
+            for t in (np.flatnonzero(uniforms < cfg.noise_rate) + start).tolist():
+                frames.setdefault(t, []).append(ch)
 
     return EpisodeRecord.build(
         step_ms=1,

@@ -836,6 +836,21 @@ class TestMalformedSnapshots:
         assert capsys.readouterr().err == \
             f"error: bad snapshot {open_snapshot}: {entry} is {dtypes}\n"
 
+    @pytest.mark.parametrize("entry, value, shapes", [
+        ("frozen", np.array([True]), "(1,), not ()"),  # bool() would unwrap it
+        ("stability", np.array([0.5]), "(1,), not ()"),
+        ("cfg_T_P", np.array([100]), "(1,), not ()"),
+        ("resources", np.full((1, 4), 0.1), "(1, 4), not (k,)"),
+        ("depressed", np.int64(0), "(), not (k,)"),
+    ])
+    def test_entry_of_another_shape(self, record, open_snapshot, capsys, entry, value,
+                                    shapes):
+        self.rewrite(open_snapshot, **{entry: value})
+        assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: bad snapshot {open_snapshot}: {entry} has shape {shapes}\n"
+
     def test_stored_config_is_validated(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_w_min=np.float64(0.5))
         self.assert_eval_fails(record, snapshot, capsys, "require w_min < 0 < w_max")

@@ -328,6 +328,19 @@ class TestTrajectory:
         if n_steps == 1:
             assert len(blocks) == 1
 
+    def test_velocities_stay_python_floats(self):
+        # numpy.float64 subclasses float, so only the exact type tells them
+        # apart; a numpy velocity runs every recorded step in numpy scalar math
+        rng = np.random.default_rng(11)
+        assert [type(v) for v in pong.reset_ball(rng)] == [float] * 4
+        kinds = set()
+        for start, _, event in pong.trajectory(pong.initial_state(rng), chaotic(12)(),
+                                               20_000, rng):
+            assert type(start.ball_vx) is float and type(start.ball_vy) is float
+            if event is not None:
+                kinds.add(event.kind)
+        assert kinds == {pong.EventKind.REWARD, pong.EventKind.PUNISHMENT}
+
     def test_zero_steps_walk_nothing(self):
         start = pong.initial_state(np.random.default_rng(0))
         assert list(pong.trajectory(start, lambda t: pong.Action.HOLD, 0, None)) == []

@@ -1,5 +1,7 @@
 """Ground-truth causal record generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,21 @@ class TestGeneration:
     def test_deterministic(self):
         assert generate(SyntheticConfig(seed=9)) == generate(SyntheticConfig(seed=9))
         assert generate(SyntheticConfig(seed=9)) != generate(SyntheticConfig(seed=10))
+
+
+# sha256 of generate(SyntheticConfig(n_steps=n)).to_bytes(), from the dense
+# one-draw-per-channel generator; 131,073 steps is two 65,536-step noise
+# blocks and one step
+SYNTHETIC_PINS = {
+    20_000: "0ed0afba2d6fb1900dbbb6c32a6c6321d2615b13928df0a74df2af3606a12756",
+    131_073: "9676c0f780b8e1770600010f0ad8d9351cd65aca6e653ac2552ab7ec341fb076",
+}
+
+
+@pytest.mark.parametrize("n_steps", sorted(SYNTHETIC_PINS))
+def test_record_bytes_pinned(n_steps):
+    data = generate(SyntheticConfig(n_steps=n_steps)).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == SYNTHETIC_PINS[n_steps]
 
 
 class TestValidation:
