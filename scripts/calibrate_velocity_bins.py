@@ -13,11 +13,27 @@ The constants in the encoder were printed by:
 
 import argparse
 import sys
+from typing import Sequence
 
 import numpy as np
 
 from causalneuron import pong
-from causalneuron.encoder import MIN_CALIBRATION_SAMPLES, velocity_bins
+from causalneuron.encoder import N_VEL_BINS
+
+MIN_CALIBRATION_SAMPLES = 10_000  # fewest samples velocity_bins accepts
+
+
+def velocity_bins(samples: Sequence[float]) -> tuple[float, ...]:
+    """Eight interior boundaries splitting samples into 9 equal-mass bins."""
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.size < MIN_CALIBRATION_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_CALIBRATION_SAMPLES} calibration samples, got {arr.size}"
+        )
+    bounds = np.quantile(arr, np.arange(1, N_VEL_BINS) / N_VEL_BINS)
+    if not np.all(np.diff(bounds) > 0):
+        raise ValueError("degenerate calibration samples: boundaries not increasing")
+    return tuple(float(b) for b in bounds)
 
 
 def main(argv=None) -> int:

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import math
 import sys
 from functools import cache
 from dataclasses import fields as dataclass_fields
+from operator import itemgetter
 
 from .encoder import N_CHANNELS, SECTION_SIZES
 from .ga import GENE_NAMES, GaConfig, run_ga, trailing_window
@@ -48,32 +50,36 @@ def config_defaults(config_class) -> dict:
 def load_config(path, defaults: dict) -> dict:
     """Read a flat key=value file, coercing each value to its default's type.
 
-    A file that cannot be opened raises ``OSError`` (exit code 3)."""
+    A file that cannot be opened raises ``OSError`` (exit code 3); one that
+    is not UTF-8 text, ``ConfigError``."""
     out = dict(defaults)
     seen: dict[str, int] = {}  # key -> the line that set it
     try:
-        fh = open(path, "r")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc.strerror or exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in defaults:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} repeated "
-                                  f"(first set on line {seen[key]})")
-            seen[key] = lineno
-            try:
-                out[key] = _coerce(value, defaults[key])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                          f"({exc.reason})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in defaults:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated "
+                              f"(first set on line {seen[key]})")
+        seen[key] = lineno
+        try:
+            out[key] = _coerce(value, defaults[key])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}")
     return out
 
 
@@ -104,6 +110,18 @@ def _check_window(window_s: int) -> None:
         raise ConfigError(f"--window must be >= 1 s, got {window_s}")
 
 
+def r_label(window_s: int, record: EpisodeRecord) -> str:
+    """R's label, naming the span scored: the window, or the whole shorter record."""
+    return f"R({min(window_s, record.duration_s):.15g}s window)"
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # -- subcommands ------------------------------------------------------------
 
 def cmd_record(args) -> int:
@@ -130,33 +148,29 @@ def cmd_train(args) -> int:
     if freeze_after is not None:  # the first step at or after S, in exact integer arithmetic
         num, den = freeze_after.as_integer_ratio()
         freeze_at = -(-num * 1000 // (den * rec.step_ms))
-    fires, rows = train_on_record(rec, detector, freeze_at=freeze_at)
+    run = train_on_record(rec, detector, freeze_at=freeze_at)
 
     window = trailing_window(rec, args.window)
     try:
-        r_text = f"{score_run(fires, rec.reward_steps.tolist(), cfg.T_P, window):.4f}"
+        r_text = f"{score_run(run.fire_steps, rec.reward_steps.tolist(), cfg.T_P, window):.4f}"
     except ValueError:  # R has no target period to measure: the outputs are still written
         r_text = "undefined (no reward in the window)"
     print(
-        f"trained on {args.record}: {len(fires)} fires, "
-        f"stability {detector.stability:.2f}, "
-        f"R({min(args.window, rec.duration_s):.15g}s window) = {r_text}"
+        f"trained on {args.record}: {len(run.fire_steps)} fires, "
+        f"stability {detector.stability:.2f}, {r_label(args.window, rec)} = {r_text}"
     )
 
     if args.out:
         detector.save_snapshot(args.out)
         print(f"wrote snapshot {args.out}")
     if args.report:
-        with open(args.report, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_start_s", "firing_hz", "stability", "abs_weight_change"])
-            window_ms = REPORT_WINDOW_STEPS * rec.step_ms
-            for row in rows:
-                start_s = row.window * window_ms // 1000
-                writer.writerow(
-                    [start_s, f"{row.fire_rate_hz:.6g}", f"{row.stability:.6g}",
-                     f"{row.abs_weight_change:.6g}"]
-                )
+        window_ms = REPORT_WINDOW_STEPS * rec.step_ms
+        seconds = window_ms / 1000.0
+        windows = zip(run.window_fires.tolist(), run.window_stability.tolist(),
+                      run.window_abs_dw.tolist())
+        write_csv(args.report, ["window_start_s", "firing_hz", "stability", "abs_weight_change"],
+                  ([i * window_ms // 1000, f"{fires / seconds:.6g}", f"{stability:.6g}",
+                    f"{dw:.6g}"] for i, (fires, stability, dw) in enumerate(windows)))
         print(f"wrote report {args.report}")
     if args.resources:
         res = detector.resource_array()
@@ -165,11 +179,9 @@ def cmd_train(args) -> int:
             labels = [(name, k) for name, size in SECTION_SIZES.items() for k in range(size)]
         else:
             labels = [("channel", ch) for ch in range(rec.n_channels)]
-        with open(args.resources, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["section", "index_in_section", "channel", "resource", "weight"])
-            for ch, (name, k) in enumerate(labels):
-                writer.writerow([name, k, ch, f"{res[ch]:.9g}", f"{wts[ch]:.9g}"])
+        write_csv(args.resources, ["section", "index_in_section", "channel", "resource", "weight"],
+                  ([name, k, ch, f"{res[ch]:.9g}", f"{wts[ch]:.9g}"]
+                   for ch, (name, k) in enumerate(labels)))
         print(f"wrote resources {args.resources}")
     return EXIT_OK
 
@@ -183,7 +195,7 @@ def cmd_eval(args) -> int:
     fires = frozen_fires(rec, trained.weight_array())
     window = trailing_window(rec, args.window)
     r_value = score_run(fires, rec.reward_steps.tolist(), trained.cfg.T_P, window)
-    print(f"R({min(args.window, rec.duration_s):.15g}s window) = {r_value:.4f}")
+    print(f"{r_label(args.window, rec)} = {r_value:.4f}")
     return EXIT_OK
 
 
@@ -194,14 +206,9 @@ def cmd_ga(args) -> int:
     rec = EpisodeRecord.load(args.record)
     best, history = run_ga(cfg, rec)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["generation", "best_R", "mean_R", *GENE_NAMES])
-            for st in history:
-                writer.writerow(
-                    [st.generation, f"{st.best_fitness:.9g}", f"{st.mean_fitness:.9g}"]
-                    + [f"{v:.9g}" for v in st.best_genome.as_tuple()]
-                )
+        write_csv(args.out, ["generation", "best_R", "mean_R", *GENE_NAMES],
+                  ([st.generation, f"{st.best_fitness:.9g}", f"{st.mean_fitness:.9g}",
+                    *(f"{v:.9g}" for v in st.best_genome.as_tuple())] for st in history))
         print(f"wrote history {args.out}")
     print(
         "best genome: "
@@ -222,21 +229,12 @@ def cmd_synthetic(args) -> int:
 
 def cmd_export(args) -> int:
     rec = EpisodeRecord.load(args.record)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "kind", "channels"])
-        events = sorted(
-            [(int(t), "reward") for t in rec.reward_steps]
-            + [(int(t), "punishment") for t in rec.punishment_steps]
-        )
-        ei = 0
-        for t, chans in rec.frames():
-            while ei < len(events) and events[ei][0] <= t:
-                writer.writerow([events[ei][0], events[ei][1], ""])
-                ei += 1
-            writer.writerow([t, "spikes", " ".join(str(c) for c in chans)])
-        for t, kind in events[ei:]:
-            writer.writerow([t, kind, ""])
+    events = sorted([(t, "reward", "") for t in rec.reward_steps.tolist()]
+                    + [(t, "punishment", "") for t in rec.punishment_steps.tolist()])
+    frames = ((t, "spikes", " ".join(map(str, chans))) for t, chans in rec.frames())
+    # step order; at a step, its events before its spike frame (merge keeps ties in input order)
+    write_csv(args.out, ["step", "kind", "channels"],
+              heapq.merge(events, frames, key=itemgetter(0)))
     print(f"wrote {args.out}")
     return EXIT_OK
 

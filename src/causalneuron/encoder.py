@@ -57,10 +57,8 @@ _CLOSE_DY_MAX = 2 * CLOSE_FIELD_HALF
 _ARENA_LO, _ARENA_WIDTH = -ARENA_HALF, ARENA_HALF - -ARENA_HALF
 _BERNOULLI_BLOCK = 4096   # uniforms a Bernoulli clock draws per refill
 
-MIN_CALIBRATION_SAMPLES = 10_000  # fewest samples velocity_bins accepts
-
-# The calibrated velocity bin boundaries, as printed by
-#     python3 scripts/calibrate_velocity_bins.py --seed 12345 --steps 1000000
+# The calibrated velocity bin boundaries, as printed by the calibration
+# script in scripts/ with its defaults, --seed 12345 --steps 1000000
 VX_BOUNDS = (-22.877568651270547, -18.357518412904646, -15.485644355429637, -13.448887953137795, -11.5958763564019, -10.082540297644037, 13.35947473348463, 18.357518412904646)
 VY_BOUNDS = (-18.772773339310174, -12.12497880949283, -7.699229893696371, -2.614354575015488, 2.0901840710760897, 7.326801641313639, 12.211432064068848, 18.79169559987763)
 
@@ -83,19 +81,6 @@ def bin_index(value: float, n_bins: int, lo: float, hi: float) -> int:
     if k >= n_bins:
         return n_bins - 1
     return k
-
-
-def velocity_bins(samples: Sequence[float]) -> tuple[float, ...]:
-    """Eight interior boundaries splitting samples into 9 equal-mass bins."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < MIN_CALIBRATION_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_CALIBRATION_SAMPLES} calibration samples, got {arr.size}"
-        )
-    bounds = np.quantile(arr, np.arange(1, N_VEL_BINS) / N_VEL_BINS)
-    if not np.all(np.diff(bounds) > 0):
-        raise ValueError("degenerate calibration samples: boundaries not increasing")
-    return tuple(float(b) for b in bounds)
 
 
 class EncoderLayout:
@@ -189,14 +174,9 @@ class SpikeClock:
         self._uniforms: list[float] = []  # drawn ahead; the next one is at _next
         self._next = 0
 
-    def ticks(self, step: int) -> bool:
-        """Shared-mode tick test for one step (pure)."""
-        return math.floor((step + 1) * _TICKS_PER_STEP) > math.floor(step * _TICKS_PER_STEP)
-
     def gate(self, step: int, active: Sequence[int]) -> list[int]:
         """Channels among `active` that actually emit a spike this step."""
         if self.mode == "shared":
-            # the ticks() expression, inlined: gate runs once per recorded step
             if math.floor((step + 1) * _TICKS_PER_STEP) > math.floor(step * _TICKS_PER_STEP):
                 return list(active)
             return []

@@ -178,11 +178,6 @@ class Detector:
         spans = self.tss_spans
         return bool(spans) and self.step - 1 - spans[-1][1] <= self.cfg.T_P
 
-    @property
-    def tss_count(self) -> int:
-        """Number of TSS started so far (completed plus any open one)."""
-        return len(self.tss_spans)
-
     def set_state(self, *, resources, stability, step, last_presyn, tss_spans, depressed,
                   frozen, fire_count, total_abs_dw) -> None:
         """Set the detector's state, as the Python numbers stepping holds; the

@@ -115,16 +115,8 @@ class ReplayResult:
     window_abs_dw: Optional[np.ndarray] = None
 
     @property
-    def fires(self) -> list[int]:
-        return self.fire_steps.tolist()
-
-    @property
     def fire_count(self) -> int:
         return len(self.fire_steps)
-
-    @property
-    def tss_count(self) -> int:
-        return int(np.count_nonzero(self.onsets))
 
     def tss_spans(self) -> np.ndarray:
         """Each TSS as a row (onset, last post spike), in step order."""

@@ -32,7 +32,9 @@ def record_pong_episode(
         raise ValueError("duration must be positive")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    n_steps = round(duration_s * 1000)
+    ms = duration_s * 1000
+    # past about 1.8e305 s the product overflows, and such a duration is a whole number
+    n_steps = round(ms) if math.isfinite(ms) else int(duration_s) * 1000
     if n_steps == 0:
         raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")
     check_header(n_channels=N_CHANNELS, seed=seed, n_steps=n_steps)

@@ -15,14 +15,13 @@ which evaluates every step of a frozen detector at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .neuron import Detector
 from .plasticity import THRESHOLD
-from .population import FrameSums, replay_population
+from .population import FrameSums, ReplayResult, replay_population
 from .records import EpisodeRecord
 
 REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
@@ -97,32 +96,23 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray) -> list[int]:
     return steps[total > THRESHOLD].tolist()
 
 
-@dataclass
-class WindowRow:
-    """Per-window training statistics (window length fixed by the caller)."""
-
-    window: int
-    fire_rate_hz: float
-    stability: float
-    abs_weight_change: float
-
-
 def train_on_record(
     record: EpisodeRecord,
     detector: Detector,
     *,
     window_steps: int = REPORT_WINDOW_STEPS,
     freeze_at: Optional[int] = None,
-) -> tuple[list[int], list[WindowRow]]:
-    """Train the detector on the whole record, collecting fires and per-window stats.
+) -> ReplayResult:
+    """Train the detector on the whole record and return the kernel's run.
 
     The detector must not have stepped; its resources (and its frozen
     flag) are where training starts. The record is replayed by the
     lockstep kernel with the detector's one config, and the detector is
-    left in the state the scalar :func:`replay` would leave it in. If
-    ``freeze_at`` (a step) is given, plasticity freezes at the first
-    window boundary at or after it, once that window's row is recorded;
-    ``freeze_at = 0`` still trains the first window.
+    left in the state the scalar :func:`replay` would leave it in. The run
+    holds the fires and, per window of ``window_steps``, the fires, the end
+    stability and the |weight change|. If ``freeze_at`` (a step) is given,
+    plasticity freezes at the first window boundary at or after it, once
+    that window is reported; ``freeze_at = 0`` still trains the first window.
     """
     if record.n_channels != detector.n:
         raise ValueError(
@@ -146,8 +136,4 @@ def train_on_record(
         depressed=np.flatnonzero(run.depressed), frozen=freeze_step is not None,
         fire_count=run.fire_count, total_abs_dw=run.total_abs_dw,
     )
-    seconds = window_steps * record.step_ms / 1000.0
-    rows = [WindowRow(i, fires / seconds, stability, dw) for i, (fires, stability, dw) in
-            enumerate(zip(run.window_fires.tolist(), run.window_stability.tolist(),
-                          run.window_abs_dw.tolist()))]
-    return run.fires, rows
+    return run

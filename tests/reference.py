@@ -12,7 +12,7 @@ direct way, one interval, spike or event at a time:
   scalar replay ``runner.frozen_fires`` must reproduce;
 * :func:`train_scalar` drives the scalar ``Detector`` through a record
   with its own report-window loop; ``runner.train_on_record``, which runs
-  the lockstep kernel, must reproduce its fires, rows and final state;
+  the lockstep kernel, must reproduce its fires, windows and final state;
 * :func:`spkc_bytes` writes the ``.spkc`` format one varint at a time,
   also for values that make no valid record, which ``EpisodeRecord``
   cannot hold and so cannot encode.
@@ -24,9 +24,10 @@ import struct
 from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from causalneuron.neuron import Detector
 from causalneuron.records import EpisodeRecord, _write_varint
-from causalneuron.runner import WindowRow
 
 
 class IntervalSet:
@@ -164,14 +165,16 @@ def train_scalar(
     *,
     window_steps: int,
     freeze_at: Optional[int] = None,
-) -> tuple[list[int], list[WindowRow]]:
-    """Train the scalar detector event by event, with a report row per window.
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Train the scalar detector event by event, reporting every window.
 
     At every multiple of ``window_steps`` up to ``n_steps`` the detector is
-    advanced to the boundary (the boundary step not yet processed) and a
-    row is taken; plasticity freezes at the first boundary at or after
-    ``freeze_at``, once that row is taken. The event loop is
-    ``runner.replay``'s, with the window boundaries added.
+    advanced to the boundary (the boundary step not yet processed) and the
+    window's fires, end stability and |weight change| are taken;
+    plasticity freezes at the first boundary at or after ``freeze_at``,
+    once they are taken. The event loop is ``runner.replay``'s, with the
+    window boundaries added. Returns the fires and, as the kernel's
+    ``ReplayResult`` holds them, the three per-window arrays.
     """
     if window_steps < 1:
         raise ValueError("window_steps must be >= 1")
@@ -181,8 +184,7 @@ def train_scalar(
     chans = record.channels.tolist()
     rewards = record.reward_steps.tolist()
     n_spk, n_rew = len(spike_steps), len(rewards)
-    seconds = window_steps * record.step_ms / 1000.0
-    rows: list[WindowRow] = []
+    windows: list[tuple[int, float, float]] = []
     fires: list[int] = []
     fired, dw = 0, 0.0
     boundary = window_steps
@@ -193,10 +195,8 @@ def train_scalar(
         t = t_spk if t_spk <= t_rew else t_rew
         while boundary <= t:
             detector.advance_to(boundary)
-            rows.append(WindowRow(window=boundary // window_steps - 1,
-                                  fire_rate_hz=(detector.fire_count - fired) / seconds,
-                                  stability=detector.stability,
-                                  abs_weight_change=detector.total_abs_dw - dw))
+            windows.append((detector.fire_count - fired, detector.stability,
+                            detector.total_abs_dw - dw))
             fired, dw = detector.fire_count, detector.total_abs_dw
             if freeze_at is not None and boundary >= freeze_at:
                 detector.frozen = True
@@ -215,7 +215,9 @@ def train_scalar(
         if detector.tick_sparse(active, dopamine):
             fires.append(t)
     detector.advance_to(n_steps)
-    return fires, rows
+    counts, stability, abs_dw = zip(*windows) if windows else ((), (), ())
+    return (fires, np.array(counts, dtype=np.int64), np.array(stability, dtype=np.float64),
+            np.array(abs_dw, dtype=np.float64))
 
 
 def spkc_bytes(*, step_ms: int = 1, n_channels: int, seed: int = 0, n_steps: int,

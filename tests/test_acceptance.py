@@ -184,9 +184,9 @@ def pong_run():
     start = time.perf_counter()
     rec = record_pong_episode(2000, 42, clock_mode="shared")
     det = Detector(rec.n_channels, PAPER_PARAMS)
-    fires, rows = train_on_record(rec, det)
+    run = train_on_record(rec, det)
     elapsed = time.perf_counter() - start
-    return rec, det, fires, rows, elapsed
+    return rec, det, run.fire_steps.tolist(), run, elapsed
 
 
 def test_criterion_7a_silent_first_50s(pong_run):
@@ -208,8 +208,8 @@ def test_criterion_7_runtime(pong_run):
     strict=True,
 )
 def test_criterion_7b_weights_settle(pong_run):
-    rec, _, _, rows, _ = pong_run
-    dw = [r.abs_weight_change for r in rows]
+    rec, _, _, run, _ = pong_run
+    dw = run.window_abs_dw.tolist()
     peak = max(dw)
     late = max(dw[100:])  # final 1000 s of the 2000 s run
     assert late < 0.05 * peak

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, config files, end-to-end flows."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +130,14 @@ class TestConfigFiles:
         assert captured.err.startswith(f"error: cannot read config {path}: ")
         assert captured.err.count("\n") == 1
 
+    def test_config_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xffd_bar = 0.1\n")
+        assert main(["train", "--record", "r.spkc", "--params", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text: byte 0xff (invalid start byte)\n"
+
 
 class TestExitCodes:
     def test_missing_record_is_io_error(self, tmp_path):
@@ -221,12 +232,16 @@ class TestHeaderLimits:
         assert f"seed {2**64}" in err
 
     def test_record_steps_beyond_uint64(self, tmp_path, capsys, no_walk):
-        err = self.run(["record", "--duration", "1e300"], tmp_path / "r.spkc", capsys)
-        assert f"n_steps {round(1e300 * 1000)} is outside the header's range 0 to " \
-            f"{2**64 - 1}" in err
+        # above about 1.8e305 s the duration in ms overflows a float
+        for duration, n_steps in ((1e300, round(1e300 * 1000)), (1e306, int(1e306) * 1000),
+                                  (sys.float_info.max, int(sys.float_info.max) * 1000)):
+            err = self.run(["record", "--duration", repr(duration)], tmp_path / "r.spkc",
+                           capsys)
+            assert f"n_steps {n_steps} is outside the header's range 0 to {2**64 - 1}" in err
 
-    @pytest.mark.parametrize("duration, seed, field", [(1e300, 1, "n_steps"),
-                                                       (1, 2**64, "seed")])
+    @pytest.mark.parametrize("duration, seed, field", [
+        (1e300, 1, "n_steps"), (1e306, 1, "n_steps"), (sys.float_info.max, 1, "n_steps"),
+        (1, 2**64, "seed")])
     def test_recorder_checks_the_header_first(self, no_walk, duration, seed, field):
         with pytest.raises(ValueError, match=f"^bad record: {field} [0-9]+ is outside "
                                              f"the header's range 0 to {2**64 - 1}$"):
@@ -379,6 +394,63 @@ def test_trained_state_is_pinned(tmp_path, monkeypatch, name, extra):
     assert main(MAKE_RECORD[name]) == EXIT_OK
     assert main(["train", "--record", f"{name}.spkc", "--out", "snap", *extra]) == EXIT_OK
     assert loaded_state_digest(tmp_path / "snap") == STATE_PINS[name, extra]
+
+
+# sha256 of the other commands' outputs: eval's stdout for the pong30
+# snapshot on its own record and on a held-out Bernoulli-clock one, ga's
+# history CSV, export's CSV and the synthetic record's bytes. The snapshot
+# is trained with faster plasticity: the paper values leave weights that
+# never fire on these records, and eval would print R = 0.0000
+OUTPUT_PINS = {
+    "eval pong30 on pong30":
+        "0fd3178219b55407639f04c918d760d80710a3bccbae58698f2e0748b4aa3cf9",
+    "eval pong30 on bernoulli30":
+        "1249add41d739c7617c0a434428625e07faf70fb4cc7ae4948e41b6a2a18b5f9",
+    "ga history on syn":
+        "556777744d9549d2650f0f30baabae47d2225ceb529433a826ec98e4bf658f0f",
+    "export pong30":
+        "3e46bf09d76de67867ddfd45f75a820bede4963ade7984be8d6a33c5ffb3db3c",
+    "synthetic --seed 0":
+        "93f810e92c9c02b6ac1308c7b7126820f194f6f3e458119b345a693d46364bd7",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory, syn_record):
+    """The sha256 of each OUTPUT_PINS output, made by the CLI."""
+    tmp = tmp_path_factory.mktemp("outputs")
+    pong30, bernoulli30, snap = tmp / "pong30.spkc", tmp / "bernoulli30.spkc", tmp / "snap"
+    params, ga_cfg = tmp / "params.txt", tmp / "ga.txt"
+    history, export = tmp / "history.csv", tmp / "export.csv"
+    params.write_text("d_bar = 0.5\nw_max = 0.9\n")
+    ga_cfg.write_text("population_size = 4\neval_window_s = 10\nmax_generations = 2\n")
+
+    def stdout(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == EXIT_OK
+        return out.getvalue().encode()
+
+    stdout(["record", "--seed", "42", "--duration", "30", "--out", str(pong30)])
+    stdout(["record", "--seed", "7", "--duration", "30", "--clock", "bernoulli",
+            "--out", str(bernoulli30)])
+    stdout(["train", "--record", str(pong30), "--params", str(params), "--out", str(snap)])
+    stdout(["ga", "--record", str(syn_record), "--config", str(ga_cfg), "--out", str(history)])
+    stdout(["export", "--record", str(pong30), "--out", str(export)])
+    outputs = {
+        "eval pong30 on pong30":
+            stdout(["eval", "--record", str(pong30), "--snapshot", str(snap)]),
+        "eval pong30 on bernoulli30":
+            stdout(["eval", "--record", str(bernoulli30), "--snapshot", str(snap)]),
+        "ga history on syn": history.read_bytes(),
+        "export pong30": export.read_bytes(),
+        "synthetic --seed 0": syn_record.read_bytes(),
+    }
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_PINS))
+def test_command_outputs_are_pinned(cli_outputs, name):
+    assert cli_outputs[name] == OUTPUT_PINS[name]
 
 
 def test_train_makes_no_scalar_tick(tmp_path, syn_record, monkeypatch):

@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from causalneuron import encoder, pong
 from causalneuron.encoder import (
-    MIN_CALIBRATION_SAMPLES,
     N_CHANNELS,
     SECTION_OFFSETS,
     SECTION_SIZES,
@@ -24,7 +23,6 @@ from causalneuron.encoder import (
     SpikeClock,
     bin_index,
     encode,
-    velocity_bins,
 )
 from causalneuron.recording import record_pong_episode
 
@@ -121,23 +119,23 @@ class TestBinIndex:
 
 
 class TestVelocityBins:
-    def test_quantile_oracle(self):
+    def test_quantile_oracle(self, calibration):
         rng = np.random.default_rng(2)
         samples = rng.normal(0.0, 12.0, 50_000)
-        bounds = velocity_bins(samples)
+        bounds = calibration.velocity_bins(samples)
         assert len(bounds) == 8
         # each of the 9 bins holds ~1/9 of the samples
         edges = (-np.inf,) + bounds + (np.inf,)
         counts, _ = np.histogram(samples, bins=edges)
         assert np.all(np.abs(counts / len(samples) - 1 / 9) < 0.01)
 
-    def test_requires_enough_samples(self):
+    def test_requires_enough_samples(self, calibration):
         with pytest.raises(ValueError):
-            velocity_bins(np.zeros(9999))
+            calibration.velocity_bins(np.zeros(9999))
 
-    def test_rejects_degenerate_samples(self):
+    def test_rejects_degenerate_samples(self, calibration):
         with pytest.raises(ValueError):
-            velocity_bins(np.zeros(20_000))
+            calibration.velocity_bins(np.zeros(20_000))
 
 
 def load_calibration_script():
@@ -148,10 +146,15 @@ def load_calibration_script():
     return module
 
 
+@pytest.fixture(scope="module")
+def calibration():
+    return load_calibration_script()
+
+
 class TestCalibrationArtifact:
-    def test_script_reproduces_the_checked_in_bounds(self, capsys):
+    def test_script_reproduces_the_checked_in_bounds(self, calibration, capsys):
         # the default seed and step count are the ones encoder.py names
-        assert load_calibration_script().main([]) == 0
+        assert calibration.main([]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert [line.split(" = ")[0] for line in printed] == ["VX_BOUNDS", "VY_BOUNDS"]
         # the script's bounds equal VX_BOUNDS and VY_BOUNDS exactly ...
@@ -161,40 +164,46 @@ class TestCalibrationArtifact:
         source = Path(encoder.__file__).read_text().splitlines()
         assert all(line in source for line in printed)
 
-    def test_too_few_steps_is_an_argument_error(self, capsys, monkeypatch):
+    def test_too_few_steps_is_an_argument_error(self, calibration, capsys, monkeypatch):
         def no_walk(*args):
             raise AssertionError("the world was walked")
 
         monkeypatch.setattr(pong, "trajectory", no_walk)
         with pytest.raises(SystemExit) as exc:
-            load_calibration_script().main(["--steps", "5000"])
+            calibration.main(["--steps", "5000"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert f"--steps must be at least {MIN_CALIBRATION_SAMPLES}, got 5000" in err
+        assert f"--steps must be at least {calibration.MIN_CALIBRATION_SAMPLES}, got 5000" \
+            in err
         assert out == ""
 
-    def test_too_few_velocities_is_an_argument_error(self, capsys):
+    def test_too_few_velocities_is_an_argument_error(self, calibration, capsys):
         # at the floor, the default seed's walk serves too few distinct balls
         with pytest.raises(SystemExit) as exc:
-            load_calibration_script().main(["--steps", str(MIN_CALIBRATION_SAMPLES)])
+            calibration.main(["--steps", str(calibration.MIN_CALIBRATION_SAMPLES)])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert "degenerate calibration samples" in err
         assert out == ""
 
 
+def shared_tick(t):
+    """The shared clock's rule, stated apart from the clock: in every block of
+    10 steps it ticks at offsets 3, 6 and 9, so its gaps run 3, 3, 4."""
+    return t % 10 in (3, 6, 9)
+
+
 class TestSpikeClock:
     def test_shared_rate_exact(self):
         clock = SpikeClock("shared")
-        ticks = sum(clock.ticks(t) for t in range(1_000_000))
-        assert abs(ticks - 300_000) <= 500
+        ticks = sum(len(clock.gate(t, [0])) for t in range(1_000_000))
         assert ticks == 300_000  # the phase accumulator is exact
 
     def test_shared_pattern_and_gap_bound(self):
         clock = SpikeClock("shared")
-        tick_steps = [t for t in range(100) if clock.ticks(t)]
-        gaps = np.diff(tick_steps)
-        assert set(gaps) == {3, 4}
+        tick_steps = [t for t in range(100) if clock.gate(t, [0])]
+        assert tick_steps[0] == 3
+        assert np.diff(tick_steps).tolist() == [3, 3, 4] * 9 + [3, 3]
         assert len(tick_steps) == 30
 
     def test_shared_gate_all_or_nothing(self):
@@ -225,7 +234,7 @@ class TestEncode:
         for t in range(40):
             state.step = t
             spikes = encode(state, layout, clock)
-            if clock.ticks(t):
+            if shared_tick(t):
                 assert len(spikes) in (5, 6)
             else:
                 assert spikes == []
@@ -329,7 +338,7 @@ class TestClockOracle:
         clock = SpikeClock("shared")
         active = [4, 40, 64, 72, 90]
         for t in range(1000):
-            assert clock.gate(t, active) == (active if clock.ticks(t) else [])
+            assert clock.gate(t, active) == (active if shared_tick(t) else [])
 
     def test_bernoulli_equals_one_draw_per_step(self):
         clock = SpikeClock("bernoulli", rng=np.random.default_rng(17))

@@ -115,7 +115,7 @@ class TestDepression:
         rate = effective_rates(0.0, CFG)
         for i in range(3):
             assert det.resources[i] == pytest.approx(before[i] - rate)
-        assert det.tss_count == 1
+        assert len(det.tss_spans) == 1
 
     def test_onset_spikers_count_as_during_tss(self):
         det = make_detector(n=3)
@@ -253,7 +253,7 @@ class TestStability:
         for t in (0, 40, 80):
             det.advance_to(t)
             det.tick_sparse([0])
-        assert det.tss_count == 1
+        assert len(det.tss_spans) == 1
         assert det.stability == pytest.approx(-CFG.d_s)
 
     def test_timing_measured_from_closed_tss_onset(self):
@@ -474,14 +474,13 @@ class TestDeterminismAndSnapshots:
         cfg = PlasticityConfig(d_bar=0.27, w_min=-0.07, w_max=1.2, d_s=0.5, T_P=40)
         a = make_detector(n=6, weight=0.27, cfg=cfg)
         self.random_run(a, 11)
-        assert a.tss_count > 0
+        assert len(a.tss_spans) > 0
         path = tmp_path / "snap.npz"
         a.save_snapshot(path)
         b = Detector.load_snapshot(path)
         assert b.cfg == a.cfg
         assert b.weights == a.weights
         assert (b.tss_open, b.tss_spans) == (a.tss_open, a.tss_spans)
-        assert b.tss_count == a.tss_count
         assert b.fire_count == a.fire_count
 
     def test_frozen_clone_keeps_weights_fixed(self):

@@ -49,11 +49,11 @@ def assert_matches_scalar(cfgs, record, start=None):
     for cfg, w, run in zip(cfgs, weights, runs):
         det = Detector(record.n_channels, cfg, initial_weight=w)
         fires = replay(det, record)
-        assert run.fires == fires
+        assert run.fire_steps.tolist() == fires
         assert run.resources.tobytes() == det.resource_array().tobytes()
         assert run.stability.hex() == det.stability.hex()
         assert run.fire_count == det.fire_count
-        assert run.tss_count == det.tss_count
+        assert len(run.tss_spans()) == len(det.tss_spans)
     return runs
 
 
@@ -116,7 +116,7 @@ def test_ga_search_shaped_record_matches_scalar():
     cfgs = [g.to_config() for g in CORNERS + random_genomes(0, 10)]
     runs = assert_matches_scalar(cfgs, rec)
     assert sum(run.fire_count for run in runs) > 0
-    assert any(run.tss_count > 1 for run in runs)
+    assert any(len(run.tss_spans()) > 1 for run in runs)
 
 
 @pytest.mark.parametrize("clock", ["shared", "bernoulli"])
@@ -136,10 +136,10 @@ def stability_crossings(cfg, record, initial_weight):
     seen = set()
 
     def traced(active, dopamine=False):
-        before, onsets = det.stability, det.tss_count
+        before, onsets = det.stability, len(det.tss_spans)
         fired = tick(active, dopamine)
         if (before > 0.0) != (det.stability > 0.0):
-            event = "reward" if dopamine else "onset" if det.tss_count > onsets else "?"
+            event = "reward" if dopamine else "onset" if len(det.tss_spans) > onsets else "?"
             seen.add((event, "up" if det.stability > 0.0 else "down"))
         return fired
 
@@ -182,12 +182,14 @@ def test_report_windows_and_freeze_match_scalar_per_genome(freeze_step):
     for cfg, run in zip(cfgs, runs):
         det = Detector(rec.n_channels, cfg)
         det.frozen = freeze_step == 0
-        fires, rows = train_scalar(rec, det, window_steps=5_000,
-                                   freeze_at=freeze_step or None)
-        assert run.fires == fires
-        assert run.window_fires.tolist() == [round(r.fire_rate_hz * 5) for r in rows]
-        assert run.window_stability.tolist() == [r.stability for r in rows]
-        assert run.window_abs_dw.tolist() == [r.abs_weight_change for r in rows]
+        fires, window_fires, window_stability, window_abs_dw = train_scalar(
+            rec, det, window_steps=5_000, freeze_at=freeze_step or None)
+        assert run.fire_steps.tolist() == fires
+        assert run.window_fires.tolist() == window_fires.tolist()
+        assert [s.hex() for s in run.window_stability.tolist()] \
+            == [s.hex() for s in window_stability.tolist()]
+        assert [dw.hex() for dw in run.window_abs_dw.tolist()] \
+            == [dw.hex() for dw in window_abs_dw.tolist()]
         assert run.total_abs_dw.hex() == det.total_abs_dw.hex()
         assert run.resources.tolist() == det.resources
         assert list(map(tuple, run.tss_spans().tolist())) == det.tss_spans

@@ -92,17 +92,17 @@ class TestWindows:
     def test_window_rows_cover_run(self):
         rec = busy_record(7)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        fires, rows = train_on_record(rec, det, window_steps=1000)
-        assert len(rows) == rec.n_steps // 1000
-        assert [r.window for r in rows] == list(range(len(rows)))
-        total_fire_seconds = sum(r.fire_rate_hz for r in rows) * 1.0
-        assert total_fire_seconds == pytest.approx(len(fires))
+        run = train_on_record(rec, det, window_steps=1000)
+        n_windows = rec.n_steps // 1000
+        assert len(run.window_fires) == len(run.window_stability) == n_windows
+        assert len(run.window_abs_dw) == n_windows
+        assert run.window_fires.sum() == len(run.fire_steps)
 
     def test_abs_weight_change_sums_to_total(self):
         rec = busy_record(8)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        _, rows = train_on_record(rec, det, window_steps=1000)
-        assert sum(r.abs_weight_change for r in rows) == pytest.approx(det.total_abs_dw)
+        run = train_on_record(rec, det, window_steps=1000)
+        assert sum(run.window_abs_dw.tolist()) == pytest.approx(det.total_abs_dw)
 
     def test_freeze_hook(self):
         rec = busy_record(9)
@@ -119,12 +119,12 @@ class TestWindows:
     def test_freeze_at_acts_at_the_next_boundary(self, seed, freeze_at):
         rec = busy_record(seed)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        fires, rows = train_on_record(rec, det, window_steps=1000, freeze_at=freeze_at)
+        run = train_on_record(rec, det, window_steps=1000, freeze_at=freeze_at)
         ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        assert fires == dense_replay(rec, ref, freeze_step=3000)
+        assert run.fire_steps.tolist() == dense_replay(rec, ref, freeze_step=3000)
         assert det.resources == ref.resources
         assert det.stability == ref.stability
-        assert [r.abs_weight_change for r in rows[3:]] == [0.0] * (len(rows) - 3)
+        assert run.window_abs_dw[3:].tolist() == [0.0] * (len(run.window_abs_dw) - 3)
         # guard: freezing one window earlier or later ends elsewhere
         for step in (2000, 4000):
             other = Detector(rec.n_channels, CFG, initial_weight=0.35)
@@ -134,12 +134,12 @@ class TestWindows:
     def test_freeze_at_zero_still_trains_the_first_window(self):
         rec = busy_record(9)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        fires, rows = train_on_record(rec, det, window_steps=1000, freeze_at=0)
+        run = train_on_record(rec, det, window_steps=1000, freeze_at=0)
         ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        assert fires == dense_replay(rec, ref, freeze_step=1000)
+        assert run.fire_steps.tolist() == dense_replay(rec, ref, freeze_step=1000)
         assert det.resources == ref.resources
-        assert rows[0].abs_weight_change > 0.0
-        assert all(r.abs_weight_change == 0.0 for r in rows[1:])
+        assert run.window_abs_dw[0] > 0.0
+        assert all(dw == 0.0 for dw in run.window_abs_dw[1:].tolist())
 
     def test_bad_window(self):
         rec = busy_record(0)
@@ -243,21 +243,22 @@ class TestFrozenFires:
 
 # -- training on the lockstep kernel against the scalar detector ------------
 
-def row_bits(row):
-    return (row.window, row.fire_rate_hz.hex(), row.stability.hex(),
-            row.abs_weight_change.hex())
+def window_bits(fires, stability, abs_dw):
+    """Per-window fire counts, end stabilities and |weight change|, by float.hex."""
+    return (fires.tolist(), [s.hex() for s in stability.tolist()],
+            [dw.hex() for dw in abs_dw.tolist()])
 
 
 def assert_trains_like_scalar(record, cfg, weight, window_steps, freeze_at):
-    """train_on_record gives the scalar loop's fires, rows and snapshot bytes."""
+    """train_on_record gives the scalar loop's fires, windows and snapshot bytes."""
     det = Detector(record.n_channels, cfg, initial_weight=weight)
     ref = Detector(record.n_channels, cfg, initial_weight=weight)
-    fires, rows = train_on_record(record, det, window_steps=window_steps,
-                                  freeze_at=freeze_at)
-    ref_fires, ref_rows = train_scalar(record, ref, window_steps=window_steps,
-                                       freeze_at=freeze_at)
-    assert fires == ref_fires
-    assert [row_bits(r) for r in rows] == [row_bits(r) for r in ref_rows]
+    run = train_on_record(record, det, window_steps=window_steps, freeze_at=freeze_at)
+    ref_fires, *ref_windows = train_scalar(record, ref, window_steps=window_steps,
+                                           freeze_at=freeze_at)
+    assert run.fire_steps.tolist() == ref_fires
+    assert window_bits(run.window_fires, run.window_stability, run.window_abs_dw) \
+        == window_bits(*ref_windows)
     assert det.weights == ref.weights
     assert det.frozen == ref.frozen
     assert det.depressed == ref.depressed
@@ -266,7 +267,7 @@ def assert_trains_like_scalar(record, cfg, weight, window_steps, freeze_at):
         det.save_snapshot(a)
         ref.save_snapshot(b)
         assert a.read_bytes() == b.read_bytes()
-    return fires, rows
+    return run
 
 
 def freeze_step(choice, window_steps, n_steps):
@@ -292,22 +293,23 @@ class TestTrainOnKernel:
     @pytest.mark.parametrize("weight", [0.0, 0.35])
     def test_busy_records(self, seed, window_steps, freeze, weight):
         rec = busy_record(seed)
-        fires, _ = assert_trains_like_scalar(
+        run = assert_trains_like_scalar(
             rec, CFG, weight, window_steps, freeze_step(freeze, window_steps, rec.n_steps))
         if weight:  # guard: the comparison exercises firing and depression
-            assert fires
+            assert len(run.fire_steps)
 
     def test_pong_record_at_the_paper_parameters(self):
         rec = record_pong_episode(60, 42)
-        fires, rows = assert_trains_like_scalar(rec, PlasticityConfig(), 0.35, 10_000, 30_000)
-        assert fires and rows[0].abs_weight_change > 0.0 and rows[-1].abs_weight_change == 0.0
+        run = assert_trains_like_scalar(rec, PlasticityConfig(), 0.35, 10_000, 30_000)
+        assert len(run.fire_steps) and run.window_abs_dw[0] > 0.0
+        assert run.window_abs_dw[-1] == 0.0
 
     def test_a_frozen_detector_trains_frozen(self):
         rec = busy_record(3)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
         ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
         det.frozen = ref.frozen = True
-        assert train_on_record(rec, det, window_steps=1000)[0] == \
+        assert train_on_record(rec, det, window_steps=1000).fire_steps.tolist() == \
             train_scalar(rec, ref, window_steps=1000)[0]
         assert det.resources == ref.resources and det.stability == ref.stability
         assert det.total_abs_dw == ref.total_abs_dw == 0.0
