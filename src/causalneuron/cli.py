@@ -38,9 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-class ConfigError(ValueError):
-    """Bad flag value or malformed config file (exit code 2, like any ValueError)."""
-
 
 def config_defaults(config_class) -> dict:
     """A config class's fields as config-file keys, each with its default."""
@@ -51,17 +48,17 @@ def load_config(path, defaults: dict) -> dict:
     """Read a flat key=value file, coercing each value to its default's type.
 
     A file that cannot be opened raises ``OSError`` (exit code 3); one that
-    is not UTF-8 text, ``ConfigError``."""
+    is not UTF-8 text, ``ValueError``. A leading byte-order mark is skipped."""
     out = dict(defaults)
     seen: dict[str, int] = {}  # key -> the line that set it
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
-                          f"({exc.reason})") from None
+        raise ValueError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                         f"({exc.reason})") from None
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -69,17 +66,17 @@ def load_config(path, defaults: dict) -> dict:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         if key not in defaults:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated "
-                              f"(first set on line {seen[key]})")
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeated "
+                             f"(first set on line {seen[key]})")
         seen[key] = lineno
         try:
             out[key] = _coerce(value, defaults[key])
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}")
+            raise ValueError(f"{path}:{lineno}: {exc}")
     return out
 
 
@@ -107,7 +104,7 @@ def build_config(args):
 
 def _check_window(window_s: int) -> None:
     if window_s < 1:
-        raise ConfigError(f"--window must be >= 1 s, got {window_s}")
+        raise ValueError(f"--window must be >= 1 s, got {window_s}")
 
 
 def r_label(window_s: int, record: EpisodeRecord) -> str:
@@ -136,11 +133,11 @@ def cmd_record(args) -> int:
 
 def cmd_train(args) -> int:
     if not args.record:
-        raise ConfigError("--record is required")
+        raise ValueError("--record is required")
     _check_window(args.window)
     freeze_after = args.freeze_after
     if freeze_after is not None and not (math.isfinite(freeze_after) and freeze_after >= 0):
-        raise ConfigError(f"--freeze-after must be finite and >= 0 s, got {freeze_after:g}")
+        raise ValueError(f"--freeze-after must be finite and >= 0 s, got {freeze_after:g}")
     cfg = build_config(args)
     rec = EpisodeRecord.load(args.record)
     detector = Detector(rec.n_channels, cfg)
@@ -173,8 +170,7 @@ def cmd_train(args) -> int:
                     f"{dw:.6g}"] for i, (fires, stability, dw) in enumerate(windows)))
         print(f"wrote report {args.report}")
     if args.resources:
-        res = detector.resource_array()
-        wts = detector.weight_array()
+        res, wts = detector.resources, detector.weights
         if rec.n_channels == N_CHANNELS:  # a pong record: name its encoder sections
             labels = [(name, k) for name, size in SECTION_SIZES.items() for k in range(size)]
         else:
@@ -188,11 +184,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if not args.record or not args.snapshot:
-        raise ConfigError("--record and --snapshot are required")
+        raise ValueError("--record and --snapshot are required")
     _check_window(args.window)
     rec = EpisodeRecord.load(args.record)
     trained = Detector.load_snapshot(args.snapshot)
-    fires = frozen_fires(rec, trained.weight_array())
+    fires = frozen_fires(rec, trained.weights)
     window = trailing_window(rec, args.window)
     r_value = score_run(fires, rec.reward_steps.tolist(), trained.cfg.T_P, window)
     print(f"{r_label(args.window, rec)} = {r_value:.4f}")
@@ -201,7 +197,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ga(args) -> int:
     if not args.record:
-        raise ConfigError("--record is required")
+        raise ValueError("--record is required")
     cfg = build_config(args)
     rec = EpisodeRecord.load(args.record)
     best, history = run_ga(cfg, rec)
@@ -220,7 +216,7 @@ def cmd_ga(args) -> int:
 
 def cmd_synthetic(args) -> int:
     if not args.out:
-        raise ConfigError("--out is required")
+        raise ValueError("--out is required")
     rec = generate(build_config(args))
     rec.save(args.out)
     print(f"wrote {args.out}: {rec.n_steps} steps, {len(rec.reward_steps)} rewards")

@@ -113,7 +113,7 @@ def evaluate_population(
     runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record)
     # every genome's fires in one array, tagged with the genome's index
     fire_steps = np.concatenate([np.zeros(0, np.int64), *(run.fire_steps for run in runs)])
-    genome = np.repeat(np.arange(len(runs)), [run.fire_count for run in runs])
+    genome = np.repeat(np.arange(len(runs)), [len(run.fire_steps) for run in runs])
     return score_runs(fire_steps, genome, len(runs), record.reward_steps, ga_cfg.T_P, window)
 
 

@@ -45,7 +45,7 @@ def score_runs(
     n_runs: int,
     reward_steps: Sequence[int],
     T_P: int,
-    window: tuple[int, int] | None = None,
+    window: tuple[int, int],
 ) -> list[float]:
     """R for each of ``n_runs`` runs, given every run's fires at once.
 
@@ -53,8 +53,8 @@ def score_runs(
     ``fire_steps[i]``. Each run's R is :func:`score_run` of its own
     fires, computed in one array pass: the targets are built once, and
     each run's prediction periods are merged apart from the others'.
-    With a window, firings and rewards are filtered to it and the
-    periods are clipped to it, so activity outside the window can
+    Firings and rewards are filtered to the [start, end) step window and
+    the periods are clipped to it, so activity outside the window can
     neither help nor hurt. Fires and rewards may be unsorted and
     repeated.
 
@@ -67,14 +67,11 @@ def score_runs(
     fires = np.asarray(fire_steps, dtype=np.int64)
     runs = np.asarray(runs, dtype=np.int64)
     rewards = np.sort(np.asarray(reward_steps, dtype=np.int64))
-    floor = 0
-    if window is not None:
-        lo, hi = window
-        keep = (fires >= lo) & (fires < hi)
-        fires, runs = fires[keep], runs[keep]
-        rewards = rewards[(rewards >= lo) & (rewards < hi)]
-        floor = max(lo, 0)
-    t_start, t_end, _ = _merge(np.maximum(rewards - T_P, floor), rewards,
+    lo, hi = window
+    keep = (fires >= lo) & (fires < hi)
+    fires, runs = fires[keep], runs[keep]
+    rewards = rewards[(rewards >= lo) & (rewards < hi)]
+    t_start, t_end, _ = _merge(np.maximum(rewards - T_P, max(lo, 0)), rewards,
                                np.zeros(len(rewards), dtype=np.int64))
     t_tar = int((t_end - t_start).sum())
     if t_tar == 0:
@@ -85,12 +82,10 @@ def score_runs(
     # fire order within a run, those ends never fall
     order = np.lexsort((fires, runs))
     fires, runs = fires[order], runs[order]
-    ends = fires + T_P
+    ends = np.minimum(fires + T_P, hi)
     k = np.searchsorted(rewards, fires)
     ahead = k < len(rewards)
     ends[ahead] = np.minimum(ends[ahead], rewards[k[ahead]])
-    if window is not None:
-        ends = np.minimum(ends, hi)
     p_start, p_end, p_run = _merge(fires, ends, runs)
 
     # covered(x): the target steps before x
@@ -113,9 +108,9 @@ def score_run(
     fire_steps: Sequence[int],
     reward_steps: Sequence[int],
     T_P: int,
-    window: tuple[int, int] | None = None,
+    window: tuple[int, int],
 ) -> float:
-    """R for a recorded run, optionally restricted to a step window.
+    """R for a recorded run over a [start, end) step window.
 
     The one-run case of :func:`score_runs`.
     """

@@ -227,19 +227,13 @@ class Detector:
         self.fire_count = fire_count
         self.total_abs_dw = total_abs_dw
 
-    def resource_array(self) -> np.ndarray:
-        return np.asarray(self.resources, dtype=np.float64)
-
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
     def snapshot_entries(self) -> dict:
         """This detector's snapshot entries, each of the one dtype loading accepts."""
         return dict(
             format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
             **{f"cfg_{f.name}": np.asarray(getattr(self.cfg, f.name), type(f.default))
                for f in fields(self.cfg)},
-            resources=self.resource_array(),
+            resources=np.asarray(self.resources, dtype=np.float64),
             stability=np.float64(self.stability),
             step=np.int64(self.step),
             last_presyn=np.asarray(self.last_presyn, dtype=np.int64),

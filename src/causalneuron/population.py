@@ -44,7 +44,8 @@ The presynaptic spike times are the same for every genome, so
 a fire or a reward reads it. The pending set of an open TSS is exactly
 ``last_presyn > last_post``, derived when a genome fires, and a fire more
 than ``T_P`` steps after the genome's last one is an onset, so TSS
-closure needs no step and the spans are read off the fire log at the end.
+closure needs no step and the spans are read off a fire train
+(:func:`tss_spans`).
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class ReplayResult:
     """What one config's detector ends with after replaying the record."""
 
     fire_steps: np.ndarray  # int64, ascending
-    onsets: np.ndarray  # bool per fire: it starts a TSS
     resources: np.ndarray
     stability: float
     depressed: np.ndarray  # bool per synapse: depressed in the latest TSS
@@ -114,15 +114,18 @@ class ReplayResult:
     window_stability: Optional[np.ndarray] = None
     window_abs_dw: Optional[np.ndarray] = None
 
-    @property
-    def fire_count(self) -> int:
-        return len(self.fire_steps)
 
-    def tss_spans(self) -> np.ndarray:
-        """Each TSS as a row (onset, last post spike), in step order."""
-        first = np.flatnonzero(self.onsets)
-        last = np.append(first[1:], len(self.fire_steps))[:len(first)] - 1
-        return np.stack((self.fire_steps[first], self.fire_steps[last]), axis=1)
+def tss_spans(fire_steps: np.ndarray, T_P: int) -> np.ndarray:
+    """Each TSS of a fire train (int64, ascending) as a row (onset, last post spike).
+
+    A fire more than ``T_P`` steps after the previous one starts a TSS;
+    an empty train has no TSS, shape (0, 2).
+    """
+    # the first fire is an onset
+    onset = np.diff(fire_steps, prepend=fire_steps[:1] - T_P - 1) > T_P
+    # a TSS's last fire comes just before the next onset; np.roll wraps the
+    # last fire round to onset[0], which is True
+    return np.stack((fire_steps[onset], fire_steps[np.roll(onset, -1)]), axis=1)
 
 
 def _accumulate(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -263,24 +266,19 @@ def replay_population(
     def frozen_rates(rows: np.ndarray) -> None:
         """A frozen detector's rates stay 0 whatever its stability."""
 
-    # breakpoints: the rewards, then any window boundaries and freeze step
-    stops, rewarded = record.reward_steps, None
-    if window_steps is not None or freeze_step is not None:
-        rewarded = set(stops.tolist())
-        extra = [] if freeze_step is None else [freeze_step]
-        if window_steps is not None:
-            extra += range(window_steps, n_steps, window_steps)
-        # a set, not np.union1d, whose first call in a process costs ~1.6 MB of RSS
-        stops = np.array(sorted(rewarded.union(extra)), dtype=np.int64)
-        stops = stops[stops < n_steps]
-        boundary = n_steps + 1 if window_steps is None else window_steps
-        reports = []  # per boundary: (stability, abs_dw)
+    # breakpoints: the rewards, any window boundaries, the freeze step and last
+    # n_steps, which is never a reward, so the loop ends there
+    rewarded = set(record.reward_steps.tolist())
+    extra = [n_steps] if freeze_step is None else [n_steps, freeze_step]
+    if window_steps is not None:
+        extra += range(window_steps, n_steps, window_steps)
+    # a set, not np.union1d, whose first call in a process costs ~1.6 MB of RSS
+    stops = np.array(sorted(rewarded.union(extra)), dtype=np.int64)
+    boundary = n_steps + 1 if window_steps is None else window_steps
+    reports = []  # per boundary: (stability, abs_dw)
     refresh = refresh_rates
     frame = 0  # first spike frame not yet processed
-    for t, seg_end in zip(
-        stops.tolist() + [n_steps],
-        np.searchsorted(spike_steps, stops).tolist() + [n_frames],
-    ):
+    for t, seg_end in zip(stops.tolist(), np.searchsorted(spike_steps, stops).tolist()):
         # spike frames before the breakpoint: only candidates can fire
         bound = sums(W.max(axis=0), frame, seg_end)
         for k in ((bound > THRESHOLD).nonzero()[0] + frame).tolist():
@@ -292,17 +290,14 @@ def replay_population(
                     stability[new_onset] -= d_s[new_onset]
                     refresh(new_onset)
         frame = seg_end
-        if rewarded is not None:
-            if t == boundary:  # the state before step t is processed
-                reports.append((stability.copy(), abs_dw.copy()))
-                boundary += window_steps
-            if t == freeze_step:
-                rate[:] = 0.0
-                refresh = frozen_rates
-            if t not in rewarded:
-                continue
-        if t == n_steps:
-            break
+        if t == boundary:  # the state before step t is processed
+            reports.append((stability.copy(), abs_dw.copy()))
+            boundary += window_steps
+        if t == freeze_step:
+            rate[:] = 0.0
+            refresh = frozen_rates
+        if t not in rewarded:
+            continue
 
         # the reward step, with its spike frame if it has one; an empty step never fires
         has_frame = seg_end < n_frames and spike_steps[seg_end] == t
@@ -326,19 +321,15 @@ def replay_population(
         refresh(everyone)
     fold_presyn(n_frames)
 
-    # the fire log in genome order, each genome's fires in step order; a
-    # fire more than T_P steps after the genome's previous one is an onset
+    # the fire log in genome order, each genome's fires in step order
     genome = np.concatenate([_NONE, *(rows for _, rows in fire_log)])
     steps = np.repeat(np.array([t for t, _ in fire_log], dtype=np.int64),
                       np.array([len(rows) for _, rows in fire_log], dtype=np.intp))
     order = np.argsort(genome, kind="stable")
     steps, genome = steps[order], genome[order]
-    onset = np.ones(len(steps), dtype=bool)
-    onset[1:] = (genome[1:] != genome[:-1]) | (steps[1:] - steps[:-1] > T_P)
     cut = np.searchsorted(genome, np.arange(P + 1))
     runs = [
-        ReplayResult(steps[cut[g]:cut[g + 1]], onset[cut[g]:cut[g + 1]], R[g],
-                     float(stability[g]), depressed[g], lp)
+        ReplayResult(steps[cut[g]:cut[g + 1]], R[g], float(stability[g]), depressed[g], lp)
         for g in range(P)
     ]
     if abs_dw is not None:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import pong
 from .encoder import N_CHANNELS, EncoderLayout, SpikeClock, encode
-from .records import EpisodeRecord, check_header
+from .records import MAX_STEPS, EpisodeRecord, check_header
 
 
 def record_pong_episode(
@@ -33,8 +33,10 @@ def record_pong_episode(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     ms = duration_s * 1000
-    # past about 1.8e305 s the product overflows, and such a duration is a whole number
-    n_steps = round(ms) if math.isfinite(ms) else int(duration_s) * 1000
+    if ms > MAX_STEPS:  # inf too: past about 1.8e305 s the product overflows
+        raise ValueError(f"bad record: duration {duration_s} s is longer than a record can "
+                         f"hold, {MAX_STEPS // 1000:,}.{MAX_STEPS % 1000:03} s")
+    n_steps = round(ms)
     if n_steps == 0:
         raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")
     check_header(n_channels=N_CHANNELS, seed=seed, n_steps=n_steps)

@@ -33,7 +33,8 @@ MAGIC = b"SPKC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHQQ")
 # the header's fields after the magic and the version, with their largest value
-_HEADER_LIMITS = {"step_ms": 0xFFFF, "n_channels": 0xFFFF, "seed": 2**64 - 1, "n_steps": 2**64 - 1}
+MAX_STEPS = 2**64 - 1  # the longest record, in steps
+_HEADER_LIMITS = {"step_ms": 0xFFFF, "n_channels": 0xFFFF, "seed": 2**64 - 1, "n_steps": MAX_STEPS}
 _ARRAYS = ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps")
 
 _KIND_REWARD = 0

@@ -21,10 +21,15 @@ import numpy as np
 
 from .neuron import Detector
 from .plasticity import THRESHOLD
-from .population import FrameSums, ReplayResult, replay_population
+from .population import FrameSums, ReplayResult, replay_population, tss_spans
 from .records import EpisodeRecord
 
 REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
+
+
+def _check_channels(record: EpisodeRecord, n_synapses: int) -> None:
+    if record.n_channels != n_synapses:
+        raise ValueError(f"record has {record.n_channels} channels, detector has {n_synapses}")
 
 
 def replay(detector: Detector, record: EpisodeRecord) -> list[int]:
@@ -36,10 +41,7 @@ def replay(detector: Detector, record: EpisodeRecord) -> list[int]:
     replay it checks nothing of the record, whose steps rise strictly below
     ``n_steps`` from the moment it is made (:class:`EpisodeRecord`).
     """
-    if record.n_channels != detector.n:
-        raise ValueError(
-            f"record has {record.n_channels} channels, detector has {detector.n}"
-        )
+    _check_channels(record, detector.n)
     start = detector.step
     n_steps = record.n_steps
     if start > n_steps:
@@ -87,10 +89,7 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray) -> list[int]:
     is an empty frame, which never fires.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != record.n_channels:
-        raise ValueError(
-            f"record has {record.n_channels} channels, detector has {len(weights)}"
-        )
+    _check_channels(record, len(weights))
     steps = record.spike_steps
     total = FrameSums(record.indptr, record.channels)(weights, 0, len(steps))
     return steps[total > THRESHOLD].tolist()
@@ -114,10 +113,7 @@ def train_on_record(
     plasticity freezes at the first window boundary at or after it, once
     that window is reported; ``freeze_at = 0`` still trains the first window.
     """
-    if record.n_channels != detector.n:
-        raise ValueError(
-            f"record has {record.n_channels} channels, detector has {detector.n}"
-        )
+    _check_channels(record, detector.n)
     if detector.step != 0:
         raise ValueError(f"training starts at step 0; the detector is at step {detector.step}")
     if window_steps < 1:
@@ -132,8 +128,8 @@ def train_on_record(
     )
     detector.set_state(
         resources=run.resources, stability=run.stability, step=record.n_steps,
-        last_presyn=run.last_presyn, tss_spans=run.tss_spans(),
+        last_presyn=run.last_presyn, tss_spans=tss_spans(run.fire_steps, detector.cfg.T_P),
         depressed=np.flatnonzero(run.depressed), frozen=freeze_step is not None,
-        fire_count=run.fire_count, total_abs_dw=run.total_abs_dw,
+        fire_count=len(run.fire_steps), total_abs_dw=run.total_abs_dw,
     )
     return run

@@ -165,7 +165,7 @@ def test_criterion_6_synthetic_causal_detection():
     cfg = PlasticityConfig(d_bar=0.2, w_min=-0.017, w_max=0.48, d_s=0.5, T_P=syn.lag)
     det = Detector(syn.n_channels, cfg)
     replay(det, rec)
-    res = det.resource_array()
+    res = np.array(det.resources)
     top3 = set(np.argsort(res)[::-1][:3].tolist())
     assert top3 == set(syn.cause_channels)
 

@@ -183,21 +183,21 @@ def timelines(draw):
 @given(timelines())
 def test_score_run_matches_both_references(case):
     fires, rewards, T_P, window = case
-    # brute force needs a window; one past every period is the same as none
+    # score_run and brute force need a window; one past every period is the same as none
     full = window or (0, max(fires + rewards, default=0) + T_P + 1)
     try:
         expected = interval_score(fires, rewards, T_P, window)
     except ValueError as exc:
         assert str(exc) == "R metric undefined: no target periods"
         with pytest.raises(ValueError, match="^R metric undefined: no target periods$"):
-            score_run(fires, rewards, T_P, window)
+            score_run(fires, rewards, T_P, full)
         with pytest.raises(ValueError):
             brute_force_score(fires, rewards, T_P, full)
         return
-    assert score_run(fires, rewards, T_P, window) == expected
+    assert score_run(fires, rewards, T_P, full) == expected
     assert brute_force_score(fires, rewards, T_P, full) == expected
     assert score_run(np.array(fires, dtype=np.int64), np.array(rewards, dtype=np.int64),
-                     T_P, window) == expected
+                     T_P, full) == expected
 
 
 @st.composite
@@ -219,14 +219,15 @@ def test_score_runs_matches_the_reference_run_by_run(case):
     runs, log, rewards, T_P, window = case
     fires = [f for f, _ in log]
     owner = [run for _, run in log]
+    full = window or (0, max(fires + rewards, default=0) + T_P + 1)  # one past every period
     try:
         expected = [interval_score(f, rewards, T_P, window) for f in runs]
     except ValueError:
         with pytest.raises(ValueError, match="^R metric undefined: no target periods$"):
-            score_runs(fires, owner, len(runs), rewards, T_P, window)
+            score_runs(fires, owner, len(runs), rewards, T_P, full)
         return
-    assert score_runs(fires, owner, len(runs), rewards, T_P, window) == expected
+    assert score_runs(fires, owner, len(runs), rewards, T_P, full) == expected
     # runs past the last one that fired score as silent
     silent = interval_score([], rewards, T_P, window)
-    assert score_runs(fires, owner, len(runs) + 2, rewards, T_P, window) \
+    assert score_runs(fires, owner, len(runs) + 2, rewards, T_P, full) \
         == expected + [silent, silent]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import causalneuron.ga as ga_module
 from causalneuron.ga import (
@@ -20,13 +20,13 @@ from causalneuron.ga import (
 from causalneuron.metrics import score_run, score_runs
 from causalneuron.neuron import Detector
 from causalneuron.plasticity import PlasticityConfig, resource_for_weight
-from causalneuron.population import replay_population
+from causalneuron.population import replay_population, tss_spans
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay
 from causalneuron.synthetic import SyntheticConfig, generate
 
-from reference import train_scalar
+from reference import train_scalar, tss_segments
 
 CORNERS = [
     Genome(**{name: GENE_RANGES[name][k] for name in GENE_NAMES})
@@ -50,10 +50,10 @@ def assert_matches_scalar(cfgs, record, start=None):
         det = Detector(record.n_channels, cfg, initial_weight=w)
         fires = replay(det, record)
         assert run.fire_steps.tolist() == fires
-        assert run.resources.tobytes() == det.resource_array().tobytes()
+        assert run.resources.tobytes() == np.array(det.resources).tobytes()
         assert run.stability.hex() == det.stability.hex()
-        assert run.fire_count == det.fire_count
-        assert len(run.tss_spans()) == len(det.tss_spans)
+        assert len(run.fire_steps) == det.fire_count
+        assert len(tss_spans(run.fire_steps, cfg.T_P)) == len(det.tss_spans)
     return runs
 
 
@@ -108,6 +108,17 @@ def test_random_records_match_scalar(record, population, T_P, scale, start):
     assert_matches_scalar(cfgs, record, start)
 
 
+@pytest.mark.parametrize("T_P", [1, 7, 100])
+@settings(max_examples=200, deadline=None)
+@given(fires=st.sets(st.integers(0, 400), max_size=60))
+@example(fires=set())
+def test_tss_spans_match_the_offline_segmentation(T_P, fires):
+    train = sorted(fires)
+    spans, expected = tss_spans(np.array(train, dtype=np.int64), T_P), tss_segments(train, T_P)
+    assert spans.dtype == np.int64 and spans.shape == (len(expected), 2)
+    assert list(map(tuple, spans.tolist())) == expected
+
+
 # -- fixed records ------------------------------------------------------------
 
 def test_ga_search_shaped_record_matches_scalar():
@@ -115,8 +126,8 @@ def test_ga_search_shaped_record_matches_scalar():
                                    n_steps=60_000, seed=42))
     cfgs = [g.to_config() for g in CORNERS + random_genomes(0, 10)]
     runs = assert_matches_scalar(cfgs, rec)
-    assert sum(run.fire_count for run in runs) > 0
-    assert any(len(run.tss_spans()) > 1 for run in runs)
+    assert sum(len(run.fire_steps) for run in runs) > 0
+    assert any(len(tss_spans(run.fire_steps, cfg.T_P)) > 1 for cfg, run in zip(cfgs, runs))
 
 
 @pytest.mark.parametrize("clock", ["shared", "bernoulli"])
@@ -124,7 +135,7 @@ def test_pong_record_matches_scalar(clock):
     rec = record_pong_episode(30, 3, clock_mode=clock)
     cfgs = [g.to_config() for g in CORNERS + random_genomes(1, 5)]
     runs = assert_matches_scalar(cfgs, rec)
-    assert sum(run.fire_count for run in runs) > 0
+    assert sum(len(run.fire_steps) for run in runs) > 0
 
 
 def stability_crossings(cfg, record, initial_weight):
@@ -192,11 +203,11 @@ def test_report_windows_and_freeze_match_scalar_per_genome(freeze_step):
             == [dw.hex() for dw in window_abs_dw.tolist()]
         assert run.total_abs_dw.hex() == det.total_abs_dw.hex()
         assert run.resources.tolist() == det.resources
-        assert list(map(tuple, run.tss_spans().tolist())) == det.tss_spans
+        assert list(map(tuple, tss_spans(run.fire_steps, cfg.T_P).tolist())) == det.tss_spans
         assert np.flatnonzero(run.depressed).tolist() == sorted(det.depressed)
         assert run.last_presyn.tolist() == det.last_presyn
     if freeze_step != 0:  # guard: a zero-weight detector frozen from the start is silent
-        assert sum(run.fire_count for run in runs) > 0
+        assert sum(len(run.fire_steps) for run in runs) > 0
 
 
 def test_empty_population():

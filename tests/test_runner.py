@@ -174,7 +174,7 @@ def paper_cfg(scale):
 def assert_frozen_matches(det, record):
     """frozen_fires gives the fires of the detector's frozen clone."""
     expected = replay(frozen_clone(det), record)
-    assert frozen_fires(record, det.weight_array()) == expected
+    assert frozen_fires(record, det.weights) == expected
     return expected
 
 
