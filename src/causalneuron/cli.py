@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 2 on configuration errors (bad flags, bad
 config files, malformed records or snapshots, inconsistent inputs), 3
 on I/O errors (a missing or unreadable file, config files included).
-Config files are flat ``key = value`` text, each key at most once, one
-key per field of the subcommand's config class, whose field defaults are
+A run's seed is its ``--seed`` flag alone (default 0). Config files hold model
+and search parameters as flat ``key = value`` text, each key at most once,
+one key per field of the subcommand's config class, whose field defaults are
 the only defaults; ``--dump-config`` prints them in the same format. ``ga``'s
 ``max_generations = 0`` means no cap. ``train``/``eval --window`` default to
 ``GaConfig.eval_window_s``; ``train --out`` writes exactly the path given,
@@ -94,12 +95,9 @@ def dump_config(defaults: dict) -> None:
 
 
 def build_config(args):
-    """The subcommand's config: its class defaults, then the file, then --seed."""
+    """The subcommand's config: its class defaults, then the file."""
     defaults = config_defaults(args.config_class)
-    values = load_config(args.config, defaults) if args.config else defaults
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    return args.config_class(**values)
+    return args.config_class(**(load_config(args.config, defaults) if args.config else defaults))
 
 
 def _check_window(window_s: int) -> None:
@@ -198,9 +196,7 @@ def cmd_eval(args) -> int:
 def cmd_ga(args) -> int:
     if not args.record:
         raise ValueError("--record is required")
-    cfg = build_config(args)
-    rec = EpisodeRecord.load(args.record)
-    best, history = run_ga(cfg, rec)
+    best, history = run_ga(build_config(args), EpisodeRecord.load(args.record), args.seed)
     if args.out:
         write_csv(args.out, ["generation", "best_R", "mean_R", *GENE_NAMES],
                   ([st.generation, f"{st.best_fitness:.9g}", f"{st.mean_fitness:.9g}",
@@ -217,7 +213,7 @@ def cmd_ga(args) -> int:
 def cmd_synthetic(args) -> int:
     if not args.out:
         raise ValueError("--out is required")
-    rec = generate(build_config(args))
+    rec = generate(build_config(args), args.seed)
     rec.save(args.out)
     print(f"wrote {args.out}: {rec.n_steps} steps, {len(rec.reward_steps)} rewards")
     return EXIT_OK
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("record", help="record a seeded pong episode")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the episode")
     p.add_argument("--duration", type=float, default=2000.0, help="seconds")
     p.add_argument("--out", required=True)
     p.add_argument("--clock", choices=("shared", "bernoulli"), default="shared")
@@ -279,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ga", help="genetic parameter search on a record")
     p.add_argument("--record")
     p.add_argument("--config", help="GA config file (key = value)")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, default=0, help="seed of the search")
     p.add_argument("--out", help="generation-history CSV")
     p.add_argument("--dump-config", action="store_true")
     p.set_defaults(func=cmd_ga, config_class=GaConfig)
 
     p = sub.add_parser("synthetic", help="generate a ground-truth causal record")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, default=0, help="seed of the record")
     p.add_argument("--out")
     p.add_argument("--dump-config", action="store_true")
     p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig)

@@ -20,7 +20,7 @@ from .metrics import score_runs
 from .metrics import score_run  # noqa: F401  kept: perfbench/tracing.py patches ga.score_run
 from .plasticity import PlasticityConfig
 from .population import replay_population
-from .records import EpisodeRecord
+from .records import EpisodeRecord, check_seed
 from .runner import replay  # noqa: F401  kept: perfbench/tracing.py patches ga.replay
 
 # Search ranges (log-uniform sampling).
@@ -63,7 +63,6 @@ class GaConfig:
     stagnation_generations: int = 3
     eval_window_s: int = 600        # also the default of train/eval --window
     T_P: int = PlasticityConfig.T_P
-    seed: int = 0
     max_generations: int = 0        # 0: no cap, run until stagnation
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class GaConfig:
             raise ValueError("stagnation_generations must be >= 1")
         if self.eval_window_s < 1:
             raise ValueError("eval_window_s must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.max_generations < 0:
             raise ValueError("max_generations must be >= 0 (0: no cap)")
 
@@ -170,12 +167,13 @@ class GenerationStats:
 
 
 def run_ga(
-    cfg: GaConfig, record: EpisodeRecord
+    cfg: GaConfig, record: EpisodeRecord, seed: int
 ) -> tuple[Genome, list[GenerationStats]]:
     """Evolve until the best-ever fitness stalls for the configured number
     of successive generations, or for max_generations generations if that
     is not 0. Returns the best-ever genome and the per-generation history."""
-    rng = np.random.default_rng(cfg.seed)
+    check_seed(seed)
+    rng = np.random.default_rng(seed)
     population = [sample_genome(rng) for _ in range(cfg.population_size)]
     scores: dict[Genome, float] = {}  # every genome scored so far this run
     history: list[GenerationStats] = []

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import pong
 from .encoder import N_CHANNELS, EncoderLayout, SpikeClock, encode
-from .records import MAX_STEPS, EpisodeRecord, check_header
+from .records import MAX_STEPS, EpisodeRecord, check_header, check_seed
 
 
 def record_pong_episode(
@@ -30,11 +30,12 @@ def record_pong_episode(
         raise ValueError(f"duration must be finite, got {duration_s}")
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     ms = duration_s * 1000
     if ms > MAX_STEPS:  # inf too: past about 1.8e305 s the product overflows
-        raise ValueError(f"bad record: duration {duration_s} s is longer than a record can "
+        # in the limit's own form, while that keeps the line under 120 characters
+        shown = f"{duration_s:,.3f}" if duration_s < 1e17 else duration_s
+        raise ValueError(f"bad record: duration {shown} s is longer than a record can "
                          f"hold, {MAX_STEPS // 1000:,}.{MAX_STEPS % 1000:03} s")
     n_steps = round(ms)
     if n_steps == 0:

@@ -175,6 +175,12 @@ def _scan_frames(values: np.ndarray, steps_left: int,
     return steps[:keep], through[:keep], min(int(found[keep]), steps_left + channels)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed; the seeded generators (pong, synthetic, GA) call it first."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def check_header(**fields: int) -> None:
     """Refuse a header field the header cannot hold; recorders call it before any work."""
     for name, value in fields.items():

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import EpisodeRecord, check_header
+from .plasticity import PlasticityConfig
+from .records import EpisodeRecord, check_header, check_seed
 
 _NOISE_BLOCK = 65_536  # uniforms a noise channel draws per call, so memory is not O(n_steps)
 
@@ -23,12 +24,11 @@ _NOISE_BLOCK = 65_536  # uniforms a noise channel draws per call, so memory is n
 class SyntheticConfig:
     n_channels: int = 20
     cause_channels: tuple[int, ...] = (2, 7, 13)
-    lag: int = 100                  # cause -> reward delay, steps (= T_P)
+    lag: int = PlasticityConfig.T_P  # cause -> reward delay, steps
     n_steps: int = 300_000
     noise_rate: float = 0.001       # per-channel per-step spike probability
     min_gap: int = 300              # min steps between cause activations
     max_gap: int = 1200             # max steps between cause activations
-    seed: int = 0
 
     def __post_init__(self):
         if not self.cause_channels:
@@ -47,14 +47,13 @@ class SyntheticConfig:
             raise ValueError("cause activations must be rarer than the lag")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        check_header(n_channels=self.n_channels, seed=self.seed, n_steps=self.n_steps)
 
 
-def generate(cfg: SyntheticConfig) -> EpisodeRecord:
+def generate(cfg: SyntheticConfig, seed: int) -> EpisodeRecord:
     """Build a synthetic episode record; rewards sit exactly lag after causes."""
-    rng = np.random.default_rng(cfg.seed)
+    check_seed(seed)
+    check_header(n_channels=cfg.n_channels, seed=seed, n_steps=cfg.n_steps)
+    rng = np.random.default_rng(seed)
 
     cause_steps = []
     t = int(rng.integers(cfg.min_gap, cfg.max_gap + 1))
@@ -79,7 +78,7 @@ def generate(cfg: SyntheticConfig) -> EpisodeRecord:
     return EpisodeRecord.build(
         step_ms=1,
         n_channels=cfg.n_channels,
-        seed=cfg.seed,
+        seed=seed,
         n_steps=cfg.n_steps,
         frames=((t, sorted(frames[t])) for t in sorted(frames)),
         reward_steps=reward_steps,

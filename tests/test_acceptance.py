@@ -160,8 +160,8 @@ def test_criterion_5_balance_and_stability():
 
 def test_criterion_6_synthetic_causal_detection():
     start = time.perf_counter()
-    syn = SyntheticConfig(n_steps=300_000, seed=0)  # 300 simulated seconds
-    rec = generate(syn)
+    syn = SyntheticConfig(n_steps=300_000)  # 300 simulated seconds
+    rec = generate(syn, 0)
     cfg = PlasticityConfig(d_bar=0.2, w_min=-0.017, w_max=0.48, d_s=0.5, T_P=syn.lag)
     det = Detector(syn.n_channels, cfg)
     replay(det, rec)
@@ -169,7 +169,7 @@ def test_criterion_6_synthetic_causal_detection():
     top3 = set(np.argsort(res)[::-1][:3].tolist())
     assert top3 == set(syn.cause_channels)
 
-    fresh = generate(SyntheticConfig(n_steps=300_000, seed=1000))
+    fresh = generate(SyntheticConfig(n_steps=300_000), 1000)
     frozen = frozen_clone(det)
     fires = replay(frozen, fresh)
     r_frozen = score_run(fires, fresh.reward_steps.tolist(), cfg.T_P, (0, fresh.n_steps))
@@ -235,16 +235,16 @@ def test_criterion_7c_r_bound(pong_run):
 def test_criterion_8_desk_scale_ga():
     start = time.perf_counter()
     rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
-                                   n_steps=600_000, seed=5))
-    cfg = GaConfig(population_size=24, eval_window_s=600, seed=11,
+                                   n_steps=600_000), 5)
+    cfg = GaConfig(population_size=24, eval_window_s=600,
                    max_generations=10, stagnation_generations=10)
-    best_a, hist_a = run_ga(cfg, rec)
+    best_a, hist_a = run_ga(cfg, rec, 11)
     bests = [s.best_fitness for s in hist_a]
     assert len(hist_a) <= 10
     assert all(b >= a for a, b in zip(bests, bests[1:]))
     assert max(bests) > bests[0]  # strict improvement over generation 0
 
-    best_b, hist_b = run_ga(cfg, rec)  # bit-exact reproducibility
+    best_b, hist_b = run_ga(cfg, rec, 11)  # bit-exact reproducibility
     assert best_a == best_b
     assert [(s.generation, s.best_fitness, s.mean_fitness, s.best_genome)
             for s in hist_a] == [

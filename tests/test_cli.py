@@ -70,7 +70,7 @@ class TestConfigFiles:
         assert main(["synthetic", "--dump-config"]) == EXIT_OK
         assert capsys.readouterr().out == (
             "n_channels = 20\ncause_channels = 2 7 13\nlag = 100\nn_steps = 300000\n"
-            "noise_rate = 0.001\nmin_gap = 300\nmax_gap = 1200\nseed = 0\n"
+            "noise_rate = 0.001\nmin_gap = 300\nmax_gap = 1200\n"
         )
         assert config_defaults(SyntheticConfig) == vars(SyntheticConfig())
 
@@ -84,10 +84,19 @@ class TestConfigFiles:
         assert main(["ga", "--dump-config"]) == EXIT_OK
         assert capsys.readouterr().out == (
             "population_size = 300\nelitism_fraction = 0.1\nmutation_prob = 0.5\n"
-            "stagnation_generations = 3\neval_window_s = 600\nT_P = 100\nseed = 0\n"
+            "stagnation_generations = 3\neval_window_s = 600\nT_P = 100\n"
             "max_generations = 0\n"
         )
         assert config_defaults(GaConfig) == vars(GaConfig())
+
+    @pytest.mark.parametrize("argv", [["ga", "--record", "r.spkc"],
+                                      ["synthetic", "--out", "s.spkc"]])
+    def test_a_seed_key_is_unknown(self, tmp_path, capsys, argv):
+        # a seed is the --seed flag only
+        path = tmp_path / "seeded.txt"
+        path.write_text("seed = 1\n")
+        assert main([*argv, "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}:1: unknown key 'seed'\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -140,7 +149,7 @@ class TestConfigFiles:
         assert captured.err == f"error: {path}: not UTF-8 text: byte 0xff (invalid start byte)\n"
 
     def test_config_file_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
-        text = b"seed = 1\nn_steps = 2000\n"
+        text = b"noise_rate = 0.002\nn_steps = 2000\n"
         for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
             (tmp_path / f"{name}.cfg").write_bytes(data)
             argv = ["synthetic", "--config", str(tmp_path / f"{name}.cfg"),
@@ -245,6 +254,17 @@ class TestHeaderLimits:
                        tmp_path / "r.spkc", capsys)
         assert f"seed {2**64}" in err
 
+    @pytest.mark.parametrize("duration, shown", [
+        ("18446744073709551.615", "18,446,744,073,709,552.000"),  # the limit, as a float
+        ("99999999999999984", "99,999,999,999,999,984.000"),  # the last float below 1e17
+        ("1e17", "1e+17")])
+    def test_record_steps_beyond_uint64_in_the_limits_form(self, tmp_path, capsys, no_walk,
+                                                           duration, shown):
+        err = self.run(["record", "--duration", duration], tmp_path / "r.spkc", capsys)
+        assert err == (f"error: bad record: duration {shown} s is longer than a record can "
+                       f"hold, {LONGEST} s\n")
+        assert len(err.rstrip("\n")) < 120
+
     def test_record_steps_beyond_uint64(self, tmp_path, capsys, no_walk):
         # above about 1.8e305 s the duration in ms overflows a float
         for duration in (1e300, 1e306, sys.float_info.max):
@@ -287,11 +307,9 @@ class TestConfigValidation:
         self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
                     "max_generations must be >= 0 (0: no cap)", capsys)
 
-    def test_ga_negative_seed(self, tmp_path, syn_record, capsys):
-        cfg = tmp_path / "ga.txt"
-        cfg.write_text("population_size = 4\nseed = -1\n")
-        self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
-                    "seed must be >= 0", capsys)
+    def test_ga_negative_seed(self, syn_record, capsys):
+        self.expect(["ga", "--record", str(syn_record), "--seed", "-1"],
+                    "seed must be >= 0, got -1", capsys)
 
     def test_synthetic_negative_steps(self, tmp_path, capsys):
         cfg = tmp_path / "syn.txt"
@@ -319,8 +337,8 @@ class TestConfigValidation:
                     f"--freeze-after must be finite and >= 0 s, got {shown}", capsys)
 
     def test_synthetic_negative_seed(self, tmp_path, capsys):
-        self.expect(["synthetic", "--seed", "-2", "--out", str(tmp_path / "s.spkc")],
-                    "seed must be >= 0", capsys)
+        self.expect(["synthetic", "--seed", "-1", "--out", str(tmp_path / "s.spkc")],
+                    "seed must be >= 0, got -1", capsys)
 
 
 class TestRecordCommand:
@@ -470,6 +488,38 @@ def cli_outputs(tmp_path_factory, syn_record):
 @pytest.mark.parametrize("name", sorted(OUTPUT_PINS))
 def test_command_outputs_are_pinned(cli_outputs, name):
     assert cli_outputs[name] == OUTPUT_PINS[name]
+
+
+# sha256 of the synthetic record (n_steps = 20000) and of the ga history on it
+# (P = 4, 10 s window, 2 generations), both made with the same --seed flag, if any
+SEED_PINS = {
+    ("--seed", "0"): (
+        "0ed0afba2d6fb1900dbbb6c32a6c6321d2615b13928df0a74df2af3606a12756",
+        "151a62ef5583b242ea59afd2164bc1eaaf13ceb72963a0e832a543292d141d93",
+    ),
+    ("--seed", "7"): (
+        "2ee201b893eaca03c4df0bae5f06f9bd119cf4c2f753ca4cd88766efcbe8d134",
+        "4aa40e67fb8f7e649f8323ceb58efdc4dd5c3b833405b8c2fd81805898e3d40b",
+    ),
+    (): (  # no --seed: seed 0
+        "0ed0afba2d6fb1900dbbb6c32a6c6321d2615b13928df0a74df2af3606a12756",
+        "151a62ef5583b242ea59afd2164bc1eaaf13ceb72963a0e832a543292d141d93",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_PINS))
+def test_seeded_outputs_are_pinned(tmp_path, capsys, seed):
+    syn_cfg, ga_cfg = tmp_path / "syn.txt", tmp_path / "ga.txt"
+    record, history = tmp_path / "syn.spkc", tmp_path / "history.csv"
+    syn_cfg.write_text("n_steps = 20000\n")
+    ga_cfg.write_text("population_size = 4\neval_window_s = 10\nmax_generations = 2\n")
+    assert main(["synthetic", "--config", str(syn_cfg), *seed, "--out", str(record)]) \
+        == EXIT_OK
+    assert main(["ga", "--record", str(record), "--config", str(ga_cfg), *seed,
+                 "--out", str(history)]) == EXIT_OK
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (record, history))
+    assert digests == SEED_PINS[seed]
 
 
 def test_train_makes_no_scalar_tick(tmp_path, syn_record, monkeypatch):
@@ -1000,14 +1050,14 @@ class TestGaCommand:
 
     def test_max_generations_zero_runs_to_stagnation(self, tmp_path, syn_record):
         settings = dict(population_size=6, eval_window_s=100, stagnation_generations=2,
-                        seed=3, max_generations=0)
+                        max_generations=0)
         cfg, out = tmp_path / "ga.txt", tmp_path / "hist.csv"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
-        assert main(["ga", "--record", str(syn_record), "--config", str(cfg),
+        assert main(["ga", "--record", str(syn_record), "--config", str(cfg), "--seed", "3",
                      "--out", str(out)]) == EXIT_OK
         with open(out) as fh:
             rows = [(r["generation"], r["best_R"]) for r in csv.DictReader(fh)]
-        _, history = run_ga(GaConfig(**settings), EpisodeRecord.load(syn_record))
+        _, history = run_ga(GaConfig(**settings), EpisodeRecord.load(syn_record), 3)
         assert rows == [(str(s.generation), f"{s.best_fitness:.9g}") for s in history]
         assert len(rows) > settings["stagnation_generations"]
 

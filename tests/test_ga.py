@@ -22,7 +22,7 @@ PAPER_GENOME = Genome(d_H_bar=0.056, neg_w_min=0.017, w_max=0.48, d_s=0.23)
 
 @pytest.fixture(scope="module")
 def small_record():
-    return generate(SyntheticConfig(n_steps=60_000, seed=0))
+    return generate(SyntheticConfig(n_steps=60_000), 0)
 
 
 class TestSampling:
@@ -120,15 +120,15 @@ class TestEvaluate:
 
 class TestRunGa:
     def ga_cfg(self, **kwargs):
-        base = dict(population_size=8, eval_window_s=60, seed=5, max_generations=4,
+        base = dict(population_size=8, eval_window_s=60, max_generations=4,
                     stagnation_generations=10)
         base.update(kwargs)
         return GaConfig(**base)
 
     def test_reproducible_history(self, small_record):
         cfg = self.ga_cfg()
-        best_a, hist_a = run_ga(cfg, small_record)
-        best_b, hist_b = run_ga(cfg, small_record)
+        best_a, hist_a = run_ga(cfg, small_record, 5)
+        best_b, hist_b = run_ga(cfg, small_record, 5)
         assert best_a == best_b
         assert [(s.generation, s.best_fitness, s.mean_fitness, s.best_genome)
                 for s in hist_a] == [
@@ -137,17 +137,17 @@ class TestRunGa:
         ]
 
     def test_best_history_non_decreasing(self, small_record):
-        _, hist = run_ga(self.ga_cfg(), small_record)
+        _, hist = run_ga(self.ga_cfg(), small_record, 5)
         bests = [s.best_fitness for s in hist]
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
     def test_stagnation_terminates(self, small_record):
         cfg = self.ga_cfg(stagnation_generations=1, max_generations=0)
-        _, hist = run_ga(cfg, small_record)
+        _, hist = run_ga(cfg, small_record, 5)
         assert len(hist) >= 1
 
     def test_returns_best_ever(self, small_record):
-        best, hist = run_ga(self.ga_cfg(), small_record)
+        best, hist = run_ga(self.ga_cfg(), small_record, 5)
         top = max(s.best_fitness for s in hist)
         cfg = GaConfig(eval_window_s=60)
         assert evaluate(best, small_record, cfg) == top

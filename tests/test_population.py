@@ -123,7 +123,7 @@ def test_tss_spans_match_the_offline_segmentation(T_P, fires):
 
 def test_ga_search_shaped_record_matches_scalar():
     rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
-                                   n_steps=60_000, seed=42))
+                                   n_steps=60_000), 42)
     cfgs = [g.to_config() for g in CORNERS + random_genomes(0, 10)]
     runs = assert_matches_scalar(cfgs, rec)
     assert sum(len(run.fire_steps) for run in runs) > 0
@@ -187,7 +187,7 @@ def test_stability_crossing_zero_both_ways_matches_scalar():
 @pytest.mark.parametrize("freeze_step", [None, 0, 20_000, 25_000])
 def test_report_windows_and_freeze_match_scalar_per_genome(freeze_step):
     rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
-                                   n_steps=60_000, seed=42))
+                                   n_steps=60_000), 42)
     cfgs = [g.to_config() for g in CORNERS + random_genomes(3, 5)]
     runs = replay_population(cfgs, rec, window_steps=5_000, freeze_step=freeze_step)
     for cfg, run in zip(cfgs, runs):
@@ -211,12 +211,12 @@ def test_report_windows_and_freeze_match_scalar_per_genome(freeze_step):
 
 
 def test_empty_population():
-    rec = generate(SyntheticConfig(n_steps=5_000, seed=0))
+    rec = generate(SyntheticConfig(n_steps=5_000), 0)
     assert replay_population([], rec) == []
 
 
 def test_mixed_T_P_rejected():
-    rec = generate(SyntheticConfig(n_steps=5_000, seed=0))
+    rec = generate(SyntheticConfig(n_steps=5_000), 0)
     base = PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2)
     other = PlasticityConfig(d_bar=0.1, w_min=-0.1, w_max=0.5, d_s=0.2, T_P=50)
     with pytest.raises(ValueError, match="must share T_P$"):
@@ -247,9 +247,9 @@ def scalar_evaluate(genome, record, cfg):
     return score_run(fires, record.reward_steps.tolist(), cfg.T_P, window)
 
 
-def reference_run_ga(cfg, record):
+def reference_run_ga(cfg, record, seed):
     """run_ga's loop with one scalar replay per genome and no caching."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     population = [sample_genome(rng) for _ in range(cfg.population_size)]
     history = []
     best_fitness, best_genome, stall = -math.inf, None, 0
@@ -273,14 +273,14 @@ def reference_run_ga(cfg, record):
 @pytest.fixture(scope="module")
 def ga_record():
     return generate(SyntheticConfig(n_channels=16, noise_rate=0.01,
-                                    n_steps=20_000, seed=3))
+                                    n_steps=20_000), 3)
 
 
 def test_run_ga_matches_scalar_reference(ga_record):
-    cfg = GaConfig(population_size=10, eval_window_s=10, seed=7,
+    cfg = GaConfig(population_size=10, eval_window_s=10,
                    max_generations=4, stagnation_generations=4)
-    best, history = run_ga(cfg, ga_record)
-    ref_best, ref_history = reference_run_ga(cfg, ga_record)
+    best, history = run_ga(cfg, ga_record, 7)
+    ref_best, ref_history = reference_run_ga(cfg, ga_record, 7)
     assert best == ref_best
     assert [(s.generation, s.best_fitness, s.mean_fitness, s.best_genome)
             for s in history] == ref_history
@@ -304,9 +304,9 @@ def test_run_ga_scores_each_distinct_genome_once(ga_record, monkeypatch):
         return nxt
 
     monkeypatch.setattr(ga_module, "evolve", recording_evolve)
-    cfg = GaConfig(population_size=10, eval_window_s=10, seed=7,
+    cfg = GaConfig(population_size=10, eval_window_s=10,
                    max_generations=4, stagnation_generations=4)
-    run_ga(cfg, ga_record)
+    run_ga(cfg, ga_record, 7)
     assert len(scored) == len(seen) < 10 * 4
 
 

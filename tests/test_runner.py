@@ -229,7 +229,7 @@ class TestFrozenFires:
     def test_ga_search_shaped_record(self, regime):
         scale, weight = REGIMES[regime]
         rec = generate(SyntheticConfig(n_channels=30, noise_rate=0.008,
-                                       n_steps=60_000, seed=42))
+                                       n_steps=60_000), 42)
         trained = Detector(30, paper_cfg(scale), initial_weight=weight)
         replay(trained, rec)
         assert_frozen_matches(trained, rec)

@@ -5,36 +5,37 @@ import hashlib
 import numpy as np
 import pytest
 
+from causalneuron import synthetic
 from causalneuron.synthetic import SyntheticConfig, generate
 
 
 class TestGeneration:
     def test_rewards_exactly_lag_after_causes(self):
-        cfg = SyntheticConfig(seed=0)
-        rec = generate(cfg)
+        cfg = SyntheticConfig()
+        rec = generate(cfg, 0)
         causes = set(cfg.cause_channels)
         cause_steps = [t for t, chans in rec.frames() if causes <= set(chans)]
         assert [t + cfg.lag for t in cause_steps] == rec.reward_steps.tolist()
 
     def test_causes_fire_together_and_only_together(self):
-        cfg = SyntheticConfig(seed=1)
-        rec = generate(cfg)
+        cfg = SyntheticConfig()
+        rec = generate(cfg, 1)
         causes = set(cfg.cause_channels)
         for t, chans in rec.frames():
             present = causes & set(chans)
             assert present in (set(), causes)
 
     def test_gap_bounds_respected(self):
-        cfg = SyntheticConfig(seed=2)
-        rec = generate(cfg)
+        cfg = SyntheticConfig()
+        rec = generate(cfg, 2)
         rewards = rec.reward_steps.tolist()
         gaps = np.diff([r - cfg.lag for r in rewards])
         assert gaps.min() >= cfg.min_gap
         assert gaps.max() <= cfg.max_gap
 
     def test_noise_rate_realized(self):
-        cfg = SyntheticConfig(seed=3, noise_rate=0.004)
-        rec = generate(cfg)
+        cfg = SyntheticConfig(noise_rate=0.004)
+        rec = generate(cfg, 3)
         causes = set(cfg.cause_channels)
         noise_spikes = sum(
             sum(1 for c in chans if c not in causes) for _, chans in rec.frames()
@@ -44,11 +45,12 @@ class TestGeneration:
         assert abs(noise_spikes - expected) < 0.1 * expected
 
     def test_deterministic(self):
-        assert generate(SyntheticConfig(seed=9)) == generate(SyntheticConfig(seed=9))
-        assert generate(SyntheticConfig(seed=9)) != generate(SyntheticConfig(seed=10))
+        cfg = SyntheticConfig()
+        assert generate(cfg, 9) == generate(cfg, 9)
+        assert generate(cfg, 9) != generate(cfg, 10)
 
 
-# sha256 of generate(SyntheticConfig(n_steps=n)).to_bytes(), from the dense
+# sha256 of generate(SyntheticConfig(n_steps=n), 0).to_bytes(), from the dense
 # one-draw-per-channel generator; 131,073 steps is two 65,536-step noise
 # blocks and one step
 SYNTHETIC_PINS = {
@@ -59,7 +61,7 @@ SYNTHETIC_PINS = {
 
 @pytest.mark.parametrize("n_steps", sorted(SYNTHETIC_PINS))
 def test_record_bytes_pinned(n_steps):
-    data = generate(SyntheticConfig(n_steps=n_steps)).to_bytes()
+    data = generate(SyntheticConfig(n_steps=n_steps), 0).to_bytes()
     assert hashlib.sha256(data).hexdigest() == SYNTHETIC_PINS[n_steps]
 
 
@@ -84,8 +86,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, value", [("n_steps", 2**64), ("seed", 2**64),
                                               ("n_channels", 65536)])
-    def test_rejects_what_the_record_header_cannot_hold(self, field, value):
-        # when built, before generate draws n_channels x n_steps uniforms
+    def test_rejects_what_the_record_header_cannot_hold(self, field, value, monkeypatch):
+        # before generate draws n_channels x n_steps uniforms: a draw would call None
+        monkeypatch.setattr(synthetic.np.random, "default_rng", None)
+        kwargs = {field: value}
+        seed = kwargs.pop("seed", 0)
+        cfg = SyntheticConfig(**kwargs)
         with pytest.raises(ValueError, match=f"^bad record: {field} {value} is outside "
                                              "the header's range 0 to "):
-            SyntheticConfig(**{field: value})
+            generate(cfg, seed)
