@@ -3,6 +3,8 @@
 Exit codes: 0 on success, 2 on configuration errors (bad flags, bad
 config files, malformed records or snapshots, inconsistent inputs), 3
 on I/O errors (a missing or unreadable file, config files included).
+Every refusal is one stderr line: ``error: PATH: REASON`` for an error that
+names a file, and argparse's message alone for a refused argument.
 A run's seed is its ``--seed`` flag alone (default 0). Config files hold model
 and search parameters as flat ``key = value`` text, each key at most once,
 one key per field of the subcommand's config class, whose field defaults are
@@ -24,11 +26,11 @@ from dataclasses import fields as dataclass_fields
 from operator import itemgetter
 
 from .encoder import N_CHANNELS, SECTION_SIZES
-from .ga import GENE_NAMES, GaConfig, run_ga, trailing_window
+from .ga import GENE_NAMES, GaConfig, best_generation, run_ga, trailing_window
 from .metrics import score_run
 from .neuron import Detector
 from .plasticity import PlasticityConfig
-from .records import EpisodeRecord
+from .records import EpisodeRecord, check_seed
 from .recording import record_pong_episode
 from .runner import REPORT_WINDOW_STEPS, frozen_fires, train_on_record
 # replay is not called here; kept because perfbench/tracing.py patches cli.replay
@@ -55,8 +57,6 @@ def load_config(path, defaults: dict) -> dict:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise OSError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
                          f"({exc.reason})") from None
@@ -196,17 +196,21 @@ def cmd_eval(args) -> int:
 def cmd_ga(args) -> int:
     if not args.record:
         raise ValueError("--record is required")
-    best, history = run_ga(build_config(args), EpisodeRecord.load(args.record), args.seed)
+    cfg = build_config(args)
+    check_seed(args.seed)  # before the record is read
+    history = run_ga(cfg, EpisodeRecord.load(args.record), args.seed)
     if args.out:
         write_csv(args.out, ["generation", "best_R", "mean_R", *GENE_NAMES],
-                  ([st.generation, f"{st.best_fitness:.9g}", f"{st.mean_fitness:.9g}",
-                    *(f"{v:.9g}" for v in st.best_genome.as_tuple())] for st in history))
+                  ([i, f"{st.best_fitness:.9g}", f"{st.mean_fitness:.9g}",
+                    *(f"{v:.9g}" for v in st.best_genome.as_tuple())]
+                   for i, st in enumerate(history)))
         print(f"wrote history {args.out}")
+    best = history[best_generation(history)]
     print(
         "best genome: "
-        + " ".join(f"{n}={v:.6g}" for n, v in zip(GENE_NAMES, best.as_tuple()))
+        + " ".join(f"{n}={v:.6g}" for n, v in zip(GENE_NAMES, best.best_genome.as_tuple()))
     )
-    print(f"best fitness: {max(st.best_fitness for st in history):.4f}")
+    print(f"best fitness: {best.best_fitness:.4f}")
     return EXIT_OK
 
 
@@ -233,9 +237,17 @@ def cmd_export(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with ``ValueError``, which ``main`` prints on one
+    line; ``add_subparsers`` makes the subcommands' parsers of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalneuron",
         description="Causal-precursor detector neuron: recording, training, "
         "evaluation and parameter search.",
@@ -296,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "dump_config", False):
             dump_config(config_defaults(args.config_class))
             return EXIT_OK
@@ -305,8 +317,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # one form for every error that names a file
+        text = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_IO
 
 

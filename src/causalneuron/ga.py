@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,10 +108,7 @@ def evaluate_population(
             f"evaluation window ({end - start} steps)"
         )
     runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record)
-    # every genome's fires in one array, tagged with the genome's index
-    fire_steps = np.concatenate([np.zeros(0, np.int64), *(run.fire_steps for run in runs)])
-    genome = np.repeat(np.arange(len(runs)), [len(run.fire_steps) for run in runs])
-    return score_runs(fire_steps, genome, len(runs), record.reward_steps, ga_cfg.T_P, window)
+    return score_runs([run.fire_steps for run in runs], record.reward_steps, ga_cfg.T_P, window)
 
 
 def evaluate(genome: Genome, record: EpisodeRecord, ga_cfg: GaConfig = GaConfig()) -> float:
@@ -119,10 +116,8 @@ def evaluate(genome: Genome, record: EpisodeRecord, ga_cfg: GaConfig = GaConfig(
     return evaluate_population([genome], record, ga_cfg)[0]
 
 
-def _tournament(
-    rng: np.random.Generator, fitnesses: Sequence[float], k: int = 3
-) -> int:
-    picks = rng.integers(len(fitnesses), size=k)
+def _tournament(rng: np.random.Generator, fitnesses: Sequence[float]) -> int:
+    picks = rng.integers(len(fitnesses), size=3)
     best = picks[0]
     for idx in picks[1:]:
         if fitnesses[idx] > fitnesses[best]:
@@ -160,27 +155,25 @@ def evolve(
 
 @dataclass
 class GenerationStats:
-    generation: int
     best_fitness: float
     mean_fitness: float
     best_genome: Genome
 
 
-def run_ga(
-    cfg: GaConfig, record: EpisodeRecord, seed: int
-) -> tuple[Genome, list[GenerationStats]]:
-    """Evolve until the best-ever fitness stalls for the configured number
-    of successive generations, or for max_generations generations if that
-    is not 0. Returns the best-ever genome and the per-generation history."""
+def best_generation(history: Sequence[GenerationStats]) -> int:
+    """The index of the first generation with the highest best fitness."""
+    return max(range(len(history)), key=lambda i: (history[i].best_fitness, -i))
+
+
+def run_ga(cfg: GaConfig, record: EpisodeRecord, seed: int) -> list[GenerationStats]:
+    """Evolve until the best generation (:func:`best_generation`) has had
+    the configured number of successors, or for max_generations
+    generations if that is not 0. Returns the per-generation history."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
     population = [sample_genome(rng) for _ in range(cfg.population_size)]
     scores: dict[Genome, float] = {}  # every genome scored so far this run
     history: list[GenerationStats] = []
-    best_genome: Optional[Genome] = None
-    best_fitness = -math.inf
-    stall = 0
-    generation = 0
     while True:
         unseen = list(dict.fromkeys(g for g in population if g not in scores))
         scores.update(zip(unseen, evaluate_population(unseen, record, cfg)))
@@ -188,22 +181,12 @@ def run_ga(
         gen_best = max(range(len(population)), key=lambda i: (fitnesses[i], -i))
         history.append(
             GenerationStats(
-                generation=generation,
                 best_fitness=fitnesses[gen_best],
                 mean_fitness=float(np.mean(fitnesses)),
                 best_genome=population[gen_best],
             )
         )
-        if fitnesses[gen_best] > best_fitness:
-            best_fitness = fitnesses[gen_best]
-            best_genome = population[gen_best]
-            stall = 0
-        else:
-            stall += 1
-        generation += 1
-        if stall >= cfg.stagnation_generations:
-            break
-        if generation == cfg.max_generations:
-            break
+        if (len(history) - 1 - best_generation(history) >= cfg.stagnation_generations
+                or len(history) == cfg.max_generations):
+            return history
         population = evolve(population, fitnesses, rng, cfg)
-    return best_genome, history

@@ -40,19 +40,16 @@ def _merge(
 
 
 def score_runs(
-    fire_steps: Sequence[int],
-    runs: Sequence[int],
-    n_runs: int,
+    fire_trains: Sequence[Sequence[int]],
     reward_steps: Sequence[int],
     T_P: int,
     window: tuple[int, int],
 ) -> list[float]:
-    """R for each of ``n_runs`` runs, given every run's fires at once.
+    """R for each run, given one train of fire steps per run.
 
-    ``runs[i]`` is the run (0 to n_runs - 1) that fired at
-    ``fire_steps[i]``. Each run's R is :func:`score_run` of its own
-    fires, computed in one array pass: the targets are built once, and
-    each run's prediction periods are merged apart from the others'.
+    Each run's R is :func:`score_run` of its own train, computed for all
+    runs in one array pass: the targets are built once, and each run's
+    prediction periods are merged apart from the others'.
     Firings and rewards are filtered to the [start, end) step window and
     the periods are clipped to it, so activity outside the window can
     neither help nor hurt. Fires and rewards may be unsorted and
@@ -64,8 +61,9 @@ def score_runs(
     targets' cumulative lengths, so R is the same quotient of the same
     integers.
     """
-    fires = np.asarray(fire_steps, dtype=np.int64)
-    runs = np.asarray(runs, dtype=np.int64)
+    trains = [np.asarray(train, dtype=np.int64) for train in fire_trains]
+    fires = np.concatenate([np.zeros(0, np.int64), *trains])
+    runs = np.repeat(np.arange(len(trains)), [len(train) for train in trains])
     rewards = np.sort(np.asarray(reward_steps, dtype=np.int64))
     lo, hi = window
     keep = (fires >= lo) & (fires < hi)
@@ -99,7 +97,7 @@ def score_runs(
     # each run's |P| - 2|T & P|, summed exactly in int64
     own = (p_end - p_start) - 2 * (covered(p_end) - covered(p_start))
     acc = np.append(0, np.cumsum(own))
-    bounds = np.searchsorted(p_run, np.arange(n_runs + 1))
+    bounds = np.searchsorted(p_run, np.arange(len(trains) + 1))
     t_err = t_tar + acc[bounds[1:]] - acc[bounds[:-1]]
     return (1.0 - t_err / t_tar).tolist()
 
@@ -114,6 +112,4 @@ def score_run(
 
     The one-run case of :func:`score_runs`.
     """
-    fires = np.asarray(fire_steps, dtype=np.int64)
-    return score_runs(fires, np.zeros(len(fires), dtype=np.int64), 1,
-                      reward_steps, T_P, window)[0]
+    return score_runs([fire_steps], reward_steps, T_P, window)[0]

@@ -189,15 +189,14 @@ def check_header(**fields: int) -> None:
                              f"range 0 to {_HEADER_LIMITS[name]}")
 
 
-def _check_steps(steps: np.ndarray, n_steps: int) -> None:
+def _check_steps(name: str, steps: np.ndarray, n_steps: int) -> None:
     """Raise ``ValueError`` unless steps rise strictly from >= 0 to < n_steps."""
     bad = steps >= n_steps  # boolean views only: no int64 temporary
     bad[1:] |= steps[1:] <= steps[:-1]
     bad[:1] |= steps[:1] < 0
     if bad.any():
-        raise ValueError(
-            f"record event at step {int(steps[bad.argmax()])} is out of order or past the end"
-        )
+        raise ValueError(f"bad record: {name} step {int(steps[bad.argmax()])} is negative, "
+                         f"out of order or not below n_steps {n_steps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +238,7 @@ class EpisodeRecord:
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         n_steps, ptr, channels = self.n_steps, self.indptr, self.channels
-        _check_steps(self.spike_steps, n_steps)
+        _check_steps("spike_steps", self.spike_steps, n_steps)
         if (len(ptr) != len(self.spike_steps) + 1 or ptr[0] != 0 or ptr[-1] != len(channels)
                 or (ptr[1:] <= ptr[:-1]).any()):
             raise ValueError(f"bad record: indptr must have {len(self.spike_steps) + 1} "
@@ -249,11 +248,8 @@ class EpisodeRecord:
             raise ValueError(f"bad record: channel index {low} < 0")
         if high >= self.n_channels:
             raise ValueError(f"bad record: channel index {high} >= n_channels {self.n_channels}")
-        for events in (self.reward_steps, self.punishment_steps):
-            last = int(events.max()) if events.size else -1
-            if last >= n_steps:
-                raise ValueError(f"bad record: event at step {last} >= n_steps {n_steps}")
-            _check_steps(events, n_steps)
+        for name in ("reward_steps", "punishment_steps"):
+            _check_steps(name, getattr(self, name), n_steps)
 
     @property
     def duration_s(self) -> float:

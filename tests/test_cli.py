@@ -137,8 +137,8 @@ class TestConfigFiles:
         assert main([*argv, str(path)]) == EXIT_IO
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot read config {path}: ")
-        assert captured.err.count("\n") == 1
+        reason = "No such file or directory" if target == "missing" else "Is a directory"
+        assert captured.err == f"error: {path}: {reason}\n"
 
     def test_config_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"
@@ -162,6 +162,50 @@ class TestConfigFiles:
 class TestExitCodes:
     def test_missing_record_is_io_error(self, tmp_path):
         assert main(["train", "--record", str(tmp_path / "nope.spkc")]) == EXIT_IO
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--record", "{missing}"],
+        ["eval", "--record", "{missing}", "--snapshot", "{snapshot}"],
+        ["ga", "--record", "{missing}"],
+        ["export", "--record", "{missing}", "--out", "{tmp}/x.csv"],
+        ["eval", "--record", "{record}", "--snapshot", "{missing}"],
+        ["train", "--record", "{record}", "--params", "{missing}"],
+        ["ga", "--record", "{record}", "--config", "{missing}"],
+        ["synthetic", "--config", "{missing}", "--out", "{tmp}/s.spkc"],
+        ["record", "--duration", "1", "--out", "{missing}"],
+    ], ids=["train", "eval", "ga", "export", "snapshot", "params", "ga-config",
+            "synthetic-config", "record-out"])
+    def test_a_file_error_names_the_path(self, tmp_path, syn_record, capsys, argv):
+        snapshot = tmp_path / "snap.npz"
+        Detector(20, PlasticityConfig()).save_snapshot(snapshot)
+        missing = tmp_path / "no-such-dir" / "missing.file"
+        names = dict(missing=missing, snapshot=snapshot, record=syn_record, tmp=tmp_path)
+        assert main([arg.format(**names) for arg in argv]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_ga_checks_the_seed_before_reading_the_record(self, tmp_path, capsys):
+        argv = ["ga", "--record", str(tmp_path / "missing.spkc"), "--seed", "-1"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["record", "--seed", "1"], "the following arguments are required: --out"),
+        (["export", "--record", "x.spkc"], "the following arguments are required: --out"),
+        (["record", "--seed", "abc", "--out", "a.spkc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["eval", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_an_argument_error_is_one_line(self, capsys, argv, message):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["record", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: causalneuron record ")
 
     def test_bad_params_is_config_error(self, tmp_path, syn_record):
         bad = tmp_path / "bad.txt"
@@ -753,7 +797,9 @@ class TestMalformedRecords:
 
     @pytest.mark.parametrize("frames, events, match", [
         ([(10, [1, 2])], [(500, 0), (500, 0)], "record event at step 500 is out of order"),
-        ([(10, [1, 2])], [(500, 0), (1000, 1)], "bad record: event at step 1000 >= n_steps 1000"),
+        ([(10, [1, 2])], [(500, 0), (1000, 1)],
+         "error: bad record: punishment_steps step 1000 is negative, out of order or not "
+         "below n_steps 1000\n"),
         ([(10, [1, 4])], [(500, 0)], "bad record: channel index 4 >= n_channels 4"),
     ])
     @pytest.mark.parametrize("command", ["train", "eval", "ga", "export"])
@@ -1057,8 +1103,8 @@ class TestGaCommand:
                      "--out", str(out)]) == EXIT_OK
         with open(out) as fh:
             rows = [(r["generation"], r["best_R"]) for r in csv.DictReader(fh)]
-        _, history = run_ga(GaConfig(**settings), EpisodeRecord.load(syn_record), 3)
-        assert rows == [(str(s.generation), f"{s.best_fitness:.9g}") for s in history]
+        history = run_ga(GaConfig(**settings), EpisodeRecord.load(syn_record), 3)
+        assert rows == [(str(i), f"{s.best_fitness:.9g}") for i, s in enumerate(history)]
         assert len(rows) > settings["stagnation_generations"]
 
     def test_no_reward_in_the_window_is_config_error(self, tmp_path, capsys):

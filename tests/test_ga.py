@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from causalneuron import ga as ga_module
 from causalneuron.ga import (
     GENE_NAMES,
     GENE_RANGES,
     GaConfig,
+    GenerationStats,
     Genome,
+    best_generation,
     evaluate,
     evolve,
     run_ga,
@@ -127,30 +130,57 @@ class TestRunGa:
 
     def test_reproducible_history(self, small_record):
         cfg = self.ga_cfg()
-        best_a, hist_a = run_ga(cfg, small_record, 5)
-        best_b, hist_b = run_ga(cfg, small_record, 5)
-        assert best_a == best_b
-        assert [(s.generation, s.best_fitness, s.mean_fitness, s.best_genome)
-                for s in hist_a] == [
-            (s.generation, s.best_fitness, s.mean_fitness, s.best_genome)
-            for s in hist_b
-        ]
+        hist_a = run_ga(cfg, small_record, 5)
+        hist_b = run_ga(cfg, small_record, 5)
+        # every generation's stats, in order, so the best generation too
+        assert hist_a == hist_b
 
     def test_best_history_non_decreasing(self, small_record):
-        _, hist = run_ga(self.ga_cfg(), small_record, 5)
+        hist = run_ga(self.ga_cfg(), small_record, 5)
         bests = [s.best_fitness for s in hist]
         assert all(b >= a for a, b in zip(bests, bests[1:]))
 
     def test_stagnation_terminates(self, small_record):
         cfg = self.ga_cfg(stagnation_generations=1, max_generations=0)
-        _, hist = run_ga(cfg, small_record, 5)
+        hist = run_ga(cfg, small_record, 5)
         assert len(hist) >= 1
 
     def test_returns_best_ever(self, small_record):
-        best, hist = run_ga(self.ga_cfg(), small_record, 5)
-        top = max(s.best_fitness for s in hist)
+        hist = run_ga(self.ga_cfg(), small_record, 5)
+        best = hist[best_generation(hist)]
+        assert best.best_fitness == max(s.best_fitness for s in hist)
         cfg = GaConfig(eval_window_s=60)
-        assert evaluate(best, small_record, cfg) == top
+        assert evaluate(best.best_genome, small_record, cfg) == best.best_fitness
+
+    def test_stops_once_the_best_generation_has_enough_successors(self, monkeypatch):
+        bests = [0.1, 0.3, 0.3, 0.2, 0.9]  # a fifth generation would be the best
+        scored = []  # the genomes of each evaluation, in order
+
+        def scripted_evaluate(genomes, record, cfg):
+            best = bests[len(scored)]
+            scored.append(genomes)
+            return [best] + [best - 1.0] * (len(genomes) - 1)
+
+        def fresh_population(population, fitnesses, rng, cfg):  # no elite keeps its score
+            return [sample_genome(rng) for _ in population]
+
+        monkeypatch.setattr(ga_module, "evaluate_population", scripted_evaluate)
+        monkeypatch.setattr(ga_module, "evolve", fresh_population)
+        hist = run_ga(GaConfig(population_size=4, stagnation_generations=2), None, 0)
+        assert [s.best_fitness for s in hist] == [0.1, 0.3, 0.3, 0.2]
+        assert best_generation(hist) == 1
+        assert [s.best_genome for s in hist] == [genomes[0] for genomes in scored]
+
+
+def test_best_generation_is_the_first_of_the_highest():
+    def history(*bests):
+        genome = Genome(d_H_bar=0.1, neg_w_min=0.1, w_max=0.1, d_s=0.1)
+        return [GenerationStats(best, 0.0, genome) for best in bests]
+
+    assert best_generation(history(0.2)) == 0
+    assert best_generation(history(0.1, 0.3, 0.3, 0.2)) == 1
+    assert best_generation(history(0.5, 0.5, 0.5)) == 0
+    assert best_generation(history(-0.5, 0.0, 0.0, -0.1, 0.0)) == 1
 
 
 class TestConfigValidation:

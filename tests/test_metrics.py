@@ -202,32 +202,29 @@ def test_score_run_matches_both_references(case):
 
 @st.composite
 def populations(draw):
-    """Several runs' fires over one timeline, interleaved in any order."""
+    """Several runs' fire trains over one timeline, each in any order."""
     _, rewards, T_P, window = draw(timelines())
     step = st.integers(0, 300)
     if rewards:
         step = st.one_of(step, st.sampled_from(rewards))
     runs = draw(st.lists(st.lists(step, max_size=12), min_size=1, max_size=6))
-    log = [(f, run) for run, fires in enumerate(runs) for f in fires]
-    log = draw(st.permutations(log))
-    return runs, log, rewards, T_P, window
+    return runs, rewards, T_P, window
 
 
 @settings(max_examples=300, deadline=None)
 @given(populations())
 def test_score_runs_matches_the_reference_run_by_run(case):
-    runs, log, rewards, T_P, window = case
-    fires = [f for f, _ in log]
-    owner = [run for _, run in log]
+    runs, rewards, T_P, window = case
+    fires = [f for train in runs for f in train]
     full = window or (0, max(fires + rewards, default=0) + T_P + 1)  # one past every period
     try:
         expected = [interval_score(f, rewards, T_P, window) for f in runs]
     except ValueError:
         with pytest.raises(ValueError, match="^R metric undefined: no target periods$"):
-            score_runs(fires, owner, len(runs), rewards, T_P, full)
+            score_runs(runs, rewards, T_P, full)
         return
-    assert score_runs(fires, owner, len(runs), rewards, T_P, full) == expected
-    # runs past the last one that fired score as silent
+    assert score_runs(runs, rewards, T_P, full) == expected
+    # empty trains, before, between and after the others, score as silent
     silent = interval_score([], rewards, T_P, window)
-    assert score_runs(fires, owner, len(runs) + 2, rewards, T_P, full) \
-        == expected + [silent, silent]
+    assert score_runs([[], *runs[:1], [], *runs[1:], []], rewards, T_P, full) \
+        == [silent, *expected[:1], silent, *expected[1:], silent]

@@ -12,6 +12,7 @@ from causalneuron.ga import (
     GENE_RANGES,
     GaConfig,
     Genome,
+    best_generation,
     evaluate,
     evolve,
     run_ga,
@@ -224,9 +225,10 @@ def test_mixed_T_P_rejected():
 
 
 @pytest.mark.parametrize("rewards, message", [
-    pytest.param([4, 4], "record event at step 4 is out of order or past the end",
-                 id="rewards0"),
-    pytest.param([20], "bad record: event at step 20 >= n_steps 20", id="rewards1"),
+    pytest.param([4, 4], "^bad record: reward_steps step 4 is negative, out of order "
+                 "or not below n_steps 20$", id="rewards0"),
+    pytest.param([20], "^bad record: reward_steps step 20 is negative, out of order "
+                 "or not below n_steps 20$", id="rewards1"),
 ])
 def test_events_out_of_order_or_past_the_end_rejected(rewards, message):
     # the record is refused when it is made, before replay_population runs
@@ -279,19 +281,19 @@ def ga_record():
 def test_run_ga_matches_scalar_reference(ga_record):
     cfg = GaConfig(population_size=10, eval_window_s=10,
                    max_generations=4, stagnation_generations=4)
-    best, history = run_ga(cfg, ga_record, 7)
+    history = run_ga(cfg, ga_record, 7)
     ref_best, ref_history = reference_run_ga(cfg, ga_record, 7)
-    assert best == ref_best
-    assert [(s.generation, s.best_fitness, s.mean_fitness, s.best_genome)
-            for s in history] == ref_history
+    assert history[best_generation(history)].best_genome == ref_best
+    assert [(i, s.best_fitness, s.mean_fitness, s.best_genome)
+            for i, s in enumerate(history)] == ref_history
 
 
 def test_run_ga_scores_each_distinct_genome_once(ga_record, monkeypatch):
     scored = []
 
-    def counting_score_runs(fires, runs, n_runs, *args):
-        scored.extend(range(n_runs))
-        return score_runs(fires, runs, n_runs, *args)
+    def counting_score_runs(fire_trains, *args):
+        scored.extend(range(len(fire_trains)))
+        return score_runs(fire_trains, *args)
 
     monkeypatch.setattr(ga_module, "score_runs", counting_score_runs)
     seen = set()

@@ -17,6 +17,12 @@ from causalneuron.records import (
 
 from reference import spkc_bytes
 
+
+def steps_refusal(name, step, n_steps=10):
+    """The whole text, as a regex, refusing a record's array of steps."""
+    return (f"^bad record: {name} step {step} is negative, out of order or not below "
+            f"n_steps {n_steps}$")
+
 BLOCK = records._BLOCK_BYTES  # the decoder's default block
 
 
@@ -180,12 +186,12 @@ class TestMalformed:
     @pytest.mark.parametrize("kind", ["reward_steps", "punishment_steps"])
     def test_event_past_the_end(self, kind):
         events = {"reward_steps": [], "punishment_steps": [], kind: [2, 10]}
-        with pytest.raises(ValueError, match="event at step 10 >= n_steps 10"):
+        with pytest.raises(ValueError, match=steps_refusal(kind, 10)):
             EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10,
                                 frames=[], **events)
         code = 0 if kind == "reward_steps" else 1
         raw = spkc_bytes(n_channels=4, n_steps=10, events=[(2, code), (10, code)])
-        with pytest.raises(ValueError, match="event at step 10 >= n_steps 10"):
+        with pytest.raises(ValueError, match=steps_refusal(kind, 10)):
             EpisodeRecord.from_bytes(raw)
 
     def test_zero_step_ms(self):
@@ -519,7 +525,8 @@ class TestArrayCodec:
 
     @pytest.mark.parametrize("steps", [[5, 3], [2, 2], [-1], [10]])
     def test_encoder_rejects_unordered_spike_steps(self, steps):
-        with pytest.raises(ValueError, match="out of order or past the end"):
+        # in each case the last step is the first that breaks the rule
+        with pytest.raises(ValueError, match=steps_refusal("spike_steps", steps[-1])):
             EpisodeRecord(
                 step_ms=1, n_channels=3, seed=0, n_steps=10,
                 spike_steps=np.array(steps, dtype=np.int64),
@@ -618,19 +625,19 @@ VALID = dict(step_ms=1, n_channels=4, seed=0, n_steps=10, spike_steps=[2, 5],
     ({"n_channels": 2**16}, "bad record: n_channels 65536 is outside the header's range"),
     ({"seed": -1}, "bad record: seed -1 is outside the header's range"),
     ({"step_ms": 0}, "bad record header: step_ms is 0"),
-    ({"spike_steps": [5, 2]}, "record event at step 2 is out of order or past the end"),
-    ({"spike_steps": [2, 10]}, "record event at step 10 is out of order or past the end"),
+    ({"spike_steps": [5, 2]}, steps_refusal("spike_steps", 2)),
+    ({"spike_steps": [2, 10]}, steps_refusal("spike_steps", 10)),
     ({"indptr": [0, 2, 2]}, "bad record: indptr must have 3 entries rising strictly from 0 to 3"),
     ({"indptr": [0, 2, 2], "channels": [1, 3]}, "rising strictly from 0 to 2"),  # empty frame
     ({"indptr": [0, 1, 2]}, "rising strictly from 0 to 3"),     # ends before the channels
     ({"indptr": [0, 3]}, "indptr must have 3 entries"),         # the wrong length
     ({"channels": [1, 4, 0]}, "bad record: channel index 4 >= n_channels 4"),
     ({"channels": [1, -2, 0]}, "bad record: channel index -2 < 0"),
-    ({"reward_steps": [10]}, "bad record: event at step 10 >= n_steps 10"),
-    ({"punishment_steps": [10]}, "bad record: event at step 10 >= n_steps 10"),
-    ({"reward_steps": [6, 4]}, "record event at step 4 is out of order or past the end"),
-    ({"reward_steps": [4, 4]}, "record event at step 4 is out of order or past the end"),
-    ({"punishment_steps": [-1]}, "record event at step -1 is out of order or past the end"),
+    ({"reward_steps": [10]}, steps_refusal("reward_steps", 10)),
+    ({"punishment_steps": [10]}, steps_refusal("punishment_steps", 10)),
+    ({"reward_steps": [6, 4]}, steps_refusal("reward_steps", 4)),
+    ({"reward_steps": [4, 4]}, steps_refusal("reward_steps", 4)),
+    ({"punishment_steps": [-1]}, steps_refusal("punishment_steps", -1)),
 ])
 def test_each_rule_is_checked_when_the_record_is_made(tmp_path, change, message):
     path = tmp_path / "bad.spkc"

@@ -364,10 +364,14 @@ class TestEventDrivenRule:
 # -- no replay entry point can be given an unreplayable record ----------------
 
 UNORDERED = {  # the fields changed, and the error of the record that cannot be made
-    "reward at n_steps": ({"reward_steps": [4, 10]}, "event at step 10 >= n_steps 10"),
-    "repeated reward": ({"reward_steps": [4, 4]}, "out of order or past the end"),
-    "spikes out of order": ({"spike_steps": [6, 2]}, "out of order or past the end"),
-    "negative step": ({"spike_steps": [-1, 6]}, "out of order or past the end"),
+    "reward at n_steps": ({"reward_steps": [4, 10]}, "^bad record: reward_steps step 10 "
+                          "is negative, out of order or not below n_steps 10$"),
+    "repeated reward": ({"reward_steps": [4, 4]}, "^bad record: reward_steps step 4 "
+                        "is negative, out of order or not below n_steps 10$"),
+    "spikes out of order": ({"spike_steps": [6, 2]}, "^bad record: spike_steps step 2 "
+                            "is negative, out of order or not below n_steps 10$"),
+    "negative step": ({"spike_steps": [-1, 6]}, "^bad record: spike_steps step -1 "
+                      "is negative, out of order or not below n_steps 10$"),
     "ordered": ({}, None),
 }
 
