@@ -10,7 +10,7 @@ search over the four free plasticity parameters.
 """
 
 from .plasticity import PlasticityConfig, weight_of, resource_for_weight, effective_rates
-from .neuron import Detector
+from .neuron import Detector, DetectorState
 from .records import EpisodeRecord
 from .ga import Genome, GaConfig, sample_genome, evaluate, evolve, run_ga
 
@@ -20,6 +20,7 @@ __all__ = [
     "resource_for_weight",
     "effective_rates",
     "Detector",
+    "DetectorState",
     "EpisodeRecord",
     "Genome",
     "GaConfig",

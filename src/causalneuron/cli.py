@@ -130,20 +130,18 @@ def cmd_record(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if not args.record:
-        raise ValueError("--record is required")
     _check_window(args.window)
     freeze_after = args.freeze_after
     if freeze_after is not None and not (math.isfinite(freeze_after) and freeze_after >= 0):
         raise ValueError(f"--freeze-after must be finite and >= 0 s, got {freeze_after:g}")
     cfg = build_config(args)
     rec = EpisodeRecord.load(args.record)
-    detector = Detector(rec.n_channels, cfg)
     freeze_at = None
     if freeze_after is not None:  # the first step at or after S, in exact integer arithmetic
         num, den = freeze_after.as_integer_ratio()
         freeze_at = -(-num * 1000 // (den * rec.step_ms))
-    run = train_on_record(rec, detector, freeze_at=freeze_at)
+    run, state = train_on_record(rec, Detector(rec.n_channels, cfg), freeze_at=freeze_at)
+    trained = Detector.from_state(state)
 
     window = trailing_window(rec, args.window)
     try:
@@ -152,11 +150,11 @@ def cmd_train(args) -> int:
         r_text = "undefined (no reward in the window)"
     print(
         f"trained on {args.record}: {len(run.fire_steps)} fires, "
-        f"stability {detector.stability:.2f}, {r_label(args.window, rec)} = {r_text}"
+        f"stability {trained.stability:.2f}, {r_label(args.window, rec)} = {r_text}"
     )
 
     if args.out:
-        detector.save_snapshot(args.out)
+        trained.save_snapshot(args.out)
         print(f"wrote snapshot {args.out}")
     if args.report:
         window_ms = REPORT_WINDOW_STEPS * rec.step_ms
@@ -168,7 +166,7 @@ def cmd_train(args) -> int:
                     f"{dw:.6g}"] for i, (fires, stability, dw) in enumerate(windows)))
         print(f"wrote report {args.report}")
     if args.resources:
-        res, wts = detector.resources, detector.weights
+        res, wts = trained.resources, trained.weights
         if rec.n_channels == N_CHANNELS:  # a pong record: name its encoder sections
             labels = [(name, k) for name, size in SECTION_SIZES.items() for k in range(size)]
         else:
@@ -181,8 +179,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not args.record or not args.snapshot:
-        raise ValueError("--record and --snapshot are required")
     _check_window(args.window)
     rec = EpisodeRecord.load(args.record)
     trained = Detector.load_snapshot(args.snapshot)
@@ -194,8 +190,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ga(args) -> int:
-    if not args.record:
-        raise ValueError("--record is required")
     cfg = build_config(args)
     check_seed(args.seed)  # before the record is read
     history = run_ga(cfg, EpisodeRecord.load(args.record), args.seed)
@@ -215,8 +209,6 @@ def cmd_ga(args) -> int:
 
 
 def cmd_synthetic(args) -> int:
-    if not args.out:
-        raise ValueError("--out is required")
     rec = generate(build_config(args), args.seed)
     rec.save(args.out)
     print(f"wrote {args.out}: {rec.n_steps} steps, {len(rec.reward_steps)} rewards")
@@ -236,6 +228,13 @@ def cmd_export(args) -> int:
 
 
 # -- argument parsing -------------------------------------------------------
+
+def check_required(args) -> None:
+    """Refuse missing ``needs`` flags in argparse's words, once ``--dump-config`` is answered."""
+    missing = [f"--{name}" for name in getattr(args, "needs", ()) if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+
 
 class _Parser(argparse.ArgumentParser):
     """Refuses bad arguments with ``ValueError``, which ``main`` prints on one
@@ -275,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"freeze plasticity at the first {REPORT_WINDOW_STEPS:,}-step "
                    "report-window boundary at or after this many seconds")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_train, config_class=PlasticityConfig)
+    p.set_defaults(func=cmd_train, config_class=PlasticityConfig, needs=("record",))
 
     p = sub.add_parser("eval", help="frozen-plasticity evaluation of a snapshot; "
                        "the plasticity parameters come from the snapshot")
     p.add_argument("--record")
     p.add_argument("--snapshot")
     p.add_argument("--window", type=int, default=GaConfig.eval_window_s)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, needs=("record", "snapshot"))
 
     p = sub.add_parser("ga", help="genetic parameter search on a record")
     p.add_argument("--record")
@@ -290,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the search")
     p.add_argument("--out", help="generation-history CSV")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_ga, config_class=GaConfig)
+    p.set_defaults(func=cmd_ga, config_class=GaConfig, needs=("record",))
 
     p = sub.add_parser("synthetic", help="generate a ground-truth causal record")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=0, help="seed of the record")
     p.add_argument("--out")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig)
+    p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig, needs=("out",))
 
     p = sub.add_parser("export", help="dump a record as CSV for inspection")
     p.add_argument("--record", required=True)
@@ -313,6 +312,7 @@ def main(argv=None) -> int:
         if getattr(args, "dump_config", False):
             dump_config(config_defaults(args.config_class))
             return EXIT_OK
+        check_required(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,14 +21,13 @@ the model :mod:`~causalneuron.population` keeps for many detectors at once.
 
 This scalar detector is the readable reference: ``train`` and ``ga`` run
 the lockstep kernel :func:`~causalneuron.population.replay_population`,
-which is checked against it bit for bit, and ``train`` writes the
-kernel's final state into a :class:`Detector` (:meth:`Detector.set_state`).
-A snapshot (format 4) stores that state once, and nothing derived from it.
+checked against it bit for bit. :class:`DetectorState` is the one definition
+of a detector's state, which a snapshot (format 4) stores once.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -42,12 +41,7 @@ _SHAPES = ("()", "(k,)", "(k, 2)")  # a snapshot entry's shape, by its number of
 class Detector:
     """Single-owner mutable detector state; one instance per input stream."""
 
-    def __init__(
-        self,
-        n_synapses: int,
-        cfg: PlasticityConfig,
-        initial_weight: float = 0.0,
-    ):
+    def __init__(self, n_synapses: int, cfg: PlasticityConfig, initial_weight: float = 0.0):
         if n_synapses < 1:
             raise ValueError("need at least one synapse")
         self.cfg = cfg
@@ -178,28 +172,81 @@ class Detector:
         spans = self.tss_spans
         return bool(spans) and self.step - 1 - spans[-1][1] <= self.cfg.T_P
 
-    def set_state(self, *, resources, stability, step, last_presyn, tss_spans, depressed,
-                  frozen, fire_count, total_abs_dw) -> None:
-        """Set the detector's state, as the Python numbers stepping holds; the
-        weights follow from the resources. ``tss_spans`` is a (k, 2) array of
-        every TSS as (onset, last post spike), latest last; ``depressed``, the
-        synapses depressed in the latest TSS. A state that stepping cannot
-        reach raises ``ValueError``.
-        """
-        n, T_P = self.n, self.cfg.T_P
-        res = np.asarray(resources, dtype=np.float64)
-        lp = np.asarray(last_presyn, dtype=np.int64)
-        spans = np.asarray(tss_spans, dtype=np.int64)
-        dep = np.asarray(depressed, dtype=np.int64).tolist()
-        step, fire_count, total_abs_dw = int(step), int(fire_count), float(total_abs_dw)
-        if res.shape != (n,) or lp.shape != (n,):
+    @classmethod
+    def from_state(cls, state: DetectorState) -> "Detector":
+        """A detector in this state, held as the Python numbers stepping uses."""
+        det = cls(len(state.resources), state.cfg)
+        det.resources, det.weights = state.resources.tolist(), state.weights()
+        det.stability, det.step = float(state.stability), int(state.step)
+        det.last_presyn, det.depressed = state.last_presyn.tolist(), set(state.depressed.tolist())
+        det.tss_spans = list(map(tuple, state.tss_spans.tolist()))
+        det.frozen, det.fire_count = bool(state.frozen), int(state.fire_count)
+        det.total_abs_dw = float(state.total_abs_dw)
+        return det
+
+    def state(self) -> DetectorState:
+        """This detector's state; one that stepping cannot reach raises ``ValueError``,
+        and so does a number not of the Python type stepping keeps it in."""
+        return DetectorState(self.cfg, self.resources, self.stability, self.step, self.last_presyn,
+                             np.array(self.tss_spans, np.int64).reshape(-1, 2),
+                             np.array(sorted(self.depressed), np.int64), self.frozen,
+                             self.fire_count, self.total_abs_dw)
+
+    def save_snapshot(self, path) -> None:
+        """Write this detector's state as a snapshot (:meth:`DetectorState.save`)."""
+        self.state().save(path)
+
+    @classmethod
+    def load_snapshot(cls, path) -> "Detector":
+        """A detector in the state a snapshot holds (:meth:`DetectorState.load`)."""
+        return cls.from_state(DetectorState.load(path))
+
+
+def _checked(name: str, value, dtype, ndim: int):
+    """A read-only copy of ``value``, refused, not cast, unless of this dtype and ndim."""
+    value = np.array(value, order="C")
+    if value.dtype != dtype:
+        raise ValueError(f"{name} is {value.dtype}, not {np.dtype(dtype)}")
+    if value.ndim != ndim:
+        raise ValueError(f"{name} has shape {value.shape}, not {_SHAPES[ndim]}")
+    value.flags.writeable = False
+    return value if ndim else value[()]
+
+
+@dataclass(frozen=True, eq=False)
+class DetectorState:
+    """A detector's whole state, as a snapshot stores it: each field after ``cfg``
+    is an entry of one dtype and number of dimensions, in the snapshot's order.
+    The weights follow from the resources (:meth:`weights`). A state that
+    stepping cannot reach raises ``ValueError`` when it is made."""
+
+    cfg: PlasticityConfig
+    resources: np.ndarray = field(metadata=dict(dtype=np.float64, ndim=1))
+    stability: np.float64 = field(metadata=dict(dtype=np.float64, ndim=0))
+    step: np.int64 = field(metadata=dict(dtype=np.int64, ndim=0))
+    last_presyn: np.ndarray = field(metadata=dict(dtype=np.int64, ndim=1))  # -1: never spiked
+    # every TSS as (onset, last post spike), latest last, an open one included
+    tss_spans: np.ndarray = field(metadata=dict(dtype=np.int64, ndim=2))
+    depressed: np.ndarray = field(metadata=dict(dtype=np.int64, ndim=1))  # in the latest TSS
+    frozen: np.bool_ = field(metadata=dict(dtype=np.bool_, ndim=0))  # rates forced to 0
+    fire_count: np.int64 = field(metadata=dict(dtype=np.int64, ndim=0))
+    total_abs_dw: np.float64 = field(metadata=dict(dtype=np.float64, ndim=0))
+
+    def __post_init__(self) -> None:
+        for f in fields(self)[1:]:
+            object.__setattr__(self, f.name, _checked(f.name, getattr(self, f.name), **f.metadata))
+        res, lp, spans, dep = self.resources, self.last_presyn, self.tss_spans, self.depressed
+        n, step, T_P, dep = len(res), int(self.step), self.cfg.T_P, dep.tolist()
+        if n < 1:
+            raise ValueError("need at least one synapse")
+        if lp.shape != (n,):
             raise ValueError(f"{res.shape} resources, {lp.shape} presynaptic times, {n} synapses")
         if step < 0:
             raise ValueError(f"step {step} < 0")
         if not -1 <= lp.min() <= lp.max() < step:
             raise ValueError(f"presynaptic times {lp.min()} to {lp.max()} not in [-1, step {step})")
-        if spans.ndim != 2 or spans.shape[1] != 2:
-            raise ValueError(f"tss_spans has shape {spans.shape}, not (k, 2)")
+        if spans.shape[1] != 2:
+            raise ValueError(f"tss_spans has shape {spans.shape}, not {_SHAPES[2]}")
         onset, last = spans.T
         # a last spike of -T_P - 1 before the first span makes its onset >= 0
         gap = onset - np.append(-T_P - 1, last[:-1])
@@ -212,63 +259,30 @@ class Detector:
         # a resource moves by finite rates, so it may overflow to +-inf but never reach NaN
         if np.isnan(res).any():
             raise ValueError(f"resource {int(np.isnan(res).argmax())} is NaN")
-        if fire_count < len(spans):  # each TSS holds at least one fire
-            raise ValueError(f"fire_count {fire_count} < {len(spans)} TSS spans")
-        if total_abs_dw < 0:  # NaN passes: the weight of an inf resource is NaN
-            raise ValueError(f"total_abs_dw {total_abs_dw} < 0")
-        self.resources = res.tolist()
-        self.weights = [weight_of(r, self.cfg) for r in self.resources]
-        self.stability = float(stability)
-        self.step = step
-        self.last_presyn = lp.tolist()
-        self.tss_spans = list(map(tuple, spans.tolist()))
-        self.depressed = set(dep)
-        self.frozen = bool(frozen)
-        self.fire_count = fire_count
-        self.total_abs_dw = total_abs_dw
+        if self.fire_count < len(spans):  # each TSS holds at least one fire
+            raise ValueError(f"fire_count {self.fire_count} < {len(spans)} TSS spans")
+        if self.total_abs_dw < 0:  # NaN passes: the weight of an inf resource is NaN
+            raise ValueError(f"total_abs_dw {self.total_abs_dw} < 0")
 
-    def snapshot_entries(self) -> dict:
-        """This detector's snapshot entries, each of the one dtype loading accepts."""
-        return dict(
-            format_version=np.int64(SNAPSHOT_FORMAT_VERSION),
-            **{f"cfg_{f.name}": np.asarray(getattr(self.cfg, f.name), type(f.default))
-               for f in fields(self.cfg)},
-            resources=np.asarray(self.resources, dtype=np.float64),
-            stability=np.float64(self.stability),
-            step=np.int64(self.step),
-            last_presyn=np.asarray(self.last_presyn, dtype=np.int64),
-            tss_spans=np.asarray(self.tss_spans, dtype=np.int64).reshape(-1, 2),
-            depressed=np.asarray(sorted(self.depressed), dtype=np.int64),
-            frozen=np.bool_(self.frozen),
-            fire_count=np.int64(self.fire_count),
-            total_abs_dw=np.float64(self.total_abs_dw),
-        )
+    def weights(self) -> list[float]:
+        """Each synapse's weight, as the scalar detector computes it."""
+        return [weight_of(r, self.cfg) for r in self.resources.tolist()]
 
-    def save_snapshot(self, path) -> None:
-        """Write a bit-exact checkpoint (resources kept as raw float64).
-
-        Format v4 stores the plasticity config, one ``cfg_<field>`` entry per
-        field, and then the detector's state once, each entry named as
-        :meth:`set_state` names it: ``tss_spans`` is a (k, 2) int64 array of
-        every TSS, an open one included.
-        """
+    def save(self, path) -> None:
+        """Write a bit-exact snapshot (format 4): the version, one ``cfg_<field>``
+        entry per config field, then each state field as held."""
+        entries = {f"cfg_{f.name}": np.asarray(getattr(self.cfg, f.name), type(f.default))
+                   for f in fields(self.cfg)}
+        entries.update((f.name, getattr(self, f.name)) for f in fields(self)[1:])
         # numpy appends ".npz" to a path without it; a file handle writes exactly path
         with open(path, "wb") as fh:
-            np.savez(fh, **self.snapshot_entries())
+            np.savez(fh, format_version=np.int64(SNAPSHOT_FORMAT_VERSION), **entries)
 
     @classmethod
-    def load_snapshot(cls, path) -> "Detector":
-        """Rebuild a detector, its plasticity config included, from a snapshot.
-
-        A file that cannot be opened raises ``OSError``. Any failure after
-        that means the file is not a v4 snapshot, and one ``ValueError``
-        names it: numpy and zipfile raise a dozen exception types for damaged
-        archives, bare ``.npy`` files and missing or extra entries, an entry
-        of another dtype or number of dimensions than :meth:`snapshot_entries`'
-        is refused, not cast or unwrapped, and :meth:`set_state` refuses a
-        state stepping cannot reach.
-        """
-        expected = cls(1, PlasticityConfig()).snapshot_entries()
+    def load(cls, path) -> "DetectorState":
+        """Read a snapshot. A file that cannot be opened raises ``OSError``; any
+        failure after that, one ``ValueError`` naming the file and the fault,
+        in place of the dozen exception types numpy and zipfile raise."""
         with open(path, "rb") as fh:
             try:
                 # np.load takes any other file for a pickle and, refusing to
@@ -278,22 +292,18 @@ class Detector:
                 fh.seek(0)
                 with np.load(fh) as data:
                     entries = dict(data)
-                for name, value in entries.items():  # set_state names any unknown entry
-                    want = expected.get(name, value)
-                    if value.dtype != want.dtype:
-                        raise ValueError(f"{name} is {value.dtype}, not {want.dtype}")
-                    if value.ndim != want.ndim:
-                        raise ValueError(
-                            f"{name} has shape {value.shape}, not {_SHAPES[want.ndim]}")
-                version = int(entries.pop("format_version"))
+                for name, value in entries.items():  # np.load hands such a member over as bytes
+                    if not isinstance(value, np.ndarray):
+                        raise ValueError(f"{name} is not an .npy array")
+                version = _checked("format_version", entries.pop("format_version"), np.int64, 0)
                 if version != SNAPSHOT_FORMAT_VERSION:
                     raise ValueError(f"unsupported snapshot version {version}")
-                cfg = PlasticityConfig(**{
-                    f.name: type(f.default)(entries.pop(f"cfg_{f.name}"))
-                    for f in fields(PlasticityConfig)
-                })
-                det = cls(len(entries["resources"]), cfg)
-                det.set_state(**entries)
+                cfg = PlasticityConfig(**{f.name: type(f.default)(_checked(
+                    f"cfg_{f.name}", entries.pop(f"cfg_{f.name}"), type(f.default), 0))
+                    for f in fields(PlasticityConfig)})
+                state = {f.name: entries.pop(f.name) for f in fields(cls)[1:]}
+                if entries:
+                    raise ValueError(f"unknown entry {next(iter(entries))!r}")
+                return cls(cfg, **state)
             except Exception as exc:
                 raise ValueError(f"bad snapshot {path}: {exc}") from None
-        return det

@@ -1,10 +1,10 @@
 """Synaptic resource model: the resource-to-weight squash and stability-gated rates.
 
 Plasticity is additive on an unbounded per-synapse "resource" W; the
-actual weight w is a saturating rational function of W confined to
-[w_min, w_max). A per-neuron "stability" scalar s attenuates both
-plasticity rates by min(2^-s, 1), so a well-trained (stable) neuron
-stops changing its weights.
+actual weight w is a saturating rational function of W that rises from
+w_min towards w_max (:func:`weight_of` says what rounding does to it). A
+per-neuron "stability" scalar s attenuates both plasticity rates by
+min(2^-s, 1), so a well-trained (stable) neuron stops changing its weights.
 """
 
 from __future__ import annotations
@@ -58,8 +58,11 @@ class PlasticityConfig:
 def weight_of(resource: float, cfg: PlasticityConfig) -> float:
     """Map a synaptic resource W to the effective weight w.
 
-    Total function: any real W yields a weight in [w_min, w_max).
-    Monotone non-decreasing; resources <= 0 all collapse to w_min.
+    Resources <= 0, -inf included, all give w_min. Above 0, w rises towards
+    w_max and stays below it only in exact arithmetic. In floats, neighbouring
+    resources can give weights a few ulps out of order; a W from about 2e14 on
+    (by the config) can give w_max or pass it by a few dozen ulps; a W for which
+    span * W overflows gives +inf; and W = +inf gives NaN.
     """
     w = resource if resource > 0.0 else 0.0
     span = cfg.w_max - cfg.w_min

@@ -7,9 +7,9 @@ every skipped step, because an empty frame's sum of 0.0 never exceeds the
 threshold, 1.0 (``tests/test_runner.py`` checks it).
 
 :func:`train_on_record` runs the lockstep kernel of the genetic search
-(:mod:`~causalneuron.population`) with the detector's one config. The
-scalar :func:`replay`, one :meth:`Detector.tick_sparse` call per event,
-is the reference it is checked against, as is :func:`frozen_fires`,
+(:mod:`~causalneuron.population`) and returns the :class:`DetectorState` it
+ends in. The scalar :func:`replay`, one :meth:`Detector.tick_sparse` call per
+event, is the reference it is checked against, as is :func:`frozen_fires`,
 which evaluates every step of a frozen detector at once.
 """
 
@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .neuron import Detector
+from .neuron import Detector, DetectorState
 from .plasticity import THRESHOLD
 from .population import FrameSums, ReplayResult, replay_population, tss_spans
 from .records import EpisodeRecord
@@ -95,23 +95,18 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray) -> list[int]:
     return steps[total > THRESHOLD].tolist()
 
 
-def train_on_record(
-    record: EpisodeRecord,
-    detector: Detector,
-    *,
-    window_steps: int = REPORT_WINDOW_STEPS,
-    freeze_at: Optional[int] = None,
-) -> ReplayResult:
-    """Train the detector on the whole record and return the kernel's run.
+def train_on_record(record: EpisodeRecord, detector: Detector, *,
+                    window_steps: int = REPORT_WINDOW_STEPS, freeze_at: Optional[int] = None,
+                    ) -> tuple[ReplayResult, DetectorState]:
+    """Train from an unstepped detector, which is left as it is, on the whole record.
 
-    The detector must not have stepped; its resources (and its frozen
-    flag) are where training starts. The record is replayed by the
-    lockstep kernel with the detector's one config, and the detector is
-    left in the state the scalar :func:`replay` would leave it in. The run
-    holds the fires and, per window of ``window_steps``, the fires, the end
-    stability and the |weight change|. If ``freeze_at`` (a step) is given,
-    plasticity freezes at the first window boundary at or after it, once
-    that window is reported; ``freeze_at = 0`` still trains the first window.
+    Training starts from its resources (and its frozen flag), and the record
+    is replayed by the lockstep kernel with its one config. Returns the
+    kernel's run: the fires and, per window of ``window_steps``, the fires,
+    the end stability and the |weight change|; and the state the scalar
+    :func:`replay` would leave the detector in. If ``freeze_at`` (a step) is
+    given, plasticity freezes at the first window boundary at or after it,
+    once that window is reported; ``freeze_at = 0`` still trains the first window.
     """
     _check_channels(record, detector.n)
     if detector.step != 0:
@@ -126,10 +121,9 @@ def train_on_record(
         [detector.cfg], record, resources=np.array(detector.resources),
         window_steps=window_steps, freeze_step=freeze_step,
     )
-    detector.set_state(
-        resources=run.resources, stability=run.stability, step=record.n_steps,
+    return run, DetectorState(
+        detector.cfg, resources=run.resources, stability=run.stability, step=record.n_steps,
         last_presyn=run.last_presyn, tss_spans=tss_spans(run.fire_steps, detector.cfg.T_P),
         depressed=np.flatnonzero(run.depressed), frozen=freeze_step is not None,
         fire_count=len(run.fire_steps), total_abs_dw=run.total_abs_dw,
     )
-    return run

@@ -183,10 +183,9 @@ def test_criterion_6_synthetic_causal_detection():
 def pong_run():
     start = time.perf_counter()
     rec = record_pong_episode(2000, 42, clock_mode="shared")
-    det = Detector(rec.n_channels, PAPER_PARAMS)
-    run = train_on_record(rec, det)
+    run, state = train_on_record(rec, Detector(rec.n_channels, PAPER_PARAMS))
     elapsed = time.perf_counter() - start
-    return rec, det, run.fire_steps.tolist(), run, elapsed
+    return rec, state, run.fire_steps.tolist(), run, elapsed
 
 
 def test_criterion_7a_silent_first_50s(pong_run):

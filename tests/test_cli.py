@@ -7,6 +7,7 @@ import io
 import math
 import re
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -195,6 +196,12 @@ class TestExitCodes:
          "argument --seed: invalid int value: 'abc'"),
         (["eval", "--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
+        # flags checked after parsing, since --dump-config does without them: the same words
+        (["train", "--window", "5"], "the following arguments are required: --record"),
+        (["ga", "--seed", "1"], "the following arguments are required: --record"),
+        (["synthetic", "--seed", "1"], "the following arguments are required: --out"),
+        (["eval", "--record", "r.spkc"], "the following arguments are required: --snapshot"),
+        (["eval"], "the following arguments are required: --record, --snapshot"),
     ])
     def test_an_argument_error_is_one_line(self, capsys, argv, message):
         assert main(argv) == EXIT_CONFIG
@@ -969,9 +976,26 @@ class TestMalformedSnapshots:
                      stability=np.float64(np.nan), total_abs_dw=np.float64(np.nan))
         assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) == EXIT_OK
 
-    def test_entry_that_set_state_does_not_name(self, record, snapshot, capsys):
-        self.rewrite(snapshot, pending=np.zeros(0, dtype=np.int64))
-        self.assert_eval_fails(record, snapshot, capsys, "unexpected keyword argument 'pending'")
+    @pytest.mark.parametrize("name", ["pending", "extra"])  # a format-2 entry, and any other
+    def test_unknown_entry(self, record, snapshot, capsys, name):
+        self.rewrite(snapshot, **{name: np.zeros(0, dtype=np.int64)})
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: bad snapshot {snapshot}: unknown entry {name!r}\n"
+
+    def test_member_that_is_not_npy(self, record, snapshot, capsys):
+        # np.load hands over a member without the .npy magic as its raw bytes
+        with zipfile.ZipFile(snapshot) as zf:
+            members = {info.filename: zf.read(info) for info in zf.infolist()}
+        members["resources.npy"] = b"0.1 0.2 0.3 0.4"
+        with zipfile.ZipFile(snapshot, "w") as zf:
+            for filename, data in members.items():
+                zf.writestr(filename, data)
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: bad snapshot {snapshot}: resources is not an .npy array\n"
 
     def test_version_1(self, record, snapshot, capsys):
         data = dict(np.load(snapshot))

@@ -1,5 +1,6 @@
 """Detector neuron: TSS tracking, depression, dopamine, stability, snapshots."""
 
+import dataclasses
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -502,6 +503,58 @@ class TestDeterminismAndSnapshots:
         det.tick_sparse([0])
         assert det.fire_count == 1
         assert det.resources == [50.0]
+
+
+def trained_state(seed=11):
+    det = make_detector(n=6, weight=0.2)
+    TestDeterminismAndSnapshots().random_run(det, seed)
+    return det.state()
+
+
+class TestDetectorState:
+    def test_detector_round_trip(self):
+        a = make_detector(n=6, weight=0.2)
+        TestDeterminismAndSnapshots().random_run(a, 5)
+        b = Detector.from_state(a.state())
+        assert vars(b) == vars(a)
+        assert type(b.stability) is float and type(b.step) is int
+        assert type(b.resources[0]) is float and type(b.tss_spans[0][0]) is int
+
+    def test_fields_are_read_only_copies(self):
+        resources = np.full(6, 0.5)
+        state = dataclasses.replace(trained_state(), resources=resources)
+        resources[0] = 9.0  # the caller's array stays its own
+        assert state.resources[0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            state.resources[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.step = 3
+        assert type(state.stability) is np.float64 and type(state.frozen) is np.bool_
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"depressed": []}, "depressed is float64, not int64"),  # not cast
+        ({"step": 2.0}, "step is float64, not int64"),
+        ({"resources": np.zeros(0)}, "need at least one synapse"),
+        ({"tss_spans": np.zeros((1, 3), np.int64)}, "tss_spans has shape (1, 3), not (k, 2)"),
+        ({"frozen": [True]}, "frozen has shape (1,), not ()"),
+    ])
+    def test_a_state_is_checked_when_made(self, changes, message):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(trained_state(), **changes)
+        assert str(exc.value) == message
+
+    def test_an_unreachable_state_is_not_written(self, tmp_path):
+        det = make_detector(n=3)
+        det.fire_count = -1
+        with pytest.raises(ValueError, match="fire_count -1 < 0 TSS spans"):
+            det.save_snapshot(tmp_path / "snap.npz")
+        assert not (tmp_path / "snap.npz").exists()
+
+    def test_a_number_stepping_does_not_hold_is_refused(self):
+        det = make_detector(n=3)
+        det.stability = 1  # an int: a snapshot would hold an int64 entry
+        with pytest.raises(ValueError, match="stability is int64, not float64"):
+            det.state()
 
 
 class TestAdvanceTo:

@@ -81,6 +81,23 @@ class TestWeightSquash:
         w = weight_of(resource, CFG)
         assert CFG.w_min <= w < CFG.w_max
 
+    @pytest.mark.parametrize("w_min, w_max, resource, weight", [
+        # rounding passes w_max by 48 ulps
+        (-0.6593839237989865, 0.02736121692684973, 1e300, 0.027361216926849896),
+        (-0.017, 0.48, 1e16, 0.48),  # the paper's values reach w_max
+        (-1.0, 0.9, 1e308, math.inf),  # span * W overflows
+        (-1.0, 0.9, math.inf, math.nan),
+        (-1.0, 0.9, -math.inf, -1.0),
+    ])
+    def test_where_rounding_leaves_the_open_range(self, w_min, w_max, resource, weight):
+        cfg = PlasticityConfig(w_min=w_min, w_max=w_max)
+        assert weight_of(resource, cfg).hex() == weight.hex()
+
+    def test_neighbouring_resources_can_give_weights_out_of_order(self):
+        low = 31.78249854498514
+        high = math.nextafter(low, math.inf)
+        assert weight_of(high, CFG) < weight_of(low, CFG)
+
 
 class TestEffectiveRates:
     def test_equal_rates_always(self):

@@ -2,15 +2,17 @@
 training on the lockstep kernel against the scalar detector, and the
 frozen-evaluation kernel against frozen scalar replay."""
 
+import math
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalneuron.neuron import Detector
-from causalneuron.plasticity import PlasticityConfig
+from causalneuron.neuron import Detector, DetectorState
+from causalneuron.plasticity import PlasticityConfig, weight_of
 from causalneuron.population import FrameSums, replay_population
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
@@ -92,7 +94,7 @@ class TestWindows:
     def test_window_rows_cover_run(self):
         rec = busy_record(7)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        run = train_on_record(rec, det, window_steps=1000)
+        run, _ = train_on_record(rec, det, window_steps=1000)
         n_windows = rec.n_steps // 1000
         assert len(run.window_fires) == len(run.window_stability) == n_windows
         assert len(run.window_abs_dw) == n_windows
@@ -101,13 +103,13 @@ class TestWindows:
     def test_abs_weight_change_sums_to_total(self):
         rec = busy_record(8)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        run = train_on_record(rec, det, window_steps=1000)
-        assert sum(run.window_abs_dw.tolist()) == pytest.approx(det.total_abs_dw)
+        run, state = train_on_record(rec, det, window_steps=1000)
+        assert sum(run.window_abs_dw.tolist()) == pytest.approx(state.total_abs_dw)
 
     def test_freeze_hook(self):
         rec = busy_record(9)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        train_on_record(rec, det, window_steps=1000, freeze_at=3000)
+        det = Detector.from_state(train_on_record(rec, det, window_steps=1000, freeze_at=3000)[1])
         assert det.frozen
         # replaying more input through a frozen clone cannot change anything
         clone = frozen_clone(det)
@@ -119,11 +121,11 @@ class TestWindows:
     def test_freeze_at_acts_at_the_next_boundary(self, seed, freeze_at):
         rec = busy_record(seed)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        run = train_on_record(rec, det, window_steps=1000, freeze_at=freeze_at)
+        run, state = train_on_record(rec, det, window_steps=1000, freeze_at=freeze_at)
         ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
         assert run.fire_steps.tolist() == dense_replay(rec, ref, freeze_step=3000)
-        assert det.resources == ref.resources
-        assert det.stability == ref.stability
+        assert state.resources.tolist() == ref.resources
+        assert state.stability == ref.stability
         assert run.window_abs_dw[3:].tolist() == [0.0] * (len(run.window_abs_dw) - 3)
         # guard: freezing one window earlier or later ends elsewhere
         for step in (2000, 4000):
@@ -134,10 +136,10 @@ class TestWindows:
     def test_freeze_at_zero_still_trains_the_first_window(self):
         rec = busy_record(9)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        run = train_on_record(rec, det, window_steps=1000, freeze_at=0)
+        run, state = train_on_record(rec, det, window_steps=1000, freeze_at=0)
         ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
         assert run.fire_steps.tolist() == dense_replay(rec, ref, freeze_step=1000)
-        assert det.resources == ref.resources
+        assert state.resources.tolist() == ref.resources
         assert run.window_abs_dw[0] > 0.0
         assert all(dw == 0.0 for dw in run.window_abs_dw[1:].tolist())
 
@@ -250,10 +252,13 @@ def window_bits(fires, stability, abs_dw):
 
 
 def assert_trains_like_scalar(record, cfg, weight, window_steps, freeze_at):
-    """train_on_record gives the scalar loop's fires, windows and snapshot bytes."""
-    det = Detector(record.n_channels, cfg, initial_weight=weight)
+    """train_on_record gives the scalar loop's fires, windows and snapshot bytes,
+    and leaves the detector it starts from as it was."""
+    start = Detector(record.n_channels, cfg, initial_weight=weight)
     ref = Detector(record.n_channels, cfg, initial_weight=weight)
-    run = train_on_record(record, det, window_steps=window_steps, freeze_at=freeze_at)
+    run, state = train_on_record(record, start, window_steps=window_steps, freeze_at=freeze_at)
+    assert vars(start) == vars(Detector(record.n_channels, cfg, initial_weight=weight))
+    det = Detector.from_state(state)
     ref_fires, *ref_windows = train_scalar(record, ref, window_steps=window_steps,
                                            freeze_at=freeze_at)
     assert run.fire_steps.tolist() == ref_fires
@@ -264,7 +269,7 @@ def assert_trains_like_scalar(record, cfg, weight, window_steps, freeze_at):
     assert det.depressed == ref.depressed
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp) / "kernel.npz", Path(tmp) / "scalar.npz"
-        det.save_snapshot(a)
+        state.save(a)
         ref.save_snapshot(b)
         assert a.read_bytes() == b.read_bytes()
     return run
@@ -309,10 +314,48 @@ class TestTrainOnKernel:
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
         ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
         det.frozen = ref.frozen = True
-        assert train_on_record(rec, det, window_steps=1000).fire_steps.tolist() == \
-            train_scalar(rec, ref, window_steps=1000)[0]
-        assert det.resources == ref.resources and det.stability == ref.stability
-        assert det.total_abs_dw == ref.total_abs_dw == 0.0
+        run, state = train_on_record(rec, det, window_steps=1000)
+        assert run.fire_steps.tolist() == train_scalar(rec, ref, window_steps=1000)[0]
+        assert state.resources.tolist() == ref.resources and state.stability == ref.stability
+        assert state.total_abs_dw == ref.total_abs_dw == 0.0 and state.frozen
+
+
+def state_bits(state):
+    """Every field of a state: its dtype, shape and values, floats by float.hex."""
+    return [sorted(vars(state.cfg).items())] + [
+        (f.name, getattr(state, f.name).dtype.str, getattr(state, f.name).shape,
+         [v.hex() if isinstance(v, float) else v
+          for v in np.ravel(getattr(state, f.name)).tolist()])
+        for f in fields(state)[1:]]
+
+
+# resources training does not reach, but a state holds and weighs all the same
+EXTREME_RESOURCES = st.one_of(st.sampled_from([math.inf, -math.inf, 1e300, -0.0, 0.0]),
+                              st.floats(allow_nan=False))
+
+
+class TestStateRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(record=event_records(), weight=st.sampled_from([0.0, 0.35, 0.55]),
+           T_P=st.sampled_from([1, 7, 100]), window_steps=st.sampled_from([1, 7, 1000]),
+           freeze=st.sampled_from(["none", "zero", "mid-window"]), data=st.data())
+    def test_trained_states_load_back_equal(self, record, weight, T_P, window_steps, freeze,
+                                            data):
+        cfg = PlasticityConfig(d_bar=0.08, w_min=-0.02, w_max=0.6, d_s=0.3, T_P=T_P)
+        _, trained = train_on_record(
+            record, Detector(record.n_channels, cfg, initial_weight=weight),
+            window_steps=window_steps, freeze_at=freeze_step(freeze, window_steps, record.n_steps))
+        extreme = replace(trained, resources=data.draw(st.lists(
+            EXTREME_RESOURCES, min_size=record.n_channels, max_size=record.n_channels)))
+        for state in (trained, extreme):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "state.npz"
+                state.save(path)
+                again = DetectorState.load(path)
+            assert again.cfg == state.cfg
+            assert state_bits(again) == state_bits(state)
+            assert [w.hex() for w in again.weights()] == \
+                [weight_of(r, cfg).hex() for r in state.resources.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
