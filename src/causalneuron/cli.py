@@ -229,6 +229,14 @@ def cmd_export(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
+def path_arg(text: str) -> str:
+    """The ``type`` of every path flag: no file has the empty path, so it is
+    refused while the arguments are parsed, before any work."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 def check_required(args) -> None:
     """Refuse missing ``needs`` flags in argparse's words, once ``--dump-config`` is answered."""
     missing = [f"--{name}" for name in getattr(args, "needs", ()) if getattr(args, name) is None]
@@ -256,18 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("record", help="record a seeded pong episode")
     p.add_argument("--seed", type=int, default=0, help="seed of the episode")
     p.add_argument("--duration", type=float, default=2000.0, help="seconds")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=path_arg, required=True)
     p.add_argument("--clock", choices=("shared", "bernoulli"), default="shared")
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("train", help="train a detector on a record")
-    p.add_argument("--record")
-    p.add_argument("--params", dest="config", metavar="PARAMS",
+    p.add_argument("--record", type=path_arg)
+    p.add_argument("--params", type=path_arg, dest="config", metavar="PARAMS",
                    help="plasticity parameter file (key = value)")
-    p.add_argument("--out", help="snapshot output (.npz), written at exactly this path")
-    p.add_argument("--report",
+    p.add_argument("--out", type=path_arg,
+                   help="snapshot output (.npz), written at exactly this path")
+    p.add_argument("--report", type=path_arg,
                    help=f"time-series CSV, one row per {REPORT_WINDOW_STEPS:,} steps")
-    p.add_argument("--resources", help="per-synapse resource CSV")
+    p.add_argument("--resources", type=path_arg, help="per-synapse resource CSV")
     p.add_argument("--window", type=int, default=GaConfig.eval_window_s,
                    help="R window, seconds")
     p.add_argument("--freeze-after", type=float, default=None,
@@ -278,29 +287,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="frozen-plasticity evaluation of a snapshot; "
                        "the plasticity parameters come from the snapshot")
-    p.add_argument("--record")
-    p.add_argument("--snapshot")
+    p.add_argument("--record", type=path_arg)
+    p.add_argument("--snapshot", type=path_arg)
     p.add_argument("--window", type=int, default=GaConfig.eval_window_s)
     p.set_defaults(func=cmd_eval, needs=("record", "snapshot"))
 
     p = sub.add_parser("ga", help="genetic parameter search on a record")
-    p.add_argument("--record")
-    p.add_argument("--config", help="GA config file (key = value)")
+    p.add_argument("--record", type=path_arg)
+    p.add_argument("--config", type=path_arg, help="GA config file (key = value)")
     p.add_argument("--seed", type=int, default=0, help="seed of the search")
-    p.add_argument("--out", help="generation-history CSV")
+    p.add_argument("--out", type=path_arg, help="generation-history CSV")
     p.add_argument("--dump-config", action="store_true")
     p.set_defaults(func=cmd_ga, config_class=GaConfig, needs=("record",))
 
     p = sub.add_parser("synthetic", help="generate a ground-truth causal record")
-    p.add_argument("--config")
+    p.add_argument("--config", type=path_arg)
     p.add_argument("--seed", type=int, default=0, help="seed of the record")
-    p.add_argument("--out")
+    p.add_argument("--out", type=path_arg)
     p.add_argument("--dump-config", action="store_true")
     p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig, needs=("out",))
 
     p = sub.add_parser("export", help="dump a record as CSV for inspection")
-    p.add_argument("--record", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--record", type=path_arg, required=True)
+    p.add_argument("--out", type=path_arg, required=True)
     p.set_defaults(func=cmd_export)
 
     return parser

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,6 +48,10 @@ _BALL_X0, _BALL_Y0, _BALL_VX0, _BALL_VY0, _RACKET_Y0, _ZONE0 = SECTION_OFFSETS.v
 SPIKE_RATE_HZ = 300
 STEP_RATE_HZ = 1000
 _TICKS_PER_STEP = SPIKE_RATE_HZ / STEP_RATE_HZ  # 0.3
+# the shared clock's tick phases, {3, 6, 9} of 10, from its exact integer rule
+_PERIOD = STEP_RATE_HZ // math.gcd(SPIKE_RATE_HZ, STEP_RATE_HZ)
+_TICK_PHASES = frozenset(t for t in range(_PERIOD) if SPIKE_RATE_HZ * (t + 1) // STEP_RATE_HZ
+                         > SPIKE_RATE_HZ * t // STEP_RATE_HZ)
 
 CLOSE_FIELD_DEPTH = 3.0   # cm, extends from x=-5 to x=-2
 CLOSE_FIELD_HALF = 1.5    # cm, vertical half-extent around the racket center
@@ -84,8 +88,19 @@ def bin_index(value: float, n_bins: int, lo: float, hi: float) -> int:
 
 
 class EncoderLayout:
-    """The fixed channel layout with the calibrated ``VX_BOUNDS``/``VY_BOUNDS``;
-    a class without state, whose method ``perfbench/tracing.py`` patches."""
+    """The fixed channel layout with the calibrated ``VX_BOUNDS``/``VY_BOUNDS``.
+
+    A layout keeps the last velocity it binned and that velocity's two
+    channels: the ball velocity holds for whole free-flight blocks, so the
+    bisections and the velocity's finiteness test run only when ``(vx, vy)``
+    differs from the previous call's. ``perfbench/tracing.py`` patches
+    :meth:`active_channels`."""
+
+    def __init__(self) -> None:
+        # NaN equals nothing, so the first call bins its velocity; a
+        # non-finite velocity raises before it is kept, so it never hits
+        self._vx = self._vy = math.nan
+        self._vx_channel = self._vy_channel = -1
 
     def active_channels(self, state: WorldState) -> list[int]:
         """Channel indices active for this world state, before clock gating.
@@ -94,21 +109,24 @@ class EncoderLayout:
         close-zone channel when the ball is inside the racket's 3x3 cm
         field. The field may extend virtually past the top/bottom walls;
         zones out there simply never contain the ball. A non-finite
-        position or velocity raises ``ValueError``.
+        position or velocity raises ``ValueError``, naming the first of
+        ball x, ball y, vx, vy and racket y that is non-finite.
         """
         # Runs once per recorded step, so bin_index is inlined with its exact
         # expression and clamps, and a velocity bin is found by bisection,
-        # which counts the bounds <= v as a linear scan does.
+        # which counts the bounds <= v as a linear scan does. 0.0 and -0.0
+        # compare equal and fall in the same bin, so either may hit.
         x = state.ball_x
         y = state.ball_y
         vx = state.ball_vx
         vy = state.ball_vy
         ry = state.racket_y
+        fresh = vx != self._vx or vy != self._vy
         try:
             kx = int(N_COORD_BINS * (x - _ARENA_LO) / _ARENA_WIDTH)
             ky = int(N_COORD_BINS * (y - _ARENA_LO) / _ARENA_WIDTH)
             kr = int(N_COORD_BINS * (ry - _ARENA_LO) / _ARENA_WIDTH)
-            if vx - vx or vy - vy:  # NaN (truthy) only for a non-finite velocity
+            if fresh and (vx - vx or vy - vy):  # NaN (truthy) only for a non-finite velocity
                 raise ValueError
         except (ValueError, OverflowError):
             for value in (x, y, vx, vy, ry):
@@ -128,13 +146,11 @@ class EncoderLayout:
             kr = 0
         elif kr >= N_COORD_BINS:
             kr = N_COORD_BINS - 1
-        out = [
-            _BALL_X0 + kx,
-            _BALL_Y0 + ky,
-            _BALL_VX0 + bisect_right(VX_BOUNDS, vx),
-            _BALL_VY0 + bisect_right(VY_BOUNDS, vy),
-            _RACKET_Y0 + kr,
-        ]
+        if fresh:
+            self._vx, self._vy = vx, vy
+            self._vx_channel = _BALL_VX0 + bisect_right(VX_BOUNDS, vx)
+            self._vy_channel = _BALL_VY0 + bisect_right(VY_BOUNDS, vy)
+        out = [_BALL_X0 + kx, _BALL_Y0 + ky, self._vx_channel, self._vy_channel, _RACKET_Y0 + kr]
         dy = y - (ry - CLOSE_FIELD_HALF)
         if x <= _CLOSE_X_MAX and 0.0 <= dy <= _CLOSE_DY_MAX:
             row = int(dy / ZONE_SIZE)
@@ -152,9 +168,18 @@ class EncoderLayout:
 class SpikeClock:
     """Deterministic shared 300 Hz clock (or per-channel Bernoulli gating).
 
-    Shared mode: a spike on every step where floor((t+1) * 0.3) exceeds
-    floor(t * 0.3), i.e. 3 spikes per 10 steps in a fixed 3-3-4 gap
-    pattern, identical for every channel.
+    Shared mode: a spike on every step t where 300 * (t + 1) // 1000 exceeds
+    300 * t // 1000, i.e. 3 spikes per 10 steps in a fixed 3-3-4 gap
+    pattern, identical for every channel; the gate tests ``t % 10`` against
+    the phases {3, 6, 9}, worked out once from that rule. It agrees with the
+    float rule floor((t + 1) * 0.3) > floor(t * 0.3) at every step below
+    2**51. The float product t * 0.3 is off from 3t/10 by at most about
+    4.4e-17 * t (the error of the constant 0.3 plus one rounding), which
+    stays under 0.1, the least distance from 3t/10 to an integer when t is
+    not a multiple of 10; when it is, 3t/10 is an integer below 2**53, to
+    which the product rounds back exactly. Above 2**51 that bound fails,
+    and the float rule stops being periodic: it misses the tick of phase 3
+    at t = 7506008022705623, about 2**52.74.
 
     Bernoulli mode: each active channel spikes when its own uniform draw
     is below 0.3. The clock owns its generator and draws uniforms ahead
@@ -174,12 +199,11 @@ class SpikeClock:
         self._uniforms: list[float] = []  # drawn ahead; the next one is at _next
         self._next = 0
 
-    def gate(self, step: int, active: Sequence[int]) -> list[int]:
-        """Channels among `active` that actually emit a spike this step."""
+    def gate(self, step: int, active: list[int]) -> list[int]:
+        """Channels among `active` that actually emit a spike this step. In
+        shared mode a tick returns the `active` list it was given, not a copy."""
         if self.mode == "shared":
-            if math.floor((step + 1) * _TICKS_PER_STEP) > math.floor(step * _TICKS_PER_STEP):
-                return list(active)
-            return []
+            return active if step % _PERIOD in _TICK_PHASES else []
         start = self._next
         end = start + len(active)
         if end > len(self._uniforms):

@@ -213,6 +213,14 @@ def _checked(name: str, value, dtype, ndim: int):
     return value if ndim else value[()]
 
 
+def _take(entries: dict, name: str):
+    """Remove and return a snapshot entry, refusing a missing one by its name."""
+    try:
+        return entries.pop(name)
+    except KeyError:
+        raise ValueError(f"missing entry {name!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class DetectorState:
     """A detector's whole state, as a snapshot stores it: each field after ``cfg``
@@ -295,13 +303,13 @@ class DetectorState:
                 for name, value in entries.items():  # np.load hands such a member over as bytes
                     if not isinstance(value, np.ndarray):
                         raise ValueError(f"{name} is not an .npy array")
-                version = _checked("format_version", entries.pop("format_version"), np.int64, 0)
+                version = _checked("format_version", _take(entries, "format_version"), np.int64, 0)
                 if version != SNAPSHOT_FORMAT_VERSION:
                     raise ValueError(f"unsupported snapshot version {version}")
                 cfg = PlasticityConfig(**{f.name: type(f.default)(_checked(
-                    f"cfg_{f.name}", entries.pop(f"cfg_{f.name}"), type(f.default), 0))
+                    f"cfg_{f.name}", _take(entries, f"cfg_{f.name}"), type(f.default), 0))
                     for f in fields(PlasticityConfig)})
-                state = {f.name: entries.pop(f.name) for f in fields(cls)[1:]}
+                state = {f.name: _take(entries, f.name) for f in fields(cls)[1:]}
                 if entries:
                     raise ValueError(f"unknown entry {next(iter(entries))!r}")
                 return cls(cfg, **state)

@@ -184,6 +184,42 @@ class TestExitCodes:
         assert main([arg.format(**names) for arg in argv]) == EXIT_IO
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
+    # every path flag, with the other flags a run that would write files needs
+    PATH_RUNS = {
+        "record": {"--duration": "1", "--out": "r.spkc"},
+        "train": {"--record": "{record}", "--params": "{params}", "--out": "t.npz",
+                  "--report": "t.csv", "--resources": "res.csv"},
+        "eval": {"--record": "{record}", "--snapshot": "{snapshot}"},
+        "ga": {"--record": "{record}", "--config": "{ga_config}", "--out": "ga.csv"},
+        "synthetic": {"--config": "{syn_config}", "--out": "s.spkc"},
+        "export": {"--record": "{record}", "--out": "x.csv"},
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, run in PATH_RUNS.items() for flag in run
+        if flag != "--duration"])
+    def test_an_empty_path_is_refused_before_any_work(self, tmp_path, syn_record, params_file,
+                                                      monkeypatch, capsys, command, flag):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        names = dict(record=syn_record, params=params_file, snapshot=inputs / "snap.npz",
+                     ga_config=inputs / "ga.cfg", syn_config=inputs / "syn.cfg")
+        Detector(20, PlasticityConfig()).save_snapshot(names["snapshot"])
+        names["ga_config"].write_text("population_size = 4\neval_window_s = 10\n"
+                                      "max_generations = 1\n")
+        names["syn_config"].write_text("# the defaults\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [command, f"{flag}="]
+        for other, value in self.PATH_RUNS[command].items():
+            if other != flag:
+                argv += [other, value.format(**names)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: argument {flag}: empty path\n")
+        assert list(work.iterdir()) == []
+
     def test_ga_checks_the_seed_before_reading_the_record(self, tmp_path, capsys):
         argv = ["ga", "--record", str(tmp_path / "missing.spkc"), "--seed", "-1"]
         assert main(argv) == EXIT_CONFIG
@@ -895,7 +931,16 @@ class TestMalformedSnapshots:
 
     def test_missing_resources(self, record, snapshot, capsys):
         self.rewrite(snapshot, resources=None)
-        self.assert_eval_fails(record, snapshot, capsys, "bad snapshot")
+        self.assert_eval_fails(record, snapshot, capsys,
+                               f"error: bad snapshot {snapshot}: missing entry 'resources'\n")
+
+    @pytest.mark.parametrize("entry", ["stability", "cfg_d_bar", "format_version"])
+    def test_a_missing_entry_is_named(self, record, snapshot, capsys, entry):
+        self.rewrite(snapshot, **{entry: None})
+        assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: bad snapshot {snapshot}: missing entry {entry!r}\n"
 
     def test_short_tss_state(self, record, snapshot, capsys):
         self.rewrite(snapshot, tss_spans=np.array([0], dtype=np.int64))

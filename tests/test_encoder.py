@@ -193,6 +193,57 @@ def shared_tick(t):
     return t % 10 in (3, 6, 9)
 
 
+def float_tick(t):
+    """The shared clock's rule in floats, floor((t + 1) * 0.3) > floor(t * 0.3): the
+    reference its integer phases must match below 2**51 steps."""
+    return math.floor((t + 1) * 0.3) > math.floor(t * 0.3)
+
+
+def float_ticks(steps):
+    """float_tick over an int64 array; numpy converts, multiplies and floors in
+    float64 as Python does."""
+    return np.floor((steps + 1).astype(np.float64) * 0.3) > np.floor(steps.astype(np.float64) * 0.3)
+
+
+TICK_LIMIT = 2**51  # below it the float rule's product errs by less than 0.1
+
+
+def tick_steps(which):
+    """Up to 10**6 steps at a time: every step in [0, 10**7), 10**6 seeded random
+    steps below 2**51, and the last 10**6 steps below it."""
+    if which == "first":
+        for start in range(0, 10**7, 10**6):
+            yield np.arange(start, start + 10**6, dtype=np.int64)
+    elif which == "random":
+        yield np.random.default_rng(2023).integers(0, TICK_LIMIT, 10**6, dtype=np.int64)
+    else:
+        yield np.arange(TICK_LIMIT - 10**6, TICK_LIMIT, dtype=np.int64)
+
+
+class TestTickRule:
+    def test_the_vectorized_reference_is_the_float_rule(self):
+        steps = [0, 1, 2, 3, 9, 10, 10**7 - 1, TICK_LIMIT - 1, 7506008022705623, 2**53 - 1]
+        steps += np.random.default_rng(5).integers(0, 2**53, 1000).tolist()
+        assert float_ticks(np.array(steps, dtype=np.int64)).tolist() == \
+            [float_tick(t) for t in steps]
+
+    @pytest.mark.parametrize("which", ["first", "random", "last"])
+    def test_the_gate_matches_the_float_rule(self, which):
+        clock, active = SpikeClock("shared"), [0]
+        phases = sorted(encoder._TICK_PHASES)
+        for steps in tick_steps(which):
+            expected = float_ticks(steps)
+            assert np.array_equal(np.isin(steps % encoder._PERIOD, phases), expected)
+            if which != "first":  # and the gate itself, at every one of these steps
+                gated = [clock.gate(t, active) == active for t in steps.tolist()]
+                assert np.array_equal(gated, expected)
+
+    def test_above_the_limit_the_float_rule_is_not_periodic(self):
+        t = 7506008022705623  # about 2**52.74, at phase 3
+        assert shared_tick(t) and SpikeClock("shared").gate(t, [0]) == [0]
+        assert not float_tick(t)
+
+
 class TestSpikeClock:
     def test_shared_rate_exact(self):
         clock = SpikeClock("shared")
@@ -211,7 +262,7 @@ class TestSpikeClock:
         active = [3, 77, 131]
         for t in range(50):
             out = clock.gate(t, active)
-            assert out == active or out == []
+            assert out is active or out == []
 
     def test_bernoulli_rate(self):
         clock = SpikeClock("bernoulli", rng=np.random.default_rng(3))
@@ -294,6 +345,9 @@ positions = st.one_of(st.sampled_from(POSITION_EDGES), st.floats(-6.0, 6.0))
 velocities = st.one_of(st.sampled_from(VELOCITY_EDGES), st.floats(-40.0, 40.0))
 
 
+FIELDS = ["ball_x", "ball_y", "ball_vx", "ball_vy", "racket_y"]  # in the order refusals name
+
+
 class TestActiveChannelsOracle:
     @given(x=positions, y=positions, vx=velocities, vy=velocities, ry=positions)
     def test_matches_bin_index_and_linear_scan(self, x, y, vx, vy, ry):
@@ -324,13 +378,63 @@ class TestActiveChannelsOracle:
                     state = pong.WorldState(x, y, 12.0, -3.0, ry, step=0)
                     assert LAYOUT.active_channels(state) == reference_channels(state)
 
-    @pytest.mark.parametrize("field", ["ball_x", "ball_y", "ball_vx", "ball_vy", "racket_y"])
+    @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, field, value):
         fields = dict(ball_x=0.0, ball_y=0.0, ball_vx=12.0, ball_vy=-3.0, racket_y=0.0)
         fields[field] = value
         with pytest.raises(ValueError, match=f"^non-finite value {value}$"):
             LAYOUT.active_channels(pong.WorldState(**fields, step=0))
+
+
+class TestVelocityCache:
+    """One layout keeps the last velocity's two channels: they must never be stale."""
+
+    def test_a_changing_velocity_matches_the_reference_state_by_state(self):
+        layout = EncoderLayout()
+        # on a bound and just below it, each velocity lands in a different bin
+        vx, vy = VX_BOUNDS[3], VY_BOUNDS[5]
+        below_vx, below_vy = math.nextafter(vx, -math.inf), math.nextafter(vy, -math.inf)
+        sequence = [(-0.0, -0.0), (0.0, 0.0), (-0.0, 0.0), (vx, vy), (12.0, -3.0), (vx, vy),
+                    (below_vx, vy), (below_vx, below_vy), (vx, below_vy), (vx, vy),
+                    (12.0, -3.0), (-12.0, -3.0), (12.0, -3.0)]
+        sequence += [(b, c) for b, c in zip(VX_BOUNDS, VY_BOUNDS)]
+        sequence += [(c, b) for b, c in zip(VX_BOUNDS, reversed(VY_BOUNDS))]
+        rng = np.random.default_rng(8)
+        for vx, vy in sequence:
+            for x, y, ry in rng.uniform(-5.0, 5.0, (3, 3)).tolist():
+                state = pong.WorldState(x, y, vx, vy, ry, step=0)
+                assert layout.active_channels(state) == reference_channels(state)
+
+    @given(st.lists(st.tuples(velocities, velocities, st.integers(1, 3)), max_size=20))
+    def test_any_velocity_sequence_matches_the_reference(self, sequence):
+        layout = EncoderLayout()
+        for vx, vy, calls in sequence:
+            for x in (-4.0, 0.5, 3.0)[:calls]:
+                state = pong.WorldState(x, -1.0, vx, vy, 2.0, step=0)
+                assert layout.active_channels(state) == reference_channels(state)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_after_a_cache_hit_is_refused(self, field, value):
+        layout = EncoderLayout()
+        fields = dict(ball_x=0.0, ball_y=0.0, ball_vx=12.0, ball_vy=-3.0, racket_y=0.0)
+        good = pong.WorldState(**fields, step=0)
+        layout.active_channels(good)
+        layout.active_channels(good)
+        for _ in range(2):  # a refused velocity is not kept, so it is refused again
+            with pytest.raises(ValueError, match=f"^non-finite value {value}$"):
+                layout.active_channels(replace(good, **{field: value}))
+        assert layout.active_channels(good) == reference_channels(good)
+
+    @pytest.mark.parametrize("first, second", [
+        (a, b) for i, a in enumerate(FIELDS) for b in FIELDS[i + 1:]])
+    def test_the_first_non_finite_field_is_named(self, first, second):
+        layout = EncoderLayout()
+        good = pong.WorldState(0.0, 0.0, 12.0, -3.0, 0.0, step=0)
+        layout.active_channels(good)
+        with pytest.raises(ValueError, match="^non-finite value inf$"):
+            layout.active_channels(replace(good, **{first: math.inf, second: math.nan}))
 
 
 class TestClockOracle:
