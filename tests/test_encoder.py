@@ -418,8 +418,7 @@ class TestVelocityCache:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_value_after_a_cache_hit_is_refused(self, field, value):
         layout = EncoderLayout()
-        fields = dict(ball_x=0.0, ball_y=0.0, ball_vx=12.0, ball_vy=-3.0, racket_y=0.0)
-        good = pong.WorldState(**fields, step=0)
+        good = pong.WorldState(0.0, 0.0, 12.0, -3.0, 0.0, step=0)
         layout.active_channels(good)
         layout.active_channels(good)
         for _ in range(2):  # a refused velocity is not kept, so it is refused again
