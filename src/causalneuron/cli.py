@@ -5,6 +5,7 @@ config files, malformed records or snapshots, inconsistent inputs), 3
 on I/O errors (a missing or unreadable file, config files included).
 Every refusal is one stderr line: ``error: PATH: REASON`` for an error that
 names a file, and argparse's message alone for a refused argument.
+Outputs are checked before any input is read (:func:`check_paths`).
 A run's seed is its ``--seed`` flag alone (default 0). Config files hold model
 and search parameters as flat ``key = value`` text, each key at most once,
 one key per field of the subcommand's config class, whose field defaults are
@@ -18,8 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import heapq
 import math
+import os
+import stat
 import sys
 from functools import cache
 from dataclasses import fields as dataclass_fields
@@ -30,7 +34,7 @@ from .ga import GENE_NAMES, GaConfig, best_generation, run_ga, trailing_window
 from .metrics import score_run
 from .neuron import Detector
 from .plasticity import PlasticityConfig
-from .records import EpisodeRecord, check_seed
+from .records import STEPS_PER_S, EpisodeRecord, check_seed
 from .recording import record_pong_episode
 from .runner import REPORT_WINDOW_STEPS, frozen_fires, train_on_record
 # replay is not called here; kept because perfbench/tracing.py patches cli.replay
@@ -139,7 +143,7 @@ def cmd_train(args) -> int:
     freeze_at = None
     if freeze_after is not None:  # the first step at or after S, in exact integer arithmetic
         num, den = freeze_after.as_integer_ratio()
-        freeze_at = -(-num * 1000 // (den * rec.step_ms))
+        freeze_at = -(-num * STEPS_PER_S // den)
     run, state = train_on_record(rec, Detector(rec.n_channels, cfg), freeze_at=freeze_at)
     trained = Detector.from_state(state)
 
@@ -157,13 +161,13 @@ def cmd_train(args) -> int:
         trained.save_snapshot(args.out)
         print(f"wrote snapshot {args.out}")
     if args.report:
-        window_ms = REPORT_WINDOW_STEPS * rec.step_ms
-        seconds = window_ms / 1000.0
+        seconds = REPORT_WINDOW_STEPS / STEPS_PER_S
         windows = zip(run.window_fires.tolist(), run.window_stability.tolist(),
                       run.window_abs_dw.tolist())
         write_csv(args.report, ["window_start_s", "firing_hz", "stability", "abs_weight_change"],
-                  ([i * window_ms // 1000, f"{fires / seconds:.6g}", f"{stability:.6g}",
-                    f"{dw:.6g}"] for i, (fires, stability, dw) in enumerate(windows)))
+                  ([i * REPORT_WINDOW_STEPS // STEPS_PER_S, f"{fires / seconds:.6g}",
+                    f"{stability:.6g}", f"{dw:.6g}"]
+                   for i, (fires, stability, dw) in enumerate(windows)))
         print(f"wrote report {args.report}")
     if args.resources:
         res, wts = trained.resources, trained.weights
@@ -244,6 +248,37 @@ def check_required(args) -> None:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
 
 
+def check_paths(args) -> None:
+    """Refuse, before any input is read, an output path that names the file of
+    another path flag (exit 2), then one that ``open`` would refuse at once:
+    in a missing folder or one that is a file, or a folder itself (its
+    ``OSError``, exit 3)."""
+    def named(flags):
+        return [(flag.option_strings[0], getattr(args, flag.dest)) for flag in flags
+                if getattr(args, flag.dest) is not None]
+
+    def same_file(a, b):  # one inode when both exist (a hard link too), else one real path
+        try:
+            return os.path.samefile(a, b)
+        except OSError:
+            return os.path.realpath(a) == os.path.realpath(b)
+
+    outputs = named(args.outputs)
+    for flag, path in outputs:
+        for other, other_path in named(args.outputs + args.inputs):
+            if other != flag and same_file(other_path, path):
+                raise ValueError(f"{flag} and {other} both name {path}")
+    for _, path in outputs:
+        try:
+            folder = os.stat(os.path.dirname(path) or os.curdir)
+            code = (errno.ENOTDIR if not stat.S_ISDIR(folder.st_mode)
+                    else errno.EISDIR if os.path.isdir(path) else 0)
+        except OSError as exc:
+            code = exc.errno
+        if code:
+            raise OSError(code, os.strerror(code), path)
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses bad arguments with ``ValueError``, which ``main`` prints on one
     line; ``add_subparsers`` makes the subcommands' parsers of this class too."""
@@ -261,56 +296,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand's path flags: ``inputs`` it reads, ``outputs`` it writes
     p = sub.add_parser("record", help="record a seeded pong episode")
     p.add_argument("--seed", type=int, default=0, help="seed of the episode")
     p.add_argument("--duration", type=float, default=2000.0, help="seconds")
-    p.add_argument("--out", type=path_arg, required=True)
+    out = p.add_argument("--out", type=path_arg, required=True)
     p.add_argument("--clock", choices=("shared", "bernoulli"), default="shared")
-    p.set_defaults(func=cmd_record)
+    p.set_defaults(func=cmd_record, inputs=(), outputs=(out,))
 
     p = sub.add_parser("train", help="train a detector on a record")
-    p.add_argument("--record", type=path_arg)
-    p.add_argument("--params", type=path_arg, dest="config", metavar="PARAMS",
-                   help="plasticity parameter file (key = value)")
-    p.add_argument("--out", type=path_arg,
-                   help="snapshot output (.npz), written at exactly this path")
-    p.add_argument("--report", type=path_arg,
-                   help=f"time-series CSV, one row per {REPORT_WINDOW_STEPS:,} steps")
-    p.add_argument("--resources", type=path_arg, help="per-synapse resource CSV")
+    inputs = (p.add_argument("--record", type=path_arg),
+              p.add_argument("--params", type=path_arg, dest="config", metavar="PARAMS",
+                             help="plasticity parameter file (key = value)"))
+    outputs = (p.add_argument("--out", type=path_arg,
+                              help="snapshot output (.npz), written at exactly this path"),
+               p.add_argument("--report", type=path_arg, help="time-series CSV, one row "
+                              f"per {REPORT_WINDOW_STEPS:,} steps"),
+               p.add_argument("--resources", type=path_arg, help="per-synapse resource CSV"))
     p.add_argument("--window", type=int, default=GaConfig.eval_window_s,
                    help="R window, seconds")
     p.add_argument("--freeze-after", type=float, default=None,
                    help=f"freeze plasticity at the first {REPORT_WINDOW_STEPS:,}-step "
                    "report-window boundary at or after this many seconds")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_train, config_class=PlasticityConfig, needs=("record",))
+    p.set_defaults(func=cmd_train, config_class=PlasticityConfig, needs=("record",),
+                   inputs=inputs, outputs=outputs)
 
     p = sub.add_parser("eval", help="frozen-plasticity evaluation of a snapshot; "
                        "the plasticity parameters come from the snapshot")
-    p.add_argument("--record", type=path_arg)
-    p.add_argument("--snapshot", type=path_arg)
+    inputs = (p.add_argument("--record", type=path_arg),
+              p.add_argument("--snapshot", type=path_arg))
     p.add_argument("--window", type=int, default=GaConfig.eval_window_s)
-    p.set_defaults(func=cmd_eval, needs=("record", "snapshot"))
+    p.set_defaults(func=cmd_eval, needs=("record", "snapshot"), inputs=inputs, outputs=())
 
     p = sub.add_parser("ga", help="genetic parameter search on a record")
-    p.add_argument("--record", type=path_arg)
-    p.add_argument("--config", type=path_arg, help="GA config file (key = value)")
+    inputs = (p.add_argument("--record", type=path_arg),
+              p.add_argument("--config", type=path_arg, help="GA config file (key = value)"))
     p.add_argument("--seed", type=int, default=0, help="seed of the search")
-    p.add_argument("--out", type=path_arg, help="generation-history CSV")
+    out = p.add_argument("--out", type=path_arg, help="generation-history CSV")
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_ga, config_class=GaConfig, needs=("record",))
+    p.set_defaults(func=cmd_ga, config_class=GaConfig, needs=("record",), inputs=inputs,
+                   outputs=(out,))
 
     p = sub.add_parser("synthetic", help="generate a ground-truth causal record")
-    p.add_argument("--config", type=path_arg)
+    config = p.add_argument("--config", type=path_arg)
     p.add_argument("--seed", type=int, default=0, help="seed of the record")
-    p.add_argument("--out", type=path_arg)
+    out = p.add_argument("--out", type=path_arg)
     p.add_argument("--dump-config", action="store_true")
-    p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig, needs=("out",))
+    p.set_defaults(func=cmd_synthetic, config_class=SyntheticConfig, needs=("out",),
+                   inputs=(config,), outputs=(out,))
 
     p = sub.add_parser("export", help="dump a record as CSV for inspection")
-    p.add_argument("--record", type=path_arg, required=True)
-    p.add_argument("--out", type=path_arg, required=True)
-    p.set_defaults(func=cmd_export)
+    record = p.add_argument("--record", type=path_arg, required=True)
+    out = p.add_argument("--out", type=path_arg, required=True)
+    p.set_defaults(func=cmd_export, inputs=(record,), outputs=(out,))
 
     return parser
 
@@ -322,6 +361,7 @@ def main(argv=None) -> int:
             dump_config(config_defaults(args.config_class))
             return EXIT_OK
         check_required(args)
+        check_paths(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .pong import ARENA_HALF, WorldState
+from .records import STEPS_PER_S
 
 N_COORD_BINS = 30
 N_VEL_BINS = 9
@@ -46,12 +47,11 @@ N_CHANNELS = sum(SECTION_SIZES.values())  # 133
 _BALL_X0, _BALL_Y0, _BALL_VX0, _BALL_VY0, _RACKET_Y0, _ZONE0 = SECTION_OFFSETS.values()
 
 SPIKE_RATE_HZ = 300
-STEP_RATE_HZ = 1000
-_TICKS_PER_STEP = SPIKE_RATE_HZ / STEP_RATE_HZ  # 0.3
+_TICKS_PER_STEP = SPIKE_RATE_HZ / STEPS_PER_S  # 0.3
 # the shared clock's tick phases, {3, 6, 9} of 10, from its exact integer rule
-_PERIOD = STEP_RATE_HZ // math.gcd(SPIKE_RATE_HZ, STEP_RATE_HZ)
-_TICK_PHASES = frozenset(t for t in range(_PERIOD) if SPIKE_RATE_HZ * (t + 1) // STEP_RATE_HZ
-                         > SPIKE_RATE_HZ * t // STEP_RATE_HZ)
+_PERIOD = STEPS_PER_S // math.gcd(SPIKE_RATE_HZ, STEPS_PER_S)
+_TICK_PHASES = frozenset(t for t in range(_PERIOD) if SPIKE_RATE_HZ * (t + 1) // STEPS_PER_S
+                         > SPIKE_RATE_HZ * t // STEPS_PER_S)
 
 CLOSE_FIELD_DEPTH = 3.0   # cm, extends from x=-5 to x=-2
 CLOSE_FIELD_HALF = 1.5    # cm, vertical half-extent around the racket center

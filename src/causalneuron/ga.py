@@ -20,7 +20,7 @@ from .metrics import score_runs
 from .metrics import score_run  # noqa: F401  kept: perfbench/tracing.py patches ga.score_run
 from .plasticity import PlasticityConfig
 from .population import replay_population
-from .records import EpisodeRecord, check_seed
+from .records import STEPS_PER_S, EpisodeRecord, check_seed
 from .runner import replay  # noqa: F401  kept: perfbench/tracing.py patches ga.replay
 
 # Search ranges (log-uniform sampling).
@@ -78,12 +78,13 @@ class GaConfig:
             raise ValueError("eval_window_s must be >= 1")
         if self.max_generations < 0:
             raise ValueError("max_generations must be >= 0 (0: no cap)")
+        PlasticityConfig(T_P=self.T_P)  # its T_P rule, so the refusal comes before the record
 
 
 def trailing_window(record: EpisodeRecord, window_s: int) -> tuple[int, int]:
     """The record's last ``window_s`` seconds as a [start, end) step window; the
     start is negative for a shorter record, which ``score_run`` then scores whole."""
-    return record.n_steps - window_s * 1000 // record.step_ms, record.n_steps
+    return record.n_steps - window_s * STEPS_PER_S, record.n_steps
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

@@ -16,8 +16,10 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .records import STEPS_PER_S
+
 ARENA_HALF = 5.0          # cm; walls at +/-5
-DT = 0.001                # s per step
+DT = 1 / STEPS_PER_S      # s per step, 0.001
 RACKET_HALF = 0.9         # cm (racket size 1.8 cm)
 RACKET_Y_MAX = ARENA_HALF - RACKET_HALF
 BALL_SPEED_MIN = 10.0     # cm/s

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import pong
 from .encoder import N_CHANNELS, EncoderLayout, SpikeClock, encode
-from .records import MAX_STEPS, EpisodeRecord, check_header, check_seed
+from .records import MAX_STEPS, STEPS_PER_S, EpisodeRecord, check_header, check_seed
 
 
 def record_pong_episode(
@@ -31,13 +31,14 @@ def record_pong_episode(
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     check_seed(seed)
-    ms = duration_s * 1000
-    if ms > MAX_STEPS:  # inf too: past about 1.8e305 s the product overflows
+    steps = duration_s * STEPS_PER_S
+    if steps > MAX_STEPS:  # inf too: past about 1.8e305 s the product overflows
         # in the limit's own form, while that keeps the line under 120 characters
         shown = f"{duration_s:,.3f}" if duration_s < 1e17 else duration_s
+        whole, part = divmod(MAX_STEPS, STEPS_PER_S)
         raise ValueError(f"bad record: duration {shown} s is longer than a record can "
-                         f"hold, {MAX_STEPS // 1000:,}.{MAX_STEPS % 1000:03} s")
-    n_steps = round(ms)
+                         f"hold, {whole:,}.{part:03} s")
+    n_steps = round(steps)
     if n_steps == 0:
         raise ValueError(f"duration {duration_s} s is shorter than one 1 ms step")
     check_header(n_channels=N_CHANNELS, seed=seed, n_steps=n_steps)
@@ -83,7 +84,6 @@ def record_pong_episode(
                 punishments.append(event.step)
 
     return EpisodeRecord(
-        step_ms=1,
         n_channels=N_CHANNELS,
         seed=seed,
         n_steps=n_steps,

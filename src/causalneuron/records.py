@@ -1,6 +1,7 @@
 """Replayable, bit-exact episode records.
 
-Binary format "SPKC" v1, little-endian: a fixed header, then one varint
+Binary format "SPKC" v1, little-endian: a fixed header (magic, version,
+step_ms, n_channels, seed, n_steps; step_ms is always 1), then one varint
 channel-count per step followed by that many varint channel indices,
 then the event table, which ends the file: a uint32 count, then per event
 a kind byte (0 reward, 1 punishment) and a varint step, the events' (step,
@@ -29,12 +30,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+STEPS_PER_S = 1000  # the one clock: every step of every record, world and detector is 1 ms
+
 MAGIC = b"SPKC"
 FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHHHQQ")
-# the header's fields after the magic and the version, with their largest value
+_HEADER = struct.Struct("<4sHHHQQ")  # magic, version, step_ms, then the fields below
+_STEP_MS = 1000 // STEPS_PER_S  # the header's step_ms, the only value it may hold
+# the header's fields after step_ms, with their largest value
 MAX_STEPS = 2**64 - 1  # the longest record, in steps
-_HEADER_LIMITS = {"step_ms": 0xFFFF, "n_channels": 0xFFFF, "seed": 2**64 - 1, "n_steps": MAX_STEPS}
+_HEADER_LIMITS = {"n_channels": 0xFFFF, "seed": 2**64 - 1, "n_steps": MAX_STEPS}
 _ARRAYS = ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps")
 
 _KIND_REWARD = 0
@@ -210,7 +214,6 @@ class EpisodeRecord:
     raises ``ValueError``; fields and (read-only int64) arrays are fixed.
     """
 
-    step_ms: int
     n_channels: int
     seed: int
     n_steps: int
@@ -221,13 +224,11 @@ class EpisodeRecord:
     punishment_steps: np.ndarray
 
     def __post_init__(self) -> None:
-        """Header fields in range, ``step_ms >= 1``; integer arrays (or empty) whose
+        """Header fields in range; integer arrays (or empty) whose
         values fit int64; spike, reward and punishment steps each rising strictly in
         [0, n_steps); ``indptr`` rising strictly from 0 to ``len(channels)`` (no empty
         frame); channels in [0, n_channels)."""
         check_header(**{name: getattr(self, name) for name in _HEADER_LIMITS})
-        if self.step_ms == 0:
-            raise ValueError("bad record header: step_ms is 0")
         for name in _ARRAYS:
             values = np.asarray(getattr(self, name))
             if values.size and values.dtype.kind not in "iu":
@@ -253,13 +254,12 @@ class EpisodeRecord:
 
     @property
     def duration_s(self) -> float:
-        return self.n_steps * self.step_ms / 1000.0
+        return float(self.n_steps) / STEPS_PER_S
 
     @classmethod
     def build(
         cls,
         *,
-        step_ms: int,
         n_channels: int,
         seed: int,
         n_steps: int,
@@ -276,7 +276,7 @@ class EpisodeRecord:
             steps.append(step)
             chans.extend(channel_ids)
             indptr.append(len(chans))
-        return cls(step_ms=step_ms, n_channels=n_channels, seed=seed, n_steps=n_steps,
+        return cls(n_channels=n_channels, seed=seed, n_steps=n_steps,
                    spike_steps=steps, indptr=indptr, channels=chans,
                    reward_steps=sorted(reward_steps), punishment_steps=sorted(punishment_steps))
 
@@ -306,10 +306,8 @@ class EpisodeRecord:
         widest = int(_varint_lengths(np.array([top]))[0])
         size = _HEADER.size + self.n_steps + widest * n_values + len(table)
         buf = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
-        buf[:_HEADER.size] = _HEADER.pack(
-            MAGIC, FORMAT_VERSION, self.step_ms, self.n_channels,
-            self.seed, self.n_steps,
-        )
+        buf[:_HEADER.size] = _HEADER.pack(MAGIC, FORMAT_VERSION, _STEP_MS, self.n_channels,
+                                          self.seed, self.n_steps)
         out = np.frombuffer(buf, dtype=np.uint8)
         at = _HEADER.size  # where the first step not yet written goes
         prev = 0           # that step
@@ -344,6 +342,8 @@ class EpisodeRecord:
             raise ValueError("not an episode record (bad magic)")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported record version {version}")
+        if step_ms != _STEP_MS:
+            raise ValueError(f"bad record header: step_ms is {step_ms}, not {_STEP_MS}")
         body = np.frombuffer(raw, dtype=np.uint8)
         # Each step and each channel index takes a byte or more, so the indices
         # fit in the bytes the steps leave: a close bound, which only a
@@ -418,7 +418,6 @@ class EpisodeRecord:
         except OverflowError:
             raise ValueError("bad record: a value does not fit in 64 bits") from None
         return cls(
-            step_ms=step_ms,
             n_channels=n_channels,
             seed=seed,
             n_steps=n_steps,

@@ -76,7 +76,6 @@ def generate(cfg: SyntheticConfig, seed: int) -> EpisodeRecord:
                 frames.setdefault(t, []).append(ch)
 
     return EpisodeRecord.build(
-        step_ms=1,
         n_channels=cfg.n_channels,
         seed=seed,
         n_steps=cfg.n_steps,

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import re
 import sys
 import zipfile
@@ -12,7 +13,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from causalneuron import pong
+from causalneuron import cli, pong
 from causalneuron.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -195,30 +196,106 @@ class TestExitCodes:
         "export": {"--record": "{record}", "--out": "x.csv"},
     }
 
-    @pytest.mark.parametrize("command, flag", [
-        (command, flag) for command, run in PATH_RUNS.items() for flag in run
-        if flag != "--duration"])
-    def test_an_empty_path_is_refused_before_any_work(self, tmp_path, syn_record, params_file,
-                                                      monkeypatch, capsys, command, flag):
+    # the flags of PATH_RUNS a command writes: those not named after an input
+    OUTPUTS = [(command, flag) for command, run in PATH_RUNS.items()
+               for flag, value in run.items() if flag != "--duration" and "{" not in value]
+
+    @pytest.fixture
+    def path_run(self, tmp_path, syn_record, params_file, monkeypatch):
+        """(a function giving a command's PATH_RUNS argv with some values
+        replaced, the folder of its inputs, the empty work folder it runs in)."""
         inputs = tmp_path / "inputs"
         inputs.mkdir()
-        names = dict(record=syn_record, params=params_file, snapshot=inputs / "snap.npz",
-                     ga_config=inputs / "ga.cfg", syn_config=inputs / "syn.cfg")
+        names = dict(record=inputs / "syn.spkc", params=inputs / "params.txt",
+                     snapshot=inputs / "snap.npz", ga_config=inputs / "ga.cfg",
+                     syn_config=inputs / "syn.cfg")
+        names["record"].write_bytes(syn_record.read_bytes())
+        names["params"].write_bytes(params_file.read_bytes())
         Detector(20, PlasticityConfig()).save_snapshot(names["snapshot"])
         names["ga_config"].write_text("population_size = 4\neval_window_s = 10\n"
                                       "max_generations = 1\n")
-        names["syn_config"].write_text("# the defaults\n")
+        names["syn_config"].write_text("n_steps = 20000\n")
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        argv = [command, f"{flag}="]
-        for other, value in self.PATH_RUNS[command].items():
-            if other != flag:
-                argv += [other, value.format(**names)]
-        assert main(argv) == EXIT_CONFIG
+
+        def argv(command, **values):
+            run = {flag: value.format(**names) for flag, value in self.PATH_RUNS[command].items()}
+            run.update(values)
+            return [command, *(part for item in run.items() for part in item)]
+
+        return argv, inputs, work
+
+    @staticmethod
+    def contents(folder):
+        return {path.name: path.read_bytes() for path in folder.iterdir()}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, run in PATH_RUNS.items() for flag in run
+        if flag != "--duration"])
+    def test_an_empty_path_is_refused_before_any_work(self, path_run, capsys, command, flag):
+        argv, _, work = path_run
+        assert main(argv(command, **{flag: ""})) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: argument {flag}: empty path\n")
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("command, output, other", [
+        (command, output, other) for command, run in PATH_RUNS.items()
+        for output in run if output != "--duration" and "{" not in run[output]
+        # each input, and each output after it: the message names the earlier output
+        for other in run if other != "--duration"
+        and ("{" in run[other] or list(run).index(other) > list(run).index(output))])
+    def test_an_output_naming_another_path_is_refused_before_any_work(
+            self, path_run, capsys, command, output, other):
+        argv, inputs, work = path_run
+        before = self.contents(inputs)
+        values = dict(zip(argv(command)[1::2], argv(command)[2::2]))
+        # the same file by another spelling: os.path.realpath makes them one
+        same = os.path.join(os.path.dirname(values[other]), ".", os.path.basename(values[other]))
+        assert main(argv(command, **{output: same})) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {output} and {other} both name {same}\n")
+        assert self.contents(inputs) == before
+        assert list(work.iterdir()) == []
+
+    def test_an_output_that_is_a_hard_link_to_an_input_is_refused(self, path_run, capsys):
+        argv, inputs, work = path_run
+        os.link(inputs / "syn.spkc", work / "link.spkc")
+        before = self.contents(inputs)
+        assert main(argv("export", **{"--out": "link.spkc"})) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --out and --record both name link.spkc\n"
+        assert self.contents(inputs) == before
+
+    @pytest.mark.parametrize("command, output", OUTPUTS)
+    def test_an_output_in_a_missing_folder_is_refused_before_any_input_is_read(
+            self, path_run, monkeypatch, capsys, command, output):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(EpisodeRecord, "load", unread)
+        for name in ("load_config", "record_pong_episode", "generate"):
+            monkeypatch.setattr(cli, name, unread)
+        argv, _, work = path_run
+        missing = os.path.join("nodir", "out.file")
+        assert main(argv(command, **{output: missing})) == EXIT_IO
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {missing}: No such file or "
+                                                    "directory\n")
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("where, reason", [
+        ("{record}/out.csv", "Not a directory"),  # a folder that is a file
+        (".", "Is a directory"),
+    ])
+    def test_an_output_open_would_refuse_is_refused_before_any_work(
+            self, path_run, monkeypatch, capsys, where, reason):
+        monkeypatch.setattr(cli, "write_csv", None)  # the export is not run
+        argv, inputs, _ = path_run
+        out = where.format(record=inputs / "syn.spkc")
+        assert main(argv("export", **{"--out": out})) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {out}: {reason}\n"
 
     def test_ga_checks_the_seed_before_reading_the_record(self, tmp_path, capsys):
         argv = ["ga", "--record", str(tmp_path / "missing.spkc"), "--seed", "-1"]
@@ -387,6 +464,18 @@ class TestConfigValidation:
         cfg.write_text(f"population_size = 4\neval_window_s = {window}\n")
         self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
                     "eval_window_s must be >= 1", capsys)
+
+    @pytest.mark.parametrize("T_P", [0, 2**32 + 1])
+    def test_ga_T_P_out_of_range_before_the_record_is_read(self, tmp_path, monkeypatch,
+                                                            capsys, T_P):
+        def unread(*args):
+            raise AssertionError("the record was read")
+
+        monkeypatch.setattr(EpisodeRecord, "load", unread)
+        cfg = tmp_path / "ga.txt"
+        cfg.write_text(f"population_size = 4\nT_P = {T_P}\n")
+        self.expect(["ga", "--record", str(tmp_path / "missing.spkc"), "--config", str(cfg)],
+                    f"T_P must be in [1, 4294967296], got {T_P}", capsys)
 
     def test_ga_negative_max_generations(self, tmp_path, syn_record, capsys):
         cfg = tmp_path / "ga.txt"
@@ -812,7 +901,7 @@ class TestTrainEval:
 class TestMalformedRecords:
     def write_record(self, path, n_channels, frames):
         EpisodeRecord.build(
-            step_ms=1, n_channels=n_channels, seed=0, n_steps=1000,
+            n_channels=n_channels, seed=0, n_steps=1000,
             frames=frames, reward_steps=[500],
         ).save(path)
 
@@ -888,7 +977,7 @@ class TestMalformedSnapshots:
     @pytest.fixture
     def record(self, tmp_path):
         path = tmp_path / "rec.spkc"
-        EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=100,
+        EpisodeRecord.build(n_channels=4, seed=0, n_steps=100,
                             frames=[(10, [1, 2])], reward_steps=[50]).save(path)
         return path
 
@@ -1128,19 +1217,20 @@ class TestMalformedSnapshots:
 
 
 class TestTrainReport:
-    def test_window_start_follows_step_ms(self, tmp_path):
+    def test_a_record_of_2_ms_steps_is_refused(self, tmp_path, capsys):
+        # a step is 1 ms: a header that says otherwise is refused, so no
+        # output is written on another clock
         record = tmp_path / "slow.spkc"
-        EpisodeRecord.build(
-            step_ms=2, n_channels=3, seed=0, n_steps=30_000,
+        record.write_bytes(spkc_bytes(
+            step_ms=2, n_channels=3, n_steps=30_000,
             frames=[(t, [0, 1]) for t in range(100, 30_000, 700)],
-            reward_steps=list(range(150, 30_000, 700)),
-        ).save(record)
+            events=[(t, 0) for t in range(150, 30_000, 700)]))
         report = tmp_path / "report.csv"
-        assert main(["train", "--record", str(record), "--report", str(report)]) == EXIT_OK
-        with open(report) as fh:
-            rows = list(csv.DictReader(fh))
-        # 10,000-step windows of 2 ms steps are 20 s long
-        assert [r["window_start_s"] for r in rows] == ["0", "20", "40"]
+        assert main(["train", "--record", str(record), "--report", str(report)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: bad record header: step_ms is 2, "
+                                                    "not 1\n")
+        assert not report.exists()
 
 
 class TestGaCommand:
@@ -1180,7 +1270,7 @@ class TestGaCommand:
         record, cfg = tmp_path / "early.spkc", tmp_path / "ga.txt"
         # the only reward lies before the 1 s (1000-step) evaluation window
         EpisodeRecord.build(
-            step_ms=1, n_channels=3, seed=0, n_steps=5000,
+            n_channels=3, seed=0, n_steps=5000,
             frames=[(t, [0, 1]) for t in range(50, 5000, 300)], reward_steps=[100],
         ).save(record)
         cfg.write_text("population_size = 4\nmax_generations = 1\neval_window_s = 1\n")

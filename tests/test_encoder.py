@@ -221,6 +221,11 @@ def tick_steps(which):
 
 
 class TestTickRule:
+    def test_the_one_clock_keeps_the_float_constants(self):
+        # derived from records.STEPS_PER_S, each keeps the bits of its old literal
+        assert (encoder.STEPS_PER_S, pong.DT, encoder._TICKS_PER_STEP) == (1000, 0.001, 0.3)
+        assert (encoder._PERIOD, sorted(encoder._TICK_PHASES)) == (10, [3, 6, 9])
+
     def test_the_vectorized_reference_is_the_float_rule(self):
         steps = [0, 1, 2, 3, 9, 10, 10**7 - 1, TICK_LIMIT - 1, 7506008022705623, 2**53 - 1]
         steps += np.random.default_rng(5).integers(0, 2**53, 1000).tolist()

@@ -199,6 +199,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GaConfig(**kwargs)
 
+    @pytest.mark.parametrize("T_P", [0, -1, 2**32 + 1])
+    def test_rejects_T_P_by_the_plasticity_rule(self, T_P):
+        with pytest.raises(ValueError) as exc:
+            GaConfig(T_P=T_P)
+        assert str(exc.value) == f"T_P must be in [1, 4294967296], got {T_P}"
+        assert GaConfig(T_P=2**32).T_P == 2**32
+
 
 @pytest.mark.xfail(
     reason="soft target: with the reconstructed chaotic racket the best known "

@@ -157,7 +157,7 @@ class TestDepression:
     def test_pending_channels_are_depressed_in_ascending_order(self):
         # the fire at step 2 extends the TSS and depresses the pending set
         # {130, 3, 67}; the running |dw| total adds them in channel order
-        rec = EpisodeRecord.build(step_ms=1, n_channels=131, seed=0, n_steps=10,
+        rec = EpisodeRecord.build(n_channels=131, seed=0, n_steps=10,
                                   frames=[(0, [0]), (1, [130, 3, 67]), (2, [0])],
                                   reward_steps=[])
         det = Detector(131, STRONG_CFG)

@@ -372,7 +372,7 @@ def per_step_recording(duration_s, seed, clock_mode):
             else:
                 punishments.append(event.step)
     return EpisodeRecord.build(
-        step_ms=1, n_channels=N_CHANNELS, seed=seed, n_steps=n_steps, frames=frames,
+        n_channels=N_CHANNELS, seed=seed, n_steps=n_steps, frames=frames,
         reward_steps=rewards, punishment_steps=punishments,
     )
 

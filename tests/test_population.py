@@ -86,7 +86,7 @@ def small_records(draw):
         if steps else st.integers(0, n_steps - 1)
     rewards = draw(st.lists(pool, max_size=40, unique=True))
     return EpisodeRecord.build(
-        step_ms=1, n_channels=n_channels, seed=0, n_steps=n_steps,
+        n_channels=n_channels, seed=0, n_steps=n_steps,
         frames=frames, reward_steps=rewards,
     )
 
@@ -172,7 +172,7 @@ def test_stability_crossing_zero_both_ways_matches_scalar():
     for base in range(0, 600, 110):
         frames += [(base + dt, [dt % 3]) for dt in (0, 30, 60, 68, 76, 84, 92)]
         rewards += [base + dt for dt in (10, 40, 100)]
-    rec = EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=700,
+    rec = EpisodeRecord.build(n_channels=3, seed=0, n_steps=700,
                               frames=frames, reward_steps=rewards)
     cfgs = []
     for g in CORNERS + random_genomes(2, 4):
@@ -234,7 +234,7 @@ def test_events_out_of_order_or_past_the_end_rejected(rewards, message):
     # the record is refused when it is made, before replay_population runs
     with pytest.raises(ValueError, match=message):
         replay_population([CORNERS[0].to_config()], EpisodeRecord.build(
-            step_ms=1, n_channels=3, seed=0, n_steps=20,
+            n_channels=3, seed=0, n_steps=20,
             frames=[(2, [0])], reward_steps=rewards,
         ))
 
@@ -242,7 +242,7 @@ def test_events_out_of_order_or_past_the_end_rejected(rewards, message):
 # -- the genetic search through a scalar reference ----------------------------
 
 def scalar_evaluate(genome, record, cfg):
-    window_steps = cfg.eval_window_s * 1000 // record.step_ms
+    window_steps = cfg.eval_window_s * 1000
     det = Detector(record.n_channels, genome.to_config(cfg.T_P))
     fires = replay(det, record)
     window = (record.n_steps - window_steps, record.n_steps)

@@ -36,7 +36,7 @@ def random_record(rng, n_steps=500, n_channels=10):
     rewards = sorted(set(rng.integers(0, n_steps, 5).tolist()))
     punish = sorted(set(rng.integers(0, n_steps, 3).tolist()))
     return EpisodeRecord.build(
-        step_ms=1, n_channels=n_channels, seed=int(rng.integers(0, 2**16)),
+        n_channels=n_channels, seed=int(rng.integers(0, 2**16)),
         n_steps=n_steps, frames=frames, reward_steps=rewards,
         punishment_steps=punish,
     )
@@ -90,33 +90,41 @@ class TestRoundTrip:
     def test_frames_reconstruction(self):
         frames = [(3, [1, 4]), (7, [0]), (499, [2, 3, 9])]
         rec = EpisodeRecord.build(
-            step_ms=1, n_channels=10, seed=0, n_steps=500,
+            n_channels=10, seed=0, n_steps=500,
             frames=frames, reward_steps=[100],
         )
         assert list(rec.frames()) == frames
 
     def test_empty_frames_dropped(self):
         rec = EpisodeRecord.build(
-            step_ms=1, n_channels=5, seed=0, n_steps=10,
+            n_channels=5, seed=0, n_steps=10,
             frames=[(2, []), (4, [1])], reward_steps=[],
         )
         assert list(rec.frames()) == [(4, [1])]
 
     def test_header_fields_survive(self):
         rec = EpisodeRecord.build(
-            step_ms=2, n_channels=133, seed=12345, n_steps=1000,
+            n_channels=133, seed=12345, n_steps=1500,
             frames=[], reward_steps=[5],
         )
-        again = EpisodeRecord.from_bytes(rec.to_bytes())
-        assert again.step_ms == 2
+        raw = rec.to_bytes()
+        assert struct.unpack_from("<H", raw, 6) == (1,)  # step_ms: every step is 1 ms
+        again = EpisodeRecord.from_bytes(raw)
         assert again.n_channels == 133
         assert again.seed == 12345
-        assert again.n_steps == 1000
-        assert again.duration_s == 2.0
+        assert again.n_steps == 1500
+        assert again.duration_s == 1.5
+
+    # the last: n_steps / 1000 (int / int, rounded once) reads one ulp lower
+    @pytest.mark.parametrize("n_steps", [0, 1, 999, 2**53 + 1, 2**64 - 1, 14046286627791492475])
+    def test_duration_is_the_steps_over_1000(self, n_steps):
+        rec = EpisodeRecord.build(n_channels=1, seed=0, n_steps=n_steps, frames=[],
+                                  reward_steps=[])
+        assert rec.duration_s == n_steps / 1000.0
 
     def test_events_preserved_and_sorted(self):
         rec = EpisodeRecord.build(
-            step_ms=1, n_channels=5, seed=0, n_steps=100,
+            n_channels=5, seed=0, n_steps=100,
             frames=[], reward_steps=[90, 10], punishment_steps=[50],
         )
         again = EpisodeRecord.from_bytes(rec.to_bytes())
@@ -160,7 +168,7 @@ def decodes_or_value_error(raw):
 class TestMalformed:
     def small_record_bytes(self):
         return EpisodeRecord.build(
-            step_ms=1, n_channels=300, seed=0, n_steps=12,
+            n_channels=300, seed=0, n_steps=12,
             frames=[(1, [0, 299]), (5, [130])], reward_steps=[3, 11],
             punishment_steps=[7],
         ).to_bytes()
@@ -177,7 +185,7 @@ class TestMalformed:
 
     def test_channel_index_out_of_range(self):
         with pytest.raises(ValueError, match="channel index 4 >= n_channels 4"):
-            EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10,
+            EpisodeRecord.build(n_channels=4, seed=0, n_steps=10,
                                 frames=[(2, [1, 4])], reward_steps=[])
         raw = spkc_bytes(n_channels=4, n_steps=10, frames=[(2, [1, 4])])
         with pytest.raises(ValueError, match="channel index 4 >= n_channels 4"):
@@ -187,23 +195,31 @@ class TestMalformed:
     def test_event_past_the_end(self, kind):
         events = {"reward_steps": [], "punishment_steps": [], kind: [2, 10]}
         with pytest.raises(ValueError, match=steps_refusal(kind, 10)):
-            EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10,
+            EpisodeRecord.build(n_channels=4, seed=0, n_steps=10,
                                 frames=[], **events)
         code = 0 if kind == "reward_steps" else 1
         raw = spkc_bytes(n_channels=4, n_steps=10, events=[(2, code), (10, code)])
         with pytest.raises(ValueError, match=steps_refusal(kind, 10)):
             EpisodeRecord.from_bytes(raw)
 
-    def test_zero_step_ms(self):
-        with pytest.raises(ValueError, match="bad record header: step_ms is 0"):
-            EpisodeRecord.build(step_ms=0, n_channels=4, seed=0, n_steps=10,
-                                frames=[], reward_steps=[])
-        raw = spkc_bytes(step_ms=0, n_channels=4, n_steps=10, events=[(3, 0)])
-        with pytest.raises(ValueError, match="bad record header: step_ms is 0"):
+    @pytest.mark.parametrize("step_ms", [0, 2, 2**16 - 1])
+    def test_step_ms_other_than_1(self, step_ms):
+        # a step is 1 ms: the header says so, and is checked before the body
+        message = f"^bad record header: step_ms is {step_ms}, not 1$"
+        raw = spkc_bytes(step_ms=step_ms, n_channels=4, n_steps=10, events=[(3, 0)])
+        with pytest.raises(ValueError, match=message):
             EpisodeRecord.from_bytes(raw)
-        # the record's rules come after the format's: a truncation is named first
-        with pytest.raises(ValueError, match="truncated record: event table"):
-            EpisodeRecord.from_bytes(raw[:-1])
+        for cut in (26, len(raw) - 1):  # no body, and a truncated event table
+            with pytest.raises(ValueError, match=message):
+                EpisodeRecord.from_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=message):  # and bytes after the table
+            EpisodeRecord.from_bytes(raw + b"x")
+        assert EpisodeRecord.from_bytes(spkc_bytes(n_channels=4, n_steps=10, events=[(3, 0)]))
+
+    def test_a_record_has_no_step_ms(self):
+        with pytest.raises(TypeError, match="step_ms"):
+            EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=10, frames=[],
+                                reward_steps=[])
 
     @pytest.mark.parametrize("kind", [0, 1])
     def test_repeated_event_step(self, kind):
@@ -228,7 +244,7 @@ class TestMalformed:
     def test_value_beyond_64_bits(self):
         raw = bytearray(
             EpisodeRecord.build(
-                step_ms=1, n_channels=4, seed=0, n_steps=1, frames=[], reward_steps=[],
+                n_channels=4, seed=0, n_steps=1, frames=[], reward_steps=[],
             ).to_bytes()
         )
         raw[-4:] = (1).to_bytes(4, "little")  # one event ...
@@ -263,7 +279,7 @@ class TestMalformed:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        step_ms=st.integers(0, 2**16 - 1),
+        step_ms=st.just(1) | st.integers(0, 2**16 - 1),  # about half valid
         n_channels=st.integers(0, 2**16 - 1),
         n_steps=st.integers(0, 2**64 - 1),
         body=st.binary(max_size=300),
@@ -271,7 +287,11 @@ class TestMalformed:
     def test_fuzz_valid_header_arbitrary_body(self, step_ms, n_channels, n_steps, body):
         header = b"SPKC" + (1).to_bytes(2, "little") + step_ms.to_bytes(2, "little") \
             + n_channels.to_bytes(2, "little") + bytes(8) + n_steps.to_bytes(8, "little")
-        decodes_or_value_error(header + body)
+        if step_ms != 1:  # refused whatever the body
+            with pytest.raises(ValueError, match=f"^bad record header: step_ms is {step_ms},"):
+                EpisodeRecord.from_bytes(header + body)
+        else:
+            decodes_or_value_error(header + body)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**16), cut=st.integers(0, 10**6), tail=st.binary(max_size=20))
@@ -286,7 +306,7 @@ def reference_bytes(rec):
     """The .spkc encoding, written one varint at a time."""
     events = sorted([(t, 0) for t in rec.reward_steps.tolist()]
                     + [(t, 1) for t in rec.punishment_steps.tolist()])
-    return spkc_bytes(step_ms=rec.step_ms, n_channels=rec.n_channels, seed=rec.seed,
+    return spkc_bytes(n_channels=rec.n_channels, seed=rec.seed,
                       n_steps=rec.n_steps, frames=rec.frames(), events=events)
 
 
@@ -303,6 +323,8 @@ def reference_decode(raw):
         raise ValueError("not an episode record (bad magic)")
     if version != 1:
         raise ValueError(f"unsupported record version {version}")
+    if step_ms != 1:
+        raise ValueError(f"bad record header: step_ms is {step_ms}, not 1")
     pos, frames, events = 26, [], ([], [])
     section = "spike frames"
     try:
@@ -338,7 +360,7 @@ def reference_decode(raw):
     if any(v >= 2**63 for v in values):
         raise ValueError("bad record: a value does not fit in 64 bits")
     return EpisodeRecord.build(
-        step_ms=step_ms, n_channels=n_channels, seed=seed, n_steps=n_steps,
+        n_channels=n_channels, seed=seed, n_steps=n_steps,
         frames=frames, reward_steps=events[0], punishment_steps=events[1],
     )
 
@@ -371,7 +393,7 @@ def episode_records(draw):
     ]
     events = st.lists(step, unique=True, max_size=8) if n_steps else st.just([])
     return EpisodeRecord.build(
-        step_ms=draw(st.integers(1, 3)), n_channels=n_channels,
+        n_channels=n_channels,
         seed=draw(st.integers(0, 2**64 - 1)), n_steps=n_steps, frames=frames,
         reward_steps=draw(events), punishment_steps=draw(events),
     )
@@ -407,7 +429,7 @@ class TestArrayCodec:
         ([(t, [t % 3, 200]) for t in range(16)], 300, 56),            # and 40 empty steps
     ])
     def test_edge_records(self, frames, n_channels, n_steps):
-        rec = EpisodeRecord.build(step_ms=1, n_channels=n_channels, seed=9, n_steps=n_steps,
+        rec = EpisodeRecord.build(n_channels=n_channels, seed=9, n_steps=n_steps,
                                   frames=frames, reward_steps=[], punishment_steps=[])
         raw = rec.to_bytes()
         assert raw == reference_bytes(rec)
@@ -422,7 +444,7 @@ class TestArrayCodec:
     ])
     def test_edge_records_at_the_default_block_size(self, frames, n_steps):
         # runs of empty steps longer than two blocks, and a frame on every step
-        rec = EpisodeRecord.build(step_ms=1, n_channels=300, seed=9, n_steps=n_steps,
+        rec = EpisodeRecord.build(n_channels=300, seed=9, n_steps=n_steps,
                                   frames=frames, reward_steps=[n_steps - 1])
         raw = rec.to_bytes()
         assert len(raw) > 2 * BLOCK
@@ -433,7 +455,7 @@ class TestArrayCodec:
     def test_cut_right_after_the_spike_frames(self):
         # the channel indices fill every byte the steps leave, so only the
         # event table is missing
-        rec = EpisodeRecord.build(step_ms=1, n_channels=4, seed=0, n_steps=3,
+        rec = EpisodeRecord.build(n_channels=4, seed=0, n_steps=3,
                                   frames=[(0, [1, 2]), (2, [3])], reward_steps=[1])
         raw = rec.to_bytes()
         for cut in range(26 + 6, len(raw)):
@@ -455,7 +477,7 @@ class TestArrayCodec:
 
     def test_frame_longer_than_a_decode_block(self):
         big = [2**14 + k % 1000 for k in range(records._BLOCK_BYTES)]  # 3 bytes each
-        rec = EpisodeRecord.build(step_ms=1, n_channels=2**16 - 1, seed=0, n_steps=50,
+        rec = EpisodeRecord.build(n_channels=2**16 - 1, seed=0, n_steps=50,
                                   frames=[(3, [1]), (4, big), (40, [2])], reward_steps=[49])
         raw = rec.to_bytes()
         assert raw == reference_bytes(rec)
@@ -528,7 +550,7 @@ class TestArrayCodec:
         # in each case the last step is the first that breaks the rule
         with pytest.raises(ValueError, match=steps_refusal("spike_steps", steps[-1])):
             EpisodeRecord(
-                step_ms=1, n_channels=3, seed=0, n_steps=10,
+                n_channels=3, seed=0, n_steps=10,
                 spike_steps=np.array(steps, dtype=np.int64),
                 indptr=np.arange(len(steps) + 1, dtype=np.int64),
                 channels=np.zeros(len(steps), dtype=np.int64),
@@ -538,14 +560,14 @@ class TestArrayCodec:
 
     def test_encoder_rejects_negative_channel(self):
         with pytest.raises(ValueError, match="channel index -1 < 0"):
-            EpisodeRecord.build(step_ms=1, n_channels=3, seed=0, n_steps=10,
+            EpisodeRecord.build(n_channels=3, seed=0, n_steps=10,
                                 frames=[(2, [1, -1])], reward_steps=[])
 
 
 # -- the rules of a record, checked once when it is made ----------------------
 
 ARRAYS = ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps")
-FIELDS = ("step_ms", "n_channels", "seed", "n_steps") + ARRAYS
+FIELDS = ("n_channels", "seed", "n_steps") + ARRAYS
 
 
 def breaks_a_rule(f):
@@ -557,7 +579,7 @@ def breaks_a_rule(f):
             and all(s < n_steps for s in steps)
 
     return not (
-        1 <= f["step_ms"] <= 2**16 - 1 and 0 <= f["n_channels"] <= 2**16 - 1
+        0 <= f["n_channels"] <= 2**16 - 1
         and 0 <= f["seed"] <= 2**64 - 1 and 0 <= n_steps <= 2**64 - 1
         and rising(f["spike_steps"]) and rising(f["reward_steps"])
         and rising(f["punishment_steps"])
@@ -577,7 +599,6 @@ def record_fields(draw):
         return draw(anything if name in loose else ruled)
 
     header = {  # (values in range, values in and out of range)
-        "step_ms": (st.integers(1, 3), st.sampled_from([-1, 0, 1, 2**16 - 1, 2**16])),
         "n_channels": (st.integers(1, 5), st.sampled_from([-1, 0, 2, 2**16 - 1, 2**16])),
         "seed": (st.integers(0, 9), st.sampled_from([-1, 0, 2**64 - 1, 2**64])),
         # a record takes a byte per step, so a valid n_steps stays small
@@ -617,14 +638,14 @@ def test_a_record_is_made_exactly_when_it_follows_the_rules(fields):
         assert getattr(rec, name).tolist() == list(fields[name]), name
 
 
-VALID = dict(step_ms=1, n_channels=4, seed=0, n_steps=10, spike_steps=[2, 5],
+VALID = dict(n_channels=4, seed=0, n_steps=10, spike_steps=[2, 5],
              indptr=[0, 2, 3], channels=[1, 3, 0], reward_steps=[4], punishment_steps=[7])
 
 
 @pytest.mark.parametrize("change, message", [
     ({"n_channels": 2**16}, "bad record: n_channels 65536 is outside the header's range"),
     ({"seed": -1}, "bad record: seed -1 is outside the header's range"),
-    ({"step_ms": 0}, "bad record header: step_ms is 0"),
+    ({"n_steps": 2**64}, "bad record: n_steps 18446744073709551616 is outside the header's"),
     ({"spike_steps": [5, 2]}, steps_refusal("spike_steps", 2)),
     ({"spike_steps": [2, 10]}, steps_refusal("spike_steps", 10)),
     ({"indptr": [0, 2, 2]}, "bad record: indptr must have 3 entries rising strictly from 0 to 3"),

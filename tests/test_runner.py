@@ -34,7 +34,7 @@ def busy_record(seed, n_steps=6000, n_channels=6):
             frames.append((t, sorted(rng.choice(n_channels, k, replace=False).tolist())))
     rewards = sorted(set(rng.integers(0, n_steps, 12).tolist()))
     return EpisodeRecord.build(
-        step_ms=1, n_channels=n_channels, seed=seed, n_steps=n_steps,
+        n_channels=n_channels, seed=seed, n_steps=n_steps,
         frames=frames, reward_steps=rewards,
     )
 
@@ -82,7 +82,7 @@ class TestReplayEquivalence:
 
     def test_replay_advances_to_end(self):
         rec = EpisodeRecord.build(
-            step_ms=1, n_channels=2, seed=0, n_steps=1000,
+            n_channels=2, seed=0, n_steps=1000,
             frames=[(5, [0])], reward_steps=[],
         )
         det = Detector(2, CFG)
@@ -199,7 +199,7 @@ def event_records(draw):
     pool = st.one_of(st.sampled_from(sorted(steps)), st.integers(0, n_steps - 1)) \
         if steps else st.integers(0, n_steps - 1)
     return EpisodeRecord.build(
-        step_ms=1, n_channels=n_channels, seed=0, n_steps=n_steps, frames=frames,
+        n_channels=n_channels, seed=0, n_steps=n_steps, frames=frames,
         reward_steps=draw(st.lists(pool, max_size=40, unique=True)),
     )
 
@@ -395,7 +395,7 @@ class TestEventDrivenRule:
         # the last post spike is T_P + 1 steps before n_steps: dense
         # stepping ends on step n_steps - 1, whose tick does not close the TSS.
         # Step 0 does not fire, and its reward lifts the weight above 1
-        rec = EpisodeRecord.build(step_ms=1, n_channels=1, seed=0, n_steps=379,
+        rec = EpisodeRecord.build(n_channels=1, seed=0, n_steps=379,
                                   frames=[(0, [0]), (278, [0])], reward_steps=[0])
         a, b = (Detector(1, paper_cfg(4), initial_weight=0.96) for _ in range(2))
         assert replay(a, rec) == dense_replay(rec, b) == [278]
@@ -420,7 +420,7 @@ UNORDERED = {  # the fields changed, and the error of the record that cannot be 
 
 
 def unordered_record(kind):
-    fields = dict(step_ms=1, n_channels=3, seed=0, n_steps=10, spike_steps=[2, 6],
+    fields = dict(n_channels=3, seed=0, n_steps=10, spike_steps=[2, 6],
                   indptr=[0, 1, 3], channels=[0, 1, 2], reward_steps=[4], punishment_steps=[])
     return EpisodeRecord(**{**fields, **UNORDERED[kind][0]})
 
