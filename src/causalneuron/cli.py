@@ -79,22 +79,14 @@ def load_config(path, defaults: dict) -> dict:
                              f"(first set on line {seen[key]})")
         seen[key] = lineno
         try:
-            out[key] = _coerce(value, defaults[key])
+            out[key] = type(defaults[key])(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}")
     return out
 
 
-def _coerce(text: str, default):
-    if isinstance(default, tuple):
-        return tuple(int(v) for v in text.replace(",", " ").split())
-    return type(default)(text)
-
-
 def dump_config(defaults: dict) -> None:
     for key, value in defaults.items():
-        if isinstance(value, tuple):
-            value = " ".join(str(v) for v in value)
         print(f"{key} = {value}")
 
 

@@ -15,7 +15,9 @@ direct way, one interval, spike or event at a time:
   the lockstep kernel, must reproduce its fires, windows and final state;
 * :func:`spkc_bytes` writes the ``.spkc`` format one varint at a time,
   also for values that make no valid record, which ``EpisodeRecord``
-  cannot hold and so cannot encode.
+  cannot hold and so cannot encode;
+* :func:`reference_decode` reads it one varint at a time, with the
+  errors that ``EpisodeRecord.from_bytes`` must raise.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from causalneuron.neuron import Detector
-from causalneuron.records import EpisodeRecord, _write_varint
+from causalneuron.records import EpisodeRecord, _read_varint, _write_varint
 
 
 class IntervalSet:
@@ -240,3 +242,58 @@ def spkc_bytes(*, step_ms: int = 1, n_channels: int, seed: int = 0, n_steps: int
         buf.append(kind)
         _write_varint(buf, t)
     return bytes(buf)
+
+
+def reference_decode(raw):
+    """The .spkc decoding, read one varint at a time, with its error messages.
+
+    It checks the format; the record's own rules are checked, and their
+    errors raised, when ``EpisodeRecord.build`` makes it.
+    """
+    if len(raw) < 26:
+        raise ValueError(f"truncated record: {len(raw)}-byte file has no full header")
+    magic, version, step_ms, n_channels, seed, n_steps = struct.unpack_from("<4sHHHQQ", raw)
+    if magic != b"SPKC":
+        raise ValueError("not an episode record (bad magic)")
+    if version != 1:
+        raise ValueError(f"unsupported record version {version}")
+    if step_ms != 1:
+        raise ValueError(f"bad record header: step_ms is {step_ms}, not 1")
+    pos, frames, events = 26, [], ([], [])
+    section = "spike frames"
+    try:
+        for step in range(n_steps):
+            count, pos = _read_varint(raw, pos)
+            chans = []
+            for _ in range(count):
+                c, pos = _read_varint(raw, pos)
+                chans.append(c)
+            frames.append((step, chans))
+        section = "event table"
+        (n_events,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        wrong, before = [], (-1, -1)  # each event's errors, in table order
+        for _ in range(n_events):
+            kind = raw[pos]
+            if kind > 1:
+                wrong.append(f"bad record: event kind {kind} at byte {pos} is neither 0 "
+                             "(reward) nor 1 (punishment)")
+            step, pos = _read_varint(raw, pos + 1)
+            if (step, kind) <= before:
+                wrong.append(f"bad record: record event at step {step} is out of order: "
+                             f"(step, kind) {(step, kind)} follows {before}")
+            before = step, kind
+            events[kind != 0].append(step)
+    except (IndexError, struct.error):
+        raise ValueError(f"truncated record: {section} ends at byte {len(raw)}") from None
+    if wrong:
+        raise ValueError(wrong[0])
+    if pos < len(raw):
+        raise ValueError(f"bad record: {len(raw) - pos} bytes after the event table")
+    values = [c for _, chans in frames for c in chans] + events[0] + events[1]
+    if any(v >= 2**63 for v in values):
+        raise ValueError("bad record: a value does not fit in 64 bits")
+    return EpisodeRecord.build(
+        n_channels=n_channels, seed=seed, n_steps=n_steps,
+        frames=frames, reward_steps=events[0], punishment_steps=events[1],
+    )

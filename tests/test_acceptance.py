@@ -27,7 +27,7 @@ from causalneuron.plasticity import (
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay, train_on_record
-from causalneuron.synthetic import SyntheticConfig, generate
+from causalneuron.synthetic import CAUSE_CHANNELS, SyntheticConfig, generate
 
 from reference import frozen_clone, tss_segments
 from test_metrics import brute_force_score
@@ -167,7 +167,7 @@ def test_criterion_6_synthetic_causal_detection():
     replay(det, rec)
     res = np.array(det.resources)
     top3 = set(np.argsort(res)[::-1][:3].tolist())
-    assert top3 == set(syn.cause_channels)
+    assert top3 == set(CAUSE_CHANNELS)
 
     fresh = generate(SyntheticConfig(n_steps=300_000), 1000)
     frozen = frozen_clone(det)

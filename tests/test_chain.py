@@ -1,5 +1,6 @@
 """The determinism contract as one table: a fixed small CLI chain, one sha256
-per output, in this process and again with numpy's SIMD dispatch disabled.
+per output, in this process, again with numpy's SIMD dispatch disabled, and
+again with every record decoded by the one-varint-at-a-time reference.
 
 Run as a script, this module prints the chain's digests as JSON:
 
@@ -19,6 +20,9 @@ import pytest
 
 import causalneuron
 from causalneuron.cli import EXIT_OK, main
+from causalneuron.records import EpisodeRecord
+
+from reference import reference_decode
 
 # The chain, in order. Each step's stdout is an output, and so is each file
 # it writes (the path after --out, --report or --resources). Paths are
@@ -68,7 +72,7 @@ CHAIN_PINS = {
         "f48bc7220c668b8a394816979220f40995dd87355bc1839a04843cc1e8a33b6e",
     "ga --dump-config stdout": "de99a71cc5dba9e0feeb76506379b7492b12ffb9507fd868b2a82ad8dd6cb789",
     "synthetic --dump-config stdout":
-        "e40c0c7f275575178cf9d060eec898096af556a34ca3efd20cbab9d496237be1",
+        "1d9b62757f17ef4fd52837ce15085ebf344d68e5bf18e442700339965ebc5e02",
 }
 
 
@@ -99,6 +103,19 @@ def dispatch_targets() -> list[str]:
 def test_chain_outputs_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert chain_digests() == CHAIN_PINS
+
+
+def test_chain_outputs_are_pinned_through_the_reference_decoder(tmp_path, monkeypatch):
+    decoded = []
+
+    def decode(raw):
+        decoded.append(len(raw))
+        return reference_decode(raw)
+
+    monkeypatch.setattr(EpisodeRecord, "from_bytes", staticmethod(decode))
+    monkeypatch.chdir(tmp_path)
+    assert chain_digests() == CHAIN_PINS
+    assert len(decoded) == 4  # train, eval, ga and export each read one record
 
 
 def test_chain_outputs_are_pinned_with_simd_dispatch_disabled(tmp_path):

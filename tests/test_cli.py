@@ -71,8 +71,7 @@ class TestConfigFiles:
     def test_synthetic_defaults_come_from_the_config_class(self, capsys):
         assert main(["synthetic", "--dump-config"]) == EXIT_OK
         assert capsys.readouterr().out == (
-            "n_channels = 20\ncause_channels = 2 7 13\nlag = 100\nn_steps = 300000\n"
-            "noise_rate = 0.001\nmin_gap = 300\nmax_gap = 1200\n"
+            "n_channels = 20\nlag = 100\nn_steps = 300000\nnoise_rate = 0.001\n"
         )
         assert config_defaults(SyntheticConfig) == vars(SyntheticConfig())
 
@@ -99,6 +98,18 @@ class TestConfigFiles:
         path.write_text("seed = 1\n")
         assert main([*argv, "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {path}:1: unknown key 'seed'\n"
+
+    @pytest.mark.parametrize("line", ["cause_channels = 2 7 13", "min_gap = 300",
+                                      "max_gap = 99999999999999999999"])
+    def test_the_planted_structure_is_not_a_key(self, tmp_path, capsys, line):
+        # the causes and their spacing are synthetic.py's constants
+        path = tmp_path / "syn.txt"
+        path.write_text(f"n_steps = 2000\n{line}\n")
+        out = tmp_path / "s.spkc"
+        assert main(["synthetic", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        key = line.partition(" ")[0]
+        assert capsys.readouterr().err == f"error: {path}:2: unknown key {key!r}\n"
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -493,6 +504,14 @@ class TestConfigValidation:
         self.expect(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "s.spkc")],
                     "n_steps must be >= 1", capsys)
 
+    @pytest.mark.parametrize("lag", [0, 300])
+    def test_synthetic_lag_outside_the_gap(self, tmp_path, capsys, lag):
+        cfg = tmp_path / "syn.txt"
+        cfg.write_text(f"lag = {lag}\n")
+        self.expect(["synthetic", "--config", str(cfg), "--out", str(tmp_path / "s.spkc")],
+                    f"lag must be in [1, 300), below the least gap between causes, got {lag}",
+                    capsys)
+
     def test_record_negative_seed(self, tmp_path, capsys):
         self.expect(["record", "--seed", "-1", "--duration", "1",
                      "--out", str(tmp_path / "r.spkc")], "seed must be >= 0, got -1", capsys)
@@ -734,7 +753,7 @@ class TestTrainEval:
 
     def test_resources_cover_every_channel_of_a_wide_record(self, tmp_path, capsys):
         config, record = tmp_path / "syn.txt", tmp_path / "wide.spkc"
-        config.write_text("n_channels = 140\ncause_channels = 2 7 135\nn_steps = 30000\n")
+        config.write_text("n_channels = 140\nn_steps = 30000\n")
         assert main(["synthetic", "--config", str(config), "--out", str(record)]) == EXIT_OK
         resources = tmp_path / "res.csv"
         assert main(["train", "--record", str(record), "--resources", str(resources)]) \

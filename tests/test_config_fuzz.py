@@ -48,9 +48,6 @@ def values_for(key, default):
         typed = st.integers(*SIZES[key]).map(str)
     elif isinstance(default, float):
         typed = floats
-    elif isinstance(default, tuple):
-        typed = st.lists(st.integers(-2, 45), max_size=4).map(
-            lambda cs: " ".join(map(str, cs)))
     else:
         typed = ints
     return st.one_of(typed, typed, typed, junk)
