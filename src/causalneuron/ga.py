@@ -5,7 +5,8 @@ pre-recorded episode, measured over the trailing evaluation window.
 Evaluation is a pure function of (genome, record), so results do not
 depend on evaluation order: a generation is scored in one lockstep pass
 over the record (:mod:`causalneuron.population`), and a genome already
-scored in the same run is not replayed again.
+scored in the same run is not replayed again. Detectors train and score
+at ``PlasticityConfig.T_P``; :class:`GaConfig` holds what a run varies.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ GENE_RANGES: dict[str, tuple[float, float]] = {
     "d_s": (0.003, 3.0),
 }
 GENE_NAMES = tuple(GENE_RANGES)
+ELITISM_FRACTION = 0.1  # of a generation, rounded up, copied unchanged into the next
+MUTATION_PROB = 0.5     # per child; one gene resampled
 
 
 @dataclass(frozen=True)
@@ -42,14 +45,9 @@ class Genome:
     w_max: float
     d_s: float
 
-    def to_config(self, T_P: int = PlasticityConfig.T_P) -> PlasticityConfig:
+    def to_config(self) -> PlasticityConfig:
         return PlasticityConfig(
-            d_bar=self.d_H_bar,
-            w_min=-self.neg_w_min,
-            w_max=self.w_max,
-            d_s=self.d_s,
-            T_P=T_P,
-        )
+            d_bar=self.d_H_bar, w_min=-self.neg_w_min, w_max=self.w_max, d_s=self.d_s)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.d_H_bar, self.neg_w_min, self.w_max, self.d_s)
@@ -58,27 +56,21 @@ class Genome:
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 300
-    elitism_fraction: float = 0.1
-    mutation_prob: float = 0.5      # per chromosome; one gene resampled
     stagnation_generations: int = 3
     eval_window_s: int = 600        # also the default of train/eval --window
-    T_P: int = PlasticityConfig.T_P
     max_generations: int = 0        # 0: no cap, run until stagnation
 
     def __post_init__(self):
         if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not 0.0 < self.elitism_fraction < 1.0:
-            raise ValueError("elitism_fraction must be in (0, 1)")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation_prob must be in [0, 1]")
+            raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if self.stagnation_generations < 1:
-            raise ValueError("stagnation_generations must be >= 1")
+            raise ValueError(f"stagnation_generations must be >= 1, "
+                             f"got {self.stagnation_generations}")
         if self.eval_window_s < 1:
-            raise ValueError("eval_window_s must be >= 1")
+            raise ValueError(f"eval_window_s must be >= 1, got {self.eval_window_s}")
         if self.max_generations < 0:
-            raise ValueError("max_generations must be >= 0 (0: no cap)")
-        PlasticityConfig(T_P=self.T_P)  # its T_P rule, so the refusal comes before the record
+            raise ValueError(f"max_generations must be >= 0 (0: no cap), "
+                             f"got {self.max_generations}")
 
 
 def trailing_window(record: EpisodeRecord, window_s: int) -> tuple[int, int]:
@@ -101,15 +93,18 @@ def evaluate_population(
     ga_cfg: GaConfig = GaConfig(),
 ) -> list[float]:
     """Train a fresh zero-weight detector per genome on the record and
-    score each one's tail window."""
+    score each one's tail window. Scoring no runs first refuses a window
+    with no target period before any replay."""
     start, end = window = trailing_window(record, ga_cfg.eval_window_s)
     if start < 0:
         raise ValueError(
             f"record ({record.n_steps} steps) shorter than the "
             f"evaluation window ({end - start} steps)"
         )
-    runs = replay_population([g.to_config(ga_cfg.T_P) for g in genomes], record)
-    return score_runs([run.fire_steps for run in runs], record.reward_steps, ga_cfg.T_P, window)
+    score_runs([], record.reward_steps, PlasticityConfig.T_P, window)
+    runs = replay_population([g.to_config() for g in genomes], record)
+    return score_runs([run.fire_steps for run in runs], record.reward_steps,
+                      PlasticityConfig.T_P, window)
 
 
 def evaluate(genome: Genome, record: EpisodeRecord, ga_cfg: GaConfig = GaConfig()) -> float:
@@ -130,15 +125,15 @@ def evolve(
     population: Sequence[Genome],
     fitnesses: Sequence[float],
     rng: np.random.Generator,
-    cfg: GaConfig,
 ) -> list[Genome]:
-    """One generation: elites copied, rest bred by tournament-3 selection,
-    uniform per-gene crossover and single-gene log-uniform mutation."""
+    """One generation: the ELITISM_FRACTION best copied, the rest bred by
+    tournament-3 selection, uniform per-gene crossover and, with
+    probability MUTATION_PROB, one gene resampled log-uniformly."""
     if len(population) != len(fitnesses):
         raise ValueError("population and fitnesses must have equal length")
     n = len(population)
     order = sorted(range(n), key=lambda i: (-fitnesses[i], i))
-    n_elite = math.ceil(cfg.elitism_fraction * n)
+    n_elite = math.ceil(ELITISM_FRACTION * n)
     nxt = [population[i] for i in order[:n_elite]]
     while len(nxt) < n:
         pa = population[_tournament(rng, fitnesses)]
@@ -147,7 +142,7 @@ def evolve(
             name: getattr(pa if rng.random() < 0.5 else pb, name)
             for name in GENE_NAMES
         }
-        if rng.random() < cfg.mutation_prob:
+        if rng.random() < MUTATION_PROB:
             name = GENE_NAMES[rng.integers(len(GENE_NAMES))]
             genes[name] = _log_uniform(rng, *GENE_RANGES[name])
         nxt.append(Genome(**genes))
@@ -190,4 +185,4 @@ def run_ga(cfg: GaConfig, record: EpisodeRecord, seed: int) -> list[GenerationSt
         if (len(history) - 1 - best_generation(history) >= cfg.stagnation_generations
                 or len(history) == cfg.max_generations):
             return history
-        population = evolve(population, fitnesses, rng, cfg)
+        population = evolve(population, fitnesses, rng)

@@ -5,7 +5,8 @@ direct way, one interval, spike or event at a time:
 
 * :class:`IntervalSet`, :func:`target_periods`, :func:`prediction_periods`
   and :func:`r_metric` define the R score that ``metrics.score_runs``
-  computes on arrays;
+  computes on arrays, and :func:`interval_score` puts them together for
+  one fire train over an optional step window;
 * :func:`tss_segments` is the offline segmentation of a postsynaptic
   spike train that the online detector's tight spike sequences match;
 * :func:`frozen_clone` is a trained detector with plasticity off, whose
@@ -122,6 +123,19 @@ def r_metric(targets: IntervalSet, predictions: IntervalSet) -> float:
         raise ValueError("R metric undefined: no target periods")
     t_err = targets.symmetric_difference_measure(predictions)
     return 1.0 - t_err / t_tar
+
+
+def interval_score(fires, rewards, T_P, window):
+    """R through the IntervalSet reference: filter, build, clip, r_metric."""
+    if window is not None:
+        lo, hi = window
+        fires = [f for f in fires if lo <= f < hi]
+        rewards = [r for r in rewards if lo <= r < hi]
+    targets = target_periods(rewards, T_P)
+    predictions = prediction_periods(fires, rewards, T_P)
+    if window is not None:
+        targets, predictions = targets.clip(*window), predictions.clip(*window)
+    return r_metric(targets, predictions)
 
 
 def tss_segments(post_spike_steps: Sequence[int], T_P: int) -> list[tuple[int, int]]:

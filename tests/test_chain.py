@@ -1,6 +1,7 @@
 """The determinism contract as one table: a fixed small CLI chain, one sha256
-per output, in this process, again with numpy's SIMD dispatch disabled, and
-again with every record decoded by the one-varint-at-a-time reference.
+per output, in this process, again with numpy's SIMD dispatch disabled, again
+with every record decoded by the one-varint-at-a-time reference, and again
+with frozen replay and R computed by their scalar references.
 
 Run as a script, this module prints the chain's digests as JSON:
 
@@ -16,13 +17,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import causalneuron
+from causalneuron import cli, ga
 from causalneuron.cli import EXIT_OK, main
+from causalneuron.neuron import Detector
+from causalneuron.plasticity import PlasticityConfig
 from causalneuron.records import EpisodeRecord
+from causalneuron.runner import replay
 
-from reference import reference_decode
+from reference import interval_score, reference_decode
 
 # The chain, in order. Each step's stdout is an output, and so is each file
 # it writes (the path after --out, --report or --resources). Paths are
@@ -70,7 +76,7 @@ CHAIN_PINS = {
     "export.csv": "3e46bf09d76de67867ddfd45f75a820bede4963ade7984be8d6a33c5ffb3db3c",
     "train --dump-config stdout":
         "f48bc7220c668b8a394816979220f40995dd87355bc1839a04843cc1e8a33b6e",
-    "ga --dump-config stdout": "de99a71cc5dba9e0feeb76506379b7492b12ffb9507fd868b2a82ad8dd6cb789",
+    "ga --dump-config stdout": "e87746b269ee267496781608c531ed679384e5d21722817799d983d6eff7a11c",
     "synthetic --dump-config stdout":
         "1d9b62757f17ef4fd52837ce15085ebf344d68e5bf18e442700339965ebc5e02",
 }
@@ -116,6 +122,35 @@ def test_chain_outputs_are_pinned_through_the_reference_decoder(tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     assert chain_digests() == CHAIN_PINS
     assert len(decoded) == 4  # train, eval, ga and export each read one record
+
+
+def test_chain_outputs_are_pinned_through_the_scalar_references(tmp_path, monkeypatch):
+    calls = []
+
+    def scalar_frozen_fires(record, weights):  # runner.replay of a frozen detector
+        calls.append("frozen_fires")
+        detector = Detector(len(weights), PlasticityConfig())
+        detector.weights, detector.frozen = list(weights), True
+        return replay(detector, record)
+
+    def interval_score_runs(fire_trains, reward_steps, T_P, window):  # one run at a time
+        calls.append("score_runs")
+        rewards = np.asarray(reward_steps).tolist()
+        return [interval_score(np.asarray(train).tolist(), rewards, T_P, window)
+                for train in fire_trains]
+
+    def interval_score_run(fire_steps, reward_steps, T_P, window):
+        calls.append("score_run")
+        return interval_score(np.asarray(fire_steps).tolist(), reward_steps, T_P, window)
+
+    monkeypatch.setattr(cli, "frozen_fires", scalar_frozen_fires)
+    monkeypatch.setattr(cli, "score_run", interval_score_run)
+    monkeypatch.setattr(ga, "score_runs", interval_score_runs)
+    monkeypatch.chdir(tmp_path)
+    assert chain_digests() == CHAIN_PINS
+    # eval's frozen replay; train's and eval's R; ga's two generations, each
+    # checked for a target period before its replay and then scored
+    assert calls == ["score_run", "frozen_fires", "score_run"] + ["score_runs"] * 4
 
 
 def test_chain_outputs_are_pinned_with_simd_dispatch_disabled(tmp_path):

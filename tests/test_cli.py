@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from causalneuron import cli, pong
+from causalneuron import ga as ga_module
 from causalneuron.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -84,8 +85,7 @@ class TestConfigFiles:
     def test_ga_defaults_come_from_the_config_class(self, capsys):
         assert main(["ga", "--dump-config"]) == EXIT_OK
         assert capsys.readouterr().out == (
-            "population_size = 300\nelitism_fraction = 0.1\nmutation_prob = 0.5\n"
-            "stagnation_generations = 3\neval_window_s = 600\nT_P = 100\n"
+            "population_size = 300\nstagnation_generations = 3\neval_window_s = 600\n"
             "max_generations = 0\n"
         )
         assert config_defaults(GaConfig) == vars(GaConfig())
@@ -474,25 +474,27 @@ class TestConfigValidation:
         cfg = tmp_path / "ga.txt"
         cfg.write_text(f"population_size = 4\neval_window_s = {window}\n")
         self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
-                    "eval_window_s must be >= 1", capsys)
+                    f"eval_window_s must be >= 1, got {window}", capsys)
 
-    @pytest.mark.parametrize("T_P", [0, 2**32 + 1])
-    def test_ga_T_P_out_of_range_before_the_record_is_read(self, tmp_path, monkeypatch,
-                                                            capsys, T_P):
+    @pytest.mark.parametrize("line", ["elitism_fraction = 0.1", "mutation_prob = 0.5",
+                                      "T_P = 100"])
+    def test_ga_search_constants_are_not_keys(self, tmp_path, monkeypatch, capsys, line):
+        # elitism and mutation are ga.py's constants, and T_P is PlasticityConfig's
         def unread(*args):
             raise AssertionError("the record was read")
 
         monkeypatch.setattr(EpisodeRecord, "load", unread)
         cfg = tmp_path / "ga.txt"
-        cfg.write_text(f"population_size = 4\nT_P = {T_P}\n")
+        cfg.write_text(f"population_size = 4\n{line}\n")
+        key = line.partition(" ")[0]
         self.expect(["ga", "--record", str(tmp_path / "missing.spkc"), "--config", str(cfg)],
-                    f"T_P must be in [1, 4294967296], got {T_P}", capsys)
+                    f"{cfg}:2: unknown key {key!r}", capsys)
 
     def test_ga_negative_max_generations(self, tmp_path, syn_record, capsys):
         cfg = tmp_path / "ga.txt"
         cfg.write_text("population_size = 4\nmax_generations = -1\n")
         self.expect(["ga", "--record", str(syn_record), "--config", str(cfg)],
-                    "max_generations must be >= 0 (0: no cap)", capsys)
+                    "max_generations must be >= 0 (0: no cap), got -1", capsys)
 
     def test_ga_negative_seed(self, syn_record, capsys):
         self.expect(["ga", "--record", str(syn_record), "--seed", "-1"],
@@ -1285,7 +1287,11 @@ class TestGaCommand:
         assert rows == [(str(i), f"{s.best_fitness:.9g}") for i, s in enumerate(history)]
         assert len(rows) > settings["stagnation_generations"]
 
-    def test_no_reward_in_the_window_is_config_error(self, tmp_path, capsys):
+    def test_no_reward_in_the_window_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def unreplayed(*args):
+            raise AssertionError("a genome was replayed")
+
+        monkeypatch.setattr(ga_module, "replay_population", unreplayed)
         record, cfg = tmp_path / "early.spkc", tmp_path / "ga.txt"
         # the only reward lies before the 1 s (1000-step) evaluation window
         EpisodeRecord.build(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from causalneuron.metrics import score_run, score_runs
 
-from reference import IntervalSet, prediction_periods, r_metric, target_periods
+from reference import IntervalSet, interval_score, prediction_periods, r_metric, target_periods
 
 
 def brute_force_score(fires, rewards, T_P, window):
@@ -152,19 +152,6 @@ class TestBruteForceEquivalence:
             assert score_run(fires, rewards, T_P, (lo, hi)) == brute_force_score(
                 fires, rewards, T_P, (lo, hi)
             )
-
-
-def interval_score(fires, rewards, T_P, window):
-    """R through the IntervalSet reference: filter, build, clip, r_metric."""
-    if window is not None:
-        lo, hi = window
-        fires = [f for f in fires if lo <= f < hi]
-        rewards = [r for r in rewards if lo <= r < hi]
-    targets = target_periods(rewards, T_P)
-    predictions = prediction_periods(fires, rewards, T_P)
-    if window is not None:
-        targets, predictions = targets.clip(*window), predictions.clip(*window)
-    return r_metric(targets, predictions)
 
 
 @st.composite

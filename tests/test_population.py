@@ -243,10 +243,10 @@ def test_events_out_of_order_or_past_the_end_rejected(rewards, message):
 
 def scalar_evaluate(genome, record, cfg):
     window_steps = cfg.eval_window_s * 1000
-    det = Detector(record.n_channels, genome.to_config(cfg.T_P))
+    det = Detector(record.n_channels, genome.to_config())
     fires = replay(det, record)
     window = (record.n_steps - window_steps, record.n_steps)
-    return score_run(fires, record.reward_steps.tolist(), cfg.T_P, window)
+    return score_run(fires, record.reward_steps.tolist(), PlasticityConfig.T_P, window)
 
 
 def reference_run_ga(cfg, record, seed):
@@ -268,7 +268,7 @@ def reference_run_ga(cfg, record, seed):
             break
         if cfg.max_generations and len(history) >= cfg.max_generations:
             break
-        population = evolve(population, fitnesses, rng, cfg)
+        population = evolve(population, fitnesses, rng)
     return best_genome, history
 
 
