@@ -199,6 +199,20 @@ class TestConfigValidation:
             GaConfig(**kwargs)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(population_size=2),
+            dict(stagnation_generations=1),
+            dict(eval_window_s=1),
+            dict(max_generations=0),
+        ],
+    )
+    def test_accepts_the_least_valid_value(self, kwargs):
+        # each rule's bound is inclusive: the value next to the refused one is kept
+        cfg = GaConfig(**kwargs)
+        assert {key: getattr(cfg, key) for key in kwargs} == kwargs
+
 
 @pytest.mark.xfail(
     reason="soft target: with the reconstructed chaotic racket the best known "
