@@ -106,6 +106,14 @@ def r_label(window_s: int, record: EpisodeRecord) -> str:
     return f"R({min(window_s, record.duration_s):.15g}s window)"
 
 
+def write_output(path, write, *args) -> None:
+    """``write(path, *args)``; an ``OSError`` naming no file (a failed write's) gets ``path``."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, exc.filename or path) from exc
+
+
 def write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -117,7 +125,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def cmd_record(args) -> int:
     rec = record_pong_episode(args.duration, args.seed, clock_mode=args.clock)
-    rec.save(args.out)
+    write_output(args.out, rec.save)
     print(
         f"wrote {args.out}: {rec.n_steps} steps, "
         f"{len(rec.reward_steps)} rewards, {len(rec.punishment_steps)} punishments"
@@ -150,16 +158,17 @@ def cmd_train(args) -> int:
     )
 
     if args.out:
-        trained.save_snapshot(args.out)
+        write_output(args.out, trained.save_snapshot)
         print(f"wrote snapshot {args.out}")
     if args.report:
         seconds = REPORT_WINDOW_STEPS / STEPS_PER_S
         windows = zip(run.window_fires.tolist(), run.window_stability.tolist(),
                       run.window_abs_dw.tolist())
-        write_csv(args.report, ["window_start_s", "firing_hz", "stability", "abs_weight_change"],
-                  ([i * REPORT_WINDOW_STEPS // STEPS_PER_S, f"{fires / seconds:.6g}",
-                    f"{stability:.6g}", f"{dw:.6g}"]
-                   for i, (fires, stability, dw) in enumerate(windows)))
+        write_output(args.report, write_csv,
+                     ["window_start_s", "firing_hz", "stability", "abs_weight_change"],
+                     ([i * REPORT_WINDOW_STEPS // STEPS_PER_S, f"{fires / seconds:.6g}",
+                       f"{stability:.6g}", f"{dw:.6g}"]
+                      for i, (fires, stability, dw) in enumerate(windows)))
         print(f"wrote report {args.report}")
     if args.resources:
         res, wts = trained.resources, trained.weights
@@ -167,9 +176,10 @@ def cmd_train(args) -> int:
             labels = [(name, k) for name, size in SECTION_SIZES.items() for k in range(size)]
         else:
             labels = [("channel", ch) for ch in range(rec.n_channels)]
-        write_csv(args.resources, ["section", "index_in_section", "channel", "resource", "weight"],
-                  ([name, k, ch, f"{res[ch]:.9g}", f"{wts[ch]:.9g}"]
-                   for ch, (name, k) in enumerate(labels)))
+        write_output(args.resources, write_csv,
+                     ["section", "index_in_section", "channel", "resource", "weight"],
+                     ([name, k, ch, f"{res[ch]:.9g}", f"{wts[ch]:.9g}"]
+                      for ch, (name, k) in enumerate(labels)))
         print(f"wrote resources {args.resources}")
     return EXIT_OK
 
@@ -190,10 +200,10 @@ def cmd_ga(args) -> int:
     check_seed(args.seed)  # before the record is read
     history = run_ga(cfg, EpisodeRecord.load(args.record), args.seed)
     if args.out:
-        write_csv(args.out, ["generation", "best_R", "mean_R", *GENE_NAMES],
-                  ([i, f"{st.best_fitness:.9g}", f"{st.mean_fitness:.9g}",
-                    *(f"{v:.9g}" for v in st.best_genome.as_tuple())]
-                   for i, st in enumerate(history)))
+        write_output(args.out, write_csv, ["generation", "best_R", "mean_R", *GENE_NAMES],
+                     ([i, f"{st.best_fitness:.9g}", f"{st.mean_fitness:.9g}",
+                       *(f"{v:.9g}" for v in st.best_genome.as_tuple())]
+                      for i, st in enumerate(history)))
         print(f"wrote history {args.out}")
     best = history[best_generation(history)]
     print(
@@ -206,7 +216,7 @@ def cmd_ga(args) -> int:
 
 def cmd_synthetic(args) -> int:
     rec = generate(build_config(args), args.seed)
-    rec.save(args.out)
+    write_output(args.out, rec.save)
     print(f"wrote {args.out}: {rec.n_steps} steps, {len(rec.reward_steps)} rewards")
     return EXIT_OK
 
@@ -217,8 +227,8 @@ def cmd_export(args) -> int:
                     + [(t, "punishment", "") for t in rec.punishment_steps.tolist()])
     frames = ((t, "spikes", " ".join(map(str, chans))) for t, chans in rec.frames())
     # step order; at a step, its events before its spike frame (merge keeps ties in input order)
-    write_csv(args.out, ["step", "kind", "channels"],
-              heapq.merge(events, frames, key=itemgetter(0)))
+    write_output(args.out, write_csv, ["step", "kind", "channels"],
+                 heapq.merge(events, frames, key=itemgetter(0)))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -8,9 +8,9 @@ threshold, 1.0 (``tests/test_runner.py`` checks it).
 
 :func:`train_on_record` runs the lockstep kernel of the genetic search
 (:mod:`~causalneuron.population`) and returns the :class:`DetectorState` it
-ends in. The scalar :func:`replay`, one :meth:`Detector.tick_sparse` call per
-event, is the reference it is checked against, as is :func:`frozen_fires`,
-which evaluates every step of a frozen detector at once.
+ends in. The scalar :func:`replay`, up to any end step, is the one reference
+loop: ``tests/reference.py`` trains window by window and replays populations
+on it, and frozen replay on it is what :func:`frozen_fires` computes at once.
 """
 
 from __future__ import annotations
@@ -32,50 +32,49 @@ def _check_channels(record: EpisodeRecord, n_synapses: int) -> None:
         raise ValueError(f"record has {record.n_channels} channels, detector has {n_synapses}")
 
 
-def replay(detector: Detector, record: EpisodeRecord) -> list[int]:
-    """Replay a record from the detector's current step to the end.
+def replay(detector: Detector, record: EpisodeRecord, *, end: Optional[int] = None) -> list[int]:
+    """Replay a record from the detector's current step to ``end`` (default ``n_steps``).
 
-    Returns the steps at which the detector fired. This scalar loop, one
-    :meth:`Detector.tick_sparse` call per event step, is the reference
-    the lockstep kernel is checked against; no command runs it. Like every
-    replay it checks nothing of the record, whose steps rise strictly below
-    ``n_steps`` from the moment it is made (:class:`EpisodeRecord`).
+    Returns the fire steps and leaves the detector at step ``end``, that step's
+    events not yet processed. This is the one scalar walk of a record, one
+    :meth:`Detector.tick_sparse` call per event step, on which every scalar
+    reference is built; no command runs it. It lists only the events in
+    ``[start, end)``, and checks nothing of the record (:class:`EpisodeRecord`).
     """
     _check_channels(record, detector.n)
-    start = detector.step
-    n_steps = record.n_steps
-    if start > n_steps:
-        raise ValueError("detector is already past the end of the record")
-
-    spike_steps = record.spike_steps.tolist()
-    indptr = record.indptr.tolist()
-    chans = record.channels.tolist()
-    rewards = record.reward_steps.tolist()
-    i = int(np.searchsorted(record.spike_steps, start))
-    j = int(np.searchsorted(record.reward_steps, start))
-    n_spk, n_rew = len(spike_steps), len(rewards)
+    start, end = detector.step, record.n_steps if end is None else end
+    if not start <= end <= record.n_steps:
+        raise ValueError(f"replay end {end} is not between the detector's step {start} "
+                         f"and the record's n_steps {record.n_steps}")
+    i, i_end = np.searchsorted(record.spike_steps, (start, end)).tolist()
+    j, j_end = np.searchsorted(record.reward_steps, (start, end)).tolist()
+    spike_steps = record.spike_steps[i:i_end].tolist()
+    rewards = record.reward_steps[j:j_end].tolist()
+    offsets = record.indptr[i:i_end + 1]
+    chans = record.channels[offsets[0]:offsets[-1]].tolist()
+    indptr = (offsets - offsets[0]).tolist()
 
     fires: list[int] = []
     tick = detector.tick_sparse
+    i = j = 0
     while True:
-        # events lie below n_steps, so t reaches n_steps only after the last
-        t_spk = spike_steps[i] if i < n_spk else n_steps
-        t_rew = rewards[j] if j < n_rew else n_steps
+        # the events lie below end, so t reaches end only after the last
+        t_spk = spike_steps[i] if i < len(spike_steps) else end
+        t_rew = rewards[j] if j < len(rewards) else end
         t = t_spk if t_spk <= t_rew else t_rew
-        if t == n_steps:
+        if t == end:
             break
         detector.advance_to(t)
+        active = ()
         if t_spk == t:
             active = chans[indptr[i]:indptr[i + 1]]
             i += 1
-        else:
-            active = ()
         dopamine = t_rew == t
         if dopamine:
             j += 1
         if tick(active, dopamine):
             fires.append(t)
-    detector.advance_to(n_steps)
+    detector.advance_to(end)
     return fires
 
 

@@ -11,9 +11,13 @@ direct way, one interval, spike or event at a time:
   spike train that the online detector's tight spike sequences match;
 * :func:`frozen_clone` is a trained detector with plasticity off, whose
   scalar replay ``runner.frozen_fires`` must reproduce;
-* :func:`train_scalar` drives the scalar ``Detector`` through a record
-  with its own report-window loop; ``runner.train_on_record``, which runs
-  the lockstep kernel, must reproduce its fires, windows and final state;
+* :func:`train_scalar` and :func:`replay_population_scalar` stand in for
+  ``runner.train_on_record`` and ``population.replay_population``, which
+  run the lockstep kernel. They walk the record only through
+  ``runner.replay``, the one scalar event loop: training replays it up to
+  each report-window boundary (its ``end``), the population once per
+  config. Either can replace the kernel in a command
+  (``tests/test_chain.py``);
 * :func:`spkc_bytes` writes the ``.spkc`` format one varint at a time,
   also for values that make no valid record, which ``EpisodeRecord``
   cannot hold and so cannot encode;
@@ -23,14 +27,18 @@ direct way, one interval, spike or event at a time:
 
 from __future__ import annotations
 
+import copy
 import struct
 from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from causalneuron.neuron import Detector
+from causalneuron.neuron import Detector, DetectorState
+from causalneuron.plasticity import PlasticityConfig
+from causalneuron.population import ReplayResult
 from causalneuron.records import EpisodeRecord, _read_varint, _write_varint
+from causalneuron.runner import REPORT_WINDOW_STEPS, replay
 
 
 class IntervalSet:
@@ -175,65 +183,52 @@ def frozen_clone(det: Detector) -> Detector:
     return clone
 
 
-def train_scalar(
-    record: EpisodeRecord,
-    detector: Detector,
-    *,
-    window_steps: int,
-    freeze_at: Optional[int] = None,
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """Train the scalar detector event by event, reporting every window.
+def train_scalar(record: EpisodeRecord, detector: Detector, *,
+                 window_steps: int = REPORT_WINDOW_STEPS, freeze_at: Optional[int] = None,
+                 ) -> tuple[ReplayResult, DetectorState]:
+    """``runner.train_on_record`` on the scalar detector: ``runner.replay`` window by window.
 
-    At every multiple of ``window_steps`` up to ``n_steps`` the detector is
-    advanced to the boundary (the boundary step not yet processed) and the
-    window's fires, end stability and |weight change| are taken;
-    plasticity freezes at the first boundary at or after ``freeze_at``,
-    once they are taken. The event loop is ``runner.replay``'s, with the
-    window boundaries added. Returns the fires and, as the kernel's
-    ``ReplayResult`` holds them, the three per-window arrays.
+    A copy of the detector is replayed up to each multiple of ``window_steps``
+    up to ``n_steps`` (the boundary step not yet processed), where the window's
+    fires, end stability and |weight change| are taken; plasticity freezes at
+    the first boundary at or after ``freeze_at``, once they are taken. Then the
+    rest is replayed. Returns the run and the state the copy ends in.
     """
     if window_steps < 1:
         raise ValueError("window_steps must be >= 1")
-    n_steps = record.n_steps
-    spike_steps = record.spike_steps.tolist()
-    indptr = record.indptr.tolist()
-    chans = record.channels.tolist()
-    rewards = record.reward_steps.tolist()
-    n_spk, n_rew = len(spike_steps), len(rewards)
-    windows: list[tuple[int, float, float]] = []
-    fires: list[int] = []
-    fired, dw = 0, 0.0
-    boundary = window_steps
-    i = j = 0
-    while True:
-        t_spk = spike_steps[i] if i < n_spk else n_steps
-        t_rew = rewards[j] if j < n_rew else n_steps
-        t = t_spk if t_spk <= t_rew else t_rew
-        while boundary <= t:
-            detector.advance_to(boundary)
-            windows.append((detector.fire_count - fired, detector.stability,
-                            detector.total_abs_dw - dw))
-            fired, dw = detector.fire_count, detector.total_abs_dw
-            if freeze_at is not None and boundary >= freeze_at:
-                detector.frozen = True
-            boundary += window_steps
-        if t == n_steps:
-            break
-        detector.advance_to(t)
-        if t_spk == t:
-            active = chans[indptr[i]:indptr[i + 1]]
-            i += 1
-        else:
-            active = ()
-        dopamine = t_rew == t
-        if dopamine:
-            j += 1
-        if detector.tick_sparse(active, dopamine):
-            fires.append(t)
-    detector.advance_to(n_steps)
+    det = copy.deepcopy(detector)
+    fires, windows = [], []
+    fired, dw = det.fire_count, det.total_abs_dw
+    for boundary in range(window_steps, record.n_steps + 1, window_steps):
+        fires += replay(det, record, end=boundary)
+        windows.append((det.fire_count - fired, det.stability, det.total_abs_dw - dw))
+        fired, dw = det.fire_count, det.total_abs_dw
+        det.frozen |= freeze_at is not None and boundary >= freeze_at
+    fires += replay(det, record)
     counts, stability, abs_dw = zip(*windows) if windows else ((), (), ())
-    return (fires, np.array(counts, dtype=np.int64), np.array(stability, dtype=np.float64),
-            np.array(abs_dw, dtype=np.float64))
+    return scalar_run(det, fires, total_abs_dw=det.total_abs_dw,
+                      window_fires=np.array(counts, dtype=np.int64),
+                      window_stability=np.array(stability, dtype=np.float64),
+                      window_abs_dw=np.array(abs_dw, dtype=np.float64)), det.state()
+
+
+def replay_population_scalar(cfgs: Sequence[PlasticityConfig], record: EpisodeRecord
+                             ) -> list[ReplayResult]:
+    """``population.replay_population(cfgs, record)``: one ``runner.replay`` of a
+    fresh zero-weight detector per config."""
+    runs = []
+    for cfg in cfgs:
+        det = Detector(record.n_channels, cfg)
+        runs.append(scalar_run(det, replay(det, record)))
+    return runs
+
+
+def scalar_run(det: Detector, fires: list[int], **report) -> ReplayResult:
+    """A scalar detector's replay, with these fires (and report fields), as the
+    lockstep kernel returns it."""
+    return ReplayResult(np.array(fires, dtype=np.int64), np.array(det.resources), det.stability,
+                        np.isin(np.arange(det.n), sorted(det.depressed)),
+                        np.array(det.last_presyn), **report)
 
 
 def spkc_bytes(*, step_ms: int = 1, n_channels: int, seed: int = 0, n_steps: int,

@@ -1,7 +1,8 @@
 """The determinism contract as one table: a fixed small CLI chain, one sha256
 per output, in this process, again with numpy's SIMD dispatch disabled, again
 with every record decoded by the one-varint-at-a-time reference, and again
-with frozen replay and R computed by their scalar references.
+with every reference in place: the decoder, training, the GA's population
+replay and frozen replay on the scalar detector, and R on interval sets.
 
 Run as a script, this module prints the chain's digests as JSON:
 
@@ -28,7 +29,7 @@ from causalneuron.plasticity import PlasticityConfig
 from causalneuron.records import EpisodeRecord
 from causalneuron.runner import replay
 
-from reference import interval_score, reference_decode
+from reference import interval_score, reference_decode, replay_population_scalar, train_scalar
 
 # The chain, in order. Each step's stdout is an output, and so is each file
 # it writes (the path after --out, --report or --resources). Paths are
@@ -127,30 +128,42 @@ def test_chain_outputs_are_pinned_through_the_reference_decoder(tmp_path, monkey
 def test_chain_outputs_are_pinned_through_the_scalar_references(tmp_path, monkeypatch):
     calls = []
 
+    def logged(name, reference):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return reference(*args, **kwargs)
+        return call
+
     def scalar_frozen_fires(record, weights):  # runner.replay of a frozen detector
-        calls.append("frozen_fires")
         detector = Detector(len(weights), PlasticityConfig())
         detector.weights, detector.frozen = list(weights), True
         return replay(detector, record)
 
     def interval_score_runs(fire_trains, reward_steps, T_P, window):  # one run at a time
-        calls.append("score_runs")
         rewards = np.asarray(reward_steps).tolist()
         return [interval_score(np.asarray(train).tolist(), rewards, T_P, window)
                 for train in fire_trains]
 
     def interval_score_run(fire_steps, reward_steps, T_P, window):
-        calls.append("score_run")
         return interval_score(np.asarray(fire_steps).tolist(), reward_steps, T_P, window)
 
-    monkeypatch.setattr(cli, "frozen_fires", scalar_frozen_fires)
-    monkeypatch.setattr(cli, "score_run", interval_score_run)
-    monkeypatch.setattr(ga, "score_runs", interval_score_runs)
+    monkeypatch.setattr(EpisodeRecord, "from_bytes",
+                        staticmethod(logged("from_bytes", reference_decode)))
+    monkeypatch.setattr(cli, "train_on_record", logged("train_on_record", train_scalar))
+    monkeypatch.setattr(cli, "frozen_fires", logged("frozen_fires", scalar_frozen_fires))
+    monkeypatch.setattr(cli, "score_run", logged("score_run", interval_score_run))
+    monkeypatch.setattr(ga, "replay_population",
+                        logged("replay_population", replay_population_scalar))
+    monkeypatch.setattr(ga, "score_runs", logged("score_runs", interval_score_runs))
     monkeypatch.chdir(tmp_path)
     assert chain_digests() == CHAIN_PINS
-    # eval's frozen replay; train's and eval's R; ga's two generations, each
-    # checked for a target period before its replay and then scored
-    assert calls == ["score_run", "frozen_fires", "score_run"] + ["score_runs"] * 4
+    # train: the record, scalar training and R; eval: the record, frozen replay
+    # and R; ga: the record, then per generation a check for a target period,
+    # the scalar replay of the new genomes and their R; export: the record
+    assert calls == (["from_bytes", "train_on_record", "score_run"]
+                     + ["from_bytes", "frozen_fires", "score_run"]
+                     + ["from_bytes"] + ["score_runs", "replay_population", "score_runs"] * 2
+                     + ["from_bytes"])
 
 
 def test_chain_outputs_are_pinned_with_simd_dispatch_disabled(tmp_path):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -25,7 +26,7 @@ from causalneuron.cli import (
 )
 from causalneuron.ga import GaConfig, run_ga
 from causalneuron.metrics import score_run
-from causalneuron.neuron import Detector
+from causalneuron.neuron import Detector, DetectorState
 from causalneuron.plasticity import PlasticityConfig
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
@@ -295,6 +296,31 @@ class TestExitCodes:
         assert (captured.out, captured.err) == ("", f"error: {missing}: No such file or "
                                                     "directory\n")
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("full", ["/dev/full", "a patched writer"])
+    @pytest.mark.parametrize("command, output", OUTPUTS)
+    def test_a_write_that_fails_after_open_names_its_file(
+            self, path_run, monkeypatch, capsys, command, output, full):
+        argv, _, _ = path_run
+        if full == "/dev/full":  # open succeeds, and every write fails with ENOSPC
+            if not os.path.exists(full):
+                pytest.skip("this host has no /dev/full")
+            target = full
+        else:
+            target = "out.file"
+
+            def failing(write):  # refuses the target, as a full disk would, with no file name
+                def call(*args):
+                    if target in args[:2]:  # the path comes first, or after self
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    return write(*args)
+                return call
+
+            monkeypatch.setattr(EpisodeRecord, "save", failing(EpisodeRecord.save))
+            monkeypatch.setattr(DetectorState, "save", failing(DetectorState.save))
+            monkeypatch.setattr(cli, "write_csv", failing(cli.write_csv))
+        assert main(argv(command, **{output: target})) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {target}: No space left on device\n"
 
     @pytest.mark.parametrize("where, reason", [
         ("{record}/out.csv", "Not a directory"),  # a folder that is a file

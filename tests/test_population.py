@@ -27,7 +27,7 @@ from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay
 from causalneuron.synthetic import SyntheticConfig, generate
 
-from reference import train_scalar, tss_segments
+from reference import replay_population_scalar, train_scalar, tss_segments
 
 CORNERS = [
     Genome(**{name: GENE_RANGES[name][k] for name in GENE_NAMES})
@@ -194,19 +194,19 @@ def test_report_windows_and_freeze_match_scalar_per_genome(freeze_step):
     for cfg, run in zip(cfgs, runs):
         det = Detector(rec.n_channels, cfg)
         det.frozen = freeze_step == 0
-        fires, window_fires, window_stability, window_abs_dw = train_scalar(
-            rec, det, window_steps=5_000, freeze_at=freeze_step or None)
-        assert run.fire_steps.tolist() == fires
-        assert run.window_fires.tolist() == window_fires.tolist()
+        ref, ref_state = train_scalar(rec, det, window_steps=5_000,
+                                      freeze_at=freeze_step or None)
+        assert run.fire_steps.tolist() == ref.fire_steps.tolist()
+        assert run.window_fires.tolist() == ref.window_fires.tolist()
         assert [s.hex() for s in run.window_stability.tolist()] \
-            == [s.hex() for s in window_stability.tolist()]
+            == [s.hex() for s in ref.window_stability.tolist()]
         assert [dw.hex() for dw in run.window_abs_dw.tolist()] \
-            == [dw.hex() for dw in window_abs_dw.tolist()]
-        assert run.total_abs_dw.hex() == det.total_abs_dw.hex()
-        assert run.resources.tolist() == det.resources
-        assert list(map(tuple, tss_spans(run.fire_steps, cfg.T_P).tolist())) == det.tss_spans
-        assert np.flatnonzero(run.depressed).tolist() == sorted(det.depressed)
-        assert run.last_presyn.tolist() == det.last_presyn
+            == [dw.hex() for dw in ref.window_abs_dw.tolist()]
+        assert run.total_abs_dw.hex() == ref_state.total_abs_dw.hex()
+        assert run.resources.tolist() == ref_state.resources.tolist()
+        assert tss_spans(run.fire_steps, cfg.T_P).tolist() == ref_state.tss_spans.tolist()
+        assert np.flatnonzero(run.depressed).tolist() == ref_state.depressed.tolist()
+        assert run.last_presyn.tolist() == ref_state.last_presyn.tolist()
     if freeze_step != 0:  # guard: a zero-weight detector frozen from the start is silent
         assert sum(len(run.fire_steps) for run in runs) > 0
 
@@ -242,11 +242,12 @@ def test_events_out_of_order_or_past_the_end_rejected(rewards, message):
 # -- the genetic search through a scalar reference ----------------------------
 
 def scalar_evaluate(genome, record, cfg):
+    """The genome's fitness through the GA's scalar stand-in and score_run."""
     window_steps = cfg.eval_window_s * 1000
-    det = Detector(record.n_channels, genome.to_config())
-    fires = replay(det, record)
+    (run,) = replay_population_scalar([genome.to_config()], record)
     window = (record.n_steps - window_steps, record.n_steps)
-    return score_run(fires, record.reward_steps.tolist(), PlasticityConfig.T_P, window)
+    return score_run(run.fire_steps.tolist(), record.reward_steps.tolist(),
+                     PlasticityConfig.T_P, window)
 
 
 def reference_run_ga(cfg, record, seed):

@@ -2,6 +2,7 @@
 training on the lockstep kernel against the scalar detector, and the
 frozen-evaluation kernel against frozen scalar replay."""
 
+import copy
 import math
 import tempfile
 from dataclasses import fields, replace
@@ -243,34 +244,90 @@ class TestFrozenFires:
             frozen_fires(busy_record(0), np.zeros(3))
 
 
+# -- replay up to an end step, then on: one replay of a twin -----------------
+
+def assert_split_replay_is_one_replay(record, cfg, weight, splits):
+    """Replaying up to each split in turn and then to the end equals one
+    replay of a twin detector; returns whether a TSS was open at each split."""
+    a, b = (Detector(record.n_channels, cfg, initial_weight=weight) for _ in range(2))
+    fires, open_at_split = [], []
+    for split in splits:
+        fires += replay(a, record, end=split)
+        assert a.step == split
+        open_at_split.append(a.tss_open)
+    fires += replay(a, record)
+    assert fires == replay(b, record)
+    assert [r.hex() for r in a.resources] == [r.hex() for r in b.resources]
+    assert a.stability.hex() == b.stability.hex()
+    assert (a.tss_spans, a.tss_open, a.step) == (b.tss_spans, b.tss_open, b.step)
+    return open_at_split
+
+
+class TestReplayEnd:
+    @settings(max_examples=150, deadline=None)
+    @given(record=event_records(), scale=st.sampled_from([1.0, 4.0]),
+           weight=st.sampled_from([0.0, 0.2, 0.45]), data=st.data())
+    def test_a_split_replay_is_one_replay(self, record, scale, weight, data):
+        # at scale 4 and weight 0.45 every spike frame fires, so splits fall in open TSSs
+        steps = st.integers(0, record.n_steps)
+        if len(record.reward_steps):  # a split on a reward step leaves its dopamine to the rest
+            steps = st.one_of(steps, st.sampled_from(record.reward_steps.tolist()))
+        splits = sorted(data.draw(st.lists(steps, min_size=1, max_size=3)))
+        assert_split_replay_is_one_replay(record, paper_cfg(scale), weight * scale, splits)
+
+    def test_splits_on_a_reward_step_and_inside_an_open_tss(self):
+        rec = busy_record(0)
+        fires = replay(Detector(rec.n_channels, CFG, initial_weight=0.35), rec)
+        reward = rec.reward_steps.tolist()[len(rec.reward_steps) // 2]
+        inside = fires[len(fires) // 2] + 1  # the step after a fire: its TSS is open
+        assert assert_split_replay_is_one_replay(rec, CFG, 0.35, [inside]) == [True]
+        assert_split_replay_is_one_replay(rec, CFG, 0.35, [reward])
+        assert_split_replay_is_one_replay(rec, CFG, 0.35, sorted([reward, inside]))
+
+    def test_an_end_before_the_detector_or_past_the_record_is_refused(self):
+        rec = busy_record(0)
+        det = Detector(rec.n_channels, CFG, initial_weight=0.35)
+        replay(det, rec, end=100)
+        before = copy.deepcopy(vars(det))
+        for end in (99, rec.n_steps + 1):
+            with pytest.raises(ValueError, match=f"^replay end {end} is not between the "
+                               f"detector's step 100 and the record's n_steps 6000$"):
+                replay(det, rec, end=end)
+        assert vars(det) == before
+        det.advance_to(rec.n_steps + 5)
+        with pytest.raises(ValueError, match="^replay end 6000 is not between the "
+                           "detector's step 6005 and the record's n_steps 6000$"):
+            replay(det, rec)
+
+
 # -- training on the lockstep kernel against the scalar detector ------------
 
-def window_bits(fires, stability, abs_dw):
-    """Per-window fire counts, end stabilities and |weight change|, by float.hex."""
-    return (fires.tolist(), [s.hex() for s in stability.tolist()],
-            [dw.hex() for dw in abs_dw.tolist()])
+def run_bits(run):
+    """Every field of a run, windows included, by name: its values, floats by
+    float.hex (None for an absent field)."""
+    return [(name, None if value is None else
+             [v.hex() if isinstance(v, float) else v for v in np.ravel(value).tolist()])
+            for name, value in vars(run).items()]
 
 
 def assert_trains_like_scalar(record, cfg, weight, window_steps, freeze_at):
-    """train_on_record gives the scalar loop's fires, windows and snapshot bytes,
-    and leaves the detector it starts from as it was."""
+    """train_on_record gives the scalar reference's run, windows included, and
+    snapshot bytes; both leave the detector they start from as it was."""
     start = Detector(record.n_channels, cfg, initial_weight=weight)
-    ref = Detector(record.n_channels, cfg, initial_weight=weight)
     run, state = train_on_record(record, start, window_steps=window_steps, freeze_at=freeze_at)
+    ref_run, ref_state = train_scalar(record, start, window_steps=window_steps,
+                                      freeze_at=freeze_at)
     assert vars(start) == vars(Detector(record.n_channels, cfg, initial_weight=weight))
-    det = Detector.from_state(state)
-    ref_fires, *ref_windows = train_scalar(record, ref, window_steps=window_steps,
-                                           freeze_at=freeze_at)
-    assert run.fire_steps.tolist() == ref_fires
-    assert window_bits(run.window_fires, run.window_stability, run.window_abs_dw) \
-        == window_bits(*ref_windows)
+    det, ref = Detector.from_state(state), Detector.from_state(ref_state)
+    assert run.fire_steps.tolist() == ref_run.fire_steps.tolist()
+    assert run_bits(run) == run_bits(ref_run)
     assert det.weights == ref.weights
     assert det.frozen == ref.frozen
     assert det.depressed == ref.depressed
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp) / "kernel.npz", Path(tmp) / "scalar.npz"
         state.save(a)
-        ref.save_snapshot(b)
+        ref_state.save(b)
         assert a.read_bytes() == b.read_bytes()
     return run
 
@@ -312,12 +369,13 @@ class TestTrainOnKernel:
     def test_a_frozen_detector_trains_frozen(self):
         rec = busy_record(3)
         det = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        ref = Detector(rec.n_channels, CFG, initial_weight=0.35)
-        det.frozen = ref.frozen = True
+        det.frozen = True
         run, state = train_on_record(rec, det, window_steps=1000)
-        assert run.fire_steps.tolist() == train_scalar(rec, ref, window_steps=1000)[0]
-        assert state.resources.tolist() == ref.resources and state.stability == ref.stability
-        assert state.total_abs_dw == ref.total_abs_dw == 0.0 and state.frozen
+        ref_run, ref = train_scalar(rec, det, window_steps=1000)
+        assert run.fire_steps.tolist() == ref_run.fire_steps.tolist()
+        assert state.resources.tolist() == ref.resources.tolist()
+        assert state.stability == ref.stability
+        assert state.total_abs_dw == ref.total_abs_dw == 0.0 and state.frozen and ref.frozen
 
 
 def state_bits(state):
