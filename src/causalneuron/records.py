@@ -435,8 +435,14 @@ class EpisodeRecord:
 
     @classmethod
     def load(cls, path) -> "EpisodeRecord":
+        """Read a record. A file that cannot be opened raises ``OSError``; a
+        malformed one, the ``ValueError`` of :meth:`from_bytes` naming the file."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            raw = fh.read()
+        try:
+            return cls.from_bytes(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpisodeRecord):

@@ -7,6 +7,8 @@ direct way, one interval, spike or event at a time:
   and :func:`r_metric` define the R score that ``metrics.score_runs``
   computes on arrays, and :func:`interval_score` puts them together for
   one fire train over an optional step window;
+* :func:`brute_force_score` defines R once more, a step at a time: it marks
+  every step of every period in a window;
 * :func:`tss_segments` is the offline segmentation of a postsynaptic
   spike train that the online detector's tight spike sequences match;
 * :func:`frozen_clone` is a trained detector with plasticity off, whose
@@ -144,6 +146,33 @@ def interval_score(fires, rewards, T_P, window):
     if window is not None:
         targets, predictions = targets.clip(*window), predictions.clip(*window)
     return r_metric(targets, predictions)
+
+
+def brute_force_score(fires, rewards, T_P, window):
+    """Definition-level R: mark every step of every period, no interval tricks."""
+    lo, hi = window
+    fires = [f for f in fires if lo <= f < hi]
+    rewards = sorted(r for r in rewards if lo <= r < hi)
+
+    target = [False] * (hi - lo)
+    for r in rewards:
+        for u in range(max(r - T_P, lo), r):
+            target[u - lo] = True
+
+    prediction = [False] * (hi - lo)
+    for f in fires:
+        end = f + T_P
+        upcoming = [r for r in rewards if r >= f]
+        if upcoming:
+            end = min(end, upcoming[0])
+        for u in range(f, min(end, hi)):
+            prediction[u - lo] = True
+
+    t_tar = sum(target)
+    if t_tar == 0:
+        raise ValueError("no targets")
+    t_err = sum(a != b for a, b in zip(target, prediction))
+    return 1.0 - t_err / t_tar
 
 
 def tss_segments(post_spike_steps: Sequence[int], T_P: int) -> list[tuple[int, int]]:

@@ -29,8 +29,7 @@ from causalneuron.recording import record_pong_episode
 from causalneuron.runner import replay, train_on_record
 from causalneuron.synthetic import CAUSE_CHANNELS, SyntheticConfig, generate
 
-from reference import frozen_clone, tss_segments
-from test_metrics import brute_force_score
+from reference import brute_force_score, frozen_clone, tss_segments
 
 PAPER_PARAMS = PlasticityConfig()
 

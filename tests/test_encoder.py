@@ -1,7 +1,6 @@
 """Spike encoder: channel layout, binning, clock statistics, calibrated bounds."""
 
 import ast
-import hashlib
 import importlib.util
 import math
 import re
@@ -24,7 +23,6 @@ from causalneuron.encoder import (
     bin_index,
     encode,
 )
-from causalneuron.recording import record_pong_episode
 
 
 @pytest.fixture(scope="module")
@@ -467,16 +465,3 @@ class TestClockOracle:
             keep = ref_rng.random(len(active)) < 0.3
             assert clock.gate(0, active) == [c for c, k in zip(active, keep) if k]
 
-
-class TestRecordBytes:
-    """30 s records pinned to the bytes the one-step-at-a-time recorder wrote."""
-
-    @pytest.mark.parametrize("seed, clock, sha256", [
-        (3, "shared", "5cc6d61b893afa4027c0fbfbbd63ad528835d4f75c4dba6f9f148d7a1738075e"),
-        (11, "shared", "f449006b73f518eab855cc6caee81585465d368ee78203509436a277736b4edb"),
-        (3, "bernoulli", "e95fa8365929b578366e9dfefbc7a69edcbbb74e28bd4a7c854b9a81d120b757"),
-        (11, "bernoulli", "eb906f6f3db6d9d8476b5bb6c5e46ce68ac61e763fc11f61e6f83257794fb4ab"),
-    ])
-    def test_sha256_pinned(self, seed, clock, sha256):
-        rec = record_pong_episode(30, seed, clock_mode=clock)
-        assert hashlib.sha256(rec.to_bytes()).hexdigest() == sha256

@@ -6,34 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from causalneuron.metrics import score_run, score_runs
 
-from reference import IntervalSet, interval_score, prediction_periods, r_metric, target_periods
-
-
-def brute_force_score(fires, rewards, T_P, window):
-    """Definition-level R: mark every step of every period, no interval tricks."""
-    lo, hi = window
-    fires = [f for f in fires if lo <= f < hi]
-    rewards = sorted(r for r in rewards if lo <= r < hi)
-
-    target = [False] * (hi - lo)
-    for r in rewards:
-        for u in range(max(r - T_P, lo), r):
-            target[u - lo] = True
-
-    prediction = [False] * (hi - lo)
-    for f in fires:
-        end = f + T_P
-        upcoming = [r for r in rewards if r >= f]
-        if upcoming:
-            end = min(end, upcoming[0])
-        for u in range(f, min(end, hi)):
-            prediction[u - lo] = True
-
-    t_tar = sum(target)
-    if t_tar == 0:
-        raise ValueError("no targets")
-    t_err = sum(a != b for a, b in zip(target, prediction))
-    return 1.0 - t_err / t_tar
+from reference import (IntervalSet, brute_force_score, interval_score, prediction_periods,
+                       r_metric, target_periods)
 
 
 class TestIntervalSet:

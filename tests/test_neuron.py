@@ -65,12 +65,6 @@ def make_detector(n=4, weight=0.0, cfg=CFG, **kwargs):
     return Detector(n, cfg, initial_weight=weight, **kwargs)
 
 
-def driver_detector(cfg=None):
-    """One synapse strong enough that every presynaptic spike causes a fire."""
-    cfg = cfg or PlasticityConfig(d_bar=1e-9, w_min=-0.1, w_max=2.0, d_s=1e-9, T_P=100)
-    return Detector(1, cfg, initial_weight=1.5)
-
-
 class TestTssSegments:
     def test_examples(self):
         assert tss_segments([10, 12, 15], 100) == [(10, 15)]
@@ -86,23 +80,6 @@ class TestTssSegments:
     def test_boundary_gap_is_inclusive(self):
         assert tss_segments([0, 100], 100) == [(0, 100)]
         assert tss_segments([0, 101], 100) == [(0, 0), (101, 101)]
-
-
-class TestOnlineOfflineEquivalence:
-    def test_thousand_random_trains(self):
-        rng = np.random.default_rng(42)
-        isi = 100
-        for trial in range(1000):
-            density = rng.choice([0.0005, 0.002, 0.01, 0.05, 0.3])
-            n_steps = 10_000
-            spikes = np.nonzero(rng.random(n_steps) < density)[0].tolist()
-            det = driver_detector()
-            for t in spikes:
-                det.advance_to(t)
-                fired = det.tick_sparse([0])
-                assert fired
-            det.advance_to(n_steps + isi + 1)  # force closure of the last TSS
-            assert (det.tss_open, det.tss_spans) == (False, tss_segments(spikes, isi))
 
 
 class TestDepression:
