@@ -4,11 +4,11 @@ writes, and the state each snapshot loads to). Other tests check behaviour by
 equality or against a reference; the one other digest they hold is criterion
 9's 2000 s record (``tests/test_acceptance.py``), too slow to make here.
 
-The table holds in four modes: in this process; again with every reference in
-place of what it checks (the record decoder, training, the GA's population
-replay and frozen replay on the scalar detector, and R on interval sets); again
-in a subprocess with numpy's SIMD dispatch disabled; and in CI, where the tests
-named ``pinned`` run with numpy's SIMD dispatch disabled.
+The table holds in four modes: in this process, one step per test; again
+with every reference in place of what it checks (the record decoder, training,
+the GA's population replay and frozen replay on the scalar detector, and R on
+interval sets); again in a subprocess with numpy's SIMD dispatch disabled; and
+in CI, where the tests named ``pinned`` run with numpy's SIMD dispatch disabled.
 
 A declared change of behaviour re-pins here, with the old and new values in
 CHANGES.md. Run as a script, this module prints the chain's digests as JSON,
@@ -188,6 +188,19 @@ def loaded_state_digest(path) -> str:
     return sha256(repr(state).encode())
 
 
+def outputs(step: str) -> list[str]:
+    """A step's outputs, by their names in the table: its stdout, each file it
+    writes, and the state each snapshot that train writes loads to."""
+    argv = CHAIN[step]
+    names = [f"{step} stdout"]
+    for flag, path in zip(argv, argv[1:]):
+        if flag in WRITES:
+            names.append(path)
+        if (argv[0], flag) == ("train", "--out"):
+            names.append(f"{path} loaded state")
+    return names
+
+
 def chain_digests() -> dict[str, str]:
     """Run the chain in the working directory; the sha256 of each output."""
     for name, text in INPUTS.items():
@@ -196,12 +209,13 @@ def chain_digests() -> dict[str, str]:
     for step, argv in CHAIN.items():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(argv) == EXIT_OK, step
-        digests[f"{step} stdout"] = sha256(out.getvalue().encode())
-        for flag, path in zip(argv, argv[1:]):
-            if flag in WRITES:
-                digests[path] = sha256(Path(path).read_bytes())
-            if (argv[0], flag) == ("train", "--out"):
-                digests[f"{path} loaded state"] = loaded_state_digest(path)
+        for name in outputs(step):
+            if name.endswith(" stdout"):
+                digests[name] = sha256(out.getvalue().encode())
+            elif name.endswith(" loaded state"):
+                digests[name] = loaded_state_digest(name.removesuffix(" loaded state"))
+            else:
+                digests[name] = sha256(Path(name).read_bytes())
     return digests
 
 
@@ -214,9 +228,26 @@ def dispatch_targets() -> list[str]:
     return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
-def test_chain_outputs_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert chain_digests() == CHAIN_PINS
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The chain's digests, run once in process."""
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("chain"))
+    try:
+        return chain_digests()
+    finally:
+        os.chdir(cwd)
+
+
+def test_the_table_names_each_output_of_the_chain_once():
+    assert [name for step in CHAIN for name in outputs(step)] == list(CHAIN_PINS)
+
+
+@pytest.mark.parametrize("step", CHAIN)
+def test_chain_outputs_are_pinned(chain, step):
+    """In process, one step at a time, so that a re-pin names the steps it moves."""
+    assert {name: chain[name] for name in outputs(step)} == \
+        {name: CHAIN_PINS[name] for name in outputs(step)}
 
 
 def test_chain_outputs_are_pinned_through_the_scalar_references(tmp_path, monkeypatch):
