@@ -24,7 +24,8 @@ def record_pong_episode(
     dopamine channel; punishment events are logged but drive no
     plasticity. The master seed deterministically derives independent
     streams for the ball physics, the racket policy and (if selected) the
-    Bernoulli spike clock.
+    Bernoulli spike clock. Steps and frame ends gather in ``array('q')``,
+    channels in ``array('H')``: the record's int64 and uint16 arrays, uncopied.
     """
     if not math.isfinite(duration_s):
         raise ValueError(f"duration must be finite, got {duration_s}")
@@ -53,7 +54,7 @@ def record_pong_episode(
 
     spike_steps = array("q")
     indptr = array("q", [0])
-    channels = array("q")
+    channels = array("H")
     rewards = []
     punishments = []
     reward = pong.EventKind.REWARD
@@ -89,7 +90,7 @@ def record_pong_episode(
         n_steps=n_steps,
         spike_steps=np.frombuffer(spike_steps, dtype=np.int64),
         indptr=np.frombuffer(indptr, dtype=np.int64),
-        channels=np.frombuffer(channels, dtype=np.int64),
+        channels=np.frombuffer(channels, dtype=np.uint16),
         reward_steps=np.asarray(rewards, dtype=np.int64),
         punishment_steps=np.asarray(punishments, dtype=np.int64),
     )

@@ -15,7 +15,8 @@ and can be replayed; ``from_bytes`` checks only the format.
 
 The codec works on numpy arrays a block at a time, so its temporaries
 stay a fixed size whatever the record's length; the decoder's jump tables
-share one scratch array per record. ``_write_varint`` and ``_read_varint``
+share one scratch array per record. A record's channel indices are uint16,
+its other arrays int64. ``_write_varint`` and ``_read_varint``
 are the one-value reference that ``tests/test_records.py`` checks the
 encoder and decoder against.
 """
@@ -40,6 +41,8 @@ _STEP_MS = 1000 // STEPS_PER_S  # the header's step_ms, the only value it may ho
 MAX_STEPS = 2**64 - 1  # the longest record, in steps
 _HEADER_LIMITS = {"n_channels": 0xFFFF, "seed": 2**64 - 1, "n_steps": MAX_STEPS}
 _ARRAYS = ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps")
+# a channel index is below n_channels, at most 0xFFFF - 1, so the column is uint16
+_DTYPES = dict.fromkeys(_ARRAYS, np.int64) | {"channels": np.uint16}
 
 _KIND_REWARD = 0
 _KIND_PUNISHMENT = 1
@@ -211,7 +214,8 @@ class EpisodeRecord:
     step carrying at least one spike and its channels are
     ``channels[indptr[k]:indptr[k+1]]``. The dopamine channel is implied
     by ``reward_steps``. A record that breaks a rule of ``__post_init__``
-    raises ``ValueError``; fields and (read-only int64) arrays are fixed.
+    raises ``ValueError``; fields and (read-only) arrays are fixed: ``channels``
+    uint16, the others int64.
     """
 
     n_channels: int
@@ -235,8 +239,6 @@ class EpisodeRecord:
                 raise ValueError(f"bad record: {name} holds {values.dtype} values, not integers")
             if values.dtype.kind == "u" and values.size and int(values.max()) > _INT64_MAX:
                 raise ValueError(f"bad record: {name} holds {int(values.max())}, beyond int64")
-            values = values.astype(np.int64, copy=False).view()
-            values.flags.writeable = False
             object.__setattr__(self, name, values)
         n_steps, ptr, channels = self.n_steps, self.indptr, self.channels
         _check_steps("spike_steps", self.spike_steps, n_steps)
@@ -251,6 +253,10 @@ class EpisodeRecord:
             raise ValueError(f"bad record: channel index {high} >= n_channels {self.n_channels}")
         for name in ("reward_steps", "punishment_steps"):
             _check_steps(name, getattr(self, name), n_steps)
+        for name in _ARRAYS:  # checked as given, then stored: channels fit uint16 by now
+            values = getattr(self, name).astype(_DTYPES[name], copy=False).view()
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def duration_s(self) -> float:
@@ -315,8 +321,10 @@ class EpisodeRecord:
             steps = self.spike_steps[k0:k0 + _BLOCK_FRAMES]
             ptr = self.indptr[k0:k0 + len(steps) + 1]
             counts = np.diff(ptr)
-            # each frame's count followed by its channel indices
-            values = np.insert(self.channels[ptr[0]:ptr[-1]], ptr[:-1] - ptr[0], counts)
+            # each frame's count followed by its channel indices, widened to
+            # int64 first: a frame that repeats channels may count past 0xFFFF
+            chans = self.channels[ptr[0]:ptr[-1]].astype(np.int64)
+            values = np.insert(chans, ptr[:-1] - ptr[0], counts)
             lengths = _varint_lengths(values)
             # an empty step is a single zero byte ahead of the next frame
             empty_before = steps - prev - np.arange(len(steps))
@@ -350,9 +358,10 @@ class EpisodeRecord:
         # truncated record overruns, for an array cut to size once. Frames can
         # be far fewer than steps; each block's steps and ends are joined at the end.
         room = max(len(raw) - _HEADER.size - n_steps, 0)
-        channels = np.empty(room, dtype=np.int64)
+        channels = np.empty(room, dtype=np.uint16)
         frame_steps, frame_ends = [np.zeros(0, np.int64)], [np.zeros(1, np.int64)]
         n_chans = 0
+        top = -1  # the largest channel index, taken before the uint16 column can wrap it
         wide_channel = False
         pos = _HEADER.size
         step = 0
@@ -363,8 +372,8 @@ class EpisodeRecord:
             chunk = body[pos:pos + size]
             at_end = pos + size >= len(raw)
             values, owner, wide = _read_varints(chunk)
-            if work.shape[1] < len(values) + 2:  # _scan_frames's scratch
-                work = np.tile(np.arange(len(values) + 2), (4, 1))
+            if work.shape[1] < len(chunk) + 2:  # _scan_frames's scratch: b bytes, <= b values
+                work = np.tile(np.arange(len(chunk) + 2), (4, 1))
             steps, through, used = _scan_frames(values, n_steps - step, work)
             total = int(through[-1]) if len(steps) else 0
             if n_chans + total > room:
@@ -375,7 +384,9 @@ class EpisodeRecord:
             at = np.ones(total, dtype=np.intp)
             at[:1] = steps[:1] + 1
             at[through[:-1]] = steps[1:] - steps[:-1] + 1
-            channels[n_chans:n_chans + total] = values.take(at.cumsum(out=at))
+            block = values.take(at.cumsum(out=at))
+            top = max(top, int(block.max(initial=-1)))
+            channels[n_chans:n_chans + total] = block
             n_chans += total
             # a value beyond int64 before the steps' end is a channel index
             wide_channel = wide_channel or bool(wide.size and wide[0] < used)
@@ -417,6 +428,8 @@ class EpisodeRecord:
             punishment_steps = np.asarray(punishments, dtype=np.int64)
         except OverflowError:
             raise ValueError("bad record: a value does not fit in 64 bits") from None
+        if top >= n_channels:  # the constructor's refusal, which a wrapped index would pass
+            raise ValueError(f"bad record: channel index {top} >= n_channels {n_channels}")
         return cls(
             n_channels=n_channels,
             seed=seed,

@@ -264,3 +264,10 @@ def test_criterion_9_recorder_bytes_pinned(pong_run):
     rec, *_ = pong_run
     assert hashlib.sha256(rec.to_bytes()).hexdigest() == (
         "04667eef1669a0572c130d30aa33dee169ad22d6865fe31818c9d0b4ec2dad91")
+
+
+def test_criterion_9_record_arrays_are_small(pong_run):
+    # 600,000 frames with int64 steps and ends, 3,060,973 uint16 channel indices
+    rec, *_ = pong_run
+    arrays = (rec.spike_steps, rec.indptr, rec.channels, rec.reward_steps, rec.punishment_steps)
+    assert sum(a.nbytes for a in arrays) <= 16_000_000

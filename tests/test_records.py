@@ -191,6 +191,19 @@ class TestMalformed:
         with pytest.raises(ValueError, match="channel index 4 >= n_channels 4"):
             EpisodeRecord.from_bytes(raw)
 
+    @pytest.mark.parametrize("events, tail, message", [
+        ([], b"", "bad record: channel index 65539 >= n_channels 65535"),
+        ([(2**64, 0)], b"", "bad record: a value does not fit in 64 bits"),
+        ([(0, 1), (0, 0)], b"", "bad record: record event at step 0 is out of order"),
+        ([], b"\x00", "bad record: 1 bytes after the event table"),
+    ])
+    def test_channel_index_beyond_uint16_is_refused_in_order(self, events, tail, message):
+        # checked before the uint16 column would wrap it to 3; format errors come first
+        raw = spkc_bytes(n_channels=65535, n_steps=1, frames=[(0, [65539])], events=events)
+        got = outcome(EpisodeRecord.from_bytes, raw + tail)
+        assert got == outcome(reference_decode, raw + tail)
+        assert got.startswith(message)
+
     @pytest.mark.parametrize("kind", ["reward_steps", "punishment_steps"])
     def test_event_past_the_end(self, kind):
         events = {"reward_steps": [], "punishment_steps": [], kind: [2, 10]}
@@ -411,14 +424,41 @@ class TestArrayCodec:
     @settings(max_examples=60, deadline=None)
     @given(rec=episode_records())
     @pytest.mark.parametrize("block_bytes", [BLOCK, 8, 61])
-    def test_decoded_arrays_are_int64(self, block_bytes, rec):
+    def test_decoded_arrays_have_the_record_dtypes(self, block_bytes, rec):
         # __eq__ compares values with np.array_equal, which ignores the dtype
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(records, "_BLOCK_BYTES", block_bytes)
             got = EpisodeRecord.from_bytes(rec.to_bytes())
         assert got == rec
-        for name in ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps"):
-            assert getattr(got, name).dtype == np.int64, name
+        for name in ARRAYS:
+            assert getattr(got, name).dtype == DTYPES[name], name
+
+    def test_every_block_of_a_decode_shares_one_scratch_array(self, monkeypatch):
+        # two-byte channel indices, then one-byte ones: the later blocks hold
+        # more values than the first
+        frames = [(t, [200, 201] if t < BLOCK else [1, 2]) for t in range(2 * BLOCK)]
+        rec = EpisodeRecord.build(n_channels=300, seed=0, n_steps=2 * BLOCK, frames=frames,
+                                  reward_steps=[])
+        scan, scratch = records._scan_frames, []
+
+        def spy(values, steps_left, work):
+            scratch.append(work)
+            return scan(values, steps_left, work)
+
+        monkeypatch.setattr(records, "_scan_frames", spy)
+        assert EpisodeRecord.from_bytes(rec.to_bytes()) == rec
+        assert len(scratch) > 3
+        assert all(work is scratch[0] for work in scratch)
+
+    def test_a_frame_of_more_than_0xffff_entries(self, tmp_path):
+        # the count of a frame with repeated channels does not fit uint16
+        frames = [(1, [k % 2 for k in range(70_000)])]
+        rec = EpisodeRecord.build(n_channels=2, seed=0, n_steps=3, frames=frames,
+                                  reward_steps=[2])
+        rec.save(tmp_path / "big.spkc")
+        raw = (tmp_path / "big.spkc").read_bytes()
+        assert raw == spkc_bytes(n_channels=2, n_steps=3, frames=frames, events=[(2, 0)])
+        assert EpisodeRecord.load(tmp_path / "big.spkc") == rec
 
     def test_frame_longer_than_a_decode_block(self):
         big = [2**14 + k % 1000 for k in range(records._BLOCK_BYTES)]  # 3 bytes each
@@ -512,6 +552,7 @@ class TestArrayCodec:
 # -- the rules of a record, checked once when it is made ----------------------
 
 ARRAYS = ("spike_steps", "indptr", "channels", "reward_steps", "punishment_steps")
+DTYPES = {**dict.fromkeys(ARRAYS, np.int64), "channels": np.uint16}  # a record's arrays
 FIELDS = ("n_channels", "seed", "n_steps") + ARRAYS
 
 
@@ -579,7 +620,7 @@ def test_a_record_is_made_exactly_when_it_follows_the_rules(fields):
     assert not breaks_a_rule(fields)
     assert EpisodeRecord.from_bytes(rec.to_bytes()) == rec
     for name in ARRAYS:
-        assert getattr(rec, name).dtype == np.int64, name
+        assert getattr(rec, name).dtype == DTYPES[name], name
         assert getattr(rec, name).tolist() == list(fields[name]), name
 
 
@@ -599,6 +640,8 @@ VALID = dict(n_channels=4, seed=0, n_steps=10, spike_steps=[2, 5],
     ({"indptr": [0, 3]}, "indptr must have 3 entries"),         # the wrong length
     ({"channels": [1, 4, 0]}, "bad record: channel index 4 >= n_channels 4"),
     ({"channels": [1, -2, 0]}, "bad record: channel index -2 < 0"),
+    ({"n_channels": 2**16 - 1, "channels": [1, 2**16 + 3, 0]},
+     "bad record: channel index 65539 >= n_channels 65535"),  # not wrapped to 3 by uint16
     ({"reward_steps": [10]}, steps_refusal("reward_steps", 10)),
     ({"punishment_steps": [10]}, steps_refusal("punishment_steps", 10)),
     ({"reward_steps": [6, 4]}, steps_refusal("reward_steps", 4)),
@@ -638,7 +681,7 @@ def test_unsigned_values_beyond_int64_are_refused(name, value):
 def test_empty_arrays_of_any_type_are_accepted():
     rec = EpisodeRecord(**{**VALID, "spike_steps": [], "indptr": [0], "channels": np.zeros(0),
                            "reward_steps": [], "punishment_steps": np.zeros(0, dtype=bool)})
-    assert all(getattr(rec, name).dtype == np.int64 for name in ARRAYS)
+    assert all(getattr(rec, name).dtype == DTYPES[name] for name in ARRAYS)
 
 
 def test_a_record_is_immutable():
