@@ -314,4 +314,4 @@ class DetectorState:
                     raise ValueError(f"unknown entry {next(iter(entries))!r}")
                 return cls(cfg, **state)
             except Exception as exc:
-                raise ValueError(f"bad snapshot {path}: {exc}") from None
+                raise ValueError(f"{path}: bad snapshot: {exc}") from None

@@ -37,7 +37,8 @@ a frame whose channel ceilings (the largest weight of each channel over
 the genomes), added in the membrane sum's order, stay at or below the
 threshold cannot fire in any genome: rounding is monotone, so that bound is at or
 above every genome's sum. The bounds of all frames up to the next
-breakpoint are computed at once (:class:`FrameSums`).
+breakpoint are computed at once, each added in channel order by
+``np.add.at`` (:func:`frame_sums`).
 
 The presynaptic spike times are the same for every genome, so
 ``last_presyn`` is one shared (N,) vector, brought up to date only where
@@ -56,47 +57,29 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .plasticity import THRESHOLD, PlasticityConfig, effective_rates, resource_for_weight
-from .records import EpisodeRecord
+from .records import _BLOCK_FRAMES, EpisodeRecord
 
 _NEVER = np.iinfo(np.int64).min // 2  # last_post of a genome that never fired
 _NONE = np.zeros(0, dtype=np.intp)
 
 
-class FrameSums:
-    """Per spike frame, the sum of per-channel values over the frame's channels.
+def frame_sums(values: np.ndarray, indptr: np.ndarray, channels: np.ndarray,
+               lo: int, hi: int) -> np.ndarray:
+    """Per spike frame lo to hi - 1, the sum of per-channel values over its channels.
 
-    Frame k holds ``channels[indptr[k]:indptr[k + 1]]``. A sum adds one
-    position j at a time, in the record's channel order, as a scalar loop
-    does; never by a reduction, whose order numpy does not fix. The j-th
-    channel of a frame sits at ``indptr[k] + j``; past the size of the
-    smallest frame, the frames that have a j-th channel and that channel
-    are tabled once per record.
+    Frame k holds ``channels[indptr[k]:indptr[k + 1]]``. ``np.add.at`` adds
+    one entry at a time in index order, so a sum adds a frame's values in
+    the record's channel order, as a scalar loop does; never by a reduction,
+    whose order numpy does not fix. Frames go one block at a time, so the
+    per-entry temporaries stay a fixed size.
     """
-
-    def __init__(self, indptr: np.ndarray, channels: np.ndarray):
-        counts = np.diff(indptr)
-        self.starts, self.channels = indptr[:-1], channels
-        self.fewest = int(counts.min()) if len(counts) else 0  # positions every frame has
-        self.positions: list[tuple[np.ndarray, np.ndarray]] = []
-        j = self.fewest
-        rows = np.flatnonzero(counts > j)
-        while rows.size:  # the j-th channel of every frame that has one
-            self.positions.append((rows, channels[self.starts[rows] + j]))
-            j += 1
-            rows = rows[counts[rows] > j]
-
-    def __call__(self, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The sums of frames lo to hi - 1."""
-        starts = self.starts[lo:hi]
-        total = np.zeros(hi - lo)
-        for j in range(self.fewest):
-            total += values[self.channels[starts + j]]
-        for rows, chans in self.positions:
-            a, b = rows.searchsorted((lo, hi)).tolist()
-            if a == b:  # no frame in range has this position, so none has the next
-                break
-            total[rows[a:b] - lo] += values[chans[a:b]]
-        return total
+    total = np.zeros(hi - lo)
+    for k0 in range(lo, hi, _BLOCK_FRAMES):
+        k1 = min(k0 + _BLOCK_FRAMES, hi)
+        ptr = indptr[k0:k1 + 1]
+        frame = np.repeat(np.arange(k0 - lo, k1 - lo), np.diff(ptr))
+        np.add.at(total, frame, values.take(channels[ptr[0]:ptr[-1]]))
+    return total
 
 
 @dataclass
@@ -170,7 +153,6 @@ def replay_population(
     spike_steps, indptr, channels = record.spike_steps, record.indptr, record.channels
     frame_size = np.diff(indptr)
     n_frames = len(spike_steps)
-    sums = FrameSums(indptr, channels)
 
     d_bar = np.array([c.d_bar for c in cfgs])
     w_min = np.array([c.w_min for c in cfgs])
@@ -280,7 +262,7 @@ def replay_population(
     frame = 0  # first spike frame not yet processed
     for t, seg_end in zip(stops.tolist(), np.searchsorted(spike_steps, stops).tolist()):
         # spike frames before the breakpoint: only candidates can fire
-        bound = sums(W.max(axis=0), frame, seg_end)
+        bound = frame_sums(W.max(axis=0), indptr, channels, frame, seg_end)
         for k in ((bound > THRESHOLD).nonzero()[0] + frame).tolist():
             rows = firing(k)
             if rows.size:

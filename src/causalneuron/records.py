@@ -48,7 +48,7 @@ _KIND_REWARD = 0
 _KIND_PUNISHMENT = 1
 
 _BLOCK_BYTES = 1 << 14   # body bytes from_bytes decodes per pass
-_BLOCK_FRAMES = 1 << 12  # spike frames to_bytes encodes per pass
+_BLOCK_FRAMES = 1 << 12  # spike frames to_bytes, frames() and frame sums take per pass
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -287,12 +287,13 @@ class EpisodeRecord:
                    reward_steps=sorted(reward_steps), punishment_steps=sorted(punishment_steps))
 
     def frames(self) -> Iterator[tuple[int, list[int]]]:
-        """Yield (step, channel indices) for every step that has spikes."""
-        steps = self.spike_steps.tolist()
-        indptr = self.indptr.tolist()
-        chans = self.channels.tolist()
-        for k, step in enumerate(steps):
-            yield step, chans[indptr[k]:indptr[k + 1]]
+        """Yield (step, channel indices) for every step with spikes, a block listed at a time."""
+        for k0 in range(0, len(self.spike_steps), _BLOCK_FRAMES):
+            ptr = self.indptr[k0:k0 + _BLOCK_FRAMES + 1]
+            chans = self.channels[ptr[0]:ptr[-1]].tolist()
+            ends = (ptr - ptr[0]).tolist()
+            for k, step in enumerate(self.spike_steps[k0:k0 + _BLOCK_FRAMES].tolist()):
+                yield step, chans[ends[k]:ends[k + 1]]
 
     def to_bytes(self) -> bytes:
         """Encode the record."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .neuron import Detector, DetectorState
 from .plasticity import THRESHOLD
-from .population import FrameSums, ReplayResult, replay_population, tss_spans
+from .population import ReplayResult, frame_sums, replay_population, tss_spans
 from .records import EpisodeRecord
 
 REPORT_WINDOW_STEPS = 10_000  # one row of the train --report time series
@@ -84,13 +84,14 @@ def frozen_fires(record: EpisodeRecord, weights: np.ndarray) -> list[int]:
     Equal to the scalar :func:`replay` of a fresh frozen detector with
     these weights. A frozen detector fires at an event step exactly when
     the weights of that step's channels, added in the record's channel
-    order, exceed the threshold (:class:`FrameSums`). A reward-only step
-    is an empty frame, which never fires.
+    order, exceed the threshold; every frame's sum is taken at once
+    (:func:`~causalneuron.population.frame_sums`). A reward-only step is
+    an empty frame, which never fires.
     """
     weights = np.asarray(weights, dtype=np.float64)
     _check_channels(record, len(weights))
     steps = record.spike_steps
-    total = FrameSums(record.indptr, record.channels)(weights, 0, len(steps))
+    total = frame_sums(weights, record.indptr, record.channels, 0, len(steps))
     return steps[total > THRESHOLD].tolist()
 
 

@@ -936,12 +936,12 @@ class TestMalformedSnapshots:
         path = tmp_path / "snap.npz"
         path.write_bytes({"empty": b"", "record": record.read_bytes(), "text": b"H = 1\n"}[kind])
         assert main(["eval", "--record", str(record), "--snapshot", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: bad snapshot {path}: not an .npz archive\n"
+        assert capsys.readouterr().err == f"error: {path}: bad snapshot: not an .npz archive\n"
 
     def test_missing_resources(self, record, snapshot, capsys):
         self.rewrite(snapshot, resources=None)
         self.assert_eval_fails(record, snapshot, capsys,
-                               f"error: bad snapshot {snapshot}: missing entry 'resources'\n")
+                               f"error: {snapshot}: bad snapshot: missing entry 'resources'\n")
 
     @pytest.mark.parametrize("entry", ["stability", "cfg_d_bar", "format_version"])
     def test_a_missing_entry_is_named(self, record, snapshot, capsys, entry):
@@ -949,7 +949,7 @@ class TestMalformedSnapshots:
         assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"error: bad snapshot {snapshot}: missing entry {entry!r}\n"
+            f"error: {snapshot}: bad snapshot: missing entry {entry!r}\n"
 
     def test_short_tss_state(self, record, snapshot, capsys):
         self.rewrite(snapshot, tss_spans=np.array([0], dtype=np.int64))
@@ -1023,7 +1023,7 @@ class TestMalformedSnapshots:
         self.rewrite(open_snapshot, **entries)
         assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
             == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: bad snapshot {open_snapshot}: {message}\n"
+        assert capsys.readouterr().err == f"error: {open_snapshot}: bad snapshot: {message}\n"
 
     def test_non_finite_values_that_stepping_reaches_evaluate(self, record, snapshot):
         self.rewrite(snapshot, resources=np.array([np.inf, -np.inf, 0.0, 0.0]),
@@ -1036,7 +1036,7 @@ class TestMalformedSnapshots:
         assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"error: bad snapshot {snapshot}: unknown entry {name!r}\n"
+            f"error: {snapshot}: bad snapshot: unknown entry {name!r}\n"
 
     def test_member_that_is_not_npy(self, record, snapshot, capsys):
         # np.load hands over a member without the .npy magic as its raw bytes
@@ -1049,7 +1049,7 @@ class TestMalformedSnapshots:
         assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"error: bad snapshot {snapshot}: resources is not an .npy array\n"
+            f"error: {snapshot}: bad snapshot: resources is not an .npy array\n"
 
     def test_version_1(self, record, snapshot, capsys):
         data = dict(np.load(snapshot))
@@ -1067,7 +1067,7 @@ class TestMalformedSnapshots:
         assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"error: bad snapshot {snapshot}: unsupported snapshot version 2\n"
+            f"error: {snapshot}: bad snapshot: unsupported snapshot version 2\n"
 
     def test_version_3(self, record, snapshot, capsys):
         data = dict(np.load(snapshot))
@@ -1075,7 +1075,7 @@ class TestMalformedSnapshots:
         assert main(["eval", "--record", str(record), "--snapshot", str(snapshot)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"error: bad snapshot {snapshot}: unsupported snapshot version 3\n"
+            f"error: {snapshot}: bad snapshot: unsupported snapshot version 3\n"
 
     @pytest.mark.parametrize("entry, value, dtypes", [
         ("format_version", np.float64(3.9), "float64, not int64"),
@@ -1099,7 +1099,7 @@ class TestMalformedSnapshots:
         assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"error: bad snapshot {open_snapshot}: {entry} is {dtypes}\n"
+            f"error: {open_snapshot}: bad snapshot: {entry} is {dtypes}\n"
 
     @pytest.mark.parametrize("entry, value, shapes", [
         ("frozen", np.array([True]), "(1,), not ()"),  # bool() would unwrap it
@@ -1114,7 +1114,7 @@ class TestMalformedSnapshots:
         assert main(["eval", "--record", str(record), "--snapshot", str(open_snapshot)]) \
             == EXIT_CONFIG
         assert capsys.readouterr().err == \
-            f"error: bad snapshot {open_snapshot}: {entry} has shape {shapes}\n"
+            f"error: {open_snapshot}: bad snapshot: {entry} has shape {shapes}\n"
 
     def test_stored_config_is_validated(self, record, snapshot, capsys):
         self.rewrite(snapshot, cfg_w_min=np.float64(0.5))

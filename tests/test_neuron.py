@@ -434,7 +434,7 @@ class TestDeterminismAndSnapshots:
         np.savez(path, **data)
         with pytest.raises(ValueError) as exc:
             Detector.load_snapshot(path)
-        assert str(exc.value) == f"bad snapshot {path}: {message}"
+        assert str(exc.value) == f"{path}: bad snapshot: {message}"
 
     def test_snapshot_keeps_values_that_stepping_reaches(self, tmp_path):
         """An extreme config overflows a resource to inf, and its weight is then NaN."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,32 @@ class TestRoundTrip:
             frames=frames, reward_steps=[100],
         )
         assert list(rec.frames()) == frames
+
+    def test_frames_over_many_blocks(self):
+        rec = record_pong_episode(30, 4)
+        assert len(rec.spike_steps) > records._BLOCK_FRAMES
+        ptr = rec.indptr.tolist()
+        assert list(rec.frames()) == [
+            (step, rec.channels[ptr[k]:ptr[k + 1]].tolist())
+            for k, step in enumerate(rec.spike_steps.tolist())]
+
+    def test_first_frame_lists_one_block(self):
+        rng = np.random.default_rng(0)
+        counts = rng.integers(1, 7, 200_000)
+        rec = EpisodeRecord(
+            n_channels=133, seed=0, n_steps=200_000, spike_steps=np.arange(200_000),
+            indptr=np.concatenate(([0], np.cumsum(counts))),
+            channels=rng.integers(0, 133, int(counts.sum())), reward_steps=[],
+            punishment_steps=[])
+        frames = rec.frames()
+        tracemalloc.start()
+        try:
+            first = next(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == (0, rec.channels[:counts[0]].tolist())
+        assert peak < 2**20
 
     def test_empty_frames_dropped(self):
         rec = EpisodeRecord.build(

@@ -5,6 +5,7 @@ frozen-evaluation kernel against frozen scalar replay."""
 import copy
 import math
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from causalneuron.neuron import Detector, DetectorState
 from causalneuron.plasticity import PlasticityConfig, weight_of
-from causalneuron.population import FrameSums, replay_population
+from causalneuron.population import frame_sums, replay_population
+from causalneuron import records
 from causalneuron.records import EpisodeRecord
 from causalneuron.recording import record_pong_episode
 from causalneuron.runner import frozen_fires, replay, train_on_record
@@ -416,6 +418,17 @@ class TestStateRoundTrip:
                 [weight_of(r, cfg).hex() for r in state.resources.tolist()]
 
 
+def scalar_frame_sums(values, record, lo, hi):
+    """Each frame's values added one at a time, in the record's channel order."""
+    expected = []
+    for k in range(lo, hi):
+        total = 0.0
+        for c in record.channels[record.indptr[k]:record.indptr[k + 1]].tolist():
+            total += values[c]
+        expected.append(total)
+    return [float(x).hex() for x in expected]
+
+
 @settings(max_examples=100, deadline=None)
 @given(record=event_records(), data=st.data())
 def test_frame_sums_of_any_range_add_in_channel_order(record, data):
@@ -423,14 +436,55 @@ def test_frame_sums_of_any_range_add_in_channel_order(record, data):
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n))
     values = np.random.default_rng(n).uniform(-1.0, 1.0, record.n_channels)
-    expected = []
-    for k in range(lo, hi):
-        total = 0.0
-        for c in record.channels[record.indptr[k]:record.indptr[k + 1]].tolist():
-            total += values[c]
-        expected.append(total)
-    got = FrameSums(record.indptr, record.channels)(values, lo, hi)
-    assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in expected]
+    got = frame_sums(values, record.indptr, record.channels, lo, hi)
+    assert [x.hex() for x in got.tolist()] == scalar_frame_sums(values, record, lo, hi)
+
+
+def test_frame_sums_keep_the_order_of_a_frame():
+    # 1e16 + 1.0 rounds back to 1e16: in channel order the first frame sums to
+    # 0.0, and to 1.0 in any order that adds the two large values first
+    rec = EpisodeRecord.build(n_channels=3, seed=0, n_steps=2,
+                              frames=[(0, [0, 1, 2]), (1, [0, 2, 1])], reward_steps=[])
+    values = np.array([1e16, 1.0, -1e16])
+    assert frame_sums(values, rec.indptr, rec.channels, 0, 2).tolist() == [0.0, 1.0]
+
+
+def consecutive_frames(counts):
+    """A record of one frame per step, frame k holding counts[k] of 133 channels at random."""
+    return EpisodeRecord(
+        n_channels=133, seed=0, n_steps=len(counts), spike_steps=np.arange(len(counts)),
+        indptr=np.concatenate(([0], np.cumsum(counts))),
+        channels=np.random.default_rng(0).integers(0, 133, int(np.sum(counts))),
+        reward_steps=[], punishment_steps=[])
+
+
+BLOCK = records._BLOCK_FRAMES
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 3 * BLOCK + 7), (1, BLOCK + 1), (BLOCK - 3, 2 * BLOCK + 5), (1000, 3 * BLOCK - 999),
+    (BLOCK, BLOCK), (5, 5), (BLOCK + 9, BLOCK + 10), (BLOCK + 50, BLOCK + 51),
+])
+def test_frame_sums_across_blocks(lo, hi):
+    counts = np.random.default_rng(0).integers(1, 7, 3 * BLOCK + 7)
+    counts[BLOCK + 50] = BLOCK + 100  # a frame with more entries than a block has frames
+    record = consecutive_frames(counts)
+    values = np.random.default_rng(1).uniform(-1.0, 1.0, record.n_channels)
+    got = frame_sums(values, record.indptr, record.channels, lo, hi)
+    assert [x.hex() for x in got.tolist()] == scalar_frame_sums(values, record, lo, hi)
+
+
+def test_frame_sums_allocate_little_beyond_the_result():
+    # the per-entry temporaries span one block of frames, not the whole record
+    record = consecutive_frames(np.random.default_rng(0).integers(1, 7, 200_000))
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, record.n_channels)
+    tracemalloc.start()
+    try:
+        total = frame_sums(values, record.indptr, record.channels, 0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < total.nbytes + 3 * 2**20
 
 
 # -- the event-driven rule: a step with no spike and no dopamine is no step ---
